@@ -141,6 +141,9 @@ def cmd_train(cfg: RunConfig, jobs: int) -> int:
     )
     print(
         f"iterations={result.iterations} converged={result.converged}"
+        f" stop_reason={result.stop_reason} grad_norm={result.grad_norm!r}"
+        f" objective_evals={result.objective_evals}"
+        f" gradient_evals={result.gradient_evals}"
         f" objective={result.final_objective!r}"
     )
     print(f"wrote {run_dir}")

@@ -291,6 +291,43 @@ def objective_gradient(
     return grad_s, grad_w, grad_pop
 
 
+def objective_hessian(
+    terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negated Hessian of objective_value in arrowhead blocks (D, B, C).
+
+    With parameters ordered (susceptibility, net weights, pop weight) the
+    negated Hessian is [[diag(D), B], [B.T, C]]: D (U,) is the diagonal
+    susceptibility block, B (U, M+1) couples each user's susceptibility to
+    the weights, and C (M+1, M+1) is the dense weight block.  Non-adopter
+    terms and adopter cells at or below EXPONENT_KNEE are linear in the
+    parameters, so only adopter cells above the knee add curvature, each
+    exp(z)/expm1(z)^2 times the outer product of its feature vector
+    (1 for its user, then its potentials and its app's popularity).  Those
+    cells are gathered once; nothing passes over the full M x U x T block.
+    """
+    labels = terms.labels
+    if not terms.term_users.all():
+        labels = labels & terms.term_users[:, None]
+    users, apps = np.nonzero(labels)
+    features = np.vstack(
+        [terms.potentials[:, users, apps], terms.popularity[apps][None, :]]
+    )
+    z = s[users] + np.concatenate([w, [w_pop]]) @ features
+    curved = z > EXPONENT_KNEE
+    users, features, z = users[curved], features[:, curved], z[curved]
+    with np.errstate(over="ignore"):
+        h = 1.0 / (np.expm1(z) * -np.expm1(-z))
+    num_users = terms.num_users
+    diag = np.bincount(users, weights=h, minlength=num_users)
+    coupling = np.stack(
+        [np.bincount(users, weights=row * h, minlength=num_users) for row in features],
+        axis=1,
+    )
+    root = features * np.sqrt(h)  # root @ root.T is symmetric bit for bit
+    return diag, coupling, root @ root.T
+
+
 def log_likelihood(
     params: ModelParams,
     stack: NetworkStack,

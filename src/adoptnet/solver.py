@@ -1,24 +1,42 @@
 """Constrained maximization of the training objective, plus the baselines.
 
-The main fit is projected-gradient ascent with Armijo backtracking (shrink
-0.5, sufficient-increase 1e-4, step reset to 1.0 each iteration); projection
-is componentwise max(., 0) on every constrained coordinate, so iterates stay
-feasible and the concave objective rises monotonically.  The regression
-baseline reuses the same machinery on a quadratic loss.
+The main fit is projected Newton (Bertsekas 1982, SIAM J. Control Optim.
+20:221) on the arrowhead Hessian from ``objective_hessian``.  Each iteration
+splits the coordinates.  Frozen ones stay put.  Active ones, Bertsekas's
+epsilon-active set widened to every coordinate whose own diagonal Newton
+step reaches its bound, take that diagonal step.  Constrained coordinates
+without curvature take a linear-model step: to the bound when the gradient
+points down, by EXPONENT_KNEE when it points up.  The rest take a Newton
+step, solved through the Schur complement of the diagonal susceptibility
+block in O(U * M^2).  The step is backtracked along the projection arc
+project(theta + a * d) with an Armijo test on the actual displacement.  When
+the Newton arc finds no sufficient increase (for instance on the piecewise
+linear objective of unconstrained weights), the same iteration falls back to
+a projected-gradient step.  The fit stops only when the projected gradient
+is within grad_tol, when both arcs fail, or at max_iters.  Projection is
+componentwise max(., 0) on every constrained coordinate, so every evaluated
+point is feasible, and the concave objective rises monotonically up to the
+rounding allowance of a full Newton step.
+
+The regression baseline uses projected-gradient ascent with Armijo
+backtracking (shrink 0.5, sufficient-increase 1e-4, step reset to 1.0 each
+iteration) on a quadratic loss.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import AdoptionMatrix, NetworkStack
 from .model import (
+    EXPONENT_KNEE,
     ModelParams,
     TrainingTerms,
     objective_gradient,
+    objective_hessian,
     objective_value,
     training_terms,
 )
@@ -26,6 +44,17 @@ from .model import (
 ARMIJO_SHRINK = 0.5
 ARMIJO_SUFFICIENT = 1e-4
 MIN_STEP = 1e-20
+# A Newton arc that needs a shorter step than this hands over to the
+# projected-gradient arc.
+NEWTON_MIN_STEP = 1e-6
+# Bertsekas's epsilon: a constrained coordinate within
+# min(ACTIVE_EPS, ||theta - project(theta + g)||) of zero whose gradient
+# points below zero is active.
+ACTIVE_EPS = 1e-3
+# Relative rounding level of the objective.  A full Newton step whose
+# predicted gain is below it cannot be told apart from noise, so it is
+# accepted unless the objective falls by more than that level.
+OBJECTIVE_ROUNDOFF = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -38,10 +67,14 @@ class FitConfig:
 
     init_net_weight of None means 1/num_networks (also used for the
     popularity weight).  grad_tol applies to the infinity norm of the
-    projected gradient; obj_tol to the objective change relative to
-    max(1, |objective|).  The fix_* flags freeze a parameter block at zero;
-    allow_negative_net_weights lifts the sign constraint on the network
-    weights only.
+    projected gradient and is the only test that ends a maximum-likelihood
+    fit as converged; that fit is projected Newton and otherwise stops when
+    neither its Newton nor its projected-gradient arc search finds an
+    increase, or at max_iters.  obj_tol, the objective change relative to
+    max(1, |objective|), ends only the projected-gradient least-squares fit
+    of the regression baseline.  The fix_* flags freeze a parameter block
+    at zero; allow_negative_net_weights lifts the sign constraint on the
+    network weights only.
     """
 
     max_iters: int = 10_000
@@ -65,24 +98,119 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Convergence record for one fit."""
+    """Convergence record for one fit.
+
+    converged is true exactly when grad_norm, the infinity norm of the
+    projected gradient at the returned point, is at most grad_tol.
+    stop_reason names the test that ended the loop: grad_tol,
+    line_search_exhausted, max_iters, or obj_tol (least squares only).  The
+    evaluation counts include those at the start and at the returned point.
+    """
 
     iterations: int
     final_objective: float
     converged: bool
     grad_norm: float
+    stop_reason: str
+    objective_evals: int
+    gradient_evals: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "final_objective": self.final_objective,
-                "converged": self.converged,
-                "grad_norm": self.grad_norm,
-            },
-            indent=2,
-            sort_keys=True,
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _project(
+    t: np.ndarray, theta0: np.ndarray, nonneg: np.ndarray, frozen: np.ndarray
+) -> np.ndarray:
+    out = t.copy()
+    out[nonneg] = np.maximum(out[nonneg], 0.0)
+    out[frozen] = theta0[frozen]
+    return out
+
+
+def _projected_gradient(t: np.ndarray, g: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
+    pg = g.copy()
+    pg[nonneg & (t <= 0.0) & (g < 0.0)] = 0.0
+    return pg
+
+
+class _Oracle:
+    """Counted objective and gradient evaluations of one fit.
+
+    A non-finite objective becomes SolverError; frozen coordinates get a
+    zero gradient.
+    """
+
+    def __init__(
+        self,
+        value: Callable[[np.ndarray], float],
+        grad: Callable[[np.ndarray], np.ndarray],
+        frozen: np.ndarray,
+    ):
+        self._value = value
+        self._grad = grad
+        self._frozen = frozen
+        self.objective_evals = 0
+        self.gradient_evals = 0
+
+    def value(self, t: np.ndarray, iteration: int) -> float:
+        self.objective_evals += 1
+        try:
+            return self._value(t)
+        except FloatingPointError as exc:
+            where = "the initial point" if iteration == 0 else f"iteration {iteration}"
+            raise SolverError(f"non-finite objective at {where}: {exc}") from exc
+
+    def gradient(self, t: np.ndarray) -> np.ndarray:
+        self.gradient_evals += 1
+        g = self._grad(t)
+        g[self._frozen] = 0.0
+        return g
+
+    def result(
+        self, iterations: int, objective: float, grad_norm: float, reason: str, cfg: FitConfig
+    ) -> FitResult:
+        return FitResult(
+            iterations=iterations,
+            final_objective=objective,
+            converged=grad_norm <= cfg.grad_tol,
+            grad_norm=grad_norm,
+            stop_reason=reason,
+            objective_evals=self.objective_evals,
+            gradient_evals=self.gradient_evals,
         )
+
+
+def _arc_search(
+    oracle: _Oracle,
+    project: Callable[[np.ndarray], np.ndarray],
+    theta: np.ndarray,
+    current: float,
+    g: np.ndarray,
+    d: np.ndarray,
+    iteration: int,
+    noise: float = 0.0,
+    min_step: float = MIN_STEP,
+) -> tuple[np.ndarray, float] | None:
+    """Armijo backtracking along project(theta + step * d), step = 1, 1/2, ...
+
+    The sufficient-increase test uses the actual displacement,
+    g . (candidate - theta), which must be positive.  A first trial whose
+    predicted gain is at most ``noise`` passes if the objective falls by no
+    more than ``noise``.  Returns None when the step shrinks below min_step.
+    """
+    step = 1.0
+    while step > min_step:
+        cand = project(theta + step * d)
+        cand_val = oracle.value(cand, iteration)
+        gain = float(g @ (cand - theta))
+        if gain > 0.0:
+            if cand_val >= current + ARMIJO_SUFFICIENT * gain:
+                return cand, cand_val
+            if step == 1.0 and gain <= noise and cand_val >= current - noise:
+                return cand, cand_val
+        step *= ARMIJO_SHRINK
+    return None
 
 
 def _projected_ascent(
@@ -96,74 +224,143 @@ def _projected_ascent(
     """Maximize value() from theta0 under componentwise constraints.
 
     Frozen coordinates keep their initial value; nonneg coordinates are
-    projected onto [0, inf).  Convergence is declared on the projected
-    gradient's infinity norm or on the relative objective change, whichever
-    triggers first; running out of line-search steps counts as a zero-change
-    iteration and therefore also terminates.
+    projected onto [0, inf).  The loop stops on the projected gradient's
+    infinity norm, on the relative objective change of the last step, when
+    no step passes the Armijo test, or at max_iters.
     """
     theta0 = np.asarray(theta0, dtype=float)
 
     def project(t: np.ndarray) -> np.ndarray:
-        out = t.copy()
-        out[nonneg] = np.maximum(out[nonneg], 0.0)
-        out[frozen] = theta0[frozen]
-        return out
+        return _project(t, theta0, nonneg, frozen)
 
-    def projected_gradient(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-        pg = g.copy()
-        pg[nonneg & (t <= 0.0) & (g < 0.0)] = 0.0
-        return pg
-
+    oracle = _Oracle(value, grad, frozen)
     theta = project(theta0)
-    try:
-        current = value(theta)
-    except FloatingPointError as exc:
-        raise SolverError(f"non-finite objective at the initial point: {exc}") from exc
-
+    current = oracle.value(theta, 0)
     iterations = 0
-    converged = False
-    while iterations < cfg.max_iters:
-        g = grad(theta)
-        g[frozen] = 0.0
-        if np.abs(projected_gradient(theta, g)).max() <= cfg.grad_tol:
-            converged = True
+    delta = None
+    while True:
+        g = oracle.gradient(theta)
+        grad_norm = float(np.abs(_projected_gradient(theta, g, nonneg)).max())
+        if grad_norm <= cfg.grad_tol:
+            reason = "grad_tol"
             break
-        step = 1.0
-        accepted = False
-        cand = theta
-        cand_val = current
-        while step > MIN_STEP:
-            cand = project(theta + step * g)
-            try:
-                cand_val = value(cand)
-            except FloatingPointError as exc:
-                raise SolverError(
-                    f"non-finite objective at iteration {iterations + 1}"
-                ) from exc
-            if cand_val >= current + ARMIJO_SUFFICIENT * float(g @ (cand - theta)):
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
-            # no step produces sufficient increase: numerically at the optimum
-            converged = True
+        if delta is not None and abs(delta) <= cfg.obj_tol * max(1.0, abs(current)):
+            reason = "obj_tol"
+            break
+        if iterations >= cfg.max_iters:
+            reason = "max_iters"
+            break
+        step = _arc_search(oracle, project, theta, current, g, g, iterations + 1)
+        if step is None:
+            reason = "line_search_exhausted"
             break
         iterations += 1
-        delta = cand_val - current
-        theta, current = cand, cand_val
-        if abs(delta) <= cfg.obj_tol * max(1.0, abs(current)):
-            converged = True
-            break
+        delta = step[1] - current
+        theta, current = step
+    return theta, oracle.result(iterations, current, grad_norm, reason, cfg)
 
-    final_g = grad(theta)
-    final_g[frozen] = 0.0
-    grad_norm = float(np.abs(projected_gradient(theta, final_g)).max())
-    return theta, FitResult(
-        iterations=iterations,
-        final_objective=current,
-        converged=converged,
-        grad_norm=grad_norm,
-    )
+
+def _newton_direction(
+    theta: np.ndarray,
+    g: np.ndarray,
+    hessian: tuple[np.ndarray, np.ndarray, np.ndarray],
+    nonneg: np.ndarray,
+    frozen: np.ndarray,
+    project: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Projected-Newton ascent direction on an arrowhead negated Hessian.
+
+    ``hessian`` is (D, B, C) as returned by objective_hessian: the first
+    D.size coordinates form the diagonal block.  Frozen coordinates do not
+    move.  Active coordinates, and free ones without curvature, take a
+    diagonal step; the remaining block is solved through the Schur
+    complement of its diagonal part.
+    """
+    diag_block, coupling, dense = hessian
+    n = diag_block.size
+    curvature = np.concatenate([diag_block, np.diag(dense)])
+    curved = curvature > 0.0
+    d = np.where(curved, g / np.where(curved, curvature, 1.0), g)
+    # A constrained coordinate without curvature sees a linear objective:
+    # falling, it goes straight to its bound; rising, it moves by the knee,
+    # which lifts its adopter exponents back to where curvature starts.
+    flat = nonneg & ~curved
+    d[flat] = np.where(g[flat] < 0.0, -theta[flat], EXPONENT_KNEE)
+    # Bertsekas's epsilon-active set, widened to the coordinates whose own
+    # diagonal step already reaches the bound: far from the optimum a nearly
+    # flat coordinate would otherwise hand the coupled solve a huge step.
+    eps = min(ACTIVE_EPS, float(np.linalg.norm(theta - project(theta + g))))
+    active = frozen | (nonneg & (g < 0.0) & ((theta <= eps) | (theta + d <= 0.0)))
+    d[frozen] = 0.0
+    newton = ~active & curved
+    rows = np.flatnonzero(newton[:n])
+    cols = np.flatnonzero(newton[n:])
+    diag_f = diag_block[rows]
+    g_rows = g[rows]
+    if cols.size:
+        coupling_f = coupling[np.ix_(rows, cols)]
+        scaled = coupling_f / diag_f[:, None]
+        schur = dense[np.ix_(cols, cols)] - coupling_f.T @ scaled
+        rhs = g[n + cols] - scaled.T @ g_rows
+        d_cols = np.linalg.lstsq(schur, rhs, rcond=1e-12)[0]
+        d[n + cols] = d_cols
+        d[rows] = (g_rows - coupling_f @ d_cols) / diag_f
+    else:
+        d[rows] = g_rows / diag_f
+    return d
+
+
+def _projected_newton(
+    value: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    theta0: np.ndarray,
+    nonneg: np.ndarray,
+    frozen: np.ndarray,
+    cfg: FitConfig,
+) -> tuple[np.ndarray, FitResult]:
+    """Maximize a concave value() with an arrowhead Hessian from theta0.
+
+    Frozen coordinates keep their initial value; nonneg coordinates are
+    projected onto [0, inf).  Each iteration searches the projected-Newton
+    arc and, if that finds no sufficient increase, the projected-gradient
+    arc.  The loop stops when the projected gradient's infinity norm is
+    within grad_tol, when both arc searches fail, or at max_iters.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+
+    def project(t: np.ndarray) -> np.ndarray:
+        return _project(t, theta0, nonneg, frozen)
+
+    oracle = _Oracle(value, grad, frozen)
+    theta = project(theta0)
+    current = oracle.value(theta, 0)
+    iterations = 0
+    while True:
+        g = oracle.gradient(theta)
+        grad_norm = float(np.abs(_projected_gradient(theta, g, nonneg)).max())
+        if grad_norm <= cfg.grad_tol:
+            reason = "grad_tol"
+            break
+        if iterations >= cfg.max_iters:
+            reason = "max_iters"
+            break
+        d = _newton_direction(theta, g, hessian(theta), nonneg, frozen, project)
+        noise = OBJECTIVE_ROUNDOFF * max(1.0, abs(current))
+        step = None
+        if np.all(np.isfinite(d)):
+            step = _arc_search(
+                oracle, project, theta, current, g, d, iterations + 1, noise,
+                NEWTON_MIN_STEP,
+            )
+        if step is None:
+            step = _arc_search(oracle, project, theta, current, g, g, iterations + 1)
+        if step is None:
+            reason = "line_search_exhausted"
+            break
+        iterations += 1
+        theta, current = step
+    return theta, oracle.result(iterations, current, grad_norm, reason, cfg)
 
 
 def fit_mle(
@@ -205,9 +402,10 @@ def fit_mle(
     num_nets = terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
 
-    # Bring every shared feature channel to unit max so one Armijo step length
-    # suits all coordinate blocks; the optimum is mapped back on exit.  The
-    # exponents, and hence the objective, are unchanged by this.
+    # Bring every shared feature channel to unit max so one gradient step
+    # length suits all coordinate blocks and a weight's knee step moves no
+    # exponent by more than the knee; the optimum is mapped back on exit.
+    # The exponents, and hence the objective, are unchanged by this.
     pot_scale = terms.potentials.max(axis=(1, 2))
     pot_scale = np.where(pot_scale > 0.0, pot_scale, 1.0)
     pop_scale = float(terms.popularity.max()) if terms.popularity.size else 0.0
@@ -250,7 +448,12 @@ def fit_mle(
         gs, gw, gp = objective_gradient(terms, t[s_idx], t[w_idx], t[pop_idx])
         return np.concatenate([gs, gw, [gp]])
 
-    theta, result = _projected_ascent(value, gradient, theta0, nonneg, frozen, cfg)
+    def hessian(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return objective_hessian(terms, t[s_idx], t[w_idx], t[pop_idx])
+
+    theta, result = _projected_newton(
+        value, gradient, hessian, theta0, nonneg, frozen, cfg
+    )
     susceptibility = theta[s_idx]
     if active.size < full_users:
         # users without likelihood terms keep the zero convention

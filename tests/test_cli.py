@@ -118,6 +118,9 @@ class TestTrainCommand:
         assert len(params["s"]) == 24
         convergence = json.loads((run_dir / "convergence.json").read_text())
         assert convergence["converged"] is True
+        assert convergence["stop_reason"] == "grad_tol"
+        assert convergence["objective_evals"] >= convergence["iterations"] + 1
+        assert convergence["gradient_evals"] == convergence["iterations"] + 1
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["run_id"] == run_dir.name
@@ -128,6 +131,8 @@ class TestTrainCommand:
             assert len(entry["sha256"]) == 64
         out = capsys.readouterr().out
         assert "converged=True" in out
+        assert "stop_reason=grad_tol" in out
+        assert f"objective_evals={convergence['objective_evals']}" in out
 
     def test_rerun_is_byte_identical(self, bundle):
         tmp_path, _, base = bundle

@@ -18,6 +18,7 @@ from adoptnet.model import (
     log_likelihood_gradient,
     network_potentials,
     objective_gradient,
+    objective_hessian,
     objective_value,
     potential_table,
     training_terms,
@@ -364,6 +365,75 @@ class TestGradient:
         lo = ll(EXPONENT_KNEE - 1e-9)
         hi = ll(EXPONENT_KNEE + 1e-9)
         assert abs(hi - lo) < 1e-5
+
+
+def assembled_hessian(terms, params):
+    """Dense Hessian of objective_value from the arrowhead blocks."""
+    diag, coupling, dense = objective_hessian(
+        terms, params.susceptibility, params.net_weights, params.pop_weight
+    )
+    U = diag.size
+    neg = np.zeros((U + dense.shape[0],) * 2)
+    neg[:U, :U] = np.diag(diag)
+    neg[:U, U:] = coupling
+    neg[U:, :U] = coupling.T
+    neg[U:, U:] = dense
+    return -neg
+
+
+def gradient_difference_hessian(terms, params, h=1e-6):
+    """Central differences of objective_gradient, one column per coordinate."""
+    U, M = params.num_users, params.num_networks
+    theta = np.concatenate([params.susceptibility, params.net_weights,
+                            [params.pop_weight]])
+
+    def flat_gradient(vec):
+        gs, gw, gp = objective_gradient(terms, vec[:U], vec[U:U + M], vec[U + M])
+        return np.concatenate([gs, gw, [gp]])
+
+    out = np.zeros((theta.size, theta.size))
+    for j in range(theta.size):
+        step = np.zeros(theta.size)
+        step[j] = h
+        out[:, j] = (flat_gradient(theta + step) - flat_gradient(theta - step)) / (2 * h)
+    return out
+
+
+class TestHessian:
+    def test_blocks_match_gradient_differences(self):
+        # random_instance keeps every exponent at least 0.05, far above the knee
+        rng = np.random.default_rng(41)
+        for trial in range(12):
+            stack, adoptions, params = random_instance(rng)
+            U = adoptions.num_users
+            term_users = None if trial % 2 else rng.choice(U, U // 2 + 1, replace=False)
+            terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps),
+                                   term_users=term_users)
+            analytic = assembled_hessian(terms, params)
+            numeric = gradient_difference_hessian(terms, params)
+            denom = np.maximum(np.abs(numeric), 1.0)
+            assert np.max(np.abs(analytic - numeric) / denom) < 1e-6
+
+    def test_symmetric_and_negative_semidefinite(self):
+        rng = np.random.default_rng(42)
+        for _ in range(12):
+            stack, adoptions, params = random_instance(rng)
+            terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+            hess = assembled_hessian(terms, params)
+            np.testing.assert_array_equal(hess, hess.T)
+            eig = np.linalg.eigvalsh(hess)
+            assert eig.max() <= 1e-9 * max(1.0, float(np.abs(eig).max()))
+
+    def test_cells_at_or_below_knee_add_no_curvature(self):
+        # all-zero parameters put every exponent at 0: the objective is linear
+        rng = np.random.default_rng(43)
+        stack, adoptions, _ = random_instance(rng, num_users=6, num_networks=2,
+                                              num_apps=5)
+        terms = training_terms(stack, adoptions, np.arange(5))
+        diag, coupling, dense = objective_hessian(terms, np.zeros(6), np.zeros(2), 0.0)
+        assert diag.shape == (6,) and coupling.shape == (6, 3)
+        assert dense.shape == (3, 3)
+        assert not diag.any() and not coupling.any() and not dense.any()
 
 
 class TestObjectiveProperties:

@@ -1,4 +1,4 @@
-"""Projected-gradient fitting: optimality, feasibility, and invariances."""
+"""Projected-Newton and projected-gradient fitting: optimality, feasibility, invariances."""
 from __future__ import annotations
 
 import itertools
@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
-from adoptnet.model import log_likelihood
+from adoptnet.model import log_likelihood, objective_gradient, training_terms
 from adoptnet.solver import (
     FitConfig,
     FitResult,
     RegressionParams,
     SolverError,
     _projected_ascent,
+    _projected_newton,
     fit_mle,
     fit_regression,
     nonneg_least_squares,
@@ -294,6 +295,19 @@ class TestFitMLE:
                          FitConfig(max_iters=1))
         assert not res.converged
         assert res.iterations == 1
+        assert res.stop_reason == "max_iters"
+
+    def test_relaxed_fit_terminates_honestly(self):
+        # unconstrained weights make the objective piecewise linear; the fit
+        # must still end early and report why
+        stack, adoptions = make_instance(7)
+        cfg = FitConfig(allow_negative_net_weights=True)
+        _, res = fit_mle(stack, adoptions, np.arange(adoptions.num_apps), cfg)
+        assert res.iterations <= 500
+        assert res.converged == (res.grad_norm <= cfg.grad_tol)
+        assert res.stop_reason in ("grad_tol", "line_search_exhausted")
+        assert (res.stop_reason == "grad_tol") == res.converged
+        assert res.gradient_evals == res.iterations + 1
 
     def test_overflowing_start_raises_solver_error(self):
         stack, adoptions = make_instance(11)
@@ -306,9 +320,141 @@ class TestFitMLE:
         import json
 
         res = FitResult(iterations=5, final_objective=-2.5, converged=True,
-                        grad_norm=1e-8)
+                        grad_norm=1e-8, stop_reason="grad_tol",
+                        objective_evals=9, gradient_evals=6)
         obj = json.loads(res.to_json())
         assert obj["iterations"] == 5 and obj["converged"] is True
+        assert obj["stop_reason"] == "grad_tol"
+        assert obj["objective_evals"] == 9 and obj["gradient_evals"] == 6
+
+
+def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
+    """Largest KKT violation of a fit, in fit_mle's unit-max channel coordinates.
+
+    A free coordinate at zero may have a gradient up to grad_tol pushing it
+    below zero; a positive one must have |gradient| <= grad_tol.  Frozen
+    coordinates (fix flags, all-zero channels, users without terms) are
+    skipped.
+    """
+    terms = training_terms(stack, adoptions, train, term_users=term_users)
+    pot_scale = terms.potentials.max(axis=(1, 2))
+    pop_scale = float(terms.popularity.max())
+    gs, gw, gp = objective_gradient(terms, params.susceptibility,
+                                    params.net_weights, params.pop_weight)
+    grad = np.concatenate([gs, gw, [gp]])
+    theta = np.concatenate([params.susceptibility, params.net_weights,
+                            [params.pop_weight]])
+    U, M = params.num_users, params.num_networks
+    # fit_mle solves for weight * channel max, so its gradient is ours / max
+    grad[U:U + M] /= np.where(pot_scale > 0.0, pot_scale, 1.0)
+    grad[U + M] /= pop_scale if pop_scale > 0.0 else 1.0
+    free = np.ones(theta.size, dtype=bool)
+    free[:U] = not cfg.fix_susceptibility_at_zero
+    if term_users is not None:
+        free[:U] &= terms.term_users
+    free[U:U + M] = (not cfg.fix_net_weights_at_zero) & (pot_scale > 0.0)
+    free[U + M] = pop_scale > 0.0
+    at_zero = free & (theta <= 0.0)
+    positive = free & (theta > 0.0)
+    return max(float(np.max(grad[at_zero], initial=0.0)),
+               float(np.max(np.abs(grad[positive]), initial=0.0)))
+
+
+class TestKKT:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("flags", [
+        {},
+        {"fix_susceptibility_at_zero": True},
+        {"fix_net_weights_at_zero": True},
+        {"init_net_weight": 0.9, "init_susceptibility": 0.01},
+    ])
+    def test_fit_satisfies_kkt(self, seed, flags):
+        stack, adoptions = make_instance(seed)
+        train = np.arange(adoptions.num_apps)
+        cfg = FitConfig(**flags)
+        params, res = fit_mle(stack, adoptions, train, cfg)
+        assert res.stop_reason == "grad_tol"
+        assert res.converged
+        assert kkt_violation(stack, adoptions, train, params, cfg) <= cfg.grad_tol
+
+    def test_term_users_fit_satisfies_kkt(self):
+        stack, adoptions = make_instance(8, num_users=6)
+        train = np.arange(adoptions.num_apps)
+        cfg = FitConfig()
+        params, res = fit_mle(stack, adoptions, train, cfg, term_users=[0, 2, 4])
+        assert res.stop_reason == "grad_tol"
+        assert kkt_violation(stack, adoptions, train, params, cfg,
+                             term_users=[0, 2, 4]) <= cfg.grad_tol
+
+
+def arrowhead_qp_oracle(H, b):
+    """argmax b.x - x.H.x / 2 over x >= 0 by enumerating supports (H positive definite)."""
+    n = b.size
+    for mask in itertools.product([False, True], repeat=n):
+        free = np.array(mask)
+        x = np.zeros(n)
+        if free.any():
+            x[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
+        if np.all(x >= -1e-12) and np.all((b - H @ x)[~free] <= 1e-12):
+            return np.maximum(x, 0.0)
+    raise AssertionError("no KKT support found")
+
+
+class TestProjectedNewton:
+    def test_arrowhead_quadratic_matches_enumeration(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            U, K = 5, 3
+            # arrowhead [[diag(D), B], [B.T, C]], positive definite because
+            # its Schur complement C - B.T diag(1/D) B is
+            D = rng.uniform(0.5, 3.0, U)
+            B = rng.standard_normal((U, K))
+            R = rng.standard_normal((K, K))
+            C = B.T @ (B / D[:, None]) + R @ R.T + 0.5 * np.eye(K)
+            H = np.block([[np.diag(D), B], [B.T, C]])
+            b = rng.standard_normal(U + K) * 2.0
+            blocks = (D, B, C)
+            evaluated = []
+
+            def value(x):
+                evaluated.append(x.copy())
+                return float(b @ x - 0.5 * x @ H @ x)
+
+            def grad(x):
+                return b - H @ x
+
+            x, res = _projected_newton(value, grad, lambda x: blocks,
+                                       np.full(U + K, 0.5),
+                                       np.ones(U + K, dtype=bool),
+                                       np.zeros(U + K, dtype=bool),
+                                       FitConfig(grad_tol=1e-10))
+            assert res.stop_reason == "grad_tol"
+            assert res.objective_evals == len(evaluated)
+            np.testing.assert_allclose(x, arrowhead_qp_oracle(H, b), atol=1e-8)
+            assert all(np.all(t >= 0.0) for t in evaluated)
+
+    def test_frozen_coordinates_never_move(self):
+        H = np.diag([2.0, 2.0, 1.0])
+        b = np.array([4.0, 4.0, 1.0])
+        blocks = (np.array([2.0, 2.0]), np.zeros((2, 1)), np.array([[1.0]]))
+        x, res = _projected_newton(
+            lambda t: float(b @ t - 0.5 * t @ H @ t), lambda t: b - H @ t,
+            lambda t: blocks, np.array([0.3, 0.3, 0.3]), np.ones(3, dtype=bool),
+            np.array([False, True, False]), FitConfig())
+        assert x[1] == 0.3
+        np.testing.assert_allclose(x[[0, 2]], [2.0, 1.0], atol=1e-9)
+        assert res.converged
+
+    def test_linear_objective_goes_to_bound(self):
+        # no curvature anywhere: a falling coordinate lands on zero in one step
+        blocks = (np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
+        slope = np.array([-3.0, -1.0, -2.0])
+        x, res = _projected_newton(
+            lambda t: float(slope @ t), lambda t: slope.copy(), lambda t: blocks,
+            np.array([0.4, 7.0, 2.5]), np.ones(3, dtype=bool),
+            np.zeros(3, dtype=bool), FitConfig())
+        assert x.tolist() == [0.0, 0.0, 0.0]
+        assert res.iterations == 1 and res.stop_reason == "grad_tol"
 
 
 class TestFitConfigValidation:
