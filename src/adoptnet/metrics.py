@@ -1,4 +1,11 @@
-"""Ranking and error metrics: RMSE, precision@k, MP-k, pooled PR curve, optimal F1."""
+"""Ranking and error metrics: RMSE, precision@k, MP-k, pooled PR curve, optimal F1.
+
+Every curve comes from one array sweep (`_sweep`) over pairs sorted by
+descending score: TP, FP, precision, recall and F1 at each distinct score.
+The exact optimal F1 is the maximum of that F1 array.  Reports carry the
+curve on a fixed 101-point recall grid, interpolated after Davis & Goadrich
+(ICML 2006), so their size does not depend on the number of pairs.
+"""
 from __future__ import annotations
 
 import json
@@ -9,6 +16,9 @@ import numpy as np
 
 from .data import AdoptionMatrix
 from .predict import PredictionSheet
+
+# recall i / 100 for i = 0..100
+_GRID = np.arange(101)
 
 
 class NoPositivesError(ValueError):
@@ -25,9 +35,11 @@ class PRPoint(NamedTuple):
 class MetricReport:
     """Metrics of one evaluation pass.
 
-    optimal_f1 is computed on the pooled PR curve (primary); the per-app
-    averaged variant is reported alongside.  clipped_apps counts test apps
-    whose evaluated set was smaller than the requested k.
+    optimal_f1 is the exact maximum F1 over every distinct threshold of the
+    pooled pairs (primary); the per-app averaged variant is reported
+    alongside.  pr_points is the pooled PR curve on the 101-point recall
+    grid of `pr_grid`.  clipped_apps counts test apps whose evaluated set was
+    smaller than the requested k.
     """
 
     rmse: float
@@ -53,12 +65,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def pr_points_csv(points: Sequence[PRPoint]) -> list[str]:
-    lines = ["threshold,precision,recall"]
-    lines += [f"{p.threshold!r},{p.precision!r},{p.recall!r}" for p in points]
-    return lines
 
 
 def rmse(pred: Sequence[float] | np.ndarray, truth: Sequence[float] | np.ndarray) -> float:
@@ -89,37 +95,89 @@ def precision_at_k(scores: np.ndarray, adopters: Sequence[int] | np.ndarray, k: 
     return float(adopter_set[top].sum() / k)
 
 
-def per_app_precisions(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-app precision@k on each sheet's evaluated users.
+class _Sweep(NamedTuple):
+    """One point per distinct score of each group, groups ascending, scores descending."""
 
-    Apps with fewer evaluated users than k fall back to the evaluated count;
-    the second return flags them.  Positives are the truth adopters among the
-    sheet's evaluated users.
+    group: np.ndarray
+    threshold: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
+    positives: np.ndarray  # per group
+
+
+def _sweep(scores: np.ndarray, truth: np.ndarray, group: np.ndarray) -> _Sweep:
+    """Threshold sweep of non-empty pairs sorted by group, then by descending score.
+
+    A threshold t predicts positive on score >= t within its group:
+    precision = TP/(TP+FP), recall = TP/P with P the group's positives (a
+    group without positives gets recall 0), F1 = 2·p·r/(p+r), or 0 where
+    p + r = 0.  Arithmetic is that of `f1_score` on the same operands.
     """
-    values = np.empty(len(sheets))
-    clipped = np.zeros(len(sheets), dtype=bool)
-    for i, sheet in enumerate(sheets):
-        evaluated = sheet.evaluated_users
-        if evaluated.size == 0:
-            raise ValueError(f"sheet for app {sheet.app_id} has no evaluated users")
-        local_scores = sheet.scores[evaluated]
-        local_adopters = np.flatnonzero(truth.installed[evaluated, sheet.app_id])
-        kk = min(k, evaluated.size)
-        clipped[i] = kk < k
-        values[i] = precision_at_k(local_scores, local_adopters, kk)
-    return values, clipped
+    n = scores.size
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    # the last pair of each tie run marks one distinct threshold
+    last = np.empty(n, dtype=bool)
+    last[-1] = True
+    last[:-1] = first[1:] | (scores[1:] != scores[:-1])
+    starts = np.flatnonzero(first)
+    tp_cum = np.concatenate(([0], np.cumsum(truth)))
+    positives = tp_cum[np.append(starts[1:], n)] - tp_cum[starts]
+    cut = np.flatnonzero(last)
+    point_group = (np.cumsum(first) - 1)[cut]
+    tp = tp_cum[cut + 1] - tp_cum[starts[point_group]]
+    predicted = cut + 1 - starts[point_group]
+    precision = tp / predicted
+    recall = tp / np.maximum(positives, 1)[point_group]
+    denom = precision + recall
+    f1 = np.zeros(cut.size)
+    np.divide(2.0 * precision * recall, denom, out=f1, where=denom != 0)
+    return _Sweep(point_group, scores[cut], tp, predicted - tp, precision, recall, f1,
+                  positives)
 
 
-def mean_precision_at_k(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
-) -> float:
-    """Unweighted mean of per-app precision@k over the test apps."""
-    if not sheets:
-        raise ValueError("no sheets to evaluate")
-    values, _ = per_app_precisions(sheets, truth, k)
-    return float(np.mean(values))
+def _sorted_pairs(
+    scores: Sequence[float] | np.ndarray, truth: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked pairs of one group, sorted by descending score, for `_sweep`."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth, dtype=bool)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and truth must be aligned non-empty 1-d")
+    if not y.any():
+        raise NoPositivesError("PR curve needs at least one positive pair")
+    order = np.argsort(-s, kind="stable")
+    return s[order], y[order], np.zeros(s.size, dtype=int)
+
+
+def _grid(sweep: _Sweep) -> tuple[PRPoint, ...]:
+    """The single-group `sweep` on the recall grid i/100, i = 0..100.
+
+    At recall r the bracketing swept points are B, the first with TP >= r·P,
+    and A, the one before it (the origin when B is first).  Precision follows
+    Davis & Goadrich: FP grows linearly in TP from A to B, so at TP* = r·P it
+    is TP* / (TP* + FP_A + (FP_B - FP_A)(TP* - TP_A)/(TP_B - TP_A)).  Recall
+    0 takes the precision of the first swept point with TP > 0.  The
+    threshold is that of B when B lies exactly at r, else that of A (of B
+    when A is the origin).
+    """
+    tp, fp = sweep.tp, sweep.fp
+    target = _GRID * int(sweep.positives[0])  # 100·TP*, exact in integers
+    b = np.searchsorted(100 * tp, target, side="left")
+    b[0] = np.searchsorted(tp, 0, side="right")
+    a = b - 1
+    tp_a = np.where(a >= 0, tp[a], 0)
+    fp_a = np.where(a >= 0, fp[a], 0)
+    tp_star = target[1:] / 100
+    fp_star = fp_a[1:] + (fp[b[1:]] - fp_a[1:]) * (tp_star - tp_a[1:]) / (tp[b[1:]] - tp_a[1:])
+    precision = np.concatenate((sweep.precision[b[:1]], tp_star / (tp_star + fp_star)))
+    at = np.where(100 * tp[b] == target, b, np.maximum(a, 0))
+    return tuple(map(PRPoint, precision.tolist(), (_GRID / 100).tolist(),
+                     sweep.threshold[at].tolist()))
 
 
 def pr_curve(
@@ -130,32 +188,19 @@ def pr_curve(
     Each threshold t predicts positive on score >= t; precision = TP/(TP+FP),
     recall = TP/P.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(truth, dtype=bool)
-    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and truth must be aligned non-empty 1-d")
-    positives = int(y.sum())
-    if positives == 0:
-        raise NoPositivesError("PR curve needs at least one positive pair")
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tp_cum = np.cumsum(y_sorted)
-    # last index of each tie group marks one distinct threshold
-    boundary = np.flatnonzero(np.diff(s_sorted) != 0)
-    cut = np.concatenate([boundary, [s.size - 1]])
-    points = []
-    for idx in cut.tolist():
-        tp = int(tp_cum[idx])
-        predicted = idx + 1
-        points.append(
-            PRPoint(
-                precision=tp / predicted,
-                recall=tp / positives,
-                threshold=float(s_sorted[idx]),
-            )
-        )
-    return tuple(points)
+    sweep = _sweep(*_sorted_pairs(scores, truth))
+    return tuple(map(PRPoint, sweep.precision.tolist(), sweep.recall.tolist(),
+                     sweep.threshold.tolist()))
+
+
+def pr_grid(
+    scores: Sequence[float] | np.ndarray, truth: Sequence[int] | np.ndarray
+) -> tuple[PRPoint, ...]:
+    """The `pr_curve` of the pairs interpolated onto 101 recalls 0, 0.01, ..., 1.
+
+    See `_grid` for the Davis–Goadrich interpolation and the threshold rule.
+    """
+    return _grid(_sweep(*_sorted_pairs(scores, truth)))
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -184,6 +229,61 @@ def pooled_pairs(
     return np.concatenate(scores), np.concatenate(bits)
 
 
+def _rank_within_sheets(
+    sheets: Sequence[PredictionSheet], scores: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `pooled_pairs` of `sheets` sorted by sheet, then by descending score.
+
+    Ties keep the evaluated order, as `rank_users` does within one sheet.
+    Returns sorted scores, sorted bits, the sheet index of each pair and the
+    pair count of each sheet.
+    """
+    sizes = np.array([sheet.evaluated_users.size for sheet in sheets])
+    for sheet, size in zip(sheets, sizes):
+        if size == 0:
+            raise ValueError(f"sheet for app {sheet.app_id} has no evaluated users")
+    group = np.repeat(np.arange(len(sheets)), sizes)
+    order = np.lexsort((-scores, group))
+    return scores[order], bits[order], group, sizes
+
+
+def _precisions_at_k(
+    ranked_bits: np.ndarray, sizes: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sheet precision@min(k, size) of bits ranked within each sheet, and the clipped flags."""
+    if k < 1:
+        raise ValueError(f"k={k} out of range: must be at least 1")
+    starts = np.cumsum(sizes) - sizes
+    kk = np.minimum(k, sizes)
+    hits_cum = np.concatenate(([0], np.cumsum(ranked_bits)))
+    return (hits_cum[starts + kk] - hits_cum[starts]) / kk, kk < k
+
+
+def per_app_precisions(
+    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-app precision@k on each sheet's evaluated users.
+
+    Apps with fewer evaluated users than k fall back to the evaluated count;
+    the second return flags them.  Positives are the truth adopters among the
+    sheet's evaluated users.
+    """
+    if not sheets:
+        return np.empty(0), np.zeros(0, dtype=bool)
+    _, ranked_bits, _, sizes = _rank_within_sheets(sheets, *pooled_pairs(sheets, truth))
+    return _precisions_at_k(ranked_bits, sizes, k)
+
+
+def mean_precision_at_k(
+    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
+) -> float:
+    """Unweighted mean of per-app precision@k over the test apps."""
+    if not sheets:
+        raise ValueError("no sheets to evaluate")
+    values, _ = per_app_precisions(sheets, truth, k)
+    return float(np.mean(values))
+
+
 def evaluate_sheets(
     sheets: Sequence[PredictionSheet],
     truth: AdoptionMatrix,
@@ -193,30 +293,29 @@ def evaluate_sheets(
     """Full MetricReport over one test pass: RMSE, MP-k per k, pooled F1 and PR.
 
     The per-app-averaged optimal F1 skips apps with no positive evaluated
-    user (they have no PR curve).
+    user (they have no PR curve).  The pooled curve is reported on the
+    101-point grid of `pr_grid`; optimal_f1 is exact over every threshold.
     """
     if not sheets:
         raise ValueError("no sheets to evaluate")
     scores, bits = pooled_pairs(sheets, truth)
+    ranked_scores, ranked_bits, group, sizes = _rank_within_sheets(sheets, scores, bits)
     mp = {}
     clipped_total = 0
     for k in ks:
-        values, clipped = per_app_precisions(sheets, truth, k)
+        values, clipped = _precisions_at_k(ranked_bits, sizes, k)
         mp[int(k)] = float(np.mean(values))
         clipped_total = max(clipped_total, int(clipped.sum()))
-    points = pr_curve(scores, bits)
-    per_app_f1 = []
-    for sheet in sheets:
-        evaluated = sheet.evaluated_users
-        app_bits = truth.installed[evaluated, sheet.app_id]
-        if app_bits.any():
-            per_app_f1.append(optimal_f1(pr_curve(sheet.scores[evaluated], app_bits)))
+    pooled = _sweep(*_sorted_pairs(scores, bits))
+    per_app = _sweep(ranked_scores, ranked_bits, group)
+    best = np.maximum.reduceat(per_app.f1, np.searchsorted(per_app.group, np.arange(len(sheets))))
+    best = best[per_app.positives > 0]
     return MetricReport(
         rmse=rmse(scores, bits.astype(float)),
         mp_at_k=mp,
-        optimal_f1=optimal_f1(points),
-        pr_points=points,
-        optimal_f1_per_app=float(np.mean(per_app_f1)) if per_app_f1 else None,
+        optimal_f1=float(pooled.f1.max()),
+        pr_points=_grid(pooled),
+        optimal_f1_per_app=float(np.mean(best)) if best.size else None,
         clipped_apps=clipped_total,
         skipped_apps=skipped_apps,
     )

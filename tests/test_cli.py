@@ -215,6 +215,54 @@ class TestExperimentCommand:
         after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         assert before == after
 
+    def test_report_size_independent_of_users(self, tmp_path, capsys):
+        """Every repeat's PR curve has the 101 grid points at both sizes."""
+        for users in (30, 60):
+            synth = write_cfg(
+                tmp_path,
+                f"synth.num_users = {users}\nsynth.num_context_users = {users // 2}\n"
+                "synth.num_apps = 20\nsynth.num_networks = 2\n"
+                "synth.edge_density = 0.15\nsynth.planted_net_weights = 0.6,0.3\n"
+                "synth.planted_pop_weight = 0.02\nsynth.pop_base_max = 6.0\n"
+                "synth.susceptibility_rate = 10.0\nseed = 9\n"
+                f"outdir = {tmp_path / f'data{users}'}\n",
+                name=f"synth{users}.cfg",
+            )
+            assert main(["synth", synth]) == EXIT_OK
+            [data] = run_dirs(tmp_path / f"data{users}")
+            cfg = write_cfg(
+                tmp_path,
+                f"num_users = {users}\nnum_apps = 20\n"
+                f"adoptions.path = {data / 'adoptions.csv'}\n"
+                f"network.0.path = {data / 'network0.csv'}\n"
+                "network.0.symmetrize = max\n"
+                f"network.1.path = {data / 'network1.csv'}\n"
+                "network.1.symmetrize = max\n"
+                "protocol = comparison\nexperiment.repeats = 1\n"
+                "experiment.min_users = 3\n"
+                f"outdir = {tmp_path / f'runs{users}'}\n" + FIT_KEYS,
+                name=f"run{users}.cfg",
+            )
+            assert main(["experiment", cfg]) == EXIT_OK
+            capsys.readouterr()
+            [run_dir] = run_dirs(tmp_path / f"runs{users}")
+            report = json.loads((run_dir / "report.json").read_text())
+            assert report["protocol"] == "comparison"
+            means = {}
+            for series in report["series"]:
+                for rep in series["repeats"]:
+                    assert len(rep["pr_points"]) == 101
+                    assert [r for _, _, r in rep["pr_points"]] == [
+                        i / 100 for i in range(101)]
+                means.update({(series["name"], m): v for m, v in series["mean"].items()})
+            rows = (run_dir / "report.csv").read_text().splitlines()[1:]
+            csv_means = {
+                (config, metric): float(value)
+                for _, config, repeat, metric, value in (r.split(",") for r in rows)
+                if repeat == "mean"
+            }
+            assert csv_means == means
+
     def test_jobs_recorded_in_manifest(self, bundle, capsys):
         tmp_path, _, base = bundle
         cfg = write_cfg(

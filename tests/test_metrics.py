@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from adoptnet.metrics import (
     per_app_precisions,
     pooled_pairs,
     pr_curve,
-    pr_points_csv,
+    pr_grid,
     precision_at_k,
     rank_users,
     rmse,
@@ -57,6 +58,101 @@ def sheet(app_id, scores, evaluated=None):
     return PredictionSheet(app_id=app_id, scores=scores,
                            evaluated_users=np.asarray(evaluated, dtype=int),
                            evidence_users=np.array([], dtype=int))
+
+
+# The loop implementation that the array code in adoptnet.metrics replaced,
+# kept as the reference: the array results must equal it bit for bit.
+def loop_per_app_precisions(sheets, truth, k=5):
+    values = np.empty(len(sheets))
+    clipped = np.zeros(len(sheets), dtype=bool)
+    for i, sh in enumerate(sheets):
+        evaluated = sh.evaluated_users
+        if evaluated.size == 0:
+            raise ValueError(f"sheet for app {sh.app_id} has no evaluated users")
+        local_scores = sh.scores[evaluated]
+        local_adopters = np.flatnonzero(truth.installed[evaluated, sh.app_id])
+        kk = min(k, evaluated.size)
+        clipped[i] = kk < k
+        values[i] = precision_at_k(local_scores, local_adopters, kk)
+    return values, clipped
+
+
+def loop_pr_curve(scores, truth):
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth, dtype=bool)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and truth must be aligned non-empty 1-d")
+    positives = int(y.sum())
+    if positives == 0:
+        raise NoPositivesError("PR curve needs at least one positive pair")
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    tp_cum = np.cumsum(y_sorted)
+    boundary = np.flatnonzero(np.diff(s_sorted) != 0)
+    cut = np.concatenate([boundary, [s.size - 1]])
+    points = []
+    for idx in cut.tolist():
+        tp = int(tp_cum[idx])
+        predicted = idx + 1
+        points.append(PRPoint(precision=tp / predicted, recall=tp / positives,
+                              threshold=float(s_sorted[idx])))
+    return tuple(points)
+
+
+def loop_evaluate_sheets(sheets, truth, ks=(5,), skipped_apps=0):
+    if not sheets:
+        raise ValueError("no sheets to evaluate")
+    scores, bits = pooled_pairs(sheets, truth)
+    mp = {}
+    clipped_total = 0
+    for k in ks:
+        values, clipped = loop_per_app_precisions(sheets, truth, k)
+        mp[int(k)] = float(np.mean(values))
+        clipped_total = max(clipped_total, int(clipped.sum()))
+    points = loop_pr_curve(scores, bits)
+    per_app_f1 = []
+    for sh in sheets:
+        evaluated = sh.evaluated_users
+        app_bits = truth.installed[evaluated, sh.app_id]
+        if app_bits.any():
+            per_app_f1.append(optimal_f1(loop_pr_curve(sh.scores[evaluated], app_bits)))
+    return MetricReport(
+        rmse=rmse(scores, bits.astype(float)),
+        mp_at_k=mp,
+        optimal_f1=optimal_f1(points),
+        pr_points=points,
+        optimal_f1_per_app=float(np.mean(per_app_f1)) if per_app_f1 else None,
+        clipped_apps=clipped_total,
+        skipped_apps=skipped_apps,
+    )
+
+
+def exact_grid(scores, truth):
+    """Davis-Goadrich on the recall grid i/100, in exact rationals, one loop per point."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth, dtype=bool)
+    positives = int(y.sum())
+    swept = []  # (tp, fp, threshold) per distinct score, descending
+    for t in sorted(set(s.tolist()), reverse=True):
+        pred = s >= t
+        swept.append((int(np.sum(pred & y)), int(np.sum(pred & ~y)), t))
+    grid = []
+    for i in range(101):
+        tp_star = Fraction(i * positives, 100)
+        if i == 0:
+            b = next(j for j, (tp, _, _) in enumerate(swept) if tp > 0)
+            tp_b, fp_b, _ = swept[b]
+            precision = Fraction(tp_b, tp_b + fp_b)
+        else:
+            b = next(j for j, (tp, _, _) in enumerate(swept) if tp >= tp_star)
+            tp_b, fp_b, _ = swept[b]
+            tp_a, fp_a = swept[b - 1][:2] if b > 0 else (0, 0)
+            fp_star = fp_a + Fraction(fp_b - fp_a, tp_b - tp_a) * (tp_star - tp_a)
+            precision = tp_star / (tp_star + fp_star)
+        at = b if swept[b][0] == tp_star or b == 0 else b - 1
+        grid.append((precision, Fraction(i, 100), swept[at][2]))
+    return grid
 
 
 class TestRMSE:
@@ -163,10 +259,76 @@ class TestPRCurve:
         with pytest.raises(ValueError):
             optimal_f1([])
 
-    def test_csv_headers(self):
-        lines = pr_points_csv([PRPoint(1.0, 0.5, 0.9)])
-        assert lines[0] == "threshold,precision,recall"
-        assert lines[1] == "0.9,1.0,0.5"
+
+
+class TestPRGrid:
+    def test_hand_case_davis_goadrich(self):
+        # Distinct scores, descending, give the swept points (TP, FP):
+        #   0.95 -> (0, 1), 0.9 -> (1, 1), 0.5 -> (3, 2), 0.1 -> (3, 3); P = 3.
+        # r = 0.25: TP* = 0.75 lies between A = (0, 1) and B = (1, 1).  FP
+        #   grows by (1 - 1)/(1 - 0) = 0 per TP, so FP* = 1 and precision is
+        #   0.75 / 1.75 = 3/7; the threshold is A's, 0.95.
+        # r = 0.75: TP* = 2.25 lies between A = (1, 1) and B = (3, 2).  FP
+        #   grows by 1/2 per TP, so FP* = 1 + 1.25/2 = 1.625 and precision is
+        #   2.25 / 3.875 = 18/31; the threshold is A's, 0.9.  (Linear
+        #   interpolation of precision in recall would give 0.5625.)
+        # r = 0 takes B = (1, 1), the first point with TP > 0: precision 1/2.
+        # r = 1 lands on (3, 2) exactly: precision 3/5 at threshold 0.5.
+        scores = [0.95, 0.9, 0.5, 0.5, 0.5, 0.1]
+        truth = [0, 1, 1, 0, 1, 0]
+        grid = pr_grid(scores, truth)
+        assert grid[25] == PRPoint(3 / 7, 0.25, 0.95)
+        assert grid[75] == PRPoint(18 / 31, 0.75, 0.9)
+        assert grid[0] == PRPoint(0.5, 0.0, 0.95)
+        assert grid[100] == PRPoint(0.6, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [3, 10**5])
+    def test_exactly_101_recalls(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.random(n)
+        truth = rng.random(n) < 0.3
+        truth[0] = True
+        grid = pr_grid(scores, truth)
+        assert len(grid) == 101
+        assert [p.recall for p in grid] == [i / 100 for i in range(101)]
+        assert all(0.0 <= p.precision <= 1.0 for p in grid)
+
+    def test_recall_zero_skips_leading_negatives(self):
+        # swept (TP, FP): 0.9 -> (0, 1), 0.8 -> (0, 2), 0.7 -> (1, 2)
+        grid = pr_grid([0.9, 0.8, 0.7], [0, 0, 1])
+        assert grid[0] == PRPoint(1 / 3, 0.0, 0.8)
+        # r = 0.5: between (0, 2) and (1, 2), FP* = 2, precision 0.5 / 2.5
+        assert grid[50] == PRPoint(0.5 / 2.5, 0.5, 0.8)
+        assert grid[100] == PRPoint(1 / 3, 1.0, 0.7)
+        # a positive on top: recall 0 takes its precision and threshold
+        assert pr_grid([0.9, 0.8], [1, 0])[0] == PRPoint(1.0, 0.0, 0.9)
+
+    def test_all_tied_scores_one_swept_point(self):
+        scores, truth = [0.5, 0.5, 0.5], [1, 0, 1]
+        assert pr_curve(scores, truth) == (PRPoint(2 / 3, 1.0, 0.5),)
+        grid = pr_grid(scores, truth)
+        # from the origin to the one point, precision stays at its 2/3
+        assert all(p.precision == pytest.approx(2 / 3, rel=1e-15) for p in grid)
+        assert {p.threshold for p in grid} == {0.5}
+
+    def test_matches_exact_rationals(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 25))
+            scores = rng.integers(0, 6, n) / 6.0
+            truth = rng.random(n) < 0.35
+            if not truth.any():
+                truth[int(rng.integers(0, n))] = True
+            grid = pr_grid(scores, truth)
+            for point, (precision, recall, threshold) in zip(
+                    grid, exact_grid(scores, truth), strict=True):
+                assert point.precision == pytest.approx(float(precision), rel=1e-14)
+                assert point.recall == float(recall)
+                assert point.threshold == threshold
+
+    def test_no_positives_raises(self):
+        with pytest.raises(NoPositivesError):
+            pr_grid([0.2, 0.1], [0, 0])
 
 
 class TestF1:
@@ -271,3 +433,65 @@ class TestEvaluateSheets:
         assert obj["pr_points"] == [[0.9, 1.0, 0.5]]
         assert obj["skipped_apps"] == 2
         assert list(obj["extras"]) == ["a", "b"]
+
+
+class TestEvaluateSheetsOracle:
+    def test_equals_loop_implementation(self):
+        rng = np.random.default_rng(303)
+        checked = 0
+        for case in range(500):
+            num_users = int(rng.integers(1, 16))
+            num_apps = int(rng.integers(1, 6))
+            installed = rng.random((num_users, num_apps)) < 0.3
+            truth = AdoptionMatrix(num_users=num_users, num_apps=num_apps,
+                                   installed=installed)
+            sheets = []
+            for app in rng.permutation(num_apps)[:int(rng.integers(1, num_apps + 1))]:
+                # coarse grid forces ties; evaluated sets are restricted and
+                # in no particular order
+                scores = rng.integers(0, 5, num_users) / 4.0
+                size = int(rng.integers(1, num_users + 1))
+                sheets.append(sheet(int(app), scores,
+                                    evaluated=rng.permutation(num_users)[:size]))
+            ks = tuple(int(k) for k in rng.integers(1, num_users + 4, int(rng.integers(1, 3))))
+            try:
+                want = loop_evaluate_sheets(sheets, truth, ks=ks)
+            except NoPositivesError:
+                with pytest.raises(NoPositivesError):
+                    evaluate_sheets(sheets, truth, ks=ks)
+                continue
+            got = evaluate_sheets(sheets, truth, ks=ks)
+            assert got.mp_at_k == want.mp_at_k, f"case {case}"
+            assert got.optimal_f1 == want.optimal_f1, f"case {case}"
+            assert got.optimal_f1_per_app == want.optimal_f1_per_app, f"case {case}"
+            assert got.clipped_apps == want.clipped_apps, f"case {case}"
+            assert got.rmse == want.rmse, f"case {case}"
+            scores, bits = pooled_pairs(sheets, truth)
+            assert pr_curve(scores, bits) == want.pr_points, f"case {case}"
+            for k in ks:
+                got_values, got_clipped = per_app_precisions(sheets, truth, k)
+                want_values, want_clipped = loop_per_app_precisions(sheets, truth, k)
+                assert got_values.tolist() == want_values.tolist(), f"case {case}"
+                assert got_clipped.tolist() == want_clipped.tolist(), f"case {case}"
+            checked += 1
+        assert checked >= 300
+
+    def test_apps_without_positives_and_large_k(self):
+        truth = AdoptionMatrix(num_users=5, num_apps=3,
+                               installed=np.array([[False, True, False],
+                                                   [False, False, False],
+                                                   [False, True, False],
+                                                   [False, False, True],
+                                                   [False, False, False]]))
+        sheets = [
+            sheet(2, [0.5, 0.5, 0.25, 0.5, 0.0], evaluated=[4, 3, 0]),
+            sheet(0, [0.75, 0.5, 0.5, 0.0, 0.25], evaluated=[3, 1]),
+            sheet(1, [0.5, 0.75, 0.5, 0.5, 0.5], evaluated=[2, 0, 1, 4]),
+        ]
+        got = evaluate_sheets(sheets, truth, ks=(1, 9))
+        want = loop_evaluate_sheets(sheets, truth, ks=(1, 9))
+        assert got.mp_at_k == want.mp_at_k
+        assert got.optimal_f1_per_app == want.optimal_f1_per_app
+        assert got.clipped_apps == want.clipped_apps == 3
+        assert got.optimal_f1 == want.optimal_f1
+        assert len(got.pr_points) == 101
