@@ -14,7 +14,7 @@ import numpy as np
 from adoptnet.data import NetworkStack, popularity_counts
 from adoptnet.experiments import future_split
 from adoptnet.metrics import evaluate_sheets
-from adoptnet.predict import PredictionSheet, score_app, score_future
+from adoptnet.predict import PredictionSheet, score_matrix, sheets_from_scores
 from adoptnet.solver import fit_mle, random_baseline
 from adoptnet.synth import SynthSpec, generate
 
@@ -39,24 +39,32 @@ rng = np.random.default_rng(0)
 order = rng.permutation(adoptions.num_apps)
 train, test = order[:60], order[60:]
 
+
+def random_like(sheets):
+    """Seeded random scores over the same users as each sheet."""
+    return [
+        PredictionSheet(
+            app_id=sheet.app_id,
+            scores=random_baseline(stack.num_users, seed=sheet.app_id),
+            evaluated_users=sheet.evaluated_users,
+            evidence_users=sheet.evidence_users,
+        )
+        for sheet in sheets
+    ]
+
+
 params, fit = fit_mle(stack, adoptions, train)
 print(f"fit: {fit.iterations} iterations, objective {fit.final_objective:.2f}")
 print(f"network weights {np.round(params.net_weights, 3)}, "
       f"popularity weight {params.pop_weight:.4f}")
 
 # --- standard mode -------------------------------------------------------
-model_sheets, random_sheets = [], []
-for a in test:
-    a = int(a)
-    adopted = adoptions.installed[:, a]
-    sheet = score_app(params, stack, adopted, float(stack.popularity[a]), app_id=a)
-    model_sheets.append(sheet)
-    random_sheets.append(PredictionSheet(
-        app_id=a,
-        scores=random_baseline(stack.num_users, seed=a),
-        evaluated_users=sheet.evaluated_users,
-        evidence_users=sheet.evidence_users,
-    ))
+# One scoring call covers every test app: column t of the evidence matrix is
+# app t's adoption vector, and the score matrix is cut into one sheet per app.
+evidence = adoptions.installed[:, test]
+scores = score_matrix(params, stack, evidence, stack.popularity[test])
+model_sheets = sheets_from_scores(test, scores, evidence)
+random_sheets = random_like(model_sheets)
 
 print("\n== standard mode, 60 held-out apps ==")
 for name, sheets in (("model", model_sheets), ("random", random_sheets)):
@@ -68,23 +76,14 @@ for name, sheets in (("model", model_sheets), ("random", random_sheets)):
 # Evidence and the visible popularity are the early adopters alone; early
 # adopters drop out of the ranked set.
 halves = future_split(adoptions)
-model_sheets, random_sheets, skipped = [], [], 0
-for a in test:
-    a = int(a)
-    g1, g2 = halves[a]
-    if g2.size == 0:
-        skipped += 1
-        continue
-    early = np.zeros(stack.num_users, dtype=bool)
-    early[g1] = True
-    sheet = score_future(params, stack, early, float(g1.size), app_id=a)
-    model_sheets.append(sheet)
-    random_sheets.append(PredictionSheet(
-        app_id=a,
-        scores=random_baseline(stack.num_users, seed=a),
-        evaluated_users=sheet.evaluated_users,
-        evidence_users=sheet.evidence_users,
-    ))
+scored = [int(a) for a in test if halves[int(a)][1].size]
+skipped = len(test) - len(scored)
+early = np.zeros((stack.num_users, len(scored)), dtype=bool)
+for j, a in enumerate(scored):
+    early[halves[a][0], j] = True
+scores = score_matrix(params, stack, early, early.sum(axis=0).astype(float))
+model_sheets = sheets_from_scores(scored, scores, early, ~early)
+random_sheets = random_like(model_sheets)
 
 print(f"\n== future mode, {len(model_sheets)} apps ({skipped} without late adopters) ==")
 for name, sheets in (("model", model_sheets), ("random", random_sheets)):

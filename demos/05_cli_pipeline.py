@@ -14,7 +14,8 @@ from pathlib import Path
 
 from adoptnet.cli import main
 
-tmp = Path(tempfile.mkdtemp(prefix="adoptnet_demo_"))
+workdir = tempfile.TemporaryDirectory(prefix="adoptnet_demo_")
+tmp = Path(workdir.name)
 print(f"working under {tmp}")
 
 # --- generate a bundle ---------------------------------------------------
@@ -82,3 +83,5 @@ assert main(["experiment", str(run_cfg), "--set", "seed=99"]) == 0
 runs = sorted(p.name for p in (tmp / "runs").iterdir()
               if (p / "report.json").exists())
 print(f"experiment run directories after a seed override: {runs}")
+
+workdir.cleanup()

@@ -43,9 +43,9 @@ from .model import (
 )
 from .predict import (
     PredictionSheet,
-    score_app,
-    score_future,
-    score_transfer,
+    score_matrix,
+    sheets_from_scores,
+    transfer_params,
 )
 from .solver import (
     FitConfig,
@@ -123,7 +123,7 @@ __all__ = [
     "run_future",
     "run_transfer",
     "sample_adoptions_teacher",
-    "score_app",
-    "score_future",
-    "score_transfer",
+    "score_matrix",
+    "sheets_from_scores",
+    "transfer_params",
 ]

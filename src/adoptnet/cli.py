@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .data import (
@@ -31,7 +33,7 @@ from .data import (
 )
 from .experiments import Dataset, LeakError, run_experiment
 from .model import ModelParams
-from .predict import score_app
+from .predict import score_matrix, sheets_from_scores
 from .solver import SolverError, fit_mle
 from .synth import gen_networks, planted_params, sample_adoptions_teacher
 
@@ -161,15 +163,15 @@ def cmd_predict(cfg: RunConfig, jobs: int) -> int:
         raise ConfigError(["predict.params: user count does not match the data"])
     if params.num_networks != data.networks.num_networks:
         raise ConfigError(["predict.params: network count does not match the data"])
-    use_pop = cfg.get_bool("experiment.use_popularity", True)
-    pop = popularity_counts(data.adoptions) if use_pop else None
-    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
+    if cfg.get_bool("experiment.use_popularity", True):
+        popularity = popularity_counts(data.adoptions)[apps]
+    else:
+        popularity = np.zeros(apps.size)
+    evidence = data.adoptions.installed[:, apps]
+    scores = score_matrix(params, data.networks, evidence, popularity)
     rows = ["app_id,user_id,score,evaluated"]
-    for app in apps:
-        a = int(app)
-        c = float(pop[a]) if pop is not None else 0.0
-        sheet = score_app(params, stack, data.adoptions.installed[:, a], c, app_id=a)
+    for sheet in sheets_from_scores(apps, scores, evidence):
         rows += sheet.csv_rows()
     run_dir = _emit(cfg, "predict", {"sheets.csv": "\n".join(rows) + "\n"})
     print(f"scored {apps.size} app(s)")

@@ -34,9 +34,9 @@ from .predict import (
     PredictionSheet,
     regression_scores,
     restrict_evaluated,
-    score_app,
-    score_future,
-    score_transfer,
+    score_matrix,
+    sheets_from_scores,
+    transfer_params,
 )
 from .seeds import derive_seed
 from .solver import FitConfig, fit_mle, fit_regression, random_baseline
@@ -335,6 +335,11 @@ def _fit_stack(stack: NetworkStack, adoptions: AdoptionMatrix, use_pop: bool) ->
     return NetworkStack(networks=stack.networks, popularity=pop)
 
 
+def _popularity(pop: np.ndarray | None, apps: np.ndarray) -> np.ndarray:
+    """Popularity values of ``apps``, zeros when the channel is off."""
+    return pop[apps] if pop is not None else np.zeros(apps.size)
+
+
 def _mle_sheets(
     fit_stack: NetworkStack,
     adoptions: AdoptionMatrix,
@@ -345,15 +350,10 @@ def _mle_sheets(
     """Fit on the train apps, score every test app in standard mode."""
     _check_disjoint(train, test)
     params, _ = fit_mle(fit_stack, adoptions, train, cfg)
-    pop = fit_stack.popularity
-    sheets = []
-    for app in test:
-        a = int(app)
-        c = float(pop[a]) if pop is not None else 0.0
-        sheets.append(
-            score_app(params, fit_stack, adoptions.installed[:, a], c, app_id=a)
-        )
-    return sheets
+    evidence = adoptions.installed[:, test]
+    pop = _popularity(fit_stack.popularity, test)
+    scores = score_matrix(params, fit_stack, evidence, pop)
+    return sheets_from_scores(test, scores, evidence)
 
 
 def _regression_sheets(
@@ -366,23 +366,10 @@ def _regression_sheets(
     _check_disjoint(train, test)
     reg = fit_regression(fit_stack, adoptions, train, cfg)
     activity = adoptions.installed[:, train].sum(axis=1).astype(float)
-    pop = fit_stack.popularity
-    every_user = np.arange(adoptions.num_users)
-    sheets = []
-    for app in test:
-        a = int(app)
-        adopted = adoptions.installed[:, a]
-        c = float(pop[a]) if pop is not None else 0.0
-        scores = regression_scores(reg, fit_stack, adopted, c, activity)
-        sheets.append(
-            PredictionSheet(
-                app_id=a,
-                scores=scores,
-                evaluated_users=every_user,
-                evidence_users=np.flatnonzero(adopted),
-            )
-        )
-    return sheets
+    evidence = adoptions.installed[:, test]
+    pop = _popularity(fit_stack.popularity, test)
+    scores = regression_scores(reg, fit_stack, evidence, pop, activity)
+    return sheets_from_scores(test, scores, evidence)
 
 
 def _random_sheets(
@@ -549,32 +536,26 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             params, _ = fit_mle(fit_stack, adoptions, train, spec.fit)
             reg = fit_regression(fit_stack, adoptions, train, spec.fit)
             activity = adoptions.installed[:, train].sum(axis=1).astype(float)
-            for app in test:
-                a = int(app)
-                g1, g2 = halves[a]
-                if g2.size == 0:
-                    skipped += 1
-                    continue
-                early = np.zeros(adoptions.num_users, dtype=bool)
-                early[g1] = True
-                if np.any(early[g2]):
-                    raise LeakError("late adopter marked as visible evidence")
-                c_visible = float(g1.size)
-                sheets["full"].append(
-                    score_future(params, fit_stack, early, c_visible, app_id=a)
-                )
-                scores = regression_scores(reg, fit_stack, early, c_visible, activity)
-                late_side = np.flatnonzero(~early)
-                sheets["regression"].append(
-                    PredictionSheet(
-                        app_id=a,
-                        scores=scores,
-                        evaluated_users=late_side,
-                        evidence_users=g1,
-                    )
-                )
+            scored = np.array([a for a in test if halves[int(a)][1].size], dtype=int)
+            skipped += test.size - scored.size
+            early = np.zeros((adoptions.num_users, scored.size), dtype=bool)
+            late = np.zeros_like(early)
+            for j, a in enumerate(scored):
+                g1, g2 = halves[int(a)]
+                early[g1, j] = True
+                late[g2, j] = True
+            if np.any(early & late):
+                raise LeakError("late adopter marked as visible evidence")
+            c_visible = early.sum(axis=0).astype(float)
+            scores = score_matrix(params, fit_stack, early, c_visible)
+            full = sheets_from_scores(scored, scores, early, ~early)
+            scores = regression_scores(reg, fit_stack, early, c_visible, activity)
+            sheets["full"] += full
+            sheets["regression"] += sheets_from_scores(scored, scores, early, ~early)
+            for sheet in full:
                 sheets["random"] += _random_sheets(
-                    adoptions.num_users, [a], spec, r, evaluated=late_side
+                    adoptions.num_users, [sheet.app_id], spec, r,
+                    evaluated=sheet.evaluated_users,
                 )
         for name, sh in sheets.items():
             per_series[name].append(
@@ -615,7 +596,8 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             popularity=pop_visible,
         )
         adopt_obs = restrict_adoption_users(adoptions, observable)
-        score_stack = NetworkStack(networks=data.networks.networks)
+        visible = np.zeros(num_users, dtype=bool)
+        visible[observable] = True
 
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
         positives: list[int] = []
@@ -623,25 +605,21 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
             params_obs, _ = fit_mle(stack_obs, adopt_obs, train, spec.fit)
-            for app in test:
-                a = int(app)
-                n_pos = int(adoptions.installed[hidden, a].sum())
-                if n_pos == 0:
-                    skipped += 1
-                    continue
-                positives.append(n_pos)
-                adopted = adoptions.installed[:, a]
-                c = float(pop_visible[a]) if pop_visible is not None else 0.0
-                for mode in ("mean", "zero"):
-                    sheet = score_transfer(
-                        params_obs, score_stack, adopted, observable, c, mode, app_id=a
-                    )
-                    if np.intersect1d(sheet.evidence_users, hidden).size:
-                        raise LeakError("hidden adopter leaked into transfer evidence")
-                    sheets[f"transfer_{mode}"].append(sheet)
-                sheets["random"] += _random_sheets(
-                    num_users, [a], spec, r, evaluated=hidden
+            n_pos = adoptions.installed[hidden][:, test].sum(axis=0)
+            scored = test[n_pos > 0]
+            skipped += int(np.sum(n_pos == 0))
+            positives += n_pos[n_pos > 0].tolist()
+            evidence = adoptions.installed[:, scored] & visible[:, None]
+            if np.any(evidence[hidden]):
+                raise LeakError("hidden adopter leaked into transfer evidence")
+            pop = _popularity(pop_visible, scored)
+            for mode in ("mean", "zero"):
+                params = transfer_params(params_obs, observable, num_users, mode)
+                scores = score_matrix(params, data.networks, evidence, pop)
+                sheets[f"transfer_{mode}"] += sheets_from_scores(
+                    scored, scores, evidence, ~visible[:, None]
                 )
+            sheets["random"] += _random_sheets(num_users, scored, spec, r, evaluated=hidden)
         if not positives:
             raise ValueError("every test app lost its adopters to the observable side")
         k_rule = max(1, round_half_up(float(np.mean(positives))))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AdoptionMatrix, CandidateNetwork, NetworkStack
+from .data import AdoptionMatrix, NetworkStack
 
 # Knee of the adopter log term in the training objective: below this exponent
 # the term continues linearly (first-order Taylor), which keeps the objective
@@ -93,46 +93,20 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class PotentialTable:
-    """Per-network exposure of every user to one app, plus that app's popularity."""
+def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
+    """Per-network exposure of every user to every app, shape (M, U, T).
 
-    per_network: np.ndarray  # (num_networks, num_users)
-    popularity: float = 0.0
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.per_network, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("per_network must be (num_networks, num_users)")
-        p.setflags(write=False)
-        object.__setattr__(self, "per_network", p)
-
-
-def network_potentials(g: CandidateNetwork, adopted: np.ndarray) -> np.ndarray:
-    """Weighted count of adopting neighbours for every user, one network.
-
-    ``adopted`` is the binary adoption vector of one app.  A user's own entry
-    never contributes because the diagonal is zero.
+    ``evidence`` is a (U, T) adoption matrix with one column per app; entry
+    [m, u, t] is the weighted count of user u's neighbours in network m who
+    adopted app t.  A user's own entry never contributes because the
+    diagonal is zero.
     """
-    x = np.asarray(adopted, dtype=float)
-    if x.shape != (g.num_users,):
-        raise ValueError(f"adoption vector shape {x.shape} does not match {g.num_users} users")
-    return g.weights @ x
-
-
-def potential_table(
-    stack: NetworkStack, adopted: np.ndarray, popularity: float = 0.0
-) -> PotentialTable:
-    """Assemble the per-network potential rows for one app."""
-    rows = np.stack([network_potentials(g, adopted) for g in stack.networks])
-    return PotentialTable(per_network=rows, popularity=float(popularity))
-
-
-def composite_potential(params: ModelParams, table: PotentialTable) -> np.ndarray:
-    """Combined exposure: net_weights . per_network + pop_weight * popularity."""
-    if params.num_networks != table.per_network.shape[0]:
-        raise ValueError("parameter / table network count mismatch")
-    return params.net_weights @ table.per_network + params.pop_weight * table.popularity
+    ev = np.asarray(evidence, dtype=float)
+    if ev.ndim != 2 or ev.shape[0] != stack.num_users:
+        raise ValueError(
+            f"evidence shape {ev.shape} does not match {stack.num_users} users"
+        )
+    return np.stack([g.weights @ ev for g in stack.networks])
 
 
 def adoption_probability(susceptibility, potential):
@@ -205,8 +179,7 @@ def training_terms(
         evidence = adoptions
     if evidence.num_users != adoptions.num_users:
         raise ValueError("evidence user universe does not match labels")
-    ev = evidence.installed[:, apps].astype(float)
-    pot = np.stack([g.weights @ ev for g in stack.networks])
+    pot = network_potentials(stack, evidence.installed[:, apps])
     if stack.popularity is not None:
         if stack.popularity.shape != (adoptions.num_apps,):
             raise ValueError("stack popularity length does not match num_apps")

@@ -1,20 +1,31 @@
-"""Per-user adoption scores for one app under the three observation regimes.
+"""Adoption scores for a batch of apps, and the per-app sheets they are cut into.
 
-Standard mode conditions on every other user's true adoption (a user's own
-bit never feeds their own potential because the diagonal is zero).  Future
-mode sees only the early adopters and ranks everyone else.  Transfer mode
-applies parameters fitted on an observable user group to the remaining
-users, imputing the missing susceptibilities.
+score_matrix scores every (user, app) pair from an evidence matrix, one
+column per app, and a popularity value per app.  The three observation
+regimes differ only in the inputs the caller builds:
+
+- standard mode conditions on every other user's true adoption,
+  ``installed[:, apps]`` (a user's own bit never feeds their own potential
+  because the diagonal is zero), and ranks every user;
+- future mode sees only the early adopters, with their count as the
+  popularity, and ranks everyone else;
+- transfer mode sees only the observable users' adoptions and scores the
+  remaining users with transfer_params, which imputes the susceptibilities
+  the fit on the observable group could not estimate.
+
+regression_scores is the same computation for the linear baseline.
+sheets_from_scores cuts a (U, T) score matrix into one PredictionSheet per
+app.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import NetworkStack
-from .model import ModelParams, adoption_probability, composite_potential, potential_table
+from .model import ModelParams, adoption_probability, network_potentials
 from .solver import RegressionParams
 
 
@@ -59,117 +70,114 @@ def restrict_evaluated(sheet: PredictionSheet, users: np.ndarray) -> PredictionS
     )
 
 
-def score_app(
+def _exposure(
+    net_coefs: np.ndarray,
+    pop_coef: float,
+    stack: NetworkStack,
+    evidence: np.ndarray,
+    popularity: np.ndarray,
+) -> np.ndarray:
+    """net_coefs . potentials + pop_coef * popularity, shape (U, T)."""
+    if net_coefs.size != stack.num_networks:
+        raise ValueError("coefficient / stack network count mismatch")
+    potentials = network_potentials(stack, evidence)
+    pop = np.asarray(popularity, dtype=float)
+    if pop.shape != potentials.shape[2:]:
+        raise ValueError(
+            f"popularity shape {pop.shape} does not match {potentials.shape[2]} apps"
+        )
+    return np.tensordot(net_coefs, potentials, axes=1) + pop_coef * pop
+
+
+def score_matrix(
     params: ModelParams,
     stack: NetworkStack,
-    adopted: np.ndarray,
-    popularity: float = 0.0,
-    app_id: int = -1,
-) -> PredictionSheet:
-    """Standard-mode scores: every user ranked, conditioned on all other users."""
-    adopted = np.asarray(adopted, dtype=bool)
-    table = potential_table(stack, adopted, popularity)
-    exposure = composite_potential(params, table)
-    scores = adoption_probability(params.susceptibility, exposure)
-    return PredictionSheet(
-        app_id=app_id,
-        scores=scores,
-        evaluated_users=np.arange(stack.num_users),
-        evidence_users=np.flatnonzero(adopted),
-    )
+    evidence: np.ndarray,
+    popularity: np.ndarray,
+) -> np.ndarray:
+    """Adoption probability of every (user, app) pair, shape (U, T).
 
-
-def score_future(
-    params: ModelParams,
-    stack: NetworkStack,
-    early_adopted: np.ndarray,
-    popularity_visible: float = 0.0,
-    app_id: int = -1,
-) -> PredictionSheet:
-    """Future-mode scores: evidence and popularity from early adopters only.
-
-    Early adopters drop out of the ranked set; everyone else is scored as a
-    potential later adopter.
+    Column t conditions on the adopters marked in ``evidence[:, t]`` and on
+    the app's popularity value ``popularity[t]``; ``stack`` contributes its
+    networks only.
     """
-    early = np.asarray(early_adopted, dtype=bool)
-    table = potential_table(stack, early, popularity_visible)
-    exposure = composite_potential(params, table)
-    scores = adoption_probability(params.susceptibility, exposure)
-    evaluated = np.flatnonzero(~early)
-    return PredictionSheet(
-        app_id=app_id,
-        scores=scores,
-        evaluated_users=evaluated,
-        evidence_users=np.flatnonzero(early),
+    if params.num_users != stack.num_users:
+        raise ValueError("parameter / stack user count mismatch")
+    exposure = _exposure(
+        params.net_weights, params.pop_weight, stack, evidence, popularity
     )
+    return adoption_probability(params.susceptibility[:, None], exposure)
 
 
-def score_transfer(
+def transfer_params(
     params_observable: ModelParams,
-    stack: NetworkStack,
-    adopted: np.ndarray,
     observable_users: Sequence[int] | np.ndarray,
-    popularity_visible: float = 0.0,
+    num_users: int,
     impute: str = "mean",
-    app_id: int = -1,
-) -> PredictionSheet:
-    """Transfer-mode scores for users outside the observable group.
+) -> ModelParams:
+    """Parameters fitted on the observable users, widened to every user.
 
     ``params_observable`` was fitted on the observable users alone, so its
     susceptibility vector follows the ascending order of ``observable_users``.
-    Evidence is restricted to observable adopters regardless of what
-    ``adopted`` carries for the others; unobservable users get susceptibility
-    0 (zero mode) or the mean fitted value (mean mode, the default).
+    The other users get susceptibility 0 (zero mode) or the mean fitted value
+    (mean mode, the default).
     """
     if impute not in ("zero", "mean"):
         raise ValueError(f"unknown imputation mode {impute!r}")
     observable = np.sort(np.asarray(observable_users, dtype=int))
     if observable.size != params_observable.num_users:
         raise ValueError("observable group size does not match fitted parameters")
-    num_users = stack.num_users
-    observable_mask = np.zeros(num_users, dtype=bool)
-    observable_mask[observable] = True
-    evidence = np.asarray(adopted, dtype=bool) & observable_mask
-
     fitted = params_observable.susceptibility
     imputed = 0.0 if impute == "zero" else float(fitted.mean())
     susceptibility = np.full(num_users, imputed)
     susceptibility[observable] = fitted
-
-    table = potential_table(stack, evidence, popularity_visible)
-    full_params = ModelParams(
-        net_weights=params_observable.net_weights,
-        pop_weight=params_observable.pop_weight,
-        susceptibility=susceptibility,
-        constrained=params_observable.constrained,
-    )
-    exposure = composite_potential(full_params, table)
-    scores = adoption_probability(susceptibility, exposure)
-    return PredictionSheet(
-        app_id=app_id,
-        scores=scores,
-        evaluated_users=np.flatnonzero(~observable_mask),
-        evidence_users=np.flatnonzero(evidence),
-    )
+    return replace(params_observable, susceptibility=susceptibility)
 
 
 def regression_scores(
     reg: RegressionParams,
     stack: NetworkStack,
-    adopted: np.ndarray,
-    popularity: float,
+    evidence: np.ndarray,
+    popularity: np.ndarray,
     activity: np.ndarray,
 ) -> np.ndarray:
-    """Baseline linear scores clipped to [0, 1].
+    """Baseline linear scores clipped to [0, 1], shape (U, T).
 
-    ``activity`` is the per-user training-app install count (the same feature
-    the regression was fitted on).
+    ``evidence`` and ``popularity`` are as in score_matrix; ``activity`` is
+    the per-user training-app install count (the same feature the regression
+    was fitted on).
     """
-    table = potential_table(stack, np.asarray(adopted, dtype=bool), popularity)
     linear = (
-        reg.net_coefs @ table.per_network
-        + reg.pop_coef * popularity
-        + reg.activity_coef * np.asarray(activity, dtype=float)
+        _exposure(reg.net_coefs, reg.pop_coef, stack, evidence, popularity)
+        + reg.activity_coef * np.asarray(activity, dtype=float)[:, None]
         + reg.intercept
     )
     return np.clip(linear, 0.0, 1.0)
+
+
+def sheets_from_scores(
+    app_ids: Sequence[int] | np.ndarray,
+    scores: np.ndarray,
+    evidence: np.ndarray,
+    evaluated: np.ndarray | None = None,
+) -> list[PredictionSheet]:
+    """Cut a (U, T) score matrix into one PredictionSheet per app column.
+
+    ``evidence`` is the (U, T) matrix the scores were conditioned on.
+    ``evaluated`` marks the ranked users and broadcasts against (U, T);
+    every user is ranked when it is None.
+    """
+    columns = np.ascontiguousarray(np.asarray(scores, dtype=float).T)
+    evidence_t = np.asarray(evidence, dtype=bool).T
+    ranked_t = np.broadcast_to(
+        True if evaluated is None else evaluated, columns.shape[::-1]
+    ).T
+    return [
+        PredictionSheet(
+            app_id=int(a),
+            scores=columns[j],
+            evaluated_users=np.flatnonzero(ranked_t[j]),
+            evidence_users=np.flatnonzero(evidence_t[j]),
+        )
+        for j, a in enumerate(app_ids)
+    ]

@@ -35,6 +35,7 @@ from .model import (
     EXPONENT_KNEE,
     ModelParams,
     TrainingTerms,
+    network_potentials,
     objective_gradient,
     objective_hessian,
     objective_value,
@@ -536,7 +537,7 @@ def fit_regression(
         raise ValueError("train_apps is empty")
     ev = adoptions.installed[:, apps].astype(float)
     num_users, num_train = ev.shape
-    columns = [(g.weights @ ev).ravel() for g in stack.networks]
+    columns = [p.ravel() for p in network_potentials(stack, ev)]
     if stack.popularity is not None:
         pop = stack.popularity[apps]
     else:

@@ -10,9 +10,7 @@ from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
 from adoptnet.model import (
     EXPONENT_KNEE,
     ModelParams,
-    PotentialTable,
     adoption_probability,
-    composite_potential,
     log1mexp,
     log_likelihood,
     log_likelihood_gradient,
@@ -20,9 +18,9 @@ from adoptnet.model import (
     objective_gradient,
     objective_hessian,
     objective_value,
-    potential_table,
     training_terms,
 )
+from adoptnet.predict import score_matrix
 
 # hand-computed reference values
 P_OF_0_6 = 0.4511883639059736  # 1 - exp(-0.6)
@@ -98,19 +96,34 @@ class TestModelParams:
         assert back.pop_weight == p.pop_weight and back.constrained
 
 
+def one_app_potentials(g: CandidateNetwork, x) -> np.ndarray:
+    """Exposure of every user to one app through one network."""
+    return network_potentials(NetworkStack(networks=(g,)), np.asarray(x)[:, None])[0, :, 0]
+
+
+def two_network_stack(exposure_0: float, exposure_1: float, popularity=None) -> NetworkStack:
+    """Two users; with user 1 adopting, user 0's exposures are the two edge weights."""
+    nets = []
+    for weight in (exposure_0, exposure_1):
+        w = np.zeros((2, 2))
+        w[0, 1] = w[1, 0] = weight
+        nets.append(CandidateNetwork(num_users=2, weights=w))
+    return NetworkStack(networks=tuple(nets), popularity=popularity)
+
+
 class TestNetworkPotentials:
     def test_two_neighbour_sum(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 2.0
         w[0, 2] = w[2, 0] = 3.0
         g = CandidateNetwork(num_users=3, weights=w)
-        assert network_potentials(g, np.array([0, 1, 0]))[0] == 2.0
+        assert one_app_potentials(g, np.array([0, 1, 0]))[0] == 2.0
 
     def test_no_adopters_means_no_exposure(self):
         rng = np.random.default_rng(0)
         w = np.triu(rng.random((5, 5)), k=1)
         g = CandidateNetwork(num_users=5, weights=w + w.T)
-        assert network_potentials(g, np.zeros(5)).tolist() == [0.0] * 5
+        assert one_app_potentials(g, np.zeros(5)).tolist() == [0.0] * 5
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(1)
@@ -123,38 +136,66 @@ class TestNetworkPotentials:
             for i in range(n):
                 for j in range(n):
                     expected[i] += g.weights[i, j] * x[j]
-            np.testing.assert_allclose(network_potentials(g, x), expected, atol=1e-12)
+            np.testing.assert_allclose(one_app_potentials(g, x), expected, atol=1e-12)
+
+    def test_matches_double_loop_over_networks_and_apps(self):
+        rng = np.random.default_rng(2)
+        n, m, t = 6, 3, 4
+        nets = []
+        for _ in range(m):
+            w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.5), k=1)
+            nets.append(CandidateNetwork(num_users=n, weights=w + w.T))
+        x = rng.random((n, t)) < 0.5
+        pot = network_potentials(NetworkStack(networks=tuple(nets)), x)
+        assert pot.shape == (m, n, t)
+        for k, g in enumerate(nets):
+            for a in range(t):
+                np.testing.assert_allclose(pot[k, :, a], g.weights @ x[:, a].astype(float),
+                                           rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         g = CandidateNetwork(num_users=3, weights=np.zeros((3, 3)))
+        stack = NetworkStack(networks=(g,))
         with pytest.raises(ValueError, match="shape"):
-            network_potentials(g, np.zeros(4))
+            network_potentials(stack, np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            network_potentials(stack, np.zeros(3))
 
 
 class TestCompositePotential:
+    """The composite exposure net_weights . potentials + pop_weight * popularity,
+    read back through score_matrix with zero susceptibility."""
+
     def test_selector_weights(self):
-        table = PotentialTable(per_network=np.array([[4.0], [9.0]]))
+        stack = two_network_stack(4.0, 9.0)
         p = ModelParams(net_weights=np.array([1.0, 0.0]), pop_weight=0.0,
-                        susceptibility=np.zeros(1))
-        assert composite_potential(p, table)[0] == 4.0
+                        susceptibility=np.zeros(2))
+        scores = score_matrix(p, stack, np.array([[0], [1]]), np.zeros(1))
+        assert scores[0, 0] == adoption_probability(0.0, 4.0)
 
     def test_hand_evaluation_with_popularity(self):
-        table = PotentialTable(per_network=np.array([[2.0], [4.0]]), popularity=10.0)
+        stack = two_network_stack(2.0, 4.0)
         p = ModelParams(net_weights=np.array([0.5, 0.5]), pop_weight=0.1,
-                        susceptibility=np.zeros(1))
-        assert composite_potential(p, table)[0] == pytest.approx(4.0, abs=1e-12)
+                        susceptibility=np.zeros(2))
+        scores = score_matrix(p, stack, np.array([[0], [1]]), np.array([10.0]))
+        assert scores[0, 0] == pytest.approx(float(adoption_probability(0.0, 4.0)), abs=1e-12)
 
     def test_all_zero_weights(self):
-        table = PotentialTable(per_network=np.arange(6.0).reshape(2, 3), popularity=5.0)
+        rng = np.random.default_rng(3)
+        nets = []
+        for _ in range(2):
+            w = np.triu(rng.random((3, 3)), k=1)
+            nets.append(CandidateNetwork(num_users=3, weights=w + w.T))
         p = ModelParams(net_weights=np.zeros(2), pop_weight=0.0,
                         susceptibility=np.zeros(3))
-        assert composite_potential(p, table).tolist() == [0.0, 0.0, 0.0]
+        scores = score_matrix(p, NetworkStack(networks=tuple(nets)), np.ones((3, 1)),
+                              np.array([5.0]))
+        assert scores[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_network_count_mismatch(self):
-        table = PotentialTable(per_network=np.zeros((2, 3)))
-        p = ModelParams(net_weights=np.zeros(3), pop_weight=0.0, susceptibility=np.zeros(3))
+        p = ModelParams(net_weights=np.zeros(3), pop_weight=0.0, susceptibility=np.zeros(2))
         with pytest.raises(ValueError, match="mismatch"):
-            composite_potential(p, table)
+            score_matrix(p, two_network_stack(1.0, 1.0), np.zeros((2, 1)), np.zeros(1))
 
     def test_decomposition_matches_presummed_matrix(self):
         # combining per-network exposures with weights must equal the exposure
@@ -168,17 +209,16 @@ class TestCompositePotential:
                 nets.append(CandidateNetwork(num_users=n, weights=w + w.T))
             stack = NetworkStack(networks=tuple(nets))
             alpha = rng.random(m)
-            x = (rng.random(n) < 0.5).astype(float)
-            combined = CandidateNetwork(
+            x = (rng.random((n, 2)) < 0.5).astype(float)
+            combined = NetworkStack(networks=(CandidateNetwork(
                 num_users=n,
                 weights=sum(a * g.weights for a, g in zip(alpha, nets)),
-            )
+            ),))
             params = ModelParams(net_weights=alpha, pop_weight=0.0,
                                  susceptibility=np.zeros(n))
-            table = potential_table(stack, x)
             np.testing.assert_allclose(
-                composite_potential(params, table),
-                network_potentials(combined, x),
+                score_matrix(params, stack, x, np.zeros(2)),
+                adoption_probability(0.0, network_potentials(combined, x)[0]),
                 atol=1e-10,
             )
 
@@ -212,11 +252,11 @@ class TestAdoptionProbability:
         w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.4), k=1)
         g = CandidateNetwork(num_users=n, weights=w + w.T)
         x = (rng.random(n) < 0.4).astype(float)
-        base = network_potentials(g, x)
+        base = one_app_potentials(g, x)
         for j in np.flatnonzero(x == 0):
             flipped = x.copy()
             flipped[j] = 1.0
-            assert np.all(network_potentials(g, flipped) >= base)
+            assert np.all(one_app_potentials(g, flipped) >= base)
 
 
 class TestLog1mexp:

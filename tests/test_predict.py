@@ -1,4 +1,4 @@
-"""Scoring sheets for the three observation regimes."""
+"""Batched scoring under the three observation regimes, and the sheets cut from it."""
 from __future__ import annotations
 
 import math
@@ -12,9 +12,9 @@ from adoptnet.predict import (
     PredictionSheet,
     regression_scores,
     restrict_evaluated,
-    score_app,
-    score_future,
-    score_transfer,
+    score_matrix,
+    sheets_from_scores,
+    transfer_params,
 )
 from adoptnet.solver import RegressionParams
 
@@ -31,6 +31,31 @@ def path_stack(num_users=4, weight=1.0, popularity=None):
 def uniform_params(num_users, s=0.2, alpha=0.5, pop=0.0):
     return ModelParams(net_weights=np.array([alpha]), pop_weight=pop,
                        susceptibility=np.full(num_users, s))
+
+
+def column(x):
+    """One app's adoption vector as a (U, 1) evidence matrix."""
+    return np.asarray(x)[:, None]
+
+
+def score_one(params, stack, adopted, popularity=0.0):
+    """Scores of every user for a single app."""
+    return score_matrix(params, stack, column(adopted), np.array([popularity]))[:, 0]
+
+
+def future_sheet(params, stack, early, popularity_visible=0.0, app_id=-1):
+    early = column(np.asarray(early, dtype=bool))
+    scores = score_matrix(params, stack, early, np.array([popularity_visible]))
+    return sheets_from_scores([app_id], scores, early, ~early)[0]
+
+
+def transfer_sheet(fitted, stack, adopted, observable, impute="mean", popularity=0.0):
+    visible = np.zeros(stack.num_users, dtype=bool)
+    visible[np.asarray(observable, dtype=int)] = True
+    evidence = column(np.asarray(adopted, dtype=bool)) & visible[:, None]
+    params = transfer_params(fitted, observable, stack.num_users, impute)
+    scores = score_matrix(params, stack, evidence, np.array([popularity]))
+    return sheets_from_scores([-1], scores, evidence, ~visible[:, None])[0]
 
 
 class TestPredictionSheet:
@@ -66,11 +91,15 @@ class TestPredictionSheet:
 
 
 class TestScoreApp:
+    """Standard mode: the evidence is installed[:, apps], every user is ranked."""
+
     def test_hand_computed_chain(self):
         # user 1 sees adopter 0 through one unit edge: z = s + alpha
         stack = path_stack(3)
         params = uniform_params(3, s=0.1, alpha=0.5)
-        sheet = score_app(params, stack, np.array([1, 0, 0]), popularity=0.0)
+        adopted = column(np.array([1, 0, 0]))
+        scores = score_matrix(params, stack, adopted, np.zeros(1))
+        [sheet] = sheets_from_scores([0], scores, adopted)
         assert sheet.scores[1] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
         # user 2 has no adopted neighbour
         assert sheet.scores[2] == pytest.approx(1 - math.exp(-0.1), abs=1e-12)
@@ -80,15 +109,15 @@ class TestScoreApp:
     def test_own_bit_does_not_feed_own_score(self):
         stack = path_stack(3)
         params = uniform_params(3)
-        a = score_app(params, stack, np.array([1, 0, 0])).scores[0]
-        b = score_app(params, stack, np.array([0, 0, 0])).scores[0]
+        a = score_one(params, stack, np.array([1, 0, 0]))[0]
+        b = score_one(params, stack, np.array([0, 0, 0]))[0]
         assert a == b
 
     def test_popularity_raises_all_scores(self):
         stack = path_stack(4)
         params = uniform_params(4, pop=0.3)
-        lo = score_app(params, stack, np.zeros(4), popularity=0.0).scores
-        hi = score_app(params, stack, np.zeros(4), popularity=2.0).scores
+        lo = score_one(params, stack, np.zeros(4), popularity=0.0)
+        hi = score_one(params, stack, np.zeros(4), popularity=2.0)
         assert np.all(hi > lo)
 
     def test_matches_direct_probability(self):
@@ -97,19 +126,41 @@ class TestScoreApp:
         params = ModelParams(net_weights=np.array([0.4]), pop_weight=0.2,
                              susceptibility=rng.random(6))
         adopted = np.array([1, 0, 1, 0, 0, 1])
-        sheet = score_app(params, stack, adopted, popularity=3.0)
+        scores = score_one(params, stack, adopted, popularity=3.0)
         g = stack.networks[0].weights
         for u in range(6):
             z = 0.4 * float(g[u] @ adopted) + 0.2 * 3.0
             want = adoption_probability(params.susceptibility[u], z)
-            assert sheet.scores[u] == pytest.approx(float(want), abs=1e-12)
+            assert scores[u] == pytest.approx(float(want), abs=1e-12)
+
+    def test_columns_are_independent_apps(self):
+        stack = path_stack(5)
+        params = uniform_params(5, pop=0.1)
+        evidence = np.array([[1, 0], [0, 0], [1, 1], [0, 0], [0, 1]], dtype=bool)
+        popularity = np.array([2.0, 7.0])
+        scores = score_matrix(params, stack, evidence, popularity)
+        assert scores.shape == (5, 2)
+        for t in range(2):
+            np.testing.assert_array_equal(
+                scores[:, t], score_one(params, stack, evidence[:, t], popularity[t]))
+
+    def test_shape_mismatches(self):
+        stack = path_stack(3)
+        with pytest.raises(ValueError, match="user count"):
+            score_matrix(uniform_params(4), stack, np.zeros((3, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="shape"):
+            score_matrix(uniform_params(3), stack, np.zeros((4, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="popularity"):
+            score_matrix(uniform_params(3), stack, np.zeros((3, 2)), np.zeros(3))
 
 
 class TestScoreFuture:
+    """Future mode: the evidence is the early-adopter mask, its count the popularity."""
+
     def test_early_adopters_leave_the_ranked_set(self):
         stack = path_stack(5)
         params = uniform_params(5)
-        sheet = score_future(params, stack, np.array([1, 0, 1, 0, 0]))
+        sheet = future_sheet(params, stack, np.array([1, 0, 1, 0, 0]))
         assert sheet.evaluated_users.tolist() == [1, 3, 4]
         assert sheet.evidence_users.tolist() == [0, 2]
 
@@ -118,31 +169,31 @@ class TestScoreFuture:
         stack = path_stack(5)
         params = uniform_params(5)
         early = np.array([1, 0, 0, 0, 0])
-        s1 = score_future(params, stack, early).scores
-        s2 = score_future(params, stack, early).scores
+        s1 = future_sheet(params, stack, early).scores
+        s2 = future_sheet(params, stack, early).scores
         np.testing.assert_array_equal(s1, s2)
-        standard = score_app(params, stack, np.array([1, 0, 1, 0, 1])).scores
+        standard = score_one(params, stack, np.array([1, 0, 1, 0, 1]))
         assert s1[3] != standard[3]
 
     def test_visible_popularity_only(self):
         stack = path_stack(3)
         params = uniform_params(3, pop=0.5)
-        a = score_future(params, stack, np.array([1, 0, 0]),
-                         popularity_visible=1.0).scores
-        b = score_future(params, stack, np.array([1, 0, 0]),
-                         popularity_visible=4.0).scores
+        a = future_sheet(params, stack, np.array([1, 0, 0]), popularity_visible=1.0).scores
+        b = future_sheet(params, stack, np.array([1, 0, 0]), popularity_visible=4.0).scores
         assert np.all(b > a)
 
 
 class TestScoreTransfer:
+    """Transfer mode: observable adoptions only, susceptibilities from transfer_params."""
+
     def test_unobservable_evidence_is_ignored(self):
         stack = path_stack(4)
         fitted = ModelParams(net_weights=np.array([0.5]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.3]))
         observable = [0, 1]
         # user 2's adoption bit must not leak into anyone's exposure
-        with_leak = score_transfer(fitted, stack, np.array([1, 0, 1, 0]), observable)
-        without = score_transfer(fitted, stack, np.array([1, 0, 0, 0]), observable)
+        with_leak = transfer_sheet(fitted, stack, np.array([1, 0, 1, 0]), observable)
+        without = transfer_sheet(fitted, stack, np.array([1, 0, 0, 0]), observable)
         np.testing.assert_array_equal(with_leak.scores, without.scores)
         assert with_leak.evidence_users.tolist() == [0]
 
@@ -150,7 +201,7 @@ class TestScoreTransfer:
         stack = path_stack(4)
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.3]))
-        sheet = score_transfer(fitted, stack, np.zeros(4), [0, 1], impute="mean")
+        sheet = transfer_sheet(fitted, stack, np.zeros(4), [0, 1], impute="mean")
         want = adoption_probability(0.2, 0.0)
         assert sheet.scores[2] == pytest.approx(float(want), abs=1e-12)
         assert sheet.scores[3] == pytest.approx(float(want), abs=1e-12)
@@ -159,7 +210,7 @@ class TestScoreTransfer:
         stack = path_stack(4)
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.3]))
-        sheet = score_transfer(fitted, stack, np.zeros(4), [0, 1], impute="zero")
+        sheet = transfer_sheet(fitted, stack, np.zeros(4), [0, 1], impute="zero")
         assert sheet.scores[2] == 0.0
         assert sheet.scores[3] == 0.0
 
@@ -167,7 +218,7 @@ class TestScoreTransfer:
         stack = path_stack(5)
         fitted = ModelParams(net_weights=np.array([0.2]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.1, 0.1]))
-        sheet = score_transfer(fitted, stack, np.zeros(5), [0, 2, 4])
+        sheet = transfer_sheet(fitted, stack, np.zeros(5), [0, 2, 4])
         assert sheet.evaluated_users.tolist() == [1, 3]
 
     def test_susceptibility_order_follows_sorted_ids(self):
@@ -175,25 +226,31 @@ class TestScoreTransfer:
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.5, 1.5]))
         # ids supplied out of order still map ascending: user 0 -> 0.5, user 2 -> 1.5
-        sheet = score_transfer(fitted, stack, np.zeros(3), [2, 0], impute="zero")
+        sheet = transfer_sheet(fitted, stack, np.zeros(3), [2, 0], impute="zero")
         assert sheet.scores[0] == pytest.approx(
             float(adoption_probability(0.5, 0.0)), abs=1e-12)
         assert sheet.scores[2] == pytest.approx(
             float(adoption_probability(1.5, 0.0)), abs=1e-12)
 
     def test_bad_impute_mode(self):
-        stack = path_stack(3)
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.1]))
         with pytest.raises(ValueError, match="imputation"):
-            score_transfer(fitted, stack, np.zeros(3), [0], impute="median")
+            transfer_params(fitted, [0], 3, impute="median")
 
     def test_group_size_mismatch(self):
-        stack = path_stack(3)
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.1]))
         with pytest.raises(ValueError, match="observable"):
-            score_transfer(fitted, stack, np.zeros(3), [0, 1])
+            transfer_params(fitted, [0, 1], 3)
+
+    def test_keeps_weights_and_constraint_flag(self):
+        fitted = ModelParams(net_weights=np.array([-0.3, 0.2]), pop_weight=0.4,
+                             susceptibility=np.array([0.1, 0.5]), constrained=False)
+        full = transfer_params(fitted, [1, 3], 4, impute="mean")
+        np.testing.assert_array_equal(full.net_weights, fitted.net_weights)
+        assert full.pop_weight == 0.4 and not full.constrained
+        np.testing.assert_allclose(full.susceptibility, [0.3, 0.1, 0.3, 0.5], atol=1e-15)
 
 
 class TestRegressionScores:
@@ -201,10 +258,9 @@ class TestRegressionScores:
         stack = path_stack(3)
         reg = RegressionParams(net_coefs=np.array([0.5]), pop_coef=0.1,
                                activity_coef=0.2, intercept=0.05)
-        adopted = np.array([1, 0, 0])
+        adopted = column(np.array([1, 0, 0]))
         activity = np.array([0.0, 2.0, 10.0])
-        scores = regression_scores(reg, stack, adopted, popularity=1.0,
-                                   activity=activity)
+        scores = regression_scores(reg, stack, adopted, np.array([1.0]), activity)[:, 0]
         # user 1: 0.5*1 + 0.1*1 + 0.2*2 + 0.05 = 1.05 -> clipped
         assert scores[1] == 1.0
         # user 0: no adopted neighbour, activity 0
@@ -215,6 +271,214 @@ class TestRegressionScores:
         stack = path_stack(3)
         reg = RegressionParams(net_coefs=np.array([0.0]), pop_coef=0.0,
                                activity_coef=0.0, intercept=0.0)
-        scores = regression_scores(reg, stack, np.ones(3), popularity=5.0,
-                                   activity=np.full(3, 9.0))
-        assert scores.tolist() == [0.0, 0.0, 0.0]
+        scores = regression_scores(reg, stack, np.ones((3, 2)), np.array([5.0, 1.0]),
+                                   np.full(3, 9.0))
+        assert scores.tolist() == [[0.0, 0.0]] * 3
+
+    def test_network_count_mismatch(self):
+        reg = RegressionParams(net_coefs=np.array([0.1, 0.2]), pop_coef=0.0,
+                               activity_coef=0.0, intercept=0.0)
+        with pytest.raises(ValueError, match="mismatch"):
+            regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), np.zeros(3))
+
+
+class TestSheetsFromScores:
+    def test_one_contiguous_sheet_per_column(self):
+        scores = np.arange(12.0).reshape(4, 3) / 12.0
+        evidence = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=bool)
+        sheets = sheets_from_scores(np.array([7, 2, 9]), scores, evidence)
+        assert [s.app_id for s in sheets] == [7, 2, 9]
+        for t, sheet in enumerate(sheets):
+            np.testing.assert_array_equal(sheet.scores, scores[:, t])
+            assert sheet.scores.flags.c_contiguous
+            assert sheet.evaluated_users.tolist() == [0, 1, 2, 3]
+        assert [s.evidence_users.tolist() for s in sheets] == [[0, 3], [], [1, 2]]
+
+    def test_evaluated_mask_per_column_or_shared(self):
+        scores = np.zeros((3, 2))
+        evidence = np.array([[1, 0], [0, 1], [0, 0]], dtype=bool)
+        per_app = sheets_from_scores([0, 1], scores, evidence, ~evidence)
+        assert [s.evaluated_users.tolist() for s in per_app] == [[1, 2], [0, 2]]
+        shared = sheets_from_scores([0, 1], scores, evidence,
+                                    np.array([True, False, True])[:, None])
+        assert [s.evaluated_users.tolist() for s in shared] == [[0, 2], [0, 2]]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-app scorers the batched path replaced, kept verbatim in
+# substance as an oracle.  One app per call, one matrix-vector product per
+# network.
+
+
+def ref_potential_rows(stack, adopted):
+    return np.stack([g.weights @ np.asarray(adopted, dtype=float) for g in stack.networks])
+
+
+def ref_composite(net_weights, pop_weight, rows, popularity):
+    return net_weights @ rows + pop_weight * popularity
+
+
+def ref_score_app(params, stack, adopted, popularity=0.0, app_id=-1):
+    adopted = np.asarray(adopted, dtype=bool)
+    rows = ref_potential_rows(stack, adopted)
+    exposure = ref_composite(params.net_weights, params.pop_weight, rows, float(popularity))
+    scores = adoption_probability(params.susceptibility, exposure)
+    return PredictionSheet(
+        app_id=app_id,
+        scores=scores,
+        evaluated_users=np.arange(stack.num_users),
+        evidence_users=np.flatnonzero(adopted),
+    )
+
+
+def ref_score_future(params, stack, early_adopted, popularity_visible=0.0, app_id=-1):
+    early = np.asarray(early_adopted, dtype=bool)
+    rows = ref_potential_rows(stack, early)
+    exposure = ref_composite(params.net_weights, params.pop_weight, rows,
+                             float(popularity_visible))
+    scores = adoption_probability(params.susceptibility, exposure)
+    return PredictionSheet(
+        app_id=app_id,
+        scores=scores,
+        evaluated_users=np.flatnonzero(~early),
+        evidence_users=np.flatnonzero(early),
+    )
+
+
+def ref_score_transfer(params_observable, stack, adopted, observable_users,
+                       popularity_visible=0.0, impute="mean", app_id=-1):
+    if impute not in ("zero", "mean"):
+        raise ValueError(f"unknown imputation mode {impute!r}")
+    observable = np.sort(np.asarray(observable_users, dtype=int))
+    if observable.size != params_observable.num_users:
+        raise ValueError("observable group size does not match fitted parameters")
+    num_users = stack.num_users
+    observable_mask = np.zeros(num_users, dtype=bool)
+    observable_mask[observable] = True
+    evidence = np.asarray(adopted, dtype=bool) & observable_mask
+    fitted = params_observable.susceptibility
+    imputed = 0.0 if impute == "zero" else float(fitted.mean())
+    susceptibility = np.full(num_users, imputed)
+    susceptibility[observable] = fitted
+    rows = ref_potential_rows(stack, evidence)
+    exposure = ref_composite(params_observable.net_weights, params_observable.pop_weight,
+                             rows, float(popularity_visible))
+    scores = adoption_probability(susceptibility, exposure)
+    return PredictionSheet(
+        app_id=app_id,
+        scores=scores,
+        evaluated_users=np.flatnonzero(~observable_mask),
+        evidence_users=np.flatnonzero(evidence),
+    )
+
+
+def ref_regression_scores(reg, stack, adopted, popularity, activity):
+    rows = ref_potential_rows(stack, np.asarray(adopted, dtype=bool))
+    linear = (
+        reg.net_coefs @ rows
+        + reg.pop_coef * popularity
+        + reg.activity_coef * np.asarray(activity, dtype=float)
+        + reg.intercept
+    )
+    return np.clip(linear, 0.0, 1.0)
+
+
+def random_stack(rng, num_users, num_networks):
+    nets = []
+    for _ in range(num_networks):
+        w = np.triu(rng.random((num_users, num_users)) * 3.0
+                    * (rng.random((num_users, num_users)) < 0.5), k=1)
+        nets.append(CandidateNetwork(num_users=num_users, weights=w + w.T))
+    return NetworkStack(networks=tuple(nets))
+
+
+def random_params(rng, num_users, num_networks):
+    constrained = bool(rng.random() < 0.5)
+    w = rng.random(num_networks) * 2.0
+    if not constrained:
+        w -= rng.random(num_networks)
+    s = rng.exponential(0.3, num_users) * (rng.random(num_users) < 0.8)
+    pop = float(rng.random() * 0.2 * (rng.random() < 0.7))
+    return ModelParams(net_weights=w, pop_weight=pop, susceptibility=s,
+                       constrained=constrained)
+
+
+def assert_same_sheets(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.app_id == w.app_id
+        np.testing.assert_allclose(g.scores, w.scores, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(g.evaluated_users, w.evaluated_users)
+        np.testing.assert_array_equal(g.evidence_users, w.evidence_users)
+
+
+class TestBatchedOracle:
+    """score_matrix / regression_scores against the per-app reference scorers."""
+
+    CASES = 240
+
+    def instances(self):
+        rng = np.random.default_rng(20240)
+        for _ in range(self.CASES):
+            num_users = int(rng.integers(3, 13))
+            num_networks = int(rng.choice([1, 3]))
+            num_apps = int(rng.integers(1, 7))
+            stack = random_stack(rng, num_users, num_networks)
+            apps = np.sort(rng.choice(50, size=num_apps, replace=False))
+            evidence = rng.random((num_users, num_apps)) < rng.uniform(0.1, 0.7)
+            popularity = rng.integers(0, 20, size=num_apps).astype(float)
+            yield rng, stack, apps, evidence, popularity
+
+    def test_standard_mode(self):
+        for rng, stack, apps, evidence, popularity in self.instances():
+            params = random_params(rng, stack.num_users, stack.num_networks)
+            want = [ref_score_app(params, stack, evidence[:, t], popularity[t], app_id=int(a))
+                    for t, a in enumerate(apps)]
+            got = sheets_from_scores(
+                apps, score_matrix(params, stack, evidence, popularity), evidence)
+            assert_same_sheets(got, want)
+
+    def test_future_mode(self):
+        for rng, stack, apps, evidence, _ in self.instances():
+            params = random_params(rng, stack.num_users, stack.num_networks)
+            early = evidence & (rng.random(evidence.shape) < 0.5)
+            visible = early.sum(axis=0).astype(float)
+            want = [ref_score_future(params, stack, early[:, t], float(early[:, t].sum()),
+                                     app_id=int(a))
+                    for t, a in enumerate(apps)]
+            scores = score_matrix(params, stack, early, visible)
+            assert_same_sheets(sheets_from_scores(apps, scores, early, ~early), want)
+
+    @pytest.mark.parametrize("impute", ["mean", "zero"])
+    def test_transfer_mode(self, impute):
+        for rng, stack, apps, evidence, popularity in self.instances():
+            num_users = stack.num_users
+            n_obs = int(rng.integers(1, num_users))
+            observable = rng.permutation(num_users)[:n_obs]
+            fitted = random_params(rng, n_obs, stack.num_networks)
+            want = [ref_score_transfer(fitted, stack, evidence[:, t], observable,
+                                       popularity[t], impute, app_id=int(a))
+                    for t, a in enumerate(apps)]
+            visible = np.zeros(num_users, dtype=bool)
+            visible[observable] = True
+            masked = evidence & visible[:, None]
+            params = transfer_params(fitted, observable, num_users, impute)
+            scores = score_matrix(params, stack, masked, popularity)
+            got = sheets_from_scores(apps, scores, masked, ~visible[:, None])
+            assert_same_sheets(got, want)
+
+    def test_regression_head(self):
+        for rng, stack, apps, evidence, popularity in self.instances():
+            reg = RegressionParams(
+                net_coefs=rng.random(stack.num_networks) * 0.3,
+                pop_coef=float(rng.random() * 0.05),
+                activity_coef=float(rng.random() * 0.05),
+                intercept=float(rng.random() * 0.1),
+            )
+            activity = rng.integers(0, 15, size=stack.num_users).astype(float)
+            got = regression_scores(reg, stack, evidence, popularity, activity)
+            assert got.shape == evidence.shape
+            for t in range(apps.size):
+                want = ref_regression_scores(reg, stack, evidence[:, t], popularity[t],
+                                             activity)
+                np.testing.assert_allclose(got[:, t], want, rtol=0.0, atol=1e-12)
