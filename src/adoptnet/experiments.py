@@ -361,10 +361,9 @@ def _regression_sheets(
     adoptions: AdoptionMatrix,
     train: np.ndarray,
     test: np.ndarray,
-    cfg: FitConfig,
 ) -> list[PredictionSheet]:
     _check_disjoint(train, test)
-    reg = fit_regression(fit_stack, adoptions, train, cfg)
+    reg = fit_regression(fit_stack, adoptions, train)
     activity = adoptions.installed[:, train].sum(axis=1).astype(float)
     evidence = adoptions.installed[:, test]
     pop = _popularity(fit_stack.popularity, test)
@@ -489,7 +488,7 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             train, test = fraction_split(apps, frac, seed)
             by_method = {
                 "full": _mle_sheets(fit_stack, adoptions, train, test, spec.fit),
-                "regression": _regression_sheets(fit_stack, adoptions, train, test, spec.fit),
+                "regression": _regression_sheets(fit_stack, adoptions, train, test),
                 "random": _random_sheets(adoptions.num_users, test, spec, r, tag=frac),
             }
             cells = [("all", None)] + ([("low", low)] if frac == 0.5 else [])
@@ -534,7 +533,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for train, test in splits:
             _check_disjoint(train, test)
             params, _ = fit_mle(fit_stack, adoptions, train, spec.fit)
-            reg = fit_regression(fit_stack, adoptions, train, spec.fit)
+            reg = fit_regression(fit_stack, adoptions, train)
             activity = adoptions.installed[:, train].sum(axis=1).astype(float)
             scored = np.array([a for a in test if halves[int(a)][1].size], dtype=int)
             skipped += test.size - scored.size

@@ -51,11 +51,13 @@ class PredictionSheet:
 
     def csv_rows(self) -> list[str]:
         """`app_id,user_id,score,evaluated` rows, one per user."""
-        evaluated = np.zeros(self.scores.size, dtype=bool)
-        evaluated[self.evaluated_users] = True
+        evaluated = np.zeros(self.scores.size, dtype=np.uint8)
+        evaluated[self.evaluated_users] = 1
         return [
-            f"{self.app_id},{u},{float(self.scores[u])!r},{int(evaluated[u])}"
-            for u in range(self.scores.size)
+            f"{self.app_id},{u},{score!r},{flag}"
+            for u, (score, flag) in enumerate(
+                zip(self.scores.tolist(), evaluated.tolist())
+            )
         ]
 
 

@@ -18,9 +18,11 @@ componentwise max(., 0) on every constrained coordinate, so every evaluated
 point is feasible, and the concave objective rises monotonically up to the
 rounding allowance of a full Newton step.
 
-The regression baseline uses projected-gradient ascent with Armijo
-backtracking (shrink 0.5, sufficient-increase 1e-4, step reset to 1.0 each
-iteration) on a quadratic loss.
+The regression baseline is an exact non-negative least squares, solved by
+Lawson and Hanson's active-set method on its (users x train apps) by
+(networks + 3) design.  It reads no FitConfig: it stops when the KKT
+conditions hold to a rounding-level tolerance taken from the design, and
+raises SolverError instead of returning an unconverged fit.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ OBJECTIVE_ROUNDOFF = 1e-12
 
 
 class SolverError(RuntimeError):
-    """The optimizer hit a non-finite objective value."""
+    """A fit hit a non-finite objective value, or NNLS exceeded its step bound."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,11 @@ class FitConfig:
     projected gradient and is the only test that ends a maximum-likelihood
     fit as converged; that fit is projected Newton and otherwise stops when
     neither its Newton nor its projected-gradient arc search finds an
-    increase, or at max_iters.  obj_tol, the objective change relative to
-    max(1, |objective|), ends only the projected-gradient least-squares fit
-    of the regression baseline.  The fix_* flags freeze a parameter block
-    at zero; allow_negative_net_weights lifts the sign constraint on the
-    network weights only.
+    increase, or at max_iters.  obj_tol is validated but read by no fit
+    (the regression baseline is solved exactly); it stays so that configs
+    that set ``fit.obj_tol`` keep loading.  The fix_* flags freeze a
+    parameter block at zero; allow_negative_net_weights lifts the sign
+    constraint on the network weights only.
     """
 
     max_iters: int = 10_000
@@ -104,8 +106,8 @@ class FitResult:
     converged is true exactly when grad_norm, the infinity norm of the
     projected gradient at the returned point, is at most grad_tol.
     stop_reason names the test that ended the loop: grad_tol,
-    line_search_exhausted, max_iters, or obj_tol (least squares only).  The
-    evaluation counts include those at the start and at the returned point.
+    line_search_exhausted or max_iters.  The evaluation counts include those
+    at the start and at the returned point.
     """
 
     iterations: int
@@ -212,53 +214,6 @@ def _arc_search(
                 return cand, cand_val
         step *= ARMIJO_SHRINK
     return None
-
-
-def _projected_ascent(
-    value: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    theta0: np.ndarray,
-    nonneg: np.ndarray,
-    frozen: np.ndarray,
-    cfg: FitConfig,
-) -> tuple[np.ndarray, FitResult]:
-    """Maximize value() from theta0 under componentwise constraints.
-
-    Frozen coordinates keep their initial value; nonneg coordinates are
-    projected onto [0, inf).  The loop stops on the projected gradient's
-    infinity norm, on the relative objective change of the last step, when
-    no step passes the Armijo test, or at max_iters.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-
-    def project(t: np.ndarray) -> np.ndarray:
-        return _project(t, theta0, nonneg, frozen)
-
-    oracle = _Oracle(value, grad, frozen)
-    theta = project(theta0)
-    current = oracle.value(theta, 0)
-    iterations = 0
-    delta = None
-    while True:
-        g = oracle.gradient(theta)
-        grad_norm = float(np.abs(_projected_gradient(theta, g, nonneg)).max())
-        if grad_norm <= cfg.grad_tol:
-            reason = "grad_tol"
-            break
-        if delta is not None and abs(delta) <= cfg.obj_tol * max(1.0, abs(current)):
-            reason = "obj_tol"
-            break
-        if iterations >= cfg.max_iters:
-            reason = "max_iters"
-            break
-        step = _arc_search(oracle, project, theta, current, g, g, iterations + 1)
-        if step is None:
-            reason = "line_search_exhausted"
-            break
-        iterations += 1
-        delta = step[1] - current
-        theta, current = step
-    return theta, oracle.result(iterations, current, grad_norm, reason, cfg)
 
 
 def _newton_direction(
@@ -470,35 +425,62 @@ def fit_mle(
     return params, result
 
 
-def nonneg_least_squares(
-    features: np.ndarray, targets: np.ndarray, cfg: FitConfig | None = None
-) -> np.ndarray:
-    """Minimize ||features @ beta - targets||^2 subject to beta >= 0.
+def nonneg_least_squares(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Minimize ||features @ beta - targets||^2 subject to beta >= 0, exactly.
 
-    Shares the projected-gradient machinery (the negated quadratic loss is
-    concave).  Starts from the zero vector, which is feasible.
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23).  From beta = 0 each step frees the coordinate with the
+    largest dual F.T @ (y - F @ beta) and solves the least squares on the
+    free columns.  When that solution has a non-positive entry, beta moves
+    along the segment towards it until the first coordinate reaches zero,
+    which is bound again.  A coordinate that would enter at a non-positive
+    value is skipped for that step.  The loop ends when no bound coordinate
+    left has a dual above 10 * eps * max(n, d) times the largest column sum
+    of |F|, and raises SolverError after 3 * d steps.
     """
-    cfg = cfg or FitConfig()
     F = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if F.ndim != 2 or y.shape != (F.shape[0],):
         raise ValueError("features must be (n, d) with matching targets")
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(y))):
+        raise ValueError("features and targets must be finite")
+    n, d = F.shape
+    tol = 10.0 * np.finfo(float).eps * max(n, d) * np.abs(F).sum(axis=0).max(initial=0.0)
 
-    def value(beta: np.ndarray) -> float:
-        r = F @ beta - y
-        v = -0.5 * float(r @ r)
-        if not np.isfinite(v):
-            raise FloatingPointError("non-finite quadratic loss")
-        return v
+    def solve(free: np.ndarray) -> np.ndarray:
+        z = np.zeros(d)
+        z[free] = np.linalg.lstsq(F[:, free], y, rcond=None)[0]
+        return z
 
-    def gradient(beta: np.ndarray) -> np.ndarray:
-        return -(F.T @ (F @ beta - y))
-
-    beta0 = np.zeros(F.shape[1])
-    nonneg = np.ones(F.shape[1], dtype=bool)
-    frozen = np.zeros(F.shape[1], dtype=bool)
-    beta, _ = _projected_ascent(value, gradient, beta0, nonneg, frozen, cfg)
-    return beta
+    beta = np.zeros(d)
+    passive = np.zeros(d, dtype=bool)
+    for step in range(3 * d + 1):
+        dual = np.where(passive, -np.inf, F.T @ (y - F @ beta))
+        while dual.max(initial=-np.inf) > tol:
+            j = int(np.argmax(dual))
+            passive[j] = True
+            z = solve(passive)
+            if z[j] > 0.0:
+                break
+            # Only rounding lets a coordinate with a positive dual enter at
+            # a non-positive value; Lawson and Hanson skip it.
+            passive[j] = False
+            dual[j] = -np.inf
+        else:
+            return beta
+        if step == 3 * d:
+            break
+        while np.any(z[passive] <= 0.0):
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            ratios = beta[blocking] / (beta[blocking] - z[blocking])
+            first = int(np.argmin(ratios))
+            beta = beta + ratios[first] * (z - beta)
+            beta[blocking[first]] = 0.0
+            passive &= beta > 0.0
+            beta[~passive] = 0.0
+            z = solve(passive)
+        beta = z
+    raise SolverError(f"non-negative least squares did not converge in {3 * d} steps")
 
 
 @dataclass(frozen=True)
@@ -524,7 +506,6 @@ def fit_regression(
     stack: NetworkStack,
     adoptions: AdoptionMatrix,
     train_apps: Sequence[int] | np.ndarray,
-    cfg: FitConfig | None = None,
 ) -> RegressionParams:
     """Non-negative least squares of adoption bits on evidence features.
 
@@ -548,7 +529,7 @@ def fit_regression(
     columns.append(np.ones(num_users * num_train))
     F = np.column_stack(columns)
     y = ev.ravel()
-    coef = nonneg_least_squares(F, y, cfg)
+    coef = nonneg_least_squares(F, y)
     num_nets = stack.num_networks
     return RegressionParams(
         net_coefs=coef[:num_nets],

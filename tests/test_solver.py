@@ -1,4 +1,4 @@
-"""Projected-Newton and projected-gradient fitting: optimality, feasibility, invariances."""
+"""Projected-Newton and exact NNLS fitting: optimality, feasibility, invariances."""
 from __future__ import annotations
 
 import itertools
@@ -8,19 +8,24 @@ import numpy as np
 import pytest
 
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
-from adoptnet.model import log_likelihood, objective_gradient, training_terms
+from adoptnet.model import (
+    log_likelihood,
+    network_potentials,
+    objective_gradient,
+    training_terms,
+)
 from adoptnet.solver import (
     FitConfig,
     FitResult,
     RegressionParams,
     SolverError,
-    _projected_ascent,
     _projected_newton,
     fit_mle,
     fit_regression,
     nonneg_least_squares,
     random_baseline,
 )
+from adoptnet.synth import SynthSpec, generate
 
 
 def make_instance(seed, num_users=12, num_networks=2, num_apps=15, density=0.3):
@@ -65,96 +70,45 @@ def nnls_oracle(F, y):
     return best[0]
 
 
-class TestProjectedAscent:
-    def test_quadratic_reaches_clipped_target(self):
-        # maximizing -||x - t||^2 over x >= 0 has the closed form max(t, 0)
-        target = np.array([2.0, -1.5, 0.5, -0.25])
-
-        def value(x):
-            return -float(np.sum((x - target) ** 2))
-
-        def grad(x):
-            return -2.0 * (x - target)
-
-        nonneg = np.ones(4, dtype=bool)
-        frozen = np.zeros(4, dtype=bool)
-        x, res = _projected_ascent(value, grad, np.zeros(4), nonneg, frozen,
-                                   FitConfig())
-        np.testing.assert_allclose(x, [2.0, 0.0, 0.5, 0.0], atol=1e-6)
-        assert res.converged
-
-    def test_every_evaluated_point_is_feasible(self):
-        target = np.array([1.0, -3.0, 2.0])
-        seen = []
-
-        def value(x):
-            seen.append(x.copy())
-            return -float(np.sum((x - target) ** 2))
-
-        def grad(x):
-            return -2.0 * (x - target)
-
-        nonneg = np.array([True, True, False])
-        frozen = np.zeros(3, dtype=bool)
-        _projected_ascent(value, grad, np.array([0.5, 0.5, -1.0]), nonneg, frozen,
-                          FitConfig())
-        assert len(seen) > 3
-        for x in seen:
-            assert x[0] >= 0.0 and x[1] >= 0.0
-
-    def test_accepted_iterates_ascend(self):
-        rng = np.random.default_rng(3)
-        A = rng.random((8, 5))
-        H = A.T @ A + 0.1 * np.eye(5)
-        b = rng.random(5)
-
-        values = []
-
-        def value(x):
-            v = -0.5 * float(x @ H @ x) + float(b @ x)
-            return v
-
-        def grad(x):
-            g = -(H @ x) + b
-            values.append(value(x))
-            return g
-
-        nonneg = np.ones(5, dtype=bool)
-        frozen = np.zeros(5, dtype=bool)
-        _projected_ascent(value, grad, np.zeros(5), nonneg, frozen, FitConfig())
-        # grad is called once per outer iteration, at the accepted point
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_frozen_coordinates_never_move(self):
-        target = np.array([2.0, 2.0])
-
-        def value(x):
-            return -float(np.sum((x - target) ** 2))
-
-        def grad(x):
-            return -2.0 * (x - target)
-
-        x, _ = _projected_ascent(value, grad, np.zeros(2),
-                                 np.ones(2, dtype=bool),
-                                 np.array([False, True]), FitConfig())
-        assert x[1] == 0.0
-        assert x[0] == pytest.approx(2.0, abs=1e-6)
-
-
 class TestNonnegLeastSquares:
     def test_matches_active_set_enumeration(self):
-        # tight tolerances: the comparison target is exact
-        cfg = FitConfig(grad_tol=1e-10, obj_tol=1e-15, max_iters=100_000)
         rng = np.random.default_rng(11)
         for _ in range(20):
             F = rng.standard_normal((20, 5))
             y = rng.standard_normal(20)
-            got = nonneg_least_squares(F, y, cfg)
+            got = nonneg_least_squares(F, y)
             want = nnls_oracle(F, y)
             sse_got = float(np.sum((F @ got - y) ** 2))
             sse_want = float(np.sum((F @ want - y) ** 2))
             assert sse_got <= sse_want + 1e-10
-            np.testing.assert_allclose(got, want, atol=1e-5)
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_degenerate_and_badly_scaled_cases_reach_the_optimal_loss(self):
+        # beta is not unique with n < d or dependent columns, so only the loss
+        # is compared; the oracle's loss is attained by a feasible beta, so
+        # the exact optimum is at most it.  With n < d the free columns can
+        # reproduce y, and rounding then leaves duals just above tolerance
+        # whose coordinates would enter at a non-positive value.
+        rng = np.random.default_rng(13)
+        kinds = ("n<d", "n<d scaled", "duplicate", "collinear", "scaled", "plain")
+        for case in range(300):
+            kind = kinds[case % len(kinds)]
+            d = int(rng.integers(2, 8))
+            n = int(rng.integers(1, d)) if "n<d" in kind else int(rng.integers(d, 25))
+            F = rng.standard_normal((n, d))
+            if kind == "duplicate":
+                F[:, 1] = F[:, 0]
+            elif kind == "collinear" and d >= 3:
+                F[:, 2] = 2.0 * F[:, 0] - 0.5 * F[:, 1]
+            elif "scaled" in kind:
+                F *= 10.0 ** rng.choice([-3.0, 0.0, 3.0], size=d)
+            y = rng.standard_normal(n)
+            got = nonneg_least_squares(F, y)
+            assert np.all(got >= 0.0)
+            sse_got = float(np.sum((F @ got - y) ** 2))
+            want = nnls_oracle(F, y)
+            sse_want = float(np.sum((F @ want - y) ** 2))
+            assert sse_got <= sse_want + 1e-9 * max(1.0, sse_want), (case, kind)
 
     def test_unconstrained_interior_solution(self):
         rng = np.random.default_rng(12)
@@ -171,6 +125,27 @@ class TestNonnegLeastSquares:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="features"):
             nonneg_least_squares(np.zeros((3, 2)), np.zeros(4))
+
+    def test_non_finite_input_rejected(self):
+        F = np.eye(2)
+        with pytest.raises(ValueError, match="finite"):
+            nonneg_least_squares(F, np.array([1.0, np.nan]))
+        F[0, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            nonneg_least_squares(F, np.ones(2))
+
+    def test_step_bound_raises(self, monkeypatch):
+        # a subproblem solver that keeps swapping which coordinate is positive
+        # makes the active set cycle between {0} and {1}
+        swaps = itertools.cycle([np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+
+        def lstsq(A, b, rcond=None):
+            sol = np.ones(1) if A.shape[1] == 1 else next(swaps)
+            return sol, np.zeros(0), A.shape[1], np.ones(A.shape[1])
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(SolverError, match="6 steps"):
+            nonneg_least_squares(np.eye(2), np.ones(2))
 
 
 class TestFitMLE:
@@ -457,6 +432,68 @@ class TestProjectedNewton:
         assert res.iterations == 1 and res.stop_reason == "grad_tol"
 
 
+    def test_quadratic_reaches_clipped_target(self):
+        # maximizing -||x - t||^2 over x >= 0 has the closed form max(t, 0)
+        target = np.array([2.0, -1.5, 0.5, -0.25])
+        blocks = (np.full(3, 2.0), np.zeros((3, 1)), np.array([[2.0]]))
+        x, res = _projected_newton(
+            lambda t: -float(np.sum((t - target) ** 2)),
+            lambda t: -2.0 * (t - target), lambda t: blocks, np.zeros(4),
+            np.ones(4, dtype=bool), np.zeros(4, dtype=bool), FitConfig())
+        np.testing.assert_allclose(x, [2.0, 0.0, 0.5, 0.0], atol=1e-12)
+        assert res.converged
+
+    def test_every_evaluated_point_is_feasible(self):
+        # -sum cosh(x - t) is not quadratic, so Newton needs several steps;
+        # the last coordinate is unconstrained
+        target = np.array([1.0, -3.0, 2.0])
+        seen = []
+
+        def value(x):
+            seen.append(x.copy())
+            return -float(np.sum(np.cosh(x - target)))
+
+        def hessian(x):
+            c = np.cosh(x - target)
+            return c[:2], np.zeros((2, 1)), c[2:, None]
+
+        x, res = _projected_newton(
+            value, lambda x: -np.sinh(x - target), hessian,
+            np.array([0.5, 0.5, -1.0]), np.array([True, True, False]),
+            np.zeros(3, dtype=bool), FitConfig())
+        assert len(seen) > 3
+        for t in seen:
+            assert t[0] >= 0.0 and t[1] >= 0.0
+        assert res.converged
+        np.testing.assert_allclose(x, [1.0, 0.0, 2.0], atol=1e-6)
+
+    def test_accepted_iterates_ascend(self):
+        # a dense concave objective, all in the arrowhead's dense block
+        rng = np.random.default_rng(3)
+        A = rng.random((8, 5))
+        H = A.T @ A + 0.1 * np.eye(5)
+        b = 3.0 * rng.standard_normal(5)
+        values = []
+
+        def value(x):
+            return float(b @ x - 0.5 * x @ H @ x - np.sum(np.cosh(x)))
+
+        def grad(x):
+            # called once per iteration, at the accepted point
+            values.append(value(x))
+            return b - H @ x - np.sinh(x)
+
+        def hessian(x):
+            return np.zeros(0), np.zeros((0, 5)), H + np.diag(np.cosh(x))
+
+        _, res = _projected_newton(value, grad, hessian, np.full(5, 2.0),
+                                   np.ones(5, dtype=bool),
+                                   np.zeros(5, dtype=bool), FitConfig())
+        assert res.converged and res.iterations >= 2
+        assert all(later >= earlier - 1e-12 * max(1.0, abs(earlier))
+                   for earlier, later in zip(values, values[1:]))
+
+
 class TestFitConfigValidation:
     def test_bad_max_iters(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -499,6 +536,44 @@ class TestRegression:
         stack, adoptions = make_instance(21)
         with pytest.raises(ValueError, match="empty"):
             fit_regression(stack, adoptions, [])
+
+
+def regression_design(stack, adoptions, apps):
+    """fit_regression's design, rebuilt column by column."""
+    ev = adoptions.installed[:, apps].astype(float)
+    U, T = ev.shape
+    pots = network_potentials(stack, ev)
+    F = np.column_stack(
+        [pots[m].ravel() for m in range(stack.num_networks)]
+        + [np.tile(stack.popularity[apps], U), np.repeat(ev.sum(axis=1), T),
+           np.ones(U * T)]
+    )
+    return F, ev.ravel()
+
+
+class TestRegressionKKT:
+    @pytest.mark.parametrize("users,apps", [(200, 150), (743, 300)])
+    def test_exact_fit_satisfies_kkt(self, users, apps):
+        spec = SynthSpec(num_users=users, num_context_users=users // 2,
+                         num_apps=apps, seed=users)
+        networks, teacher = generate(spec)
+        adoptions = teacher.adoptions
+        stack = NetworkStack(
+            networks=networks.networks,
+            popularity=adoptions.installed.sum(axis=0).astype(float),
+        )
+        train = np.arange(0, apps, 2)
+        reg = fit_regression(stack, adoptions, train)
+        beta = np.concatenate([reg.net_coefs,
+                               [reg.pop_coef, reg.activity_coef, reg.intercept]])
+        F, y = regression_design(stack, adoptions, train)
+        n, d = F.shape
+        tol = 10.0 * np.finfo(float).eps * max(n, d) * np.abs(F).sum(axis=0).max()
+        dual = F.T @ (y - F @ beta)
+        assert np.all(beta >= 0.0)
+        assert np.any(beta > 0.0)
+        assert np.all(np.abs(dual[beta > 0.0]) <= tol)
+        assert np.all(dual[beta == 0.0] <= tol)
 
 
 class TestRandomBaseline:
