@@ -494,6 +494,19 @@ class TestProjectedNewton:
                    for earlier, later in zip(values, values[1:]))
 
 
+class TestProjectedAscent:
+    # a separable quadratic with one coordinate frozen at its start value
+    def test_frozen_coordinates_never_move(self):
+        target = np.array([2.0, 2.0])
+        blocks = (np.array([2.0]), np.zeros((1, 1)), np.array([[2.0]]))
+        x, _ = _projected_newton(
+            lambda t: -float(np.sum((t - target) ** 2)),
+            lambda t: -2.0 * (t - target), lambda t: blocks, np.zeros(2),
+            np.ones(2, dtype=bool), np.array([False, True]), FitConfig())
+        assert x[1] == 0.0
+        assert x[0] == pytest.approx(2.0, abs=1e-6)
+
+
 class TestFitConfigValidation:
     def test_bad_max_iters(self):
         with pytest.raises(ValueError, match="max_iters"):
