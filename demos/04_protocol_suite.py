@@ -25,7 +25,7 @@ stack, teacher = generate(SynthSpec(
     seed=33,
 ))
 data = Dataset(networks=stack, adoptions=teacher.adoptions)
-fast = FitConfig(grad_tol=1e-5, obj_tol=1e-8)
+fast = FitConfig(grad_tol=1e-5)
 
 print(f"dataset fingerprint {data.fingerprint()[:12]}")
 

@@ -54,7 +54,6 @@ experiment.folds = 2
 experiment.repeats = 1
 experiment.min_users = 3
 fit.grad_tol = 1e-4
-fit.obj_tol = 1e-7
 outdir = {tmp / "runs"}
 """)
 print("\n$ adoptnet validate run.cfg")

@@ -58,13 +58,11 @@ SCALAR_KEYS: dict[str, str] = {
     "experiment.use_popularity": "bool",
     "fit.max_iters": "int",
     "fit.grad_tol": "float",
-    "fit.obj_tol": "float",
     "fit.init_net_weight": "float",
     "fit.init_susceptibility": "float",
     "fit.allow_negative_net_weights": "bool",
     "fit.fix_susceptibility_at_zero": "bool",
     "fit.fix_net_weights_at_zero": "bool",
-    "fit.seed": "int",
     "train.apps": "apps",
     "predict.params": "path",
     "predict.apps": "apps",
@@ -232,10 +230,6 @@ class RunConfig:
 
     # -- typed getters -----------------------------------------------------
 
-    def _get(self, key: str, default: object = None) -> str | None:
-        value = self.entries.get(key)
-        return default if value is None else value  # type: ignore[return-value]
-
     def get_int(self, key: str, default: int | None = None) -> int | None:
         v = self.entries.get(key)
         return default if v is None else int(v)
@@ -322,7 +316,6 @@ class RunConfig:
             return FitConfig(
                 max_iters=self.get_int("fit.max_iters", 10_000),
                 grad_tol=self.get_float("fit.grad_tol", 1e-6),
-                obj_tol=self.get_float("fit.obj_tol", 1e-9),
                 init_net_weight=init_w,
                 init_susceptibility=self.get_float("fit.init_susceptibility", 0.1),
                 allow_negative_net_weights=self.get_bool(
@@ -334,7 +327,6 @@ class RunConfig:
                 fix_net_weights_at_zero=self.get_bool(
                     "fit.fix_net_weights_at_zero", False
                 ),
-                seed=self.get_int("fit.seed", 0),
             )
         except ValueError as e:
             raise ConfigError([f"fit.*: {e}"]) from e

@@ -10,7 +10,7 @@ non-adoption side and the log-likelihood is concave in all parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -140,12 +140,38 @@ class TrainingTerms:
     outcomes being explained.  term_users masks which users' outcome terms
     enter the objective (all of them in ordinary training; the target half in
     teacher-recovery fits).
+
+    While no parameter is negative every exponent z is >= 0 and each
+    non-adopter cell adds exactly -z, so the objective needs only what is
+    gathered here once, over term users: adopter_users (n,) and
+    adopter_features (M+1, n), the user of each adopter cell and its feature
+    vector (its potentials, then its app's popularity); linear_susceptibility
+    (U,), each user's count of non-adopted apps; and linear_weights (M+1,),
+    each channel summed over the non-adopter mask itself, not as a total
+    minus the adopters' share.
     """
 
     potentials: np.ndarray  # (M, U, T)
     popularity: np.ndarray  # (T,)
     labels: np.ndarray  # (U, T) bool
     term_users: np.ndarray  # (U,) bool
+    adopter_users: np.ndarray = field(init=False)
+    adopter_features: np.ndarray = field(init=False)
+    linear_susceptibility: np.ndarray = field(init=False)
+    linear_weights: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        users, apps = np.nonzero(self.labels & self.term_users[:, None])
+        features = np.vstack([self.potentials[:, users, apps], self.popularity[apps]])
+        passive = (~self.labels & self.term_users[:, None]).astype(float)
+        linear_weights = np.append(
+            self.potentials.reshape(self.num_networks, -1) @ passive.ravel(),
+            passive.sum(axis=0) @ self.popularity,
+        )
+        object.__setattr__(self, "adopter_users", users)
+        object.__setattr__(self, "adopter_features", features)
+        object.__setattr__(self, "linear_susceptibility", passive.sum(axis=1))
+        object.__setattr__(self, "linear_weights", linear_weights)
 
     @property
     def num_networks(self) -> int:
@@ -173,7 +199,7 @@ def training_terms(
         raise ValueError("train_apps is empty")
     if apps.min() < 0 or apps.max() >= adoptions.num_apps:
         raise ValueError("train_apps contains an out-of-range app id")
-    if len(np.unique(apps)) != apps.size:
+    if np.bincount(apps).max() > 1:  # np.unique would import numpy.ma (~30 ms)
         raise ValueError("train_apps contains duplicates")
     if evidence is None:
         evidence = adoptions
@@ -199,12 +225,10 @@ def training_terms(
     )
 
 
-def _exponents(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float) -> np.ndarray:
-    return (
-        s[:, None]
-        + np.tensordot(w, terms.potentials, axes=1)
-        + w_pop * terms.popularity[None, :]
-    )
+def _adopter_exponents(
+    terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
+) -> np.ndarray:
+    return s[terms.adopter_users] + np.append(w, w_pop) @ terms.adopter_features
 
 
 def objective_value(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float) -> float:
@@ -212,27 +236,26 @@ def objective_value(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: f
 
     Adopter terms use log(1 - exp(-z)) above EXPONENT_KNEE and its tangent
     line below it, which keeps the whole term concave and exactly matched to
-    the gradient; non-adopter terms contribute -max(z, 0), which equals the
-    plain -z on the whole constrained feasible set and keeps the objective
-    bounded when negative weights are allowed.
+    the gradient; non-adopter terms contribute -max(z, 0), which keeps the
+    objective bounded when negative weights are allowed.  While no parameter
+    is negative that is the linear -z, so the cost is O(M * adopter cells).
+    Otherwise -max(z, 0) = -z + min(z, 0), and the sum of min(z, 0) over the
+    non-adopter cells is the one pass over the (M, U, T) tensor; in fits only
+    a network weight can be negative, under allow_negative_net_weights.
     """
-    z = _exponents(terms, s, w, w_pop)
-    if terms.term_users.all():
-        z_act, labels = z, terms.labels
-    else:
-        z_act, labels = z[terms.term_users], terms.labels[terms.term_users]
-    # transcendentals touch only adopter cells; the non-adopter penalty over
-    # all active cells minus the adopters' share needs plain arithmetic
-    z_adopt = z_act[labels]
-    z_knee = np.maximum(z_adopt, EXPONENT_KNEE)
-    adopter_part = float(log1mexp(z_knee).sum())
-    shortfall = float((z_adopt - z_knee).sum())
+    z = _adopter_exponents(terms, s, w, w_pop)
+    z_knee = np.maximum(z, EXPONENT_KNEE)
+    value = float(log1mexp(z_knee).sum())
+    shortfall = float((z - z_knee).sum())
     if shortfall:
-        adopter_part += shortfall / float(np.expm1(EXPONENT_KNEE))
-    penalty = float(np.maximum(z_act, 0.0).sum()) - float(
-        np.maximum(z_adopt, 0.0).sum()
+        value += shortfall / float(np.expm1(EXPONENT_KNEE))
+    value -= float(terms.linear_susceptibility @ s) + float(
+        terms.linear_weights @ np.append(w, w_pop)
     )
-    value = adopter_part - penalty
+    if min(s.min(), w.min(), w_pop) < 0.0:
+        z = s[:, None] + np.tensordot(w, terms.potentials, axes=1) + w_pop * terms.popularity
+        passive = ~terms.labels & terms.term_users[:, None]
+        value += float(np.minimum(z[passive], 0.0).sum())
     if not np.isfinite(value):
         raise FloatingPointError("non-finite training objective")
     return value
@@ -245,23 +268,18 @@ def objective_gradient(
 
     Adopter cells contribute exp(-z)/(1 - exp(-z)) evaluated at the floored
     exponent; every non-adopter cell contributes the constant -1 (times the
-    cell's potential for the weight blocks).
+    cell's potential for the weight blocks), the gathered linear
+    coefficients, even where the relaxed-sign correction is active.
     """
-    z = _exponents(terms, s, w, w_pop)
-    all_active = bool(terms.term_users.all())
-    labels = (
-        terms.labels if all_active else terms.labels & terms.term_users[:, None]
-    )
-    coef = np.where(labels, 0.0, -1.0)
-    if not all_active:
-        coef[~terms.term_users, :] = 0.0
-    idx = np.nonzero(labels)
+    z = _adopter_exponents(terms, s, w, w_pop)
     with np.errstate(over="ignore"):
-        coef[idx] = 1.0 / np.expm1(np.maximum(z[idx], EXPONENT_KNEE))
-    grad_s = coef.sum(axis=1)
-    grad_w = np.tensordot(terms.potentials, coef, axes=([1, 2], [0, 1]))
-    grad_pop = float(coef.sum(axis=0) @ terms.popularity)
-    return grad_s, grad_w, grad_pop
+        coef = 1.0 / np.expm1(np.maximum(z, EXPONENT_KNEE))
+    grad_s = (
+        np.bincount(terms.adopter_users, weights=coef, minlength=terms.num_users)
+        - terms.linear_susceptibility
+    )
+    grad_wp = terms.adopter_features @ coef - terms.linear_weights
+    return grad_s, grad_wp[:-1], float(grad_wp[-1])
 
 
 def objective_hessian(
@@ -279,18 +297,10 @@ def objective_hessian(
     (1 for its user, then its potentials and its app's popularity).  Those
     cells are gathered once; nothing passes over the full M x U x T block.
     """
-    labels = terms.labels
-    if not terms.term_users.all():
-        labels = labels & terms.term_users[:, None]
-    users, apps = np.nonzero(labels)
-    features = np.vstack(
-        [terms.potentials[:, users, apps], terms.popularity[apps][None, :]]
-    )
-    z = s[users] + np.concatenate([w, [w_pop]]) @ features
-    curved = z > EXPONENT_KNEE
-    users, features, z = users[curved], features[:, curved], z[curved]
-    with np.errstate(over="ignore"):
-        h = 1.0 / (np.expm1(z) * -np.expm1(-z))
+    z = _adopter_exponents(terms, s, w, w_pop)
+    users, features = terms.adopter_users, terms.adopter_features
+    with np.errstate(over="ignore", divide="ignore"):
+        h = np.where(z > EXPONENT_KNEE, 1.0 / (np.expm1(z) * -np.expm1(-z)), 0.0)
     num_users = terms.num_users
     diag = np.bincount(users, weights=h, minlength=num_users)
     coupling = np.stack(

@@ -16,7 +16,8 @@ a projected-gradient step.  The fit stops only when the projected gradient
 is within grad_tol, when both arcs fail, or at max_iters.  Projection is
 componentwise max(., 0) on every constrained coordinate, so every evaluated
 point is feasible, and the concave objective rises monotonically up to the
-rounding allowance of a full Newton step.
+rounding allowance of a full Newton step.  Each evaluation of a constrained
+fit costs O(M * adopter cells): none passes over the (M, U, T) tensor.
 
 The regression baseline is an exact non-negative least squares, solved by
 Lawson and Hanson's active-set method on its (users x train apps) by
@@ -73,30 +74,30 @@ class FitConfig:
     projected gradient and is the only test that ends a maximum-likelihood
     fit as converged; that fit is projected Newton and otherwise stops when
     neither its Newton nor its projected-gradient arc search finds an
-    increase, or at max_iters.  obj_tol is validated but read by no fit
-    (the regression baseline is solved exactly); it stays so that configs
-    that set ``fit.obj_tol`` keep loading.  The fix_* flags freeze a
-    parameter block at zero; allow_negative_net_weights lifts the sign
-    constraint on the network weights only.
+    increase, or at max_iters.  grad_tol and the starting values must be
+    finite: a NaN tolerance is never met and an infinite one is met at the
+    start.  The fix_* flags freeze a parameter block at zero;
+    allow_negative_net_weights lifts the sign constraint on the network
+    weights only.
     """
 
     max_iters: int = 10_000
     grad_tol: float = 1e-6
-    obj_tol: float = 1e-9
     init_net_weight: float | None = None
     init_susceptibility: float = 0.1
     allow_negative_net_weights: bool = False
     fix_susceptibility_at_zero: bool = False
     fix_net_weights_at_zero: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0 or self.obj_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.init_susceptibility < 0:
-            raise ValueError("init_susceptibility must be non-negative")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"tolerances must be finite and positive: grad_tol {self.grad_tol}")
+        if not (np.isfinite(self.init_susceptibility) and self.init_susceptibility >= 0):
+            raise ValueError("init_susceptibility must be finite and non-negative")
+        if self.init_net_weight is not None and not np.isfinite(self.init_net_weight):
+            raise ValueError("init_net_weight must be finite")
 
 
 @dataclass(frozen=True)
@@ -346,15 +347,11 @@ def fit_mle(
     active = np.flatnonzero(terms.term_users)
     if active.size == 0:
         raise ValueError("term_users excludes every user")
+    potentials, labels = terms.potentials, terms.labels
     if active.size < full_users:
         # all per-iteration work shrinks to the rows that carry terms
-        terms = TrainingTerms(
-            potentials=terms.potentials[:, active, :],
-            popularity=terms.popularity,
-            labels=terms.labels[active, :],
-            term_users=np.ones(active.size, dtype=bool),
-        )
-    num_users = terms.num_users
+        potentials, labels = potentials[:, active, :], labels[active, :]
+    num_users = active.size
     num_nets = terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
 
@@ -362,18 +359,18 @@ def fit_mle(
     # length suits all coordinate blocks and a weight's knee step moves no
     # exponent by more than the knee; the optimum is mapped back on exit.
     # The exponents, and hence the objective, are unchanged by this.
-    pot_scale = terms.potentials.max(axis=(1, 2))
-    pot_scale = np.where(pot_scale > 0.0, pot_scale, 1.0)
-    pop_scale = float(terms.popularity.max()) if terms.popularity.size else 0.0
-    if pop_scale <= 0.0:
-        pop_scale = 1.0
-    if np.any(pot_scale != 1.0) or pop_scale != 1.0:
-        terms = TrainingTerms(
-            potentials=terms.potentials / pot_scale[:, None, None],
-            popularity=terms.popularity / pop_scale,
-            labels=terms.labels,
-            term_users=terms.term_users,
-        )
+    pot_max = potentials.max(axis=(1, 2))
+    flat_nets = pot_max == 0.0
+    pot_scale = np.where(flat_nets, 1.0, pot_max)
+    pop_max = float(terms.popularity.max())
+    has_pop = pop_max > 0.0
+    pop_scale = pop_max if has_pop else 1.0
+    terms = TrainingTerms(
+        potentials=potentials / pot_scale[:, None, None],
+        popularity=terms.popularity / pop_scale,
+        labels=labels,
+        term_users=np.ones(num_users, dtype=bool),
+    )
 
     s_idx = np.arange(num_users)
     w_idx = num_users + np.arange(num_nets)
@@ -382,14 +379,12 @@ def fit_mle(
     theta0 = np.zeros(num_users + num_nets + 1)
     theta0[s_idx] = 0.0 if cfg.fix_susceptibility_at_zero else cfg.init_susceptibility
     theta0[w_idx] = 0.0 if cfg.fix_net_weights_at_zero else init_w * pot_scale
-    has_pop = bool(np.any(terms.popularity != 0.0))
     theta0[pop_idx] = init_w * pop_scale if has_pop else 0.0
 
     frozen = np.zeros(theta0.size, dtype=bool)
     frozen[s_idx] = cfg.fix_susceptibility_at_zero
     frozen[w_idx] = cfg.fix_net_weights_at_zero
     frozen[pop_idx] = not has_pop
-    flat_nets = ~np.any(terms.potentials != 0.0, axis=(1, 2))
     theta0[w_idx[flat_nets]] = 0.0
     frozen[w_idx[flat_nets]] = True
 

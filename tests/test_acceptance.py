@@ -168,8 +168,8 @@ class TestCriterion03SolverOptimality:
         monkeypatch.setattr(solver_mod, "objective_value", recording)
         finals = []
         starts = [(0.01, 0.0), (0.1, 0.05), (0.5, 0.2), (1.0, 0.8), (2.0, 1.5)]
-        for i, (w0, s0) in enumerate(starts):
-            cfg = FitConfig(init_net_weight=w0, init_susceptibility=s0, seed=i)
+        for w0, s0 in starts:
+            cfg = FitConfig(init_net_weight=w0, init_susceptibility=s0)
             params, result = fit_mle(stack, adoptions, train, cfg)
             assert result.converged
             assert params.susceptibility.min() >= 0
@@ -296,7 +296,7 @@ def _planted_dataset(seed: int, num_apps: int = 80) -> Dataset:
     return Dataset(networks=stack, adoptions=teacher.adoptions)
 
 
-FAST_FIT = FitConfig(grad_tol=1e-5, obj_tol=1e-8)
+FAST_FIT = FitConfig(grad_tol=1e-5)
 
 
 class TestCriterion06AblationOrdering:
@@ -421,7 +421,7 @@ class TestCriterion08Rescaling:
             ),
             popularity=stack.popularity,
         )
-        cfg = FitConfig(grad_tol=1e-8, obj_tol=1e-12)
+        cfg = FitConfig(grad_tol=1e-8)
         params_base, fit_base = fit_mle(stack, adoptions, train, cfg)
         params_scaled, fit_scaled = fit_mle(scaled, adoptions, train, cfg)
 
@@ -479,7 +479,7 @@ class TestCriterion09Determinism:
                 "network.1.symmetrize = max\n"
                 "protocol = ablation\nexperiment.folds = 2\nexperiment.repeats = 1\n"
                 "experiment.min_users = 3\n"
-                "fit.grad_tol = 1e-4\nfit.obj_tol = 1e-7\n"
+                "fit.grad_tol = 1e-4\n"
                 f"outdir = {tmp_path / outdir}\n"
             )
             return str(path)
@@ -516,7 +516,7 @@ class TestCriterion10LeakChecks:
         rng = np.random.default_rng(111)
         stack, adoptions = _random_instance(rng, 40, 2, 30)
         train = np.arange(15)
-        cfg = FitConfig(grad_tol=1e-5, obj_tol=1e-8)
+        cfg = FitConfig(grad_tol=1e-5)
         params, result = fit_mle(stack, adoptions, train, cfg)
 
         poisoned_bits = adoptions.installed.copy()

@@ -23,7 +23,6 @@ seed = 2
 
 FIT_KEYS = """
 fit.grad_tol = 1e-4
-fit.obj_tol = 1e-7
 """
 
 
@@ -151,6 +150,22 @@ class TestTrainCommand:
         assert main(["train", cfg]) == EXIT_OK
         assert main(["train", cfg, "--set", "train.apps=0,1,2,3,4,5,6,7"]) == EXIT_OK
         assert len(run_dirs(tmp_path / "runs")) == 2
+
+    @pytest.mark.parametrize("setting", ["fit.grad_tol=nan", "fit.grad_tol=inf",
+                                         "fit.init_susceptibility=nan"])
+    def test_non_finite_fit_setting_exits_config(self, bundle, capsys, setting):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["train", cfg, "--set", setting]) == EXIT_CONFIG
+        assert "fit.*:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_removed_fit_keys_exit_config(self, bundle, capsys):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "fit.obj_tol = 1e-7\nfit.seed = 3\n")
+        assert main(["train", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown key 'fit.obj_tol'" in err and "unknown key 'fit.seed'" in err
 
 
 class TestPredictCommand:

@@ -55,6 +55,12 @@ class TestSchemaDiagnostics:
         assert "unknown key" in problem
         assert "did you mean 'alpha'" in problem
 
+    @pytest.mark.parametrize("key", ["fit.obj_tol", "fit.seed"])
+    def test_removed_fit_keys_are_unknown(self, key):
+        cfg = RunConfig(entries={key: "1"})
+        [problem] = cfg.problems()
+        assert "unknown key" in problem and key in problem
+
     def test_network_key_typo_suggestion(self):
         cfg = RunConfig(entries={"network.0.pth": "x.csv"})
         problems = cfg.problems()
@@ -192,6 +198,18 @@ class TestBuilders:
         cfg = RunConfig(entries={"fit.max_iters": "0"})
         with pytest.raises(ConfigError, match="fit"):
             cfg.fit_config()
+
+    @pytest.mark.parametrize("key", ["fit.grad_tol", "fit.init_susceptibility",
+                                     "fit.init_net_weight", "alpha"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_fit_config_non_finite_wrapped(self, key, text):
+        cfg = RunConfig(entries={key: text})
+        assert cfg.problems() == []
+        with pytest.raises(ConfigError, match=r"fit\.\*: .*(grad_tol|init_)"):
+            cfg.fit_config()
+        spec_cfg = RunConfig(entries={key: text, "protocol": "comparison"})
+        with pytest.raises(ConfigError, match=r"fit\.\*"):
+            spec_cfg.experiment_spec()
 
     def test_experiment_spec_requires_protocol(self):
         cfg = RunConfig(entries={})

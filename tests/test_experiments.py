@@ -257,7 +257,7 @@ class TestLeakGuards:
                         np.array([0, 1, 2]), np.array([2, 3]), FitConfig())
 
 
-FAST_FIT = FitConfig(grad_tol=1e-4, obj_tol=1e-7)
+FAST_FIT = FitConfig(grad_tol=1e-4)
 
 
 class TestAblationProtocol:

@@ -561,3 +561,151 @@ class TestObjectiveProperties:
         assert terms.potentials[0, 0, 0] == 1.0
         assert terms.potentials[0, 1, 0] == 0.0
         np.testing.assert_array_equal(terms.labels[:, 0], [True, False])
+
+
+# -- full-tensor reference --------------------------------------------------
+# The objective as it was written before TrainingTerms gathered the adopter
+# cells: every call passes over the whole (M, U, T) potential tensor.
+
+
+def reference_exponents(terms, s, w, w_pop):
+    return (s[:, None] + np.tensordot(w, terms.potentials, axes=1)
+            + w_pop * terms.popularity[None, :])
+
+
+def reference_value(terms, s, w, w_pop):
+    z = reference_exponents(terms, s, w, w_pop)
+    z_act, labels = z[terms.term_users], terms.labels[terms.term_users]
+    z_adopt = z_act[labels]
+    z_knee = np.maximum(z_adopt, EXPONENT_KNEE)
+    adopter_part = float(log1mexp(z_knee).sum())
+    adopter_part += float((z_adopt - z_knee).sum()) / math.expm1(EXPONENT_KNEE)
+    penalty = float(np.maximum(z_act, 0.0).sum()) - float(np.maximum(z_adopt, 0.0).sum())
+    return adopter_part - penalty
+
+
+def reference_gradient(terms, s, w, w_pop):
+    z = reference_exponents(terms, s, w, w_pop)
+    labels = terms.labels & terms.term_users[:, None]
+    coef = np.where(labels, 0.0, -1.0)
+    coef[~terms.term_users, :] = 0.0
+    idx = np.nonzero(labels)
+    coef[idx] = 1.0 / np.expm1(np.maximum(z[idx], EXPONENT_KNEE))
+    return (coef.sum(axis=1),
+            np.tensordot(terms.potentials, coef, axes=([1, 2], [0, 1])),
+            float(coef.sum(axis=0) @ terms.popularity))
+
+
+def reference_hessian(terms, s, w, w_pop):
+    z = reference_exponents(terms, s, w, w_pop)
+    U, M = terms.num_users, terms.num_networks
+    diag = np.zeros(U)
+    coupling = np.zeros((U, M + 1))
+    dense = np.zeros((M + 1, M + 1))
+    for u, t in zip(*np.nonzero(terms.labels & terms.term_users[:, None])):
+        if z[u, t] <= EXPONENT_KNEE:
+            continue
+        h = math.exp(z[u, t]) / math.expm1(z[u, t]) ** 2
+        x = np.append(terms.potentials[:, u, t], terms.popularity[t])
+        diag[u] += h
+        coupling[u] += h * x
+        dense += h * np.outer(x, x)
+    return diag, coupling, dense
+
+
+def oracle_instance(rng, negative):
+    """Random terms with a term_users subset, an all-zero network, knee cells.
+
+    Users 0 and 1 have no edges and apps 0 and 1 zero popularity, so those
+    users' adopter cells there sit exactly at s, which is put at, below and
+    at zero under the knee.  ``negative`` draws some network weights < 0.
+    """
+    U = int(rng.integers(6, 25))
+    M = int(rng.integers(2, 5))
+    A = int(rng.integers(4, 30))
+    nets = []
+    for m in range(M):
+        w = np.triu(rng.random((U, U)) * (rng.random((U, U)) < 0.4), k=1)
+        w[:2] = 0.0
+        if m == M - 1:
+            w[:] = 0.0  # an all-zero network
+        nets.append(CandidateNetwork(num_users=U, weights=w + w.T, name=f"g{m}"))
+    installed = rng.random((U, A)) < 0.3
+    installed[:2, :2] = True
+    popularity = rng.random(A) * 3.0
+    popularity[:2] = 0.0
+    stack = NetworkStack(networks=tuple(nets), popularity=popularity)
+    adoptions = AdoptionMatrix(num_users=U, num_apps=A, installed=installed)
+    term_users = None
+    if rng.random() < 0.5:
+        term_users = np.concatenate([[0, 1], rng.choice(np.arange(2, U), U // 2,
+                                                        replace=False)])
+    terms = training_terms(stack, adoptions, np.arange(A), term_users=term_users)
+    s = rng.uniform(0.0, 1.0, U)
+    s[0] = EXPONENT_KNEE
+    s[1] = EXPONENT_KNEE / 2 if rng.random() < 0.5 else 0.0
+    w = rng.uniform(0.0, 1.0, M)
+    if negative:
+        w[: M - 1] = rng.uniform(-2.0, 1.0, M - 1)
+        w[0] = -abs(w[0]) - 0.5
+    return terms, s, w, float(rng.uniform(0.0, 0.5))
+
+
+def close(actual, expected, rel=1e-12):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    return bool(np.all(np.abs(actual - expected) <= rel * np.maximum(np.abs(expected), 1.0)))
+
+
+class TestAdopterOnlyOracle:
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_value_gradient_hessian_match_full_tensor(self, negative):
+        rng = np.random.default_rng(91 + negative)
+        knee_cells = corrected = 0
+        for _ in range(150):
+            terms, s, w, w_pop = oracle_instance(rng, negative)
+            z = reference_exponents(terms, s, w, w_pop)
+            active = terms.labels & terms.term_users[:, None]
+            knee_cells += int(np.count_nonzero(z[active] <= EXPONENT_KNEE))
+            corrected += int(np.count_nonzero(z[~terms.labels & terms.term_users[:, None]] < 0))
+            assert close(objective_value(terms, s, w, w_pop),
+                         reference_value(terms, s, w, w_pop))
+            for got, want in zip(objective_gradient(terms, s, w, w_pop),
+                                 reference_gradient(terms, s, w, w_pop)):
+                assert close(got, want)
+            for got, want in zip(objective_hessian(terms, s, w, w_pop),
+                                 reference_hessian(terms, s, w, w_pop)):
+                assert close(got, want)
+        assert knee_cells > 0
+        assert (corrected > 0) == negative
+
+    def test_constrained_evaluations_never_read_the_tensor(self):
+        rng = np.random.default_rng(95)
+        for _ in range(20):
+            terms, s, w, w_pop = oracle_instance(rng, negative=False)
+            before = (objective_value(terms, s, w, w_pop),
+                      objective_gradient(terms, s, w, w_pop),
+                      objective_hessian(terms, s, w, w_pop))
+            terms.potentials[...] = np.nan
+            terms.popularity[...] = np.nan
+            terms.labels[...] = ~terms.labels
+            after = (objective_value(terms, s, w, w_pop),
+                     objective_gradient(terms, s, w, w_pop),
+                     objective_hessian(terms, s, w, w_pop))
+            assert after[0] == before[0]
+            for got, want in zip(after[1] + after[2], before[1] + before[2]):
+                np.testing.assert_array_equal(got, want)
+            negative = w.copy()
+            negative[0] = -0.5
+            with pytest.raises(FloatingPointError):
+                objective_value(terms, s, negative, w_pop)
+
+    def test_linear_coefficients_sum_the_non_adopter_cells(self):
+        rng = np.random.default_rng(96)
+        terms, _, _, _ = oracle_instance(rng, negative=False)
+        passive = ~terms.labels & terms.term_users[:, None]
+        np.testing.assert_array_equal(terms.linear_susceptibility, passive.sum(axis=1))
+        expected = [terms.potentials[m][passive].sum() for m in range(terms.num_networks)]
+        expected.append(np.broadcast_to(terms.popularity, passive.shape)[passive].sum())
+        assert close(terms.linear_weights, expected, rel=1e-14)
+        assert terms.adopter_features.shape == (terms.num_networks + 1,
+                                                terms.adopter_users.size)

@@ -520,6 +520,16 @@ class TestFitConfigValidation:
         with pytest.raises(ValueError, match="init_susceptibility"):
             FitConfig(init_susceptibility=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, value):
+        # a NaN grad_tol is never met and an infinite one is met at the start
+        with pytest.raises(ValueError, match="grad_tol"):
+            FitConfig(grad_tol=value)
+        with pytest.raises(ValueError, match="init_susceptibility"):
+            FitConfig(init_susceptibility=value)
+        with pytest.raises(ValueError, match="init_net_weight"):
+            FitConfig(init_net_weight=value)
+
 
 class TestRegression:
     def test_coefficients_are_nonnegative(self):
