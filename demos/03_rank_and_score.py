@@ -14,7 +14,7 @@ import numpy as np
 from adoptnet.data import NetworkStack, popularity_counts
 from adoptnet.experiments import future_split
 from adoptnet.metrics import evaluate_sheets
-from adoptnet.predict import PredictionSheet, score_matrix, sheets_from_scores
+from adoptnet.predict import PredictionSheet, score_matrix
 from adoptnet.solver import fit_mle, random_baseline
 from adoptnet.synth import SynthSpec, generate
 
@@ -40,17 +40,10 @@ order = rng.permutation(adoptions.num_apps)
 train, test = order[:60], order[60:]
 
 
-def random_like(sheets):
-    """Seeded random scores over the same users as each sheet."""
-    return [
-        PredictionSheet(
-            app_id=sheet.app_id,
-            scores=random_baseline(stack.num_users, seed=sheet.app_id),
-            evaluated_users=sheet.evaluated_users,
-            evidence_users=sheet.evidence_users,
-        )
-        for sheet in sheets
-    ]
+def random_like(sheet):
+    """Seeded random scores ranking the same users as the sheet, app by app."""
+    columns = [random_baseline(stack.num_users, seed=int(a)) for a in sheet.app_ids]
+    return PredictionSheet(sheet.app_ids, np.column_stack(columns), sheet.evaluated)
 
 
 params, fit = fit_mle(stack, adoptions, train)
@@ -60,15 +53,15 @@ print(f"network weights {np.round(params.net_weights, 3)}, "
 
 # --- standard mode -------------------------------------------------------
 # One scoring call covers every test app: column t of the evidence matrix is
-# app t's adoption vector, and the score matrix is cut into one sheet per app.
+# app t's adoption vector, and the score matrix is one sheet whose column t
+# ranks the users for app test[t].
 evidence = adoptions.installed[:, test]
 scores = score_matrix(params, stack, evidence, stack.popularity[test])
-model_sheets = sheets_from_scores(test, scores, evidence)
-random_sheets = random_like(model_sheets)
+model_sheet = PredictionSheet(test, scores)
 
 print("\n== standard mode, 60 held-out apps ==")
-for name, sheets in (("model", model_sheets), ("random", random_sheets)):
-    rep = evaluate_sheets(sheets, adoptions, ks=(1, 5, 10))
+for name, sheet in (("model", model_sheet), ("random", random_like(model_sheet))):
+    rep = evaluate_sheets([sheet], adoptions, ks=(1, 5, 10))
     mp = "  ".join(f"MP@{k} {v:.3f}" for k, v in sorted(rep.mp_at_k.items()))
     print(f"{name:>7}: {mp}  optimal F1 {rep.optimal_f1:.3f}")
 
@@ -82,11 +75,10 @@ early = np.zeros((stack.num_users, len(scored)), dtype=bool)
 for j, a in enumerate(scored):
     early[halves[a][0], j] = True
 scores = score_matrix(params, stack, early, early.sum(axis=0).astype(float))
-model_sheets = sheets_from_scores(scored, scores, early, ~early)
-random_sheets = random_like(model_sheets)
+model_sheet = PredictionSheet(scored, scores, ~early)
 
-print(f"\n== future mode, {len(model_sheets)} apps ({skipped} without late adopters) ==")
-for name, sheets in (("model", model_sheets), ("random", random_sheets)):
-    rep = evaluate_sheets(sheets, adoptions, ks=(3, 5), skipped_apps=skipped)
+print(f"\n== future mode, {len(scored)} apps ({skipped} without late adopters) ==")
+for name, sheet in (("model", model_sheet), ("random", random_like(model_sheet))):
+    rep = evaluate_sheets([sheet], adoptions, ks=(3, 5), skipped_apps=skipped)
     mp = "  ".join(f"MP@{k} {v:.3f}" for k, v in sorted(rep.mp_at_k.items()))
     print(f"{name:>7}: {mp}  optimal F1 {rep.optimal_f1:.3f}")

@@ -41,12 +41,7 @@ from .model import (
     log_likelihood,
     log_likelihood_gradient,
 )
-from .predict import (
-    PredictionSheet,
-    score_matrix,
-    sheets_from_scores,
-    transfer_params,
-)
+from .predict import PredictionSheet, score_matrix, transfer_params
 from .solver import (
     FitConfig,
     FitResult,
@@ -124,6 +119,5 @@ __all__ = [
     "run_transfer",
     "sample_adoptions_teacher",
     "score_matrix",
-    "sheets_from_scores",
     "transfer_params",
 ]

@@ -33,7 +33,7 @@ from .data import (
 )
 from .experiments import Dataset, LeakError, run_experiment
 from .model import ModelParams
-from .predict import score_matrix, sheets_from_scores
+from .predict import PredictionSheet, score_matrix
 from .solver import SolverError, fit_mle
 from .synth import gen_networks, planted_params, sample_adoptions_teacher
 
@@ -106,6 +106,9 @@ def _emit(
 def cmd_validate(cfg: RunConfig, jobs: int) -> int:
     adoptions: AdoptionMatrix | None = None
     try:
+        cfg.fit_config()
+        if "protocol" in cfg.entries:
+            cfg.experiment_spec()
         networks = cfg.build_networks() if cfg.network_indices() else ()
         if "adoptions.path" in cfg.entries:
             adoptions = cfg.build_adoptions()
@@ -169,10 +172,8 @@ def cmd_predict(cfg: RunConfig, jobs: int) -> int:
     else:
         popularity = np.zeros(apps.size)
     evidence = data.adoptions.installed[:, apps]
-    scores = score_matrix(params, data.networks, evidence, popularity)
-    rows = ["app_id,user_id,score,evaluated"]
-    for sheet in sheets_from_scores(apps, scores, evidence):
-        rows += sheet.csv_rows()
+    sheet = PredictionSheet(apps, score_matrix(params, data.networks, evidence, popularity))
+    rows = ["app_id,user_id,score,evaluated", *sheet.csv_rows()]
     run_dir = _emit(cfg, "predict", {"sheets.csv": "\n".join(rows) + "\n"})
     print(f"scored {apps.size} app(s)")
     print(f"wrote {run_dir}")

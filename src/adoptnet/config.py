@@ -367,7 +367,9 @@ class RunConfig:
                 kwargs[name] = float(value)
             elif tag == "floats":
                 parsed = tuple(float(v) for v in value.split(","))
-                kwargs[name] = parsed[0] if len(parsed) == 1 else parsed
+                # edge_density alone may be one value shared by every network
+                scalar = name == "edge_density" and len(parsed) == 1
+                kwargs[name] = parsed[0] if scalar else parsed
             else:
                 kwargs[name] = value
         if "seed" not in kwargs:

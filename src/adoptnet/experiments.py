@@ -30,14 +30,7 @@ from .data import (
     restrict_users,
 )
 from .metrics import MetricReport, evaluate_sheets
-from .predict import (
-    PredictionSheet,
-    regression_scores,
-    restrict_evaluated,
-    score_matrix,
-    sheets_from_scores,
-    transfer_params,
-)
+from .predict import PredictionSheet, regression_scores, score_matrix, transfer_params
 from .seeds import derive_seed
 from .solver import FitConfig, fit_mle, fit_regression, random_baseline
 
@@ -326,7 +319,9 @@ def _cv_splits(
 
 
 def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
-    if np.intersect1d(train, test).size:
+    in_train = np.zeros(max(train.max(initial=-1), test.max(initial=-1)) + 1, dtype=bool)
+    in_train[train] = True
+    if in_train[test].any():
         raise LeakError("train and test apps overlap")
 
 
@@ -340,75 +335,67 @@ def _popularity(pop: np.ndarray | None, apps: np.ndarray) -> np.ndarray:
     return pop[apps] if pop is not None else np.zeros(apps.size)
 
 
-def _mle_sheets(
+def _mle_sheet(
     fit_stack: NetworkStack,
     adoptions: AdoptionMatrix,
     train: np.ndarray,
     test: np.ndarray,
     cfg: FitConfig,
-) -> list[PredictionSheet]:
+) -> PredictionSheet:
     """Fit on the train apps, score every test app in standard mode."""
     _check_disjoint(train, test)
     params, _ = fit_mle(fit_stack, adoptions, train, cfg)
     evidence = adoptions.installed[:, test]
     pop = _popularity(fit_stack.popularity, test)
-    scores = score_matrix(params, fit_stack, evidence, pop)
-    return sheets_from_scores(test, scores, evidence)
+    return PredictionSheet(test, score_matrix(params, fit_stack, evidence, pop))
 
 
-def _regression_sheets(
+def _regression_sheet(
     fit_stack: NetworkStack,
     adoptions: AdoptionMatrix,
     train: np.ndarray,
     test: np.ndarray,
-) -> list[PredictionSheet]:
+) -> PredictionSheet:
     _check_disjoint(train, test)
     reg = fit_regression(fit_stack, adoptions, train)
     activity = adoptions.installed[:, train].sum(axis=1).astype(float)
     evidence = adoptions.installed[:, test]
     pop = _popularity(fit_stack.popularity, test)
-    scores = regression_scores(reg, fit_stack, evidence, pop, activity)
-    return sheets_from_scores(test, scores, evidence)
+    return PredictionSheet(
+        test, regression_scores(reg, fit_stack, evidence, pop, activity)
+    )
 
 
-def _random_sheets(
+def _random_sheet(
     num_users: int,
     test: np.ndarray,
     spec: ExperimentSpec,
     repeat: int,
-    evaluated: np.ndarray | None = None,
+    evaluated: np.ndarray | bool = True,
     tag: object = "",
-) -> list[PredictionSheet]:
-    every_user = np.arange(num_users)
-    sheets = []
-    for app in test:
-        a = int(app)
-        scores = random_baseline(
-            num_users, derive_seed(spec.seed, spec.protocol, "random", tag, repeat, a)
+) -> PredictionSheet:
+    """Seeded random scores; column j draws from a seed derived from app test[j]."""
+    columns = [
+        random_baseline(
+            num_users, derive_seed(spec.seed, spec.protocol, "random", tag, repeat, int(a))
         )
-        sheets.append(
-            PredictionSheet(
-                app_id=a,
-                scores=scores,
-                evaluated_users=every_user if evaluated is None else evaluated,
-                evidence_users=np.empty(0, dtype=int),
-            )
-        )
-    return sheets
+        for a in test
+    ]
+    scores = np.reshape(columns, (len(test), num_users)).T
+    return PredictionSheet(test, scores, evaluated)
 
 
-def _subset_users(adoptions: AdoptionMatrix, spec: ExperimentSpec) -> np.ndarray | None:
+def _user_mask(num_users: int, users: np.ndarray) -> np.ndarray:
+    mask = np.zeros(num_users, dtype=bool)
+    mask[users] = True
+    return mask
+
+
+def _subset_users(adoptions: AdoptionMatrix, spec: ExperimentSpec) -> np.ndarray:
+    """The (U,) mask of the users that spec.user_subset evaluates."""
     if spec.user_subset == "low_activity":
-        return low_activity_subset(adoptions)
-    return None
-
-
-def _restrict_all(
-    sheets: list[PredictionSheet], subset: np.ndarray | None
-) -> list[PredictionSheet]:
-    if subset is None:
-        return sheets
-    return [restrict_evaluated(s, subset) for s in sheets]
+        return _user_mask(adoptions.num_users, low_activity_subset(adoptions))
+    return np.ones(adoptions.num_users, dtype=bool)
 
 
 def _report(
@@ -452,10 +439,10 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for name, use_pop, overrides in ABLATION_CONFIGS:
             cfg = replace(spec.fit, **overrides)
             fit_stack = _fit_stack(data.networks, adoptions, use_pop and spec.use_popularity)
-            sheets: list[PredictionSheet] = []
-            for train, test in splits:
-                sheets += _mle_sheets(fit_stack, adoptions, train, test, cfg)
-            sheets = _restrict_all(sheets, subset)
+            sheets = [
+                _mle_sheet(fit_stack, adoptions, train, test, cfg).restrict(subset)
+                for train, test in splits
+            ]
             per_series[name].append(evaluate_sheets(sheets, adoptions, ks=(spec.mp_k,)))
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
     return _report(data, spec, adoptions, kept, series)
@@ -470,13 +457,14 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     train_fraction / folds are ignored here, the grid is fixed.
     """
     adoptions, kept = _prepare(data, spec)
-    low = low_activity_subset(adoptions)
+    everyone = np.ones(adoptions.num_users, dtype=bool)
+    low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
     fit_stack = _fit_stack(data.networks, adoptions, spec.use_popularity)
     apps = np.arange(adoptions.num_apps)
 
     names = []
     for frac in COMPARISON_FRACTIONS:
-        cells = [("all", None)] + ([("low", low)] if frac == 0.5 else [])
+        cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
         for method in ("full", "regression", "random"):
             names += [f"{method}_f{int(frac * 100)}_{cell}" for cell, _ in cells]
     names += [f"single_{g.name}_f50_all" for g in data.networks.networks]
@@ -487,25 +475,23 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             seed = derive_seed(spec.seed, spec.protocol, "split", frac, r)
             train, test = fraction_split(apps, frac, seed)
             by_method = {
-                "full": _mle_sheets(fit_stack, adoptions, train, test, spec.fit),
-                "regression": _regression_sheets(fit_stack, adoptions, train, test),
-                "random": _random_sheets(adoptions.num_users, test, spec, r, tag=frac),
+                "full": _mle_sheet(fit_stack, adoptions, train, test, spec.fit),
+                "regression": _regression_sheet(fit_stack, adoptions, train, test),
+                "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
-            cells = [("all", None)] + ([("low", low)] if frac == 0.5 else [])
-            for method, sheets in by_method.items():
+            cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
+            for method, sheet in by_method.items():
                 for cell, subset in cells:
                     name = f"{method}_f{int(frac * 100)}_{cell}"
                     per_series[name].append(
-                        evaluate_sheets(
-                            _restrict_all(sheets, subset), adoptions, ks=(spec.mp_k,)
-                        )
+                        evaluate_sheets([sheet.restrict(subset)], adoptions, ks=(spec.mp_k,))
                     )
             if frac == 0.5:
                 for g in data.networks.networks:
                     single = NetworkStack(networks=(g,))
-                    sheets = _mle_sheets(single, adoptions, train, test, spec.fit)
+                    sheet = _mle_sheet(single, adoptions, train, test, spec.fit)
                     per_series[f"single_{g.name}_f50_all"].append(
-                        evaluate_sheets(sheets, adoptions, ks=(spec.mp_k,))
+                        evaluate_sheets([sheet], adoptions, ks=(spec.mp_k,))
                     )
     series = [RunSeries(n, tuple(per_series[n])) for n in names]
     return _report(data, spec, adoptions, kept, series)
@@ -546,24 +532,17 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             if np.any(early & late):
                 raise LeakError("late adopter marked as visible evidence")
             c_visible = early.sum(axis=0).astype(float)
+            ranked = ~early & subset[:, None]
             scores = score_matrix(params, fit_stack, early, c_visible)
-            full = sheets_from_scores(scored, scores, early, ~early)
+            sheets["full"].append(PredictionSheet(scored, scores, ranked))
             scores = regression_scores(reg, fit_stack, early, c_visible, activity)
-            sheets["full"] += full
-            sheets["regression"] += sheets_from_scores(scored, scores, early, ~early)
-            for sheet in full:
-                sheets["random"] += _random_sheets(
-                    adoptions.num_users, [sheet.app_id], spec, r,
-                    evaluated=sheet.evaluated_users,
-                )
+            sheets["regression"].append(PredictionSheet(scored, scores, ranked))
+            sheets["random"].append(
+                _random_sheet(adoptions.num_users, scored, spec, r, evaluated=ranked)
+            )
         for name, sh in sheets.items():
             per_series[name].append(
-                evaluate_sheets(
-                    _restrict_all(sh, subset),
-                    adoptions,
-                    ks=FUTURE_KS,
-                    skipped_apps=skipped,
-                )
+                evaluate_sheets(sh, adoptions, ks=FUTURE_KS, skipped_apps=skipped)
             )
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
     return _report(data, spec, adoptions, kept, series)
@@ -595,8 +574,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             popularity=pop_visible,
         )
         adopt_obs = restrict_adoption_users(adoptions, observable)
-        visible = np.zeros(num_users, dtype=bool)
-        visible[observable] = True
+        visible = _user_mask(num_users, observable)
 
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
         positives: list[int] = []
@@ -615,10 +593,12 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             for mode in ("mean", "zero"):
                 params = transfer_params(params_obs, observable, num_users, mode)
                 scores = score_matrix(params, data.networks, evidence, pop)
-                sheets[f"transfer_{mode}"] += sheets_from_scores(
-                    scored, scores, evidence, ~visible[:, None]
+                sheets[f"transfer_{mode}"].append(
+                    PredictionSheet(scored, scores, ~visible[:, None])
                 )
-            sheets["random"] += _random_sheets(num_users, scored, spec, r, evaluated=hidden)
+            sheets["random"].append(
+                _random_sheet(num_users, scored, spec, r, evaluated=~visible[:, None])
+            )
         if not positives:
             raise ValueError("every test app lost its adopters to the observable side")
         k_rule = max(1, round_half_up(float(np.mean(positives))))

@@ -1,5 +1,10 @@
 """Ranking and error metrics: RMSE, precision@k, MP-k, pooled PR curve, optimal F1.
 
+The metrics of a test pass read a list of PredictionSheet blocks, one per
+fold, and treat every column as one test app.  The evaluated cells are
+gathered with each block's mask into (score, truth-bit) pairs, app-major
+and by ascending user id within an app, so ties rank by user id.
+
 Every curve comes from one array sweep (`_sweep`) over pairs sorted by
 descending score: TP, FP, precision, recall and F1 at each distinct score.
 The exact optimal F1 is the maximum of that F1 array.  Reports carry the
@@ -216,35 +221,53 @@ def optimal_f1(points: Sequence[PRPoint]) -> float:
     return max(f1_score(p.precision, p.recall) for p in points)
 
 
+def _pairs(
+    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluated (score, truth-bit) pairs of every column of every sheet.
+
+    Pairs run app-major (sheet by sheet, column by column) with ascending
+    user id inside each app.  Also returns the app id and the pair count of
+    each column.
+    """
+    scores, bits, apps, sizes = [], [], [], []
+    for sheet in sheets:
+        col, user = np.nonzero(sheet.evaluated.T)
+        scores.append(sheet.scores[user, col])
+        bits.append(truth.installed[user, sheet.app_ids[col]])
+        apps.append(sheet.app_ids)
+        sizes.append(np.count_nonzero(sheet.evaluated, axis=0))
+    if not scores:
+        empty = np.empty(0, dtype=int)
+        return np.empty(0), np.empty(0, dtype=bool), empty, empty
+    return tuple(map(np.concatenate, (scores, bits, apps, sizes)))
+
+
 def pooled_pairs(
     sheets: Sequence[PredictionSheet], truth: AdoptionMatrix
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten (score, truth-bit) pairs across every sheet's evaluated users."""
-    scores = []
-    bits = []
-    for sheet in sheets:
-        evaluated = sheet.evaluated_users
-        scores.append(sheet.scores[evaluated])
-        bits.append(truth.installed[evaluated, sheet.app_id])
-    return np.concatenate(scores), np.concatenate(bits)
+    """Flatten (score, truth-bit) pairs across every sheet's evaluated cells.
 
-
-def _rank_within_sheets(
-    sheets: Sequence[PredictionSheet], scores: np.ndarray, bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The `pooled_pairs` of `sheets` sorted by sheet, then by descending score.
-
-    Ties keep the evaluated order, as `rank_users` does within one sheet.
-    Returns sorted scores, sorted bits, the sheet index of each pair and the
-    pair count of each sheet.
+    Pairs run app-major, with ascending user id inside each app.
     """
-    sizes = np.array([sheet.evaluated_users.size for sheet in sheets])
-    for sheet, size in zip(sheets, sizes):
-        if size == 0:
-            raise ValueError(f"sheet for app {sheet.app_id} has no evaluated users")
-    group = np.repeat(np.arange(len(sheets)), sizes)
+    scores, bits, _, _ = _pairs(sheets, truth)
+    return scores, bits
+
+
+def _rank_within_apps(
+    scores: np.ndarray, bits: np.ndarray, apps: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_pairs` sorted by app column, then by descending score.
+
+    Ties keep ascending user id, as `rank_users` does within one app.
+    Returns sorted scores, sorted bits and the column index of each pair.
+    """
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"app {apps[empty[0]]} has no evaluated users")
+    group = np.repeat(np.arange(sizes.size), sizes)
     order = np.lexsort((-scores, group))
-    return scores[order], bits[order], group, sizes
+    return scores[order], bits[order], group
 
 
 def _precisions_at_k(
@@ -262,15 +285,14 @@ def _precisions_at_k(
 def per_app_precisions(
     sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-app precision@k on each sheet's evaluated users.
+    """Per-app precision@k on each column's evaluated users, app-major.
 
     Apps with fewer evaluated users than k fall back to the evaluated count;
     the second return flags them.  Positives are the truth adopters among the
-    sheet's evaluated users.
+    column's evaluated users.
     """
-    if not sheets:
-        return np.empty(0), np.zeros(0, dtype=bool)
-    _, ranked_bits, _, sizes = _rank_within_sheets(sheets, *pooled_pairs(sheets, truth))
+    scores, bits, apps, sizes = _pairs(sheets, truth)
+    _, ranked_bits, _ = _rank_within_apps(scores, bits, apps, sizes)
     return _precisions_at_k(ranked_bits, sizes, k)
 
 
@@ -278,9 +300,9 @@ def mean_precision_at_k(
     sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
 ) -> float:
     """Unweighted mean of per-app precision@k over the test apps."""
-    if not sheets:
-        raise ValueError("no sheets to evaluate")
     values, _ = per_app_precisions(sheets, truth, k)
+    if not values.size:
+        raise ValueError("no sheets to evaluate")
     return float(np.mean(values))
 
 
@@ -292,14 +314,15 @@ def evaluate_sheets(
 ) -> MetricReport:
     """Full MetricReport over one test pass: RMSE, MP-k per k, pooled F1 and PR.
 
-    The per-app-averaged optimal F1 skips apps with no positive evaluated
-    user (they have no PR curve).  The pooled curve is reported on the
-    101-point grid of `pr_grid`; optimal_f1 is exact over every threshold.
+    Every column of every sheet is one test app.  The per-app-averaged
+    optimal F1 skips apps with no positive evaluated user (they have no PR
+    curve).  The pooled curve is reported on the 101-point grid of
+    `pr_grid`; optimal_f1 is exact over every threshold.
     """
-    if not sheets:
+    scores, bits, apps, sizes = _pairs(sheets, truth)
+    if not sizes.size:
         raise ValueError("no sheets to evaluate")
-    scores, bits = pooled_pairs(sheets, truth)
-    ranked_scores, ranked_bits, group, sizes = _rank_within_sheets(sheets, scores, bits)
+    ranked_scores, ranked_bits, group = _rank_within_apps(scores, bits, apps, sizes)
     mp = {}
     clipped_total = 0
     for k in ks:
@@ -308,7 +331,7 @@ def evaluate_sheets(
         clipped_total = max(clipped_total, int(clipped.sum()))
     pooled = _sweep(*_sorted_pairs(scores, bits))
     per_app = _sweep(ranked_scores, ranked_bits, group)
-    best = np.maximum.reduceat(per_app.f1, np.searchsorted(per_app.group, np.arange(len(sheets))))
+    best = np.maximum.reduceat(per_app.f1, np.searchsorted(per_app.group, np.arange(sizes.size)))
     best = best[per_app.positives > 0]
     return MetricReport(
         rmse=rmse(scores, bits.astype(float)),

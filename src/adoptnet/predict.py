@@ -1,4 +1,4 @@
-"""Adoption scores for a batch of apps, and the per-app sheets they are cut into.
+"""Adoption scores for a batch of apps, as one users × apps block.
 
 score_matrix scores every (user, app) pair from an evidence matrix, one
 column per app, and a popularity value per app.  The three observation
@@ -13,9 +13,9 @@ regimes differ only in the inputs the caller builds:
   remaining users with transfer_params, which imputes the susceptibilities
   the fit on the observable group could not estimate.
 
-regression_scores is the same computation for the linear baseline.
-sheets_from_scores cuts a (U, T) score matrix into one PredictionSheet per
-app.
+regression_scores is the same computation for the linear baseline.  A
+PredictionSheet pairs a score matrix with its app ids and the mask of
+ranked users; the metrics read it column by column.
 """
 from __future__ import annotations
 
@@ -31,45 +31,46 @@ from .solver import RegressionParams
 
 @dataclass(frozen=True)
 class PredictionSheet:
-    """Scores for one app: who was ranked, and whose adoption was the evidence."""
+    """Scores for a batch of apps: column j ranks the users for ``app_ids[j]``.
 
-    app_id: int
+    ``scores`` has shape (U, T) for T = len(app_ids).  ``evaluated`` marks
+    the ranked users; anything that broadcasts to (U, T) is accepted, so
+    True (every user), a (U, 1) per-user column or a per-cell mask.
+    """
+
+    app_ids: np.ndarray
     scores: np.ndarray
-    evaluated_users: np.ndarray
-    evidence_users: np.ndarray
+    evaluated: np.ndarray | bool = True
 
     def __post_init__(self) -> None:
+        app_ids = np.array(self.app_ids, dtype=int)
         scores = np.asarray(self.scores, dtype=float)
+        if app_ids.ndim != 1 or scores.ndim != 2 or scores.shape[1] != app_ids.size:
+            raise ValueError(f"scores of shape {scores.shape} need one column per app id")
         if np.any(~np.isfinite(scores)) or np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must be finite and in [0, 1]")
+        app_ids.setflags(write=False)
         scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        for field in ("evaluated_users", "evidence_users"):
-            ids = np.asarray(getattr(self, field), dtype=int)
-            ids.setflags(write=False)
-            object.__setattr__(self, field, ids)
+        # a broadcast_to view is read-only already
+        evaluated = np.broadcast_to(np.asarray(self.evaluated, dtype=bool), scores.shape)
+        for name, value in (("app_ids", app_ids), ("scores", scores), ("evaluated", evaluated)):
+            object.__setattr__(self, name, value)
+
+    def restrict(self, users: np.ndarray) -> PredictionSheet:
+        """The block with only the users set in the (U,) mask ``users`` left evaluated."""
+        users = np.asarray(users, dtype=bool)
+        return replace(self, evaluated=self.evaluated & users[:, None])
 
     def csv_rows(self) -> list[str]:
-        """`app_id,user_id,score,evaluated` rows, one per user."""
-        evaluated = np.zeros(self.scores.size, dtype=np.uint8)
-        evaluated[self.evaluated_users] = 1
+        """`app_id,user_id,score,evaluated` rows, app-major, one per user."""
+        columns = zip(self.app_ids.tolist(), self.scores.T, self.evaluated.T)
         return [
-            f"{self.app_id},{u},{score!r},{flag}"
+            f"{app},{u},{score!r},{flag}"
+            for app, scores, ranked in columns
             for u, (score, flag) in enumerate(
-                zip(self.scores.tolist(), evaluated.tolist())
+                zip(scores.tolist(), ranked.astype(np.uint8).tolist())
             )
         ]
-
-
-def restrict_evaluated(sheet: PredictionSheet, users: np.ndarray) -> PredictionSheet:
-    """Sheet with evaluated_users intersected with ``users`` (order-preserving)."""
-    keep = np.isin(sheet.evaluated_users, np.asarray(users, dtype=int))
-    return PredictionSheet(
-        app_id=sheet.app_id,
-        scores=sheet.scores,
-        evaluated_users=sheet.evaluated_users[keep],
-        evidence_users=sheet.evidence_users,
-    )
 
 
 def _exposure(
@@ -155,31 +156,3 @@ def regression_scores(
         + reg.intercept
     )
     return np.clip(linear, 0.0, 1.0)
-
-
-def sheets_from_scores(
-    app_ids: Sequence[int] | np.ndarray,
-    scores: np.ndarray,
-    evidence: np.ndarray,
-    evaluated: np.ndarray | None = None,
-) -> list[PredictionSheet]:
-    """Cut a (U, T) score matrix into one PredictionSheet per app column.
-
-    ``evidence`` is the (U, T) matrix the scores were conditioned on.
-    ``evaluated`` marks the ranked users and broadcasts against (U, T);
-    every user is ranked when it is None.
-    """
-    columns = np.ascontiguousarray(np.asarray(scores, dtype=float).T)
-    evidence_t = np.asarray(evidence, dtype=bool).T
-    ranked_t = np.broadcast_to(
-        True if evaluated is None else evaluated, columns.shape[::-1]
-    ).T
-    return [
-        PredictionSheet(
-            app_id=int(a),
-            scores=columns[j],
-            evaluated_users=np.flatnonzero(ranked_t[j]),
-            evidence_users=np.flatnonzero(evidence_t[j]),
-        )
-        for j, a in enumerate(app_ids)
-    ]

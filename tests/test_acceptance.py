@@ -241,25 +241,24 @@ class TestCriterion05MetricOracles:
                 left -= size
             num_users = max(sizes)
             installed = np.zeros((num_users, num_apps), dtype=bool)
-            sheets = []
+            scores = np.zeros((num_users, num_apps))
+            evaluated = np.zeros((num_users, num_apps), dtype=bool)
             for a, size in enumerate(sizes):
                 installed[:size, a] = rng.random(size) < 0.4
-                scores = np.zeros(num_users)
-                scores[:size] = rng.integers(0, 5, size) / 4.0  # coarse grid forces ties
-                sheets.append(PredictionSheet(app_id=a, scores=scores,
-                                              evaluated_users=np.arange(size),
-                                              evidence_users=np.empty(0, dtype=int)))
+                scores[:size, a] = rng.integers(0, 5, size) / 4.0  # coarse grid forces ties
+                evaluated[:size, a] = True
             if not installed.any():
                 installed[0, 0] = True
             adoptions = AdoptionMatrix(num_users=num_users, num_apps=num_apps,
                                        installed=installed)
             k = int(rng.integers(1, max(sizes) + 1))
-            report = evaluate_sheets(sheets, adoptions, ks=(k,))
+            sheet = PredictionSheet(np.arange(num_apps), scores, evaluated)
+            report = evaluate_sheets([sheet], adoptions, ks=(k,))
 
             per_app = []
             pairs: list[tuple[float, int]] = []
             for a, size in enumerate(sizes):
-                sub = sheets[a].scores[:size]
+                sub = scores[:size, a]
                 adopters = set(np.flatnonzero(installed[:size, a]).tolist())
                 per_app.append(_brute_precision(sub, adopters, min(k, size)))
                 pairs += [(float(sub[u]), int(installed[u, a])) for u in range(size)]
@@ -267,7 +266,7 @@ class TestCriterion05MetricOracles:
             assert report.optimal_f1 == _brute_best_f1(pairs), f"case {case}"
 
             if sizes[0] >= 2:  # the bare ranking primitive, same oracle
-                sub = sheets[0].scores[:sizes[0]]
+                sub = scores[:sizes[0], 0]
                 adopters = set(np.flatnonzero(installed[:sizes[0], 0]).tolist())
                 kk = int(rng.integers(1, sizes[0] + 1))
                 assert precision_at_k(sub, sorted(adopters), kk) == \

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,24 @@ class TestValidateCommand:
         cfg = write_cfg(tmp_path, "adoptions.path = gone.csv\n")
         assert main(["validate", cfg]) == EXIT_CONFIG
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["fit.grad_tol=nan", "fit.max_iters=0"])
+    def test_bad_fit_setting_exits_config(self, bundle, capsys, setting):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["validate", cfg, "--set", setting]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "fit.*:" in captured.err
+        assert "config ok" not in captured.out
+
+    def test_bad_experiment_setting_exits_config(self, bundle, capsys):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = ablation\nexperiment.repeats = 0\n")
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        assert "experiment.*: repeats must be at least 1" in capsys.readouterr().err
+        # without a protocol the experiment.* keys are not an experiment yet
+        cfg = write_cfg(tmp_path, base + "experiment.repeats = 0\n")
+        assert main(["validate", cfg]) == EXIT_OK
 
 
 class TestTrainCommand:
@@ -277,6 +298,24 @@ class TestExperimentCommand:
                 if repeat == "mean"
             }
             assert csv_means == means
+
+    def test_comparison_run_leaves_numpy_ma_unloaded(self, bundle):
+        """The leak guard and the metrics stay off numpy.ma (about 15 ms to import)."""
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = comparison\nexperiment.repeats = 1\n"
+                        "experiment.min_users = 3\n")
+        script = (
+            "import sys\n"
+            "from adoptnet.cli import main\n"
+            f"assert main(['experiment', {cfg!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_jobs_recorded_in_manifest(self, bundle, capsys):
         tmp_path, _, base = bundle

@@ -258,6 +258,14 @@ class TestBuilders:
                                  "synth.planted_net_weights": "0.5,0.3,0.2"})
         assert cfg.synth_spec().edge_density == (0.05, 0.05, 0.05)
 
+    def test_synth_spec_one_network(self):
+        cfg = RunConfig(entries={"synth.num_networks": "1",
+                                 "synth.edge_density": "0.1",
+                                 "synth.planted_net_weights": "0.5"})
+        spec = cfg.synth_spec()
+        assert spec.planted_net_weights == (0.5,)
+        assert spec.edge_density == (0.1,)
+
     def test_synth_spec_invalid_wrapped(self):
         cfg = RunConfig(entries={"synth.num_networks": "2",
                                  "synth.planted_net_weights": "0.5"})

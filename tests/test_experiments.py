@@ -14,7 +14,8 @@ from adoptnet.experiments import (
     LeakError,
     MetricReport,
     RunSeries,
-    _mle_sheets,
+    _check_disjoint,
+    _mle_sheet,
     fraction_split,
     future_split,
     kfold_apps,
@@ -250,10 +251,18 @@ class TestRunSeries:
 
 
 class TestLeakGuards:
+    def test_check_disjoint(self):
+        with pytest.raises(LeakError, match="overlap"):
+            _check_disjoint(np.array([0, 4, 7]), np.array([1, 7]))
+        with pytest.raises(LeakError, match="overlap"):
+            _check_disjoint(np.array([5]), np.array([0, 5, 9]))
+        _check_disjoint(np.array([0, 4, 7]), np.array([1, 2, 9]))
+        _check_disjoint(np.array([3]), np.array([], dtype=int))
+
     def test_overlapping_split_raises(self):
         data = tiny_dataset()
         with pytest.raises(LeakError):
-            _mle_sheets(data.networks, data.adoptions,
+            _mle_sheet(data.networks, data.adoptions,
                         np.array([0, 1, 2]), np.array([2, 3]), FitConfig())
 
 

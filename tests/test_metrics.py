@@ -51,30 +51,48 @@ def brute_optimal_f1(scores, truth):
     return best
 
 
+def column(x):
+    return np.asarray(x, dtype=bool)[:, None]
+
+
 def sheet(app_id, scores, evaluated=None):
+    """A one-app block; ``evaluated`` lists the ranked user ids (default: all)."""
     scores = np.asarray(scores, dtype=float)
-    if evaluated is None:
-        evaluated = np.arange(scores.size)
-    return PredictionSheet(app_id=app_id, scores=scores,
-                           evaluated_users=np.asarray(evaluated, dtype=int),
-                           evidence_users=np.array([], dtype=int))
+    mask = np.zeros(scores.size, dtype=bool)
+    mask[np.arange(scores.size) if evaluated is None else evaluated] = True
+    return PredictionSheet([app_id], scores[:, None], mask[:, None])
 
 
 # The loop implementation that the array code in adoptnet.metrics replaced,
-# kept as the reference: the array results must equal it bit for bit.
+# kept as the reference: the array results must equal it bit for bit.  It
+# cuts every block into its columns and treats each column as one app.
+def columns(sheets):
+    """(app id, scores, evaluated user ids) per column, app-major."""
+    for sh in sheets:
+        for j, app in enumerate(sh.app_ids.tolist()):
+            yield app, sh.scores[:, j], np.flatnonzero(sh.evaluated[:, j])
+
+
+def loop_pooled_pairs(sheets, truth):
+    scores, bits = [], []
+    for app, column_scores, evaluated in columns(sheets):
+        scores += column_scores[evaluated].tolist()
+        bits += truth.installed[evaluated, app].tolist()
+    return np.array(scores), np.array(bits, dtype=bool)
+
+
 def loop_per_app_precisions(sheets, truth, k=5):
-    values = np.empty(len(sheets))
-    clipped = np.zeros(len(sheets), dtype=bool)
-    for i, sh in enumerate(sheets):
-        evaluated = sh.evaluated_users
+    values = []
+    clipped = []
+    for app, column_scores, evaluated in columns(sheets):
         if evaluated.size == 0:
-            raise ValueError(f"sheet for app {sh.app_id} has no evaluated users")
-        local_scores = sh.scores[evaluated]
-        local_adopters = np.flatnonzero(truth.installed[evaluated, sh.app_id])
+            raise ValueError(f"app {app} has no evaluated users")
+        local_scores = column_scores[evaluated]
+        local_adopters = np.flatnonzero(truth.installed[evaluated, app])
         kk = min(k, evaluated.size)
-        clipped[i] = kk < k
-        values[i] = precision_at_k(local_scores, local_adopters, kk)
-    return values, clipped
+        clipped.append(kk < k)
+        values.append(precision_at_k(local_scores, local_adopters, kk))
+    return np.array(values), np.array(clipped, dtype=bool)
 
 
 def loop_pr_curve(scores, truth):
@@ -101,9 +119,9 @@ def loop_pr_curve(scores, truth):
 
 
 def loop_evaluate_sheets(sheets, truth, ks=(5,), skipped_apps=0):
-    if not sheets:
+    if not any(sh.app_ids.size for sh in sheets):
         raise ValueError("no sheets to evaluate")
-    scores, bits = pooled_pairs(sheets, truth)
+    scores, bits = loop_pooled_pairs(sheets, truth)
     mp = {}
     clipped_total = 0
     for k in ks:
@@ -112,11 +130,10 @@ def loop_evaluate_sheets(sheets, truth, ks=(5,), skipped_apps=0):
         clipped_total = max(clipped_total, int(clipped.sum()))
     points = loop_pr_curve(scores, bits)
     per_app_f1 = []
-    for sh in sheets:
-        evaluated = sh.evaluated_users
-        app_bits = truth.installed[evaluated, sh.app_id]
+    for app, column_scores, evaluated in columns(sheets):
+        app_bits = truth.installed[evaluated, app]
         if app_bits.any():
-            per_app_f1.append(optimal_f1(loop_pr_curve(sh.scores[evaluated], app_bits)))
+            per_app_f1.append(optimal_f1(loop_pr_curve(column_scores[evaluated], app_bits)))
     return MetricReport(
         rmse=rmse(scores, bits.astype(float)),
         mp_at_k=mp,
@@ -356,11 +373,26 @@ class TestPerAppPrecisions:
         assert values[1] == 0.5
 
     def test_empty_evaluated_rejected(self):
-        truth = AdoptionMatrix(num_users=2, num_apps=1,
-                               installed=np.ones((2, 1), dtype=bool))
+        truth = AdoptionMatrix(num_users=2, num_apps=2,
+                               installed=np.ones((2, 2), dtype=bool))
         bad = sheet(0, [0.5, 0.5], evaluated=[])
-        with pytest.raises(ValueError, match="no evaluated"):
+        with pytest.raises(ValueError, match="app 0 has no evaluated"):
             per_app_precisions([bad], truth, k=1)
+        # the rejected column is named by its app id
+        block = PredictionSheet([0, 1], np.full((2, 2), 0.5),
+                                np.array([[True, False], [True, False]]))
+        with pytest.raises(ValueError, match="app 1 has no evaluated"):
+            evaluate_sheets([block], truth)
+
+    def test_ties_rank_by_ascending_user_id(self):
+        truth = AdoptionMatrix(num_users=4, num_apps=1,
+                               installed=np.array([[False], [False], [True], [True]]))
+        # users 1..3 tie; top-1 is user 1, top-2 users {1, 2}
+        tied = sheet(0, [0.9, 0.5, 0.5, 0.5], evaluated=[1, 2, 3])
+        values, _ = per_app_precisions([tied], truth, k=1)
+        assert values.tolist() == [0.0]
+        values, _ = per_app_precisions([tied], truth, k=2)
+        assert values.tolist() == [0.5]
 
     def test_mean_over_apps(self):
         truth = AdoptionMatrix(num_users=3, num_apps=2,
@@ -374,8 +406,11 @@ class TestPerAppPrecisions:
     def test_no_sheets_rejected(self):
         truth = AdoptionMatrix(num_users=1, num_apps=1,
                                installed=np.ones((1, 1), dtype=bool))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no sheets"):
             mean_precision_at_k([], truth, k=1)
+        no_columns = PredictionSheet(np.empty(0, dtype=int), np.empty((1, 0)))
+        with pytest.raises(ValueError, match="no sheets"):
+            mean_precision_at_k([no_columns], truth, k=1)
 
 
 class TestPooling:
@@ -384,13 +419,20 @@ class TestPooling:
                                installed=np.array([[True, False],
                                                    [False, True],
                                                    [True, True]]))
-        sheets = [
-            sheet(0, [0.9, 0.5, 0.1], evaluated=[0, 1]),
-            sheet(1, [0.2, 0.4, 0.6], evaluated=[2]),
-        ]
-        scores, bits = pooled_pairs(sheets, truth)
+        block = PredictionSheet([0, 1], np.array([[0.9, 0.2], [0.5, 0.4], [0.1, 0.6]]),
+                                np.array([[True, False], [True, False], [False, True]]))
+        scores, bits = pooled_pairs([block], truth)
         assert scores.tolist() == [0.9, 0.5, 0.6]
         assert bits.tolist() == [True, False, True]
+
+    def test_pairs_run_app_major_in_ascending_user_id(self):
+        truth = AdoptionMatrix(num_users=3, num_apps=3,
+                               installed=np.eye(3, dtype=bool))
+        first = PredictionSheet([2, 0], np.array([[0.1, 0.4], [0.2, 0.5], [0.3, 0.6]]))
+        second = PredictionSheet([1], np.array([[0.7], [0.8], [0.9]]), column([1, 0, 1]))
+        scores, bits = pooled_pairs([first, second], truth)
+        assert scores.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9]
+        assert bits.tolist() == [False, False, True, True, False, False, False, False]
 
 
 class TestEvaluateSheets:
@@ -414,6 +456,20 @@ class TestEvaluateSheets:
             pr_curve([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0]))
         assert rep.rmse == rmse(pooled_scores, pooled_bits)
         assert rep.clipped_apps == 0
+
+    def test_zero_column_block_contributes_nothing(self):
+        truth = AdoptionMatrix(num_users=3, num_apps=2,
+                               installed=np.array([[True, False],
+                                                   [False, True],
+                                                   [True, False]]))
+        block = PredictionSheet([0, 1], np.array([[0.9, 0.2], [0.5, 0.4], [0.1, 0.6]]))
+        no_columns = PredictionSheet(np.empty(0, dtype=int), np.empty((3, 0)))
+        want = evaluate_sheets([block], truth, ks=(1, 2))
+        assert evaluate_sheets([no_columns, block, no_columns], truth, ks=(1, 2)) == want
+        with pytest.raises(ValueError, match="no sheets to evaluate"):
+            evaluate_sheets([no_columns], truth)
+        with pytest.raises(ValueError, match="no sheets to evaluate"):
+            evaluate_sheets([], truth)
 
     def test_clipped_counts_max_over_ks(self):
         truth = AdoptionMatrix(num_users=3, num_apps=1,
@@ -445,14 +501,19 @@ class TestEvaluateSheetsOracle:
             installed = rng.random((num_users, num_apps)) < 0.3
             truth = AdoptionMatrix(num_users=num_users, num_apps=num_apps,
                                    installed=installed)
+            apps = rng.permutation(num_apps)[:int(rng.integers(1, num_apps + 1))]
+            # one to three blocks, some possibly without columns
+            cuts = np.sort(rng.integers(0, apps.size + 1, int(rng.integers(0, 3))))
             sheets = []
-            for app in rng.permutation(num_apps)[:int(rng.integers(1, num_apps + 1))]:
-                # coarse grid forces ties; evaluated sets are restricted and
-                # in no particular order
-                scores = rng.integers(0, 5, num_users) / 4.0
-                size = int(rng.integers(1, num_users + 1))
-                sheets.append(sheet(int(app), scores,
-                                    evaluated=rng.permutation(num_users)[:size]))
+            for block_apps in np.split(apps, cuts):
+                # coarse grid forces ties; each column ranks its own
+                # non-empty subset of the users
+                scores = rng.integers(0, 5, (num_users, block_apps.size)) / 4.0
+                evaluated = np.zeros(scores.shape, dtype=bool)
+                for j in range(block_apps.size):
+                    size = int(rng.integers(1, num_users + 1))
+                    evaluated[rng.permutation(num_users)[:size], j] = True
+                sheets.append(PredictionSheet(block_apps, scores, evaluated))
             ks = tuple(int(k) for k in rng.integers(1, num_users + 4, int(rng.integers(1, 3))))
             try:
                 want = loop_evaluate_sheets(sheets, truth, ks=ks)
@@ -467,6 +528,9 @@ class TestEvaluateSheetsOracle:
             assert got.clipped_apps == want.clipped_apps, f"case {case}"
             assert got.rmse == want.rmse, f"case {case}"
             scores, bits = pooled_pairs(sheets, truth)
+            want_scores, want_bits = loop_pooled_pairs(sheets, truth)
+            assert scores.tolist() == want_scores.tolist(), f"case {case}"
+            assert bits.tolist() == want_bits.tolist(), f"case {case}"
             assert pr_curve(scores, bits) == want.pr_points, f"case {case}"
             for k in ks:
                 got_values, got_clipped = per_app_precisions(sheets, truth, k)
@@ -483,11 +547,17 @@ class TestEvaluateSheetsOracle:
                                                    [False, True, False],
                                                    [False, False, True],
                                                    [False, False, False]]))
-        sheets = [
-            sheet(2, [0.5, 0.5, 0.25, 0.5, 0.0], evaluated=[4, 3, 0]),
-            sheet(0, [0.75, 0.5, 0.5, 0.0, 0.25], evaluated=[3, 1]),
-            sheet(1, [0.5, 0.75, 0.5, 0.5, 0.5], evaluated=[2, 0, 1, 4]),
-        ]
+        scores = np.array([[0.5, 0.75, 0.5],
+                           [0.5, 0.5, 0.75],
+                           [0.25, 0.5, 0.5],
+                           [0.5, 0.0, 0.5],
+                           [0.0, 0.25, 0.5]])
+        evaluated = np.array([[True, False, True],
+                              [False, True, True],
+                              [False, False, True],
+                              [True, True, False],
+                              [True, False, True]])
+        sheets = [PredictionSheet([2, 0, 1], scores, evaluated)]
         got = evaluate_sheets(sheets, truth, ks=(1, 9))
         want = loop_evaluate_sheets(sheets, truth, ks=(1, 9))
         assert got.mp_at_k == want.mp_at_k

@@ -1,21 +1,15 @@
-"""Batched scoring under the three observation regimes, and the sheets cut from it."""
+"""Batched scoring under the three observation regimes, and the score block it fills."""
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from adoptnet.data import CandidateNetwork, NetworkStack
 from adoptnet.model import ModelParams, adoption_probability
-from adoptnet.predict import (
-    PredictionSheet,
-    regression_scores,
-    restrict_evaluated,
-    score_matrix,
-    sheets_from_scores,
-    transfer_params,
-)
+from adoptnet.predict import PredictionSheet, regression_scores, score_matrix, transfer_params
 from adoptnet.solver import RegressionParams
 
 
@@ -46,7 +40,7 @@ def score_one(params, stack, adopted, popularity=0.0):
 def future_sheet(params, stack, early, popularity_visible=0.0, app_id=-1):
     early = column(np.asarray(early, dtype=bool))
     scores = score_matrix(params, stack, early, np.array([popularity_visible]))
-    return sheets_from_scores([app_id], scores, early, ~early)[0]
+    return PredictionSheet([app_id], scores, ~early)
 
 
 def transfer_sheet(fitted, stack, adopted, observable, impute="mean", popularity=0.0):
@@ -55,39 +49,70 @@ def transfer_sheet(fitted, stack, adopted, observable, impute="mean", popularity
     evidence = column(np.asarray(adopted, dtype=bool)) & visible[:, None]
     params = transfer_params(fitted, observable, stack.num_users, impute)
     scores = score_matrix(params, stack, evidence, np.array([popularity]))
-    return sheets_from_scores([-1], scores, evidence, ~visible[:, None])[0]
+    return PredictionSheet([-1], scores, ~visible[:, None])
+
+
+def ranked(sheet, j=0):
+    """Ids of the users ranked in column j."""
+    return np.flatnonzero(sheet.evaluated[:, j]).tolist()
 
 
 class TestPredictionSheet:
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ValueError, match="scores"):
-            PredictionSheet(app_id=0, scores=np.array([0.5, 1.5]),
-                            evaluated_users=np.array([0]),
-                            evidence_users=np.array([], dtype=int))
+            PredictionSheet([0], np.array([[0.5], [1.5]]))
 
     def test_rejects_non_finite_scores(self):
         with pytest.raises(ValueError, match="scores"):
-            PredictionSheet(app_id=0, scores=np.array([np.nan]),
-                            evaluated_users=np.array([0]),
-                            evidence_users=np.array([], dtype=int))
+            PredictionSheet([0], np.array([[np.nan]]))
+
+    def test_rejects_column_count_mismatch(self):
+        with pytest.raises(ValueError, match="one column per app"):
+            PredictionSheet([0, 1, 2], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="one column per app"):
+            PredictionSheet([0], np.zeros(3))
+        with pytest.raises(ValueError):
+            PredictionSheet([0, 1], np.zeros((3, 2)), evaluated=np.ones((2, 2), dtype=bool))
 
     def test_csv_rows_round_trip_floats(self):
-        sheet = PredictionSheet(app_id=7, scores=np.array([0.25, 1.0 / 3.0]),
-                                evaluated_users=np.array([1]),
-                                evidence_users=np.array([0]))
+        sheet = PredictionSheet([7, 2], np.array([[0.25, 0.5], [1.0 / 3.0, 1.0]]),
+                                evaluated=np.array([[False, True], [True, True]]))
         rows = sheet.csv_rows()
         assert rows[0] == "7,0,0.25,0"
         app, user, score, ev = rows[1].split(",")
         assert (app, user, ev) == ("7", "1", "1")
         assert float(score) == 1.0 / 3.0
+        # app-major: every user of app 7, then every user of app 2
+        assert rows[2:] == ["2,0,0.5,1", "2,1,1.0,1"]
 
     def test_restrict_evaluated_intersects(self):
-        sheet = PredictionSheet(app_id=0, scores=np.zeros(5),
-                                evaluated_users=np.array([0, 2, 3]),
-                                evidence_users=np.array([1]))
-        out = restrict_evaluated(sheet, np.array([2, 3, 4]))
-        assert out.evaluated_users.tolist() == [2, 3]
+        sheet = PredictionSheet([0], np.zeros((5, 1)),
+                                evaluated=column([True, False, True, True, False]))
+        out = sheet.restrict(np.array([False, False, True, True, True]))
+        assert ranked(out) == [2, 3]
         assert out.scores is sheet.scores
+
+    def test_block_defaults_to_every_user_evaluated(self):
+        scores = np.arange(12.0).reshape(4, 3) / 12.0
+        apps = np.array([7, 2, 9])
+        sheet = PredictionSheet(apps, scores)
+        assert sheet.app_ids.tolist() == [7, 2, 9]
+        np.testing.assert_array_equal(sheet.scores, scores)
+        assert sheet.evaluated.shape == (4, 3) and sheet.evaluated.all()
+        for value in (sheet.app_ids, sheet.scores, sheet.evaluated):
+            assert not value.flags.writeable
+        # the caller's app ids are copied, not frozen
+        assert apps.flags.writeable
+
+    def test_evaluated_broadcasts_per_column_or_shared(self):
+        scores = np.zeros((3, 2))
+        evidence = np.array([[1, 0], [0, 1], [0, 0]], dtype=bool)
+        per_app = PredictionSheet([0, 1], scores, ~evidence)
+        assert [ranked(per_app, j) for j in range(2)] == [[1, 2], [0, 2]]
+        shared = PredictionSheet([0, 1], scores, column([True, False, True]))
+        assert [ranked(shared, j) for j in range(2)] == [[0, 2], [0, 2]]
+        shared = shared.restrict(np.array([False, True, True]))
+        assert [ranked(shared, j) for j in range(2)] == [[2], [2]]
 
 
 class TestScoreApp:
@@ -99,12 +124,11 @@ class TestScoreApp:
         params = uniform_params(3, s=0.1, alpha=0.5)
         adopted = column(np.array([1, 0, 0]))
         scores = score_matrix(params, stack, adopted, np.zeros(1))
-        [sheet] = sheets_from_scores([0], scores, adopted)
-        assert sheet.scores[1] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
+        assert scores.shape == (3, 1)
+        assert scores[1, 0] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
         # user 2 has no adopted neighbour
-        assert sheet.scores[2] == pytest.approx(1 - math.exp(-0.1), abs=1e-12)
-        assert sheet.evaluated_users.tolist() == [0, 1, 2]
-        assert sheet.evidence_users.tolist() == [0]
+        assert scores[2, 0] == pytest.approx(1 - math.exp(-0.1), abs=1e-12)
+        assert ranked(PredictionSheet([0], scores)) == [0, 1, 2]
 
     def test_own_bit_does_not_feed_own_score(self):
         stack = path_stack(3)
@@ -161,16 +185,15 @@ class TestScoreFuture:
         stack = path_stack(5)
         params = uniform_params(5)
         sheet = future_sheet(params, stack, np.array([1, 0, 1, 0, 0]))
-        assert sheet.evaluated_users.tolist() == [1, 3, 4]
-        assert sheet.evidence_users.tolist() == [0, 2]
+        assert ranked(sheet) == [1, 3, 4]
 
     def test_late_adopters_are_invisible_evidence(self):
         # scores must depend only on the early mask, not on who adopts later
         stack = path_stack(5)
         params = uniform_params(5)
         early = np.array([1, 0, 0, 0, 0])
-        s1 = future_sheet(params, stack, early).scores
-        s2 = future_sheet(params, stack, early).scores
+        s1 = future_sheet(params, stack, early).scores[:, 0]
+        s2 = future_sheet(params, stack, early).scores[:, 0]
         np.testing.assert_array_equal(s1, s2)
         standard = score_one(params, stack, np.array([1, 0, 1, 0, 1]))
         assert s1[3] != standard[3]
@@ -195,7 +218,6 @@ class TestScoreTransfer:
         with_leak = transfer_sheet(fitted, stack, np.array([1, 0, 1, 0]), observable)
         without = transfer_sheet(fitted, stack, np.array([1, 0, 0, 0]), observable)
         np.testing.assert_array_equal(with_leak.scores, without.scores)
-        assert with_leak.evidence_users.tolist() == [0]
 
     def test_mean_imputation(self):
         stack = path_stack(4)
@@ -203,23 +225,23 @@ class TestScoreTransfer:
                              susceptibility=np.array([0.1, 0.3]))
         sheet = transfer_sheet(fitted, stack, np.zeros(4), [0, 1], impute="mean")
         want = adoption_probability(0.2, 0.0)
-        assert sheet.scores[2] == pytest.approx(float(want), abs=1e-12)
-        assert sheet.scores[3] == pytest.approx(float(want), abs=1e-12)
+        assert sheet.scores[2, 0] == pytest.approx(float(want), abs=1e-12)
+        assert sheet.scores[3, 0] == pytest.approx(float(want), abs=1e-12)
 
     def test_zero_imputation(self):
         stack = path_stack(4)
         fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.3]))
         sheet = transfer_sheet(fitted, stack, np.zeros(4), [0, 1], impute="zero")
-        assert sheet.scores[2] == 0.0
-        assert sheet.scores[3] == 0.0
+        assert sheet.scores[2, 0] == 0.0
+        assert sheet.scores[3, 0] == 0.0
 
     def test_evaluated_set_is_the_complement(self):
         stack = path_stack(5)
         fitted = ModelParams(net_weights=np.array([0.2]), pop_weight=0.0,
                              susceptibility=np.array([0.1, 0.1, 0.1]))
         sheet = transfer_sheet(fitted, stack, np.zeros(5), [0, 2, 4])
-        assert sheet.evaluated_users.tolist() == [1, 3]
+        assert ranked(sheet) == [1, 3]
 
     def test_susceptibility_order_follows_sorted_ids(self):
         stack = path_stack(3)
@@ -227,9 +249,9 @@ class TestScoreTransfer:
                              susceptibility=np.array([0.5, 1.5]))
         # ids supplied out of order still map ascending: user 0 -> 0.5, user 2 -> 1.5
         sheet = transfer_sheet(fitted, stack, np.zeros(3), [2, 0], impute="zero")
-        assert sheet.scores[0] == pytest.approx(
+        assert sheet.scores[0, 0] == pytest.approx(
             float(adoption_probability(0.5, 0.0)), abs=1e-12)
-        assert sheet.scores[2] == pytest.approx(
+        assert sheet.scores[2, 0] == pytest.approx(
             float(adoption_probability(1.5, 0.0)), abs=1e-12)
 
     def test_bad_impute_mode(self):
@@ -282,32 +304,17 @@ class TestRegressionScores:
             regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), np.zeros(3))
 
 
-class TestSheetsFromScores:
-    def test_one_contiguous_sheet_per_column(self):
-        scores = np.arange(12.0).reshape(4, 3) / 12.0
-        evidence = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 1], [1, 0, 0]], dtype=bool)
-        sheets = sheets_from_scores(np.array([7, 2, 9]), scores, evidence)
-        assert [s.app_id for s in sheets] == [7, 2, 9]
-        for t, sheet in enumerate(sheets):
-            np.testing.assert_array_equal(sheet.scores, scores[:, t])
-            assert sheet.scores.flags.c_contiguous
-            assert sheet.evaluated_users.tolist() == [0, 1, 2, 3]
-        assert [s.evidence_users.tolist() for s in sheets] == [[0, 3], [], [1, 2]]
-
-    def test_evaluated_mask_per_column_or_shared(self):
-        scores = np.zeros((3, 2))
-        evidence = np.array([[1, 0], [0, 1], [0, 0]], dtype=bool)
-        per_app = sheets_from_scores([0, 1], scores, evidence, ~evidence)
-        assert [s.evaluated_users.tolist() for s in per_app] == [[1, 2], [0, 2]]
-        shared = sheets_from_scores([0, 1], scores, evidence,
-                                    np.array([True, False, True])[:, None])
-        assert [s.evaluated_users.tolist() for s in shared] == [[0, 2], [0, 2]]
-
-
 # ---------------------------------------------------------------------------
 # Reference: the per-app scorers the batched path replaced, kept verbatim in
 # substance as an oracle.  One app per call, one matrix-vector product per
-# network.
+# network, one RefSheet per app.
+
+
+class RefSheet(NamedTuple):
+    app_id: int
+    scores: np.ndarray
+    evaluated_users: np.ndarray
+    evidence_users: np.ndarray
 
 
 def ref_potential_rows(stack, adopted):
@@ -323,7 +330,7 @@ def ref_score_app(params, stack, adopted, popularity=0.0, app_id=-1):
     rows = ref_potential_rows(stack, adopted)
     exposure = ref_composite(params.net_weights, params.pop_weight, rows, float(popularity))
     scores = adoption_probability(params.susceptibility, exposure)
-    return PredictionSheet(
+    return RefSheet(
         app_id=app_id,
         scores=scores,
         evaluated_users=np.arange(stack.num_users),
@@ -337,7 +344,7 @@ def ref_score_future(params, stack, early_adopted, popularity_visible=0.0, app_i
     exposure = ref_composite(params.net_weights, params.pop_weight, rows,
                              float(popularity_visible))
     scores = adoption_probability(params.susceptibility, exposure)
-    return PredictionSheet(
+    return RefSheet(
         app_id=app_id,
         scores=scores,
         evaluated_users=np.flatnonzero(~early),
@@ -364,7 +371,7 @@ def ref_score_transfer(params_observable, stack, adopted, observable_users,
     exposure = ref_composite(params_observable.net_weights, params_observable.pop_weight,
                              rows, float(popularity_visible))
     scores = adoption_probability(susceptibility, exposure)
-    return PredictionSheet(
+    return RefSheet(
         app_id=app_id,
         scores=scores,
         evaluated_users=np.flatnonzero(~observable_mask),
@@ -403,13 +410,14 @@ def random_params(rng, num_users, num_networks):
                        constrained=constrained)
 
 
-def assert_same_sheets(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.app_id == w.app_id
-        np.testing.assert_allclose(g.scores, w.scores, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(g.evaluated_users, w.evaluated_users)
-        np.testing.assert_array_equal(g.evidence_users, w.evidence_users)
+def assert_same_sheets(got, evidence, want):
+    """Column j of the block ``got``, scored from ``evidence[:, j]``, equals want[j]."""
+    assert got.app_ids.size == len(want)
+    for j, w in enumerate(want):
+        assert got.app_ids[j] == w.app_id
+        np.testing.assert_allclose(got.scores[:, j], w.scores, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(np.flatnonzero(got.evaluated[:, j]), w.evaluated_users)
+        np.testing.assert_array_equal(np.flatnonzero(evidence[:, j]), w.evidence_users)
 
 
 class TestBatchedOracle:
@@ -434,9 +442,8 @@ class TestBatchedOracle:
             params = random_params(rng, stack.num_users, stack.num_networks)
             want = [ref_score_app(params, stack, evidence[:, t], popularity[t], app_id=int(a))
                     for t, a in enumerate(apps)]
-            got = sheets_from_scores(
-                apps, score_matrix(params, stack, evidence, popularity), evidence)
-            assert_same_sheets(got, want)
+            got = PredictionSheet(apps, score_matrix(params, stack, evidence, popularity))
+            assert_same_sheets(got, evidence, want)
 
     def test_future_mode(self):
         for rng, stack, apps, evidence, _ in self.instances():
@@ -447,7 +454,7 @@ class TestBatchedOracle:
                                      app_id=int(a))
                     for t, a in enumerate(apps)]
             scores = score_matrix(params, stack, early, visible)
-            assert_same_sheets(sheets_from_scores(apps, scores, early, ~early), want)
+            assert_same_sheets(PredictionSheet(apps, scores, ~early), early, want)
 
     @pytest.mark.parametrize("impute", ["mean", "zero"])
     def test_transfer_mode(self, impute):
@@ -464,8 +471,8 @@ class TestBatchedOracle:
             masked = evidence & visible[:, None]
             params = transfer_params(fitted, observable, num_users, impute)
             scores = score_matrix(params, stack, masked, popularity)
-            got = sheets_from_scores(apps, scores, masked, ~visible[:, None])
-            assert_same_sheets(got, want)
+            got = PredictionSheet(apps, scores, ~visible[:, None])
+            assert_same_sheets(got, masked, want)
 
     def test_regression_head(self):
         for rng, stack, apps, evidence, popularity in self.instances():
