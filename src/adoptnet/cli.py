@@ -66,12 +66,7 @@ def _input_hashes(cfg: RunConfig) -> dict[str, dict[str, str]]:
     return out
 
 
-def _emit(
-    cfg: RunConfig,
-    command: str,
-    files: dict[str, str],
-    extra: dict | None = None,
-) -> Path:
+def _emit(cfg: RunConfig, command: str, files: dict[str, str]) -> Path:
     """Write artifacts plus manifest under a content-addressed run directory."""
     inputs = _input_hashes(cfg)
     payload = json.dumps(
@@ -91,7 +86,6 @@ def _emit(
         "inputs": inputs,
         "root_seed": cfg.seed,
         "outputs": sorted(files),
-        **(extra or {}),
     }
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -103,12 +97,14 @@ def _emit(
 # commands
 
 
-def cmd_validate(cfg: RunConfig, jobs: int) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     adoptions: AdoptionMatrix | None = None
     try:
         cfg.fit_config()
         if "protocol" in cfg.entries:
             cfg.experiment_spec()
+        if any(key.startswith("synth.") for key in cfg.entries):
+            cfg.synth_spec()
         networks = cfg.build_networks() if cfg.network_indices() else ()
         if "adoptions.path" in cfg.entries:
             adoptions = cfg.build_adoptions()
@@ -128,11 +124,10 @@ def cmd_validate(cfg: RunConfig, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, jobs: int) -> int:
+def cmd_train(cfg: RunConfig) -> int:
     data = _build_dataset(cfg)
     fit_cfg = cfg.fit_config()
-    use_pop = cfg.get_bool("experiment.use_popularity", True)
-    pop = popularity_counts(data.adoptions) if use_pop else None
+    pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
     params, result = fit_mle(stack, data.adoptions, apps, fit_cfg)
@@ -155,7 +150,7 @@ def cmd_train(cfg: RunConfig, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: RunConfig, jobs: int) -> int:
+def cmd_predict(cfg: RunConfig) -> int:
     data = _build_dataset(cfg)
     cfg.require("predict.params")
     try:
@@ -167,7 +162,7 @@ def cmd_predict(cfg: RunConfig, jobs: int) -> int:
     if params.num_networks != data.networks.num_networks:
         raise ConfigError(["predict.params: network count does not match the data"])
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
-    if cfg.get_bool("experiment.use_popularity", True):
+    if cfg.use_popularity:
         popularity = popularity_counts(data.adoptions)[apps]
     else:
         popularity = np.zeros(apps.size)
@@ -196,7 +191,7 @@ def _summary_csv(report) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_experiment(cfg: RunConfig, jobs: int) -> int:
+def cmd_experiment(cfg: RunConfig) -> int:
     data = _build_dataset(cfg)
     spec = cfg.experiment_spec()
     report = run_experiment(data, spec)
@@ -208,7 +203,6 @@ def cmd_experiment(cfg: RunConfig, jobs: int) -> int:
             "report.csv": "\n".join(report.csv_rows()) + "\n",
             "summary.csv": _summary_csv(report),
         },
-        extra={"jobs": jobs},
     )
     for s in report.series:
         mean = s.mean_metrics()
@@ -222,7 +216,7 @@ def cmd_experiment(cfg: RunConfig, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig, jobs: int) -> int:
+def cmd_synth(cfg: RunConfig) -> int:
     spec = cfg.synth_spec()
     stack = gen_networks(spec)
     params = planted_params(spec)
@@ -245,7 +239,7 @@ def cmd_synth(cfg: RunConfig, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig, jobs: int) -> int:
+def cmd_stats(cfg: RunConfig) -> int:
     try:
         adoptions = cfg.build_adoptions()
         stats = dataset_stats(adoptions)
@@ -297,25 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override one config entry (repeatable)",
         )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="upper bound on worker parallelism (orchestration is serial)",
-        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(["--jobs must be at least 1"])
         cfg = load_config(args.config, args.overrides)
     except ConfigError as e:
         return _fail(e.problems, EXIT_CONFIG)
     try:
-        return COMMANDS[args.command](cfg, args.jobs)
+        return COMMANDS[args.command](cfg)
     except ConfigError as e:
         return _fail(e.problems, EXIT_CONFIG)
     except (DataFormatError, EmptyDataError, OSError) as e:

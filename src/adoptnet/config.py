@@ -80,7 +80,7 @@ SCALAR_KEYS: dict[str, str] = {
     "synth.seed": "int",
 }
 
-NETWORK_KEY_RE = re.compile(r"^network\.(\d+)\.(path|name|kind|symmetrize|normalize)$")
+NETWORK_KEY_RE = re.compile(r"^network\.(0|[1-9]\d*)\.(path|name|kind|symmetrize|normalize)$")
 NETWORK_FIELD_TYPES = {
     "path": "path",
     "name": "str",
@@ -139,28 +139,37 @@ def _known_keys(entries: dict[str, str]) -> list[str]:
     return keys
 
 
+def _parse(type_tag: str, value: str) -> object:
+    """The typed value of a config string; ValueError when it does not parse.
+
+    floats become a tuple, bools must be one of the true/false words, and
+    str, path, apps and choice values stay strings.
+    """
+    if type_tag == "int":
+        return int(value)
+    if type_tag == "float":
+        return float(value)
+    if type_tag == "bool":
+        word = value.lower()
+        if word not in TRUE_WORDS + FALSE_WORDS:
+            raise ValueError
+        return word in TRUE_WORDS
+    if type_tag == "floats":
+        return tuple(float(v) for v in value.split(","))
+    if type_tag == "apps" and value != "all":
+        [int(v) for v in value.split(",")]
+    return value
+
+
 def _check_value(key: str, type_tag: str, value: str) -> str | None:
     """None when the value parses under the tag, else a problem message."""
+    if type_tag.startswith("choice:"):
+        choices = type_tag.split(":", 1)[1].split("|")
+        if value not in choices:
+            return f"{key}: expected one of {', '.join(choices)}, got {value!r}"
+        return None
     try:
-        if type_tag == "int":
-            int(value)
-        elif type_tag == "float":
-            float(value)
-        elif type_tag == "bool":
-            if value.lower() not in TRUE_WORDS + FALSE_WORDS:
-                raise ValueError
-        elif type_tag == "floats":
-            if not value:
-                raise ValueError
-            [float(v) for v in value.split(",")]
-        elif type_tag == "apps":
-            if value != "all":
-                [int(v) for v in value.split(",")]
-        elif type_tag.startswith("choice:"):
-            choices = type_tag.split(":", 1)[1].split("|")
-            if value not in choices:
-                return f"{key}: expected one of {', '.join(choices)}, got {value!r}"
-        # str and path accept anything
+        _parse(type_tag, value)
     except ValueError:
         return f"{key}: cannot parse {value!r} as {type_tag}"
     return None
@@ -308,26 +317,27 @@ class RunConfig:
             adoptions=self.build_adoptions(),
         )
 
+    def _section(self, prefix: str) -> dict[str, object]:
+        """{field: typed value} for the `<prefix>.*` keys this config sets."""
+        return {
+            key.split(".", 1)[1]: _parse(SCALAR_KEYS[key], value)
+            for key, value in self.entries.items()
+            if key.startswith(prefix + ".") and key in SCALAR_KEYS
+        }
+
+    @property
+    def use_popularity(self) -> bool:
+        """experiment.use_popularity, which train and predict read without a protocol."""
+        return self._section("experiment").get(
+            "use_popularity", ExperimentSpec.use_popularity
+        )
+
     def fit_config(self) -> FitConfig:
-        init_w = self.get_float("fit.init_net_weight")
-        if init_w is None:
-            init_w = self.get_float("alpha")
         try:
-            return FitConfig(
-                max_iters=self.get_int("fit.max_iters", 10_000),
-                grad_tol=self.get_float("fit.grad_tol", 1e-6),
-                init_net_weight=init_w,
-                init_susceptibility=self.get_float("fit.init_susceptibility", 0.1),
-                allow_negative_net_weights=self.get_bool(
-                    "fit.allow_negative_net_weights", False
-                ),
-                fix_susceptibility_at_zero=self.get_bool(
-                    "fit.fix_susceptibility_at_zero", False
-                ),
-                fix_net_weights_at_zero=self.get_bool(
-                    "fit.fix_net_weights_at_zero", False
-                ),
-            )
+            kwargs = self._section("fit")
+            if "alpha" in self.entries:
+                kwargs.setdefault("init_net_weight", float(self.entries["alpha"]))
+            return FitConfig(**kwargs)
         except ValueError as e:
             raise ConfigError([f"fit.*: {e}"]) from e
 
@@ -335,19 +345,10 @@ class RunConfig:
         self.require("protocol")
         try:
             return ExperimentSpec(
-                protocol=self.get_str("protocol"),
-                train_fraction=self.get_float("experiment.train_fraction"),
-                folds=self.get_int("experiment.folds"),
-                min_users=self.get_int("experiment.min_users", 2),
-                repeats=self.get_int("experiment.repeats", 5),
+                protocol=self.entries["protocol"],
                 seed=self.seed,
-                user_subset=self.get_str("experiment.user_subset", "all"),
-                observable_fraction=self.get_float(
-                    "experiment.observable_fraction", 0.5
-                ),
-                mp_k=self.get_int("experiment.mp_k", 5),
-                use_popularity=self.get_bool("experiment.use_popularity", True),
                 fit=self.fit_config(),
+                **self._section("experiment"),
             )
         except ValueError as e:
             if isinstance(e, ConfigError):
@@ -355,28 +356,15 @@ class RunConfig:
             raise ConfigError([f"experiment.*: {e}"]) from e
 
     def synth_spec(self) -> SynthSpec:
-        kwargs: dict[str, object] = {}
-        for key, tag in SCALAR_KEYS.items():
-            if not key.startswith("synth.") or key not in self.entries:
-                continue
-            name = key.split(".", 1)[1]
-            value = self.entries[key]
-            if tag == "int":
-                kwargs[name] = int(value)
-            elif tag == "float":
-                kwargs[name] = float(value)
-            elif tag == "floats":
-                parsed = tuple(float(v) for v in value.split(","))
-                # edge_density alone may be one value shared by every network
-                scalar = name == "edge_density" and len(parsed) == 1
-                kwargs[name] = parsed[0] if scalar else parsed
-            else:
-                kwargs[name] = value
-        if "seed" not in kwargs:
-            kwargs["seed"] = self.seed
         try:
+            kwargs = self._section("synth")
+            density = kwargs.get("edge_density", ())
+            # edge_density alone may be one value shared by every network
+            if len(density) == 1:
+                kwargs["edge_density"] = density[0]
+            kwargs.setdefault("seed", self.seed)
             return SynthSpec(**kwargs)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError([f"synth.*: {e}"]) from e
 
     def app_list(self, key: str, num_apps: int) -> np.ndarray:

@@ -31,7 +31,7 @@ class SynthSpec:
     are 1.0 under ``unit`` or drawn from uniform(0, weight_max).  Planted
     susceptibilities are exponential with the given rate; context users'
     stage-one popularity pull is pop_weight times a uniform(0, pop_base_max)
-    per-app base draw.
+    per-app base draw.  Every weight, rate and bound must be finite.
     """
 
     num_users: int = 400
@@ -78,6 +78,12 @@ class SynthSpec:
             raise ValueError("susceptibility rate must be positive")
         if self.pop_base_max < 0:
             raise ValueError("pop_base_max must be non-negative")
+        # NaN passes the sign checks; non-finite values overflow the uniform
+        # draws or plant all-zero susceptibilities
+        for name in ("weight_max", "planted_net_weights", "planted_pop_weight",
+                     "susceptibility_rate", "pop_base_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def context_users(self) -> np.ndarray:

@@ -75,6 +75,16 @@ class TestSynthCommand:
         assert planted["params"]["alpha"] == [0.6, 0.3]
         assert planted["spec"]["num_users"] == 24
 
+    @pytest.mark.parametrize("setting", ["synth.weight_max=nan", "synth.pop_base_max=inf",
+                                         "synth.planted_net_weights=nan,0.3",
+                                         "synth.susceptibility_rate=inf"])
+    def test_non_finite_setting_exits_config(self, tmp_path, capsys, setting):
+        cfg = write_cfg(tmp_path, SYNTH_CFG + f"outdir = {tmp_path / 'o'}\n")
+        assert main(["synth", cfg, "--set", setting]) == EXIT_CONFIG
+        name = setting.split("=")[0].split(".")[1]
+        assert f"synth.*: {name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_rerun(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG + f"outdir = {tmp_path / 'o'}\n")
         assert main(["synth", cfg]) == EXIT_OK
@@ -124,6 +134,14 @@ class TestValidateCommand:
         # without a protocol the experiment.* keys are not an experiment yet
         cfg = write_cfg(tmp_path, base + "experiment.repeats = 0\n")
         assert main(["validate", cfg]) == EXIT_OK
+
+
+    def test_bad_synth_setting_exits_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "synth.num_users = 20\nsynth.num_context_users = 30\n")
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "synth.*: need at least one context and one target user" in captured.err
+        assert "config ok" not in captured.out
 
 
 class TestTrainCommand:
@@ -317,20 +335,19 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[-1] == "False"
 
-    def test_jobs_recorded_in_manifest(self, bundle, capsys):
+    def test_manifest_has_no_jobs_field(self, bundle, capsys):
         tmp_path, _, base = bundle
         cfg = write_cfg(
             tmp_path,
             base + "protocol = ablation\nexperiment.folds = 2\n"
             "experiment.repeats = 1\n",
         )
-        assert main(["experiment", cfg, "--jobs", "4"]) == EXIT_OK
+        assert main(["experiment", cfg]) == EXIT_OK
         capsys.readouterr()
-        manifests = [
-            json.loads((d / "manifest.json").read_text())
-            for d in run_dirs(tmp_path / "runs")
-        ]
-        assert any(m.get("jobs") == 4 for m in manifests)
+        [run_dir] = run_dirs(tmp_path / "runs")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["command"] == "experiment"
+        assert "jobs" not in manifest
 
     def test_missing_timestamps_exit_runtime(self, bundle, capsys):
         tmp_path, data_dir, base = bundle
@@ -362,11 +379,14 @@ class TestStatsCommand:
 
 
 class TestArgumentHandling:
-    def test_jobs_must_be_positive(self, bundle, capsys):
+    def test_jobs_flag_exits_via_argparse(self, bundle, capsys):
         tmp_path, _, base = bundle
         cfg = write_cfg(tmp_path, base)
-        assert main(["validate", cfg, "--jobs", "0"]) == EXIT_CONFIG
-        assert "--jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", cfg, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

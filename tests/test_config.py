@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adoptnet.config import (
+    SCALAR_KEYS,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -12,7 +13,40 @@ from adoptnet.config import (
     parse_config_text,
 )
 from adoptnet.data import adoption_lines, network_edge_lines
+from adoptnet.experiments import PROTOCOLS, ExperimentSpec
+from adoptnet.solver import FitConfig
 from adoptnet.synth import SynthSpec, generate
+
+# a value for every fit.*, experiment.* and synth.* key, none of them the default
+SECTION_VALUES = {
+    "fit.max_iters": ("7", 7),
+    "fit.grad_tol": ("1e-3", 1e-3),
+    "fit.init_net_weight": ("0.3", 0.3),
+    "fit.init_susceptibility": ("0.2", 0.2),
+    "fit.allow_negative_net_weights": ("yes", True),
+    "fit.fix_susceptibility_at_zero": ("on", True),
+    "fit.fix_net_weights_at_zero": ("true", True),
+    "experiment.train_fraction": ("0.4", 0.4),
+    "experiment.folds": ("3", 3),
+    "experiment.min_users": ("4", 4),
+    "experiment.repeats": ("2", 2),
+    "experiment.user_subset": ("low_activity", "low_activity"),
+    "experiment.observable_fraction": ("0.3", 0.3),
+    "experiment.mp_k": ("7", 7),
+    "experiment.use_popularity": ("off", False),
+    "synth.num_users": ("30", 30),
+    "synth.num_context_users": ("10", 10),
+    "synth.num_apps": ("12", 12),
+    "synth.num_networks": ("2", 2),
+    "synth.edge_density": ("0.1,0.2", (0.1, 0.2)),
+    "synth.weight_dist": ("unit", "unit"),
+    "synth.weight_max": ("2.0", 2.0),
+    "synth.planted_net_weights": ("0.4,0.2", (0.4, 0.2)),
+    "synth.planted_pop_weight": ("0.01", 0.01),
+    "synth.susceptibility_rate": ("10", 10.0),
+    "synth.pop_base_max": ("3", 3.0),
+    "synth.seed": ("9", 9),
+}
 
 
 class TestParseConfigText:
@@ -60,6 +94,15 @@ class TestSchemaDiagnostics:
         cfg = RunConfig(entries={key: "1"})
         [problem] = cfg.problems()
         assert "unknown key" in problem and key in problem
+
+    def test_zero_padded_network_index_is_unknown(self, tmp_path):
+        (tmp_path / "calls.csv").write_text("0,1,1.0\n")
+        cfg = RunConfig(entries={"network.0.path": "calls.csv",
+                                 "network.00.name": "proximity"},
+                        base_dir=tmp_path)
+        [problem] = cfg.problems()
+        assert "unknown key 'network.00.name'" in problem
+        assert "did you mean 'network.0.name'" in problem
 
     def test_network_key_typo_suggestion(self):
         cfg = RunConfig(entries={"network.0.pth": "x.csv"})
@@ -271,6 +314,32 @@ class TestBuilders:
                                  "synth.planted_net_weights": "0.5"})
         with pytest.raises(ConfigError, match="synth"):
             cfg.synth_spec()
+
+    def test_empty_config_builds_dataclass_defaults(self):
+        cfg = RunConfig(entries={})
+        assert cfg.fit_config() == FitConfig()
+        assert cfg.synth_spec() == SynthSpec()
+        assert cfg.use_popularity is ExperimentSpec.use_popularity
+        for protocol in PROTOCOLS:
+            spec = RunConfig(entries={"protocol": protocol}).experiment_spec()
+            assert spec == ExperimentSpec(protocol=protocol)
+
+    @pytest.mark.parametrize("split", ["experiment.folds", "experiment.train_fraction"])
+    def test_every_section_key_builds(self, split):
+        sections = ("fit.", "experiment.", "synth.")
+        assert set(SECTION_VALUES) == {k for k in SCALAR_KEYS if k.startswith(sections)}
+        # folds and train_fraction exclude each other, so each run drops one
+        keys = [k for k in SECTION_VALUES if k != split]
+        cfg = RunConfig(entries={"protocol": "ablation",
+                                 **{k: SECTION_VALUES[k][0] for k in keys}})
+        assert cfg.problems() == []
+        built = {"fit": cfg.fit_config(), "experiment": cfg.experiment_spec(),
+                 "synth": cfg.synth_spec()}
+        assert built["experiment"].fit == built["fit"]
+        for key in keys:
+            section, name = key.split(".", 1)
+            assert getattr(built[section], name) == SECTION_VALUES[key][1], key
+        assert cfg.use_popularity is False
 
     def test_app_list(self):
         cfg = RunConfig(entries={"train.apps": "3,1,3,2"})

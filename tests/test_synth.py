@@ -58,6 +58,15 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="non-negative"):
             dataclasses.replace(SMALL, planted_net_weights=(0.5, -0.1))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["weight_max", "planted_net_weights",
+                                      "planted_pop_weight", "susceptibility_rate",
+                                      "pop_base_max"])
+    def test_non_finite_settings_rejected(self, name, value):
+        bad = (value, 0.3) if name == "planted_net_weights" else value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(SMALL, **{name: bad})
+
     def test_partition_properties(self):
         assert SMALL.context_users.tolist() == list(range(30))
         assert SMALL.target_users.tolist() == list(range(30, 60))
