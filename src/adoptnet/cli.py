@@ -97,6 +97,21 @@ def _emit(cfg: RunConfig, command: str, files: dict[str, str]) -> Path:
 # commands
 
 
+def _load_params(
+    cfg: RunConfig, num_users: int | None, num_networks: int | None
+) -> ModelParams:
+    """predict.params, checked against the data's user and network counts when known."""
+    try:
+        params = ModelParams.from_json(cfg.resolve_path("predict.params").read_text())
+    except (OSError, ValueError) as e:
+        raise ConfigError([f"predict.params: {e}"]) from e
+    if num_users is not None and params.num_users != num_users:
+        raise ConfigError(["predict.params: user count does not match the data"])
+    if num_networks is not None and params.num_networks != num_networks:
+        raise ConfigError(["predict.params: network count does not match the data"])
+    return params
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     adoptions: AdoptionMatrix | None = None
     try:
@@ -105,11 +120,21 @@ def cmd_validate(cfg: RunConfig) -> int:
             cfg.experiment_spec()
         if any(key.startswith("synth.") for key in cfg.entries):
             cfg.synth_spec()
+        if "num_apps" in cfg.entries:
+            for key in ("train.apps", "predict.apps"):
+                cfg.app_list(key, cfg.get_int("num_apps"))
         networks = cfg.build_networks() if cfg.network_indices() else ()
         if "adoptions.path" in cfg.entries:
             adoptions = cfg.build_adoptions()
         if networks and adoptions is not None:
             Dataset(networks=NetworkStack(networks=networks), adoptions=adoptions)
+        if "predict.params" in cfg.entries:
+            loaded = bool(networks) or adoptions is not None
+            _load_params(
+                cfg,
+                cfg.get_int("num_users") if loaded else None,
+                len(networks) if networks else None,
+            )
     except ConfigError as e:
         return _fail(e.problems, EXIT_CONFIG)
     except (OSError, ValueError) as e:
@@ -153,14 +178,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     data = _build_dataset(cfg)
     cfg.require("predict.params")
-    try:
-        params = ModelParams.from_json(cfg.resolve_path("predict.params").read_text())
-    except (OSError, ValueError) as e:
-        raise ConfigError([f"predict.params: {e}"]) from e
-    if params.num_users != data.adoptions.num_users:
-        raise ConfigError(["predict.params: user count does not match the data"])
-    if params.num_networks != data.networks.num_networks:
-        raise ConfigError(["predict.params: network count does not match the data"])
+    params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
     if cfg.use_popularity:
         popularity = popularity_counts(data.adoptions)[apps]

@@ -243,14 +243,6 @@ class RunConfig:
         v = self.entries.get(key)
         return default if v is None else int(v)
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        v = self.entries.get(key)
-        return default if v is None else float(v)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        v = self.entries.get(key)
-        return default if v is None else v.lower() in TRUE_WORDS
-
     def get_str(self, key: str, default: str | None = None) -> str | None:
         return self.entries.get(key, default)
 

@@ -3,10 +3,14 @@
 Candidate networks are symmetric, non-negative, zero-diagonal weight matrices
 over a fixed user universe with dense 0-based ids.  Adoption data is a binary
 user x app matrix with optional install timestamps.  Loaders parse the CSV
-formats described in the README and fail fast with line-numbered diagnostics.
+formats described in the README and fail fast with line-numbered diagnostics:
+canonical text is parsed and checked in bulk with numpy, and any other text,
+or any that fails a check, goes through the line parser, which writes every
+diagnostic.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -185,15 +189,62 @@ class DatasetStats:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _lines(text: str | IO[str] | Iterable[str]) -> Iterable[tuple[int, str]]:
-    if hasattr(text, "read"):
-        text = text.read()  # type: ignore[union-attr]
+def _read(text: str | IO[str] | Iterable[str]) -> str | Iterable[str]:
+    return text.read() if hasattr(text, "read") else text  # type: ignore[union-attr]
+
+
+def _lines(text: str | Iterable[str]) -> Iterable[tuple[int, str]]:
     if isinstance(text, str):
         text = text.splitlines()
     for lineno, raw in enumerate(text, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+# Byte classes of a canonical data text: ids are digits, the optional third
+# field may also hold the other characters of a float literal.
+_DIGIT, _SEPARATOR, _FLOAT_CHAR = 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
+_BYTE_CLASS[np.frombuffer(b",\n", dtype=np.uint8)] = _SEPARATOR
+_BYTE_CLASS[np.frombuffer(b".eE+-", dtype=np.uint8)] = _FLOAT_CHAR
+
+
+def _bulk_table(text: str | Iterable[str]) -> np.ndarray | None:
+    """The (n, k) float table of a canonical data text, or None.
+
+    Canonical means: k is 2 or 3 on every line, the first two fields are
+    ASCII digits, lines end in `\\n` (the last one may not), and there are no
+    spaces, `#` comments, blank lines or empty fields.  The third field is
+    parsed by numpy's text reader, which rounds exactly as ``float`` does.
+    Any other text, including a line iterable, is left to the line parser.
+    """
+    if not isinstance(text, str) or not text or not text.isascii():
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS[buf]
+    if not cls.all():
+        return None
+    sep = np.flatnonzero(cls == _SEPARATOR)
+    if sep[0] == 0 or np.any(np.diff(sep) == 1):
+        return None  # an empty field or a blank line
+    ends = buf[sep] == ord("\n")
+    k = int(np.argmax(ends)) + 1
+    # every line has the first line's k fields: a newline ends every k-th one
+    if k not in (2, 3) or not np.array_equal(
+        np.flatnonzero(ends), np.arange(k - 1, sep.size, k)
+    ):
+        return None
+    float_chars = np.flatnonzero(cls == _FLOAT_CHAR)
+    if float_chars.size and (k != 3 or np.any(np.searchsorted(sep, float_chars) % 3 != 2)):
+        return None  # a non-digit inside an id
+    try:
+        return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
 
 
 def _parse_user_id(token: str, num_users: int, lineno: int, what: str) -> int:
@@ -208,26 +259,41 @@ def _parse_user_id(token: str, num_users: int, lineno: int, what: str) -> int:
     return value
 
 
-def load_network_edge_list(
-    text: str | IO[str] | Iterable[str],
-    num_users: int,
-    kind: str = "weighted",
-    symmetrize: str = "sum",
-    name: str = "",
-) -> CandidateNetwork:
-    """Parse a `src,dst,weight` edge list into a CandidateNetwork.
+def _bulk_directed(
+    table: np.ndarray, num_users: int, kind: str, symmetrize: str
+) -> np.ndarray | None:
+    """The directed weights of a canonical edge table, or None if any line check fails."""
+    if table[:, :2].max() >= num_users:
+        return None
+    src = table[:, 0].astype(np.intp)
+    dst = table[:, 1].astype(np.intp)
+    weight = table[:, 2] if table.shape[1] == 3 else np.ones(len(table))
+    if np.any(src == dst) or not np.all(np.isfinite(weight)) or np.any(np.signbit(weight)):
+        return None
+    if kind == "binary" and not np.all((weight == 0) | (weight == 1)):
+        return None
+    directed = np.zeros((num_users, num_users))
+    if symmetrize == "sum":
+        np.add.at(directed, (src, dst), weight)  # in file order, as `+=` per line
+    elif symmetrize == "max":
+        np.maximum.at(directed, (src, dst), weight)
+    else:  # strict
+        if np.unique(src * num_users + dst).size != len(table):
+            return None
+        directed[src, dst] = weight
+        if np.any(directed[dst, src] != weight):
+            return None
+    return directed
 
-    The weight field may be omitted (defaults to 1.0); `#` starts a comment.
-    Ids are dense and 0-based.  Under ``sum`` the two directions accumulate,
-    under ``max`` the larger entry wins, and ``strict`` requires the input to
-    be given symmetrically and rejects any one-sided or conflicting pair.
-    Self-loops, negative weights and out-of-range ids are rejected with the
-    offending line number.
+
+def _directed_lines(
+    text: str | Iterable[str], num_users: int, kind: str, symmetrize: str
+) -> np.ndarray:
+    """The directed weights of an edge list, parsed line by line.
+
+    The reference for the bulk path and the only writer of per-line
+    diagnostics.
     """
-    if kind not in NETWORK_KINDS:
-        raise ValueError(f"unknown network kind {kind!r}")
-    if symmetrize not in SYMMETRIZE_MODES:
-        raise ValueError(f"unknown symmetrize mode {symmetrize!r}")
     directed = np.zeros((num_users, num_users), dtype=float)
     seen_line: dict[tuple[int, int], int] = {}
     for lineno, line in _lines(text):
@@ -278,6 +344,36 @@ def load_network_edge_list(
                     f"line {lineno}: edge {src},{dst} has no matching symmetric entry "
                     f"under strict mode"
                 )
+    return directed
+
+
+def load_network_edge_list(
+    text: str | IO[str] | Iterable[str],
+    num_users: int,
+    kind: str = "weighted",
+    symmetrize: str = "sum",
+    name: str = "",
+) -> CandidateNetwork:
+    """Parse a `src,dst,weight` edge list into a CandidateNetwork.
+
+    The weight field may be omitted (defaults to 1.0); `#` starts a comment.
+    Ids are dense and 0-based.  Under ``sum`` the two directions accumulate,
+    under ``max`` the larger entry wins, and ``strict`` requires the input to
+    be given symmetrically and rejects any one-sided or conflicting pair.
+    Self-loops, negative weights and out-of-range ids are rejected with the
+    offending line number.
+    """
+    if kind not in NETWORK_KINDS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    if symmetrize not in SYMMETRIZE_MODES:
+        raise ValueError(f"unknown symmetrize mode {symmetrize!r}")
+    text = _read(text)
+    table = _bulk_table(text)
+    directed = None if table is None else _bulk_directed(table, num_users, kind, symmetrize)
+    if directed is None:
+        directed = _directed_lines(text, num_users, kind, symmetrize)
+
+    if symmetrize == "strict":
         weights = directed
     elif symmetrize == "sum":
         weights = directed + directed.T
@@ -301,17 +397,36 @@ def network_edge_lines(g: CandidateNetwork) -> list[str]:
     ]
 
 
-def load_adoptions(
-    text: str | IO[str] | Iterable[str],
-    num_users: int,
-    num_apps: int,
-    app_labels: Sequence[str] | None = None,
-) -> AdoptionMatrix:
-    """Parse `user,app[,timestamp]` lines into an AdoptionMatrix.
+def _bulk_adoptions(
+    table: np.ndarray, num_users: int, num_apps: int
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """(installed, times) of a canonical adoption table, or None if any line check fails."""
+    if table[:, 0].max() >= num_users or table[:, 1].max() >= num_apps:
+        return None
+    user = table[:, 0].astype(np.intp)
+    app = table[:, 1].astype(np.intp)
+    installed = np.zeros((num_users, num_apps), dtype=bool)
+    installed[user, app] = True
+    if table.shape[1] == 2:
+        return installed, None
+    stamp = table[:, 2]
+    if not np.all(np.isfinite(stamp)) or np.any(np.signbit(stamp)):
+        return None
+    times = np.full((num_users, num_apps), np.nan)
+    times[user, app] = stamp
+    # whichever duplicate was stored, one that disagrees reads back different
+    if np.any(times[user, app] != stamp):
+        return None
+    return installed, times
 
-    Identical duplicate lines collapse to one entry; duplicates that disagree
-    on the timestamp (including present-vs-absent) are rejected.  Ids are
-    dense and 0-based; out-of-range ids are rejected with line numbers.
+
+def _adoptions_lines(
+    text: str | Iterable[str], num_users: int, num_apps: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(installed, times) of an adoption log, parsed line by line.
+
+    The reference for the bulk path and the only writer of per-line
+    diagnostics; times is None when no line carries a timestamp.
     """
     installed = np.zeros((num_users, num_apps), dtype=bool)
     times = np.full((num_users, num_apps), np.nan)
@@ -358,25 +473,47 @@ def load_adoptions(
         if stamp is not None:
             times[user, app] = stamp
             any_time = True
+    return installed, times if any_time else None
+
+
+def load_adoptions(
+    text: str | IO[str] | Iterable[str],
+    num_users: int,
+    num_apps: int,
+    app_labels: Sequence[str] | None = None,
+) -> AdoptionMatrix:
+    """Parse `user,app[,timestamp]` lines into an AdoptionMatrix.
+
+    Identical duplicate lines collapse to one entry; duplicates that disagree
+    on the timestamp (including present-vs-absent) are rejected.  Ids are
+    dense and 0-based; out-of-range ids are rejected with line numbers.
+    """
+    text = _read(text)
+    table = _bulk_table(text)
+    parsed = None if table is None else _bulk_adoptions(table, num_users, num_apps)
+    if parsed is None:
+        parsed = _adoptions_lines(text, num_users, num_apps)
+    installed, times = parsed
     return AdoptionMatrix(
         num_users=num_users,
         num_apps=num_apps,
         installed=installed,
-        install_times=times if any_time else None,
+        install_times=times,
         app_labels=tuple(app_labels) if app_labels else (),
     )
 
 
 def adoption_lines(m: AdoptionMatrix) -> list[str]:
     """Serialize an AdoptionMatrix back to `user,app[,timestamp]` lines."""
-    out = []
     users, apps = np.nonzero(m.installed)
-    for u, a in zip(users.tolist(), apps.tolist()):
-        if m.install_times is not None and np.isfinite(m.install_times[u, a]):
-            out.append(f"{u},{a},{float(m.install_times[u, a])!r}")
-        else:
-            out.append(f"{u},{a}")
-    return out
+    cells = zip(users.tolist(), apps.tolist())
+    if m.install_times is None:
+        return [f"{u},{a}" for u, a in cells]
+    stamps = m.install_times[users, apps].tolist()
+    return [
+        f"{u},{a},{t!r}" if math.isfinite(t) else f"{u},{a}"
+        for (u, a), t in zip(cells, stamps)
+    ]
 
 
 def filter_min_users(

@@ -143,6 +143,49 @@ class TestValidateCommand:
         assert "synth.*: need at least one context and one target user" in captured.err
         assert "config ok" not in captured.out
 
+    @pytest.mark.parametrize("key", ["train.apps", "predict.apps"])
+    def test_app_out_of_range_exits_config(self, bundle, capsys, key):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["validate", cfg, "--set", f"{key}=0,999"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{key}: app id out of range 0..15" in captured.err
+        assert "config ok" not in captured.out
+        # train rejects the same setting with the same message
+        if key == "train.apps":
+            assert main(["train", cfg, "--set", f"{key}=0,999"]) == EXIT_CONFIG
+            assert f"{key}: app id out of range 0..15" in capsys.readouterr().err
+
+    def test_params_file_is_parsed(self, bundle, capsys):
+        tmp_path, data_dir, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        bad = f"predict.params={data_dir / 'adoptions.csv'}"
+        assert main(["validate", cfg, "--set", bad]) == EXIT_CONFIG
+        assert "predict.params:" in capsys.readouterr().err
+        params = tmp_path / "planted.json"
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params.write_text(json.dumps(planted))
+        assert main(["validate", cfg, "--set", f"predict.params={params}"]) == EXIT_OK
+        assert "config ok: 2 network(s)" in capsys.readouterr().out
+
+    def test_params_counts_checked_against_data(self, bundle, capsys):
+        tmp_path, data_dir, base = bundle
+        params = tmp_path / "planted.json"
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params.write_text(json.dumps(planted))
+        one_net = "".join(line + "\n" for line in base.splitlines()
+                          if not line.startswith("network.1."))
+        cfg = write_cfg(tmp_path, one_net + f"predict.params = {params}\n")
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        assert "predict.params: network count does not match" in capsys.readouterr().err
+        params.write_text(json.dumps({**planted, "s": planted["s"][:9]}))
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n")
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        assert "predict.params: user count does not match" in capsys.readouterr().err
+        # predict rejects it with the same message
+        assert main(["predict", cfg]) == EXIT_CONFIG
+        assert "predict.params: user count does not match" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, bundle, capsys):

@@ -8,6 +8,7 @@ from adoptnet.config import (
     SCALAR_KEYS,
     ConfigError,
     RunConfig,
+    _parse,
     apply_overrides,
     load_config,
     parse_config_text,
@@ -154,15 +155,15 @@ class TestGetters:
         cfg = RunConfig(entries={"seed": "4", "fit.grad_tol": "0.5"})
         assert cfg.get_int("seed") == 4
         assert cfg.get_int("missing", 7) == 7
-        assert cfg.get_float("fit.grad_tol") == 0.5
-        assert cfg.get_bool("missing", True) is True
         assert cfg.seed == 4
 
     def test_bool_true_words(self):
         for word in ("true", "1", "yes", "on", "TRUE"):
-            assert RunConfig(entries={"x": word}).get_bool("x", False) is True
+            assert _parse("bool", word) is True
         for word in ("false", "0", "no", "off"):
-            assert RunConfig(entries={"x": word}).get_bool("x", True) is False
+            assert _parse("bool", word) is False
+        with pytest.raises(ValueError):
+            _parse("bool", "maybe")
 
     def test_resolve_path_relative_and_absolute(self, tmp_path):
         cfg = RunConfig(entries={"adoptions.path": "d/a.csv",

@@ -1,10 +1,16 @@
 """Data model, loaders, and descriptive statistics."""
 from __future__ import annotations
 
+import io
+from functools import partial
+
 import numpy as np
 import pytest
 
+from adoptnet import data
 from adoptnet.data import (
+    NETWORK_KINDS,
+    SYMMETRIZE_MODES,
     AdoptionMatrix,
     CandidateNetwork,
     DataFormatError,
@@ -353,3 +359,279 @@ class TestRestriction:
         sub = restrict_adoption_users(m, [2, 1])
         assert sub.installed.tolist() == [[True, True], [False, True]]
         assert sub.install_times[0, 0] == 7.0
+
+
+def message_of(call):
+    with pytest.raises(DataFormatError) as exc:
+        call()
+    return str(exc.value)
+
+
+class TestLoaderDiagnostics:
+    """The exact text of each per-line diagnostic."""
+
+    def test_wrong_field_count(self):
+        assert message_of(lambda: load_network_edge_list("0,1\n0,1,2,3", 3)) == (
+            "line 2: expected `src,dst[,weight]`, got '0,1,2,3'"
+        )
+        assert message_of(lambda: load_network_edge_list("0", 3)) == (
+            "line 1: expected `src,dst[,weight]`, got '0'"
+        )
+        assert message_of(lambda: load_adoptions("1,2,3,4", 3, 4)) == (
+            "line 1: expected `user,app[,timestamp]`, got '1,2,3,4'"
+        )
+        assert message_of(lambda: load_adoptions("1,2\n\n1", 3, 4)) == (
+            "line 3: expected `user,app[,timestamp]`, got '1'"
+        )
+
+    @pytest.mark.parametrize("token", ["1.0", "1e2", "x"])
+    def test_non_integer_id(self, token):
+        assert message_of(lambda: load_network_edge_list(f"0,2\n{token},0", 3)) == (
+            f"line 2: src id {token!r} is not an integer"
+        )
+        assert message_of(lambda: load_network_edge_list(f"0,{token},1.0", 3)) == (
+            f"line 1: dst id {token!r} is not an integer"
+        )
+        assert message_of(lambda: load_adoptions(f"# h\n{token},1", 3, 4)) == (
+            f"line 2: user id {token!r} is not an integer"
+        )
+        assert message_of(lambda: load_adoptions(f"0,{token},5.0", 3, 4)) == (
+            f"line 1: app id {token!r} is not an integer"
+        )
+
+    @pytest.mark.parametrize("token", ["abc", "1e", "0x1p3"])
+    def test_value_not_a_number(self, token):
+        assert message_of(lambda: load_network_edge_list(f"0,1,1.0\n1,2,{token}", 3)) == (
+            f"line 2: weight {token!r} is not a number"
+        )
+        assert message_of(lambda: load_adoptions(f"0,1,{token}", 3, 4)) == (
+            f"line 1: timestamp {token!r} is not a number"
+        )
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value(self, token):
+        assert message_of(lambda: load_network_edge_list(f"0,1,{token}", 3)) == (
+            "line 1: non-finite weight"
+        )
+        assert message_of(lambda: load_adoptions(f"0,1,2.0\n1,1,{token}\n", 3, 4)) == (
+            "line 2: non-finite timestamp"
+        )
+
+
+class TestLenientSyntax:
+    """Input outside the canonical form still parses as the line parser reads it."""
+
+    def test_edge_list_whitespace_comments_blank_lines_crlf(self):
+        text = "# header\r\n 0 , 1 , 2.5 \r\n\r\n1,2\t# tail\r\n2 ,0,0.5"
+        g = load_network_edge_list(text, num_users=3)
+        np.testing.assert_array_equal(
+            g.weights, square([(0, 1, 2.5), (1, 2, 1.0), (0, 2, 0.5)], 3)
+        )
+
+    def test_edge_list_mixed_field_counts(self):
+        g = load_network_edge_list("0,1\n1,2,3.0\n", num_users=3)
+        np.testing.assert_array_equal(g.weights, square([(0, 1, 1.0), (1, 2, 3.0)], 3))
+
+    def test_missing_final_newline(self):
+        with_newline = load_network_edge_list("0,1,2.0\n1,2,4.0\n", num_users=3)
+        without = load_network_edge_list("0,1,2.0\n1,2,4.0", num_users=3)
+        np.testing.assert_array_equal(without.weights, with_newline.weights)
+        m = load_adoptions("0,1,2.0\n2,3,4.0", num_users=3, num_apps=4)
+        assert m.installed.sum() == 2 and m.install_times[2, 3] == 4.0
+
+    def test_adoptions_whitespace_comments_blank_lines_crlf(self):
+        text = "  2 , 3 , 15 \r\n# note\r\n\r\n1,2  # no timestamp\r\n2,3,15.0"
+        m = load_adoptions(text, num_users=3, num_apps=4)
+        assert np.flatnonzero(m.installed).tolist() == [6, 11]
+        assert m.install_times[2, 3] == 15.0
+        assert np.isnan(m.install_times[1, 2])
+
+    def test_file_objects_and_line_iterables(self):
+        text = "0,1,2.0\n1,2,4.0\n"
+        expected = load_network_edge_list(text, num_users=3).weights
+        for source in (io.StringIO(text), text.splitlines()):
+            g = load_network_edge_list(source, num_users=3)
+            np.testing.assert_array_equal(g.weights, expected)
+        m = load_adoptions(io.StringIO("0,1\n2,3\n"), num_users=3, num_apps=4)
+        assert m.installed.sum() == 2 and m.install_times is None
+
+
+EDGE_WEIGHTS = ["1", "0", "2", "0.1", "0.2", "0.3", "0.7", "1e-3", "2.5E+2", "7.", ".5"]
+BAD_WEIGHTS = ["-1", "-0.0", "+1", "nan", "inf", "1e999", "x", "1_0", "1e", "", " 1"]
+BAD_IDS = ["1.0", "1e2", "x", "+1", "-1", "", " 1", "01", "٣"]
+STAMPS = ["0.0", "5", "12.25", "1.5e9", "3E-2"]
+BAD_STAMPS = ["-3", "-0.0", "nan", "inf", "1e999", "abc", "1e", "", " 7"]
+
+
+def _fields_text(rng, rows, corruptions):
+    """Comma-joined rows, with one random corruption in about half of the texts."""
+    rows = [list(r) for r in rows]
+    if rows and rng.random() < 0.5:
+        i = int(rng.integers(len(rows)))
+        how = corruptions[int(rng.integers(len(corruptions)))]
+        how(rng, rows, i)
+    lines = [",".join(r) for r in rows]
+    ends = "\n"
+    if rng.random() < 0.1:
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "# c", "  "]))
+    if rng.random() < 0.05:
+        ends = "\r\n"
+    text = ends.join(lines)
+    return text + ends if rng.random() < 0.8 else text
+
+
+def _pick(pool):
+    return lambda rng: pool[int(rng.integers(len(pool)))]
+
+
+def _set_field(field, pool):
+    def corrupt(rng, rows, i):
+        while len(rows[i]) <= field:
+            rows[i].append("1")
+        rows[i][field] = _pick(pool)(rng)
+    return corrupt
+
+
+def _spaces(rng, rows, i):
+    rows[i][0] = " " + rows[i][0] + " "
+
+
+def _comment(rng, rows, i):
+    rows[i][-1] += " # c"
+
+
+def _extra_field(rng, rows, i):
+    rows[i].append("5")
+
+
+def _drop_field(rng, rows, i):
+    rows[i] = rows[i][:2] if len(rows[i]) == 3 else rows[i] + ["1"]
+
+
+COMMON_CORRUPTIONS = [
+    _set_field(0, BAD_IDS), _set_field(1, BAD_IDS), _spaces, _comment,
+    _extra_field, _drop_field,
+]
+
+
+def random_edge_text(rng, num_users):
+    pairs = [tuple(rng.choice(num_users, 2, replace=False).tolist()) for _ in range(4)]
+    weight = _pick(["0", "1"] if rng.random() < 0.3 else EDGE_WEIGHTS)
+    with_weight = rng.random() < 0.8
+    # a third of the texts lists each pair once per direction, as strict wants
+    mirrored = rng.random() < 0.3
+    if mirrored:
+        pairs = list(dict.fromkeys(tuple(sorted(p)) for p in pairs))
+    rows = []
+    for k in range(len(pairs) if mirrored else int(rng.integers(0, 10))):
+        i, j = pairs[k] if mirrored else pairs[int(rng.integers(len(pairs)))]
+        w = weight(rng) if rng.random() < 0.8 else repr(float(rng.random()))
+        rows.append((str(i), str(j), w) if with_weight else (str(i), str(j)))
+        if mirrored or rng.random() < 0.6:  # mostly with the same weight
+            w2 = w if mirrored or rng.random() < 0.8 else weight(rng)
+            rows.append((str(j), str(i), w2) if with_weight else (str(j), str(i)))
+    order = rng.permutation(len(rows))
+    rows = [rows[k] for k in order]
+
+    def self_loop(rng, rows, i):
+        rows[i][1] = rows[i][0]
+
+    def out_of_range(rng, rows, i):
+        rows[i][int(rng.integers(2))] = str(num_users)
+
+    corruptions = COMMON_CORRUPTIONS + [
+        _set_field(2, BAD_WEIGHTS), self_loop, out_of_range,
+    ]
+    return _fields_text(rng, rows, corruptions)
+
+
+def random_adoption_text(rng, num_users, num_apps):
+    cells = [(int(rng.integers(num_users)), int(rng.integers(num_apps))) for _ in range(6)]
+    stamp = _pick(STAMPS)
+    with_stamp = rng.random() < 0.7
+    rows = []
+    for _ in range(int(rng.integers(0, 12))):
+        u, a = cells[int(rng.integers(len(cells)))]
+        # repeated cells agree on the stamp unless this draw conflicts
+        t = STAMPS[(u + a) % len(STAMPS)] if rng.random() < 0.85 else stamp(rng)
+        rows.append((str(u), str(a), t) if with_stamp else (str(u), str(a)))
+
+    def out_of_range(rng, rows, i):
+        if rng.random() < 0.5:
+            rows[i][0] = str(num_users)
+        else:
+            rows[i][1] = str(num_apps)
+
+    corruptions = COMMON_CORRUPTIONS + [_set_field(2, BAD_STAMPS), out_of_range]
+    return _fields_text(rng, rows, corruptions)
+
+
+def outcome(call):
+    """('ok', arrays as bytes) or (exception type, message) of one loader call."""
+    try:
+        value = call()
+    except ValueError as e:
+        return type(e), str(e)
+    if isinstance(value, CandidateNetwork):
+        return "ok", value.weights.tobytes()
+    times = None if value.install_times is None else value.install_times.tobytes()
+    return "ok", value.installed.tobytes(), times
+
+
+class TestBulkParsing:
+    def test_matches_line_parser(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        bulk_tables = 0
+        for _ in range(250):
+            n = int(rng.integers(2, 7))
+            edges = random_edge_text(rng, n)
+            log = random_adoption_text(rng, n, 5)
+            bulk_tables += sum(data._bulk_table(text) is not None for text in (edges, log))
+            calls = [
+                partial(load_network_edge_list, edges, n, kind=kind, symmetrize=sym)
+                for kind in NETWORK_KINDS
+                for sym in SYMMETRIZE_MODES
+            ] + [partial(load_adoptions, log, n, 5)]
+            for call in calls:
+                got = outcome(call)
+                with monkeypatch.context() as m:
+                    m.setattr(data, "_bulk_table", lambda text: None)
+                    want = outcome(call)
+                assert got == want, call
+        # about half of the texts are canonical, so the bulk path is exercised
+        assert bulk_tables > 150
+
+    def test_bulk_path_parses_serialized_data(self, monkeypatch):
+        def no_line_parser(*args):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(data, "_directed_lines", no_line_parser)
+        monkeypatch.setattr(data, "_adoptions_lines", no_line_parser)
+        rng = np.random.default_rng(9)
+        n = 12
+        w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.4), k=1)
+        g = CandidateNetwork(num_users=n, weights=w + w.T)
+        lines = network_edge_lines(g)
+        mirrored = [",".join(line.split(",")[1::-1] + line.split(",")[2:]) for line in lines]
+        for sym, text in (("sum", lines), ("max", lines), ("strict", lines + mirrored)):
+            back = load_network_edge_list("\n".join(text) + "\n", n, symmetrize=sym)
+            np.testing.assert_array_equal(back.weights, g.weights)
+        binary = CandidateNetwork(num_users=n, weights=(g.weights > 0).astype(float),
+                                  kind="binary")
+        text = "\n".join(network_edge_lines(binary))
+        for sym in ("sum", "max"):
+            back = load_network_edge_list(io.StringIO(text), n, kind="binary",
+                                          symmetrize=sym)
+            np.testing.assert_array_equal(back.weights, binary.weights)
+
+        installed = rng.random((n, 7)) < 0.3
+        stamps = np.where(installed, rng.random((n, 7)) * 1e9, np.nan)
+        for times in (stamps, None):
+            m = AdoptionMatrix(num_users=n, num_apps=7, installed=installed,
+                               install_times=times)
+            back = load_adoptions(io.StringIO("\n".join(adoption_lines(m)) + "\n"), n, 7)
+            np.testing.assert_array_equal(back.installed, installed)
+            if times is None:
+                assert back.install_times is None
+            else:
+                np.testing.assert_array_equal(back.install_times, times)
