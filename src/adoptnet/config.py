@@ -46,8 +46,6 @@ SCALAR_KEYS: dict[str, str] = {
     "outdir": "str",
     "seed": "int",
     "protocol": "choice:" + "|".join(PROTOCOLS),
-    # short alias for fit.init_net_weight, matching the params-file key
-    "alpha": "float",
     "experiment.train_fraction": "float",
     "experiment.folds": "int",
     "experiment.min_users": "int",
@@ -202,8 +200,6 @@ class RunConfig:
             problem = _check_value(key, tag, value)
             if problem:
                 out.append(problem)
-        if "alpha" in self.entries and "fit.init_net_weight" in self.entries:
-            out.append("alpha and fit.init_net_weight are aliases; set only one")
         out += self._network_index_problems()
         for key in self._path_keys():
             path = self.resolve_path(key)
@@ -326,10 +322,7 @@ class RunConfig:
 
     def fit_config(self) -> FitConfig:
         try:
-            kwargs = self._section("fit")
-            if "alpha" in self.entries:
-                kwargs.setdefault("init_net_weight", float(self.entries["alpha"]))
-            return FitConfig(**kwargs)
+            return FitConfig(**self._section("fit"))
         except ValueError as e:
             raise ConfigError([f"fit.*: {e}"]) from e
 

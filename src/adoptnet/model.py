@@ -182,6 +182,27 @@ class TrainingTerms:
         return int(self.potentials.shape[1])
 
 
+def checked_train_apps(
+    stack: NetworkStack, adoptions: AdoptionMatrix, train_apps: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """``train_apps`` as an int array, checked as every fit needs it.
+
+    Raises ValueError when the list is empty, holds an id outside
+    [0, num_apps) or a duplicate, or when the stack's popularity vector does
+    not have one entry per app.
+    """
+    apps = np.asarray(train_apps, dtype=int)
+    if apps.size == 0:
+        raise ValueError("train_apps is empty")
+    if apps.min() < 0 or apps.max() >= adoptions.num_apps:
+        raise ValueError("train_apps contains an out-of-range app id")
+    if np.bincount(apps).max() > 1:  # np.unique would import numpy.ma (~30 ms)
+        raise ValueError("train_apps contains duplicates")
+    if stack.popularity is not None and stack.popularity.shape != (adoptions.num_apps,):
+        raise ValueError("stack popularity length does not match num_apps")
+    return apps
+
+
 def training_terms(
     stack: NetworkStack,
     adoptions: AdoptionMatrix,
@@ -191,32 +212,31 @@ def training_terms(
 ) -> TrainingTerms:
     """Build TrainingTerms for ``train_apps``.
 
-    ``evidence`` defaults to the label matrix itself (standard conditioning).
-    ``term_users`` defaults to every user.
+    ``evidence`` defaults to the label matrix itself (standard conditioning)
+    and must cover the same users and apps.  ``term_users`` holds user ids in
+    [0, num_users) and defaults to every user.
     """
-    apps = np.asarray(train_apps, dtype=int)
-    if apps.size == 0:
-        raise ValueError("train_apps is empty")
-    if apps.min() < 0 or apps.max() >= adoptions.num_apps:
-        raise ValueError("train_apps contains an out-of-range app id")
-    if np.bincount(apps).max() > 1:  # np.unique would import numpy.ma (~30 ms)
-        raise ValueError("train_apps contains duplicates")
+    apps = checked_train_apps(stack, adoptions, train_apps)
     if evidence is None:
         evidence = adoptions
     if evidence.num_users != adoptions.num_users:
         raise ValueError("evidence user universe does not match labels")
+    if evidence.num_apps != adoptions.num_apps:
+        raise ValueError(
+            f"evidence has {evidence.num_apps} apps but the labels have {adoptions.num_apps}"
+        )
     pot = network_potentials(stack, evidence.installed[:, apps])
-    if stack.popularity is not None:
-        if stack.popularity.shape != (adoptions.num_apps,):
-            raise ValueError("stack popularity length does not match num_apps")
-        pop = stack.popularity[apps]
-    else:
-        pop = np.zeros(apps.size)
+    pop = stack.popularity[apps] if stack.popularity is not None else np.zeros(apps.size)
     mask = np.zeros(adoptions.num_users, dtype=bool)
     if term_users is None:
         mask[:] = True
     else:
-        mask[np.asarray(term_users, dtype=int)] = True
+        users = np.asarray(term_users, dtype=int)
+        if users.size and (users.min() < 0 or users.max() >= adoptions.num_users):
+            raise ValueError(
+                f"term_users contains a user id outside 0..{adoptions.num_users - 1}"
+            )
+        mask[users] = True
     return TrainingTerms(
         potentials=pot,
         popularity=pop,

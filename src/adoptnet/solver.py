@@ -37,7 +37,7 @@ from .data import AdoptionMatrix, NetworkStack
 from .model import (
     EXPONENT_KNEE,
     ModelParams,
-    TrainingTerms,
+    checked_train_apps,
     network_potentials,
     objective_gradient,
     objective_hessian,
@@ -333,87 +333,65 @@ def fit_mle(
 
     ``evidence`` and ``term_users`` support fits whose likelihood terms cover
     only a user subset, conditioned on a different adoption matrix (teacher
-    recovery); both default to ordinary training.  Coordinates that cannot
-    affect the objective (an identically-zero potential block, an all-zero
-    popularity channel, a user outside term_users) are pinned at zero, so the
-    returned parameters are the minimum-norm representative on flat
-    directions.
+    recovery); both default to ordinary training.  The solver sees each
+    weight channel (every network, then popularity) in unit-max coordinates:
+    the weight times the channel's largest value on a term user's row, and
+    grad_tol is measured there.  Coordinates that cannot affect the objective
+    (a channel that is zero on every term row, a user outside term_users)
+    are frozen at zero, so the returned parameters are the minimum-norm
+    representative on flat directions.
     """
     cfg = cfg or FitConfig()
     terms = training_terms(
         stack, adoptions, train_apps, evidence=evidence, term_users=term_users
     )
-    full_users = terms.num_users
-    active = np.flatnonzero(terms.term_users)
-    if active.size == 0:
+    if not terms.term_users.any():
         raise ValueError("term_users excludes every user")
-    potentials, labels = terms.potentials, terms.labels
-    if active.size < full_users:
-        # all per-iteration work shrinks to the rows that carry terms
-        potentials, labels = potentials[:, active, :], labels[active, :]
-    num_users = active.size
-    num_nets = terms.num_networks
+    num_users, num_nets = terms.num_users, terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
 
-    # Bring every shared feature channel to unit max so one gradient step
-    # length suits all coordinate blocks and a weight's knee step moves no
-    # exponent by more than the knee; the optimum is mapped back on exit.
-    # The exponents, and hence the objective, are unchanged by this.
-    pot_max = potentials.max(axis=(1, 2))
-    flat_nets = pot_max == 0.0
-    pot_scale = np.where(flat_nets, 1.0, pot_max)
-    pop_max = float(terms.popularity.max())
-    has_pop = pop_max > 0.0
-    pop_scale = pop_max if has_pop else 1.0
-    terms = TrainingTerms(
-        potentials=potentials / pot_scale[:, None, None],
-        popularity=terms.popularity / pop_scale,
-        labels=labels,
-        term_users=np.ones(num_users, dtype=bool),
+    # Unit-max channels let one gradient step length suit all coordinate
+    # blocks, and a weight's knee step moves no exponent by more than the
+    # knee.  The objective is evaluated at w = theta / scale and its
+    # derivatives follow by the chain rule.
+    scale = np.append(
+        terms.potentials.max(axis=2)[:, terms.term_users].max(axis=1),
+        terms.popularity.max(),
     )
+    flat = scale == 0.0
+    scale[flat] = 1.0
 
-    s_idx = np.arange(num_users)
-    w_idx = num_users + np.arange(num_nets)
-    pop_idx = num_users + num_nets
-
-    theta0 = np.zeros(num_users + num_nets + 1)
-    theta0[s_idx] = 0.0 if cfg.fix_susceptibility_at_zero else cfg.init_susceptibility
-    theta0[w_idx] = 0.0 if cfg.fix_net_weights_at_zero else init_w * pot_scale
-    theta0[pop_idx] = init_w * pop_scale if has_pop else 0.0
-
-    frozen = np.zeros(theta0.size, dtype=bool)
-    frozen[s_idx] = cfg.fix_susceptibility_at_zero
-    frozen[w_idx] = cfg.fix_net_weights_at_zero
-    frozen[pop_idx] = not has_pop
-    theta0[w_idx[flat_nets]] = 0.0
-    frozen[w_idx[flat_nets]] = True
+    theta0 = np.append(np.full(num_users, cfg.init_susceptibility), init_w * scale)
+    frozen = np.append(~terms.term_users, flat)
+    frozen[:num_users] |= cfg.fix_susceptibility_at_zero
+    frozen[num_users:-1] |= cfg.fix_net_weights_at_zero
+    theta0[frozen] = 0.0
 
     nonneg = np.ones(theta0.size, dtype=bool)
-    if cfg.allow_negative_net_weights:
-        nonneg[w_idx] = False
+    nonneg[num_users:-1] = not cfg.allow_negative_net_weights
+
+    def unscaled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        w = t[num_users:] / scale
+        return t[:num_users], w[:-1], float(w[-1])
 
     def value(t: np.ndarray) -> float:
-        return objective_value(terms, t[s_idx], t[w_idx], t[pop_idx])
+        return objective_value(terms, *unscaled(t))
 
     def gradient(t: np.ndarray) -> np.ndarray:
-        gs, gw, gp = objective_gradient(terms, t[s_idx], t[w_idx], t[pop_idx])
-        return np.concatenate([gs, gw, [gp]])
+        gs, gw, gp = objective_gradient(terms, *unscaled(t))
+        return np.append(gs, np.append(gw, gp) / scale)
 
     def hessian(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return objective_hessian(terms, t[s_idx], t[w_idx], t[pop_idx])
+        diag, coupling, dense = objective_hessian(terms, *unscaled(t))
+        return diag, coupling / scale, dense / scale[:, None] / scale
 
     theta, result = _projected_newton(
         value, gradient, hessian, theta0, nonneg, frozen, cfg
     )
-    susceptibility = theta[s_idx]
-    if active.size < full_users:
-        # users without likelihood terms keep the zero convention
-        expanded = np.zeros(full_users)
-        expanded[active] = susceptibility
-        susceptibility = expanded
+    susceptibility, net_weights, pop_weight = unscaled(theta)
     params = ModelParams(
-        net_weights=theta[w_idx] / pot_scale,
-        pop_weight=float(theta[pop_idx]) / pop_scale,
+        net_weights=net_weights,
+        pop_weight=pop_weight,
         susceptibility=susceptibility,
         constrained=not cfg.allow_negative_net_weights,
     )
@@ -507,10 +485,9 @@ def fit_regression(
     One row per training (user, app) cell; columns are the per-network
     potentials, the app's popularity, the user's training-app install count,
     and an intercept.  All coefficients are constrained non-negative.
+    ``train_apps`` is checked as fit_mle checks it (checked_train_apps).
     """
-    apps = np.asarray(train_apps, dtype=int)
-    if apps.size == 0:
-        raise ValueError("train_apps is empty")
+    apps = checked_train_apps(stack, adoptions, train_apps)
     ev = adoptions.installed[:, apps].astype(float)
     num_users, num_train = ev.shape
     columns = [p.ravel() for p in network_potentials(stack, ev)]

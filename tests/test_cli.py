@@ -107,10 +107,10 @@ class TestValidateCommand:
 
     def test_typo_exits_config(self, bundle, capsys):
         tmp_path, _, base = bundle
-        cfg = write_cfg(tmp_path, base + "aplha = 0.5\n")
+        cfg = write_cfg(tmp_path, base + "sede = 3\n")
         assert main(["validate", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "did you mean 'alpha'" in err
+        assert "did you mean 'seed'" in err
 
     def test_missing_data_file_exits_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "adoptions.path = gone.csv\n")

@@ -85,12 +85,12 @@ class TestOverrides:
 
 class TestSchemaDiagnostics:
     def test_typo_suggestion(self):
-        cfg = RunConfig(entries={"aplha": "0.3"})
+        cfg = RunConfig(entries={"sede": "3"})
         [problem] = cfg.problems()
         assert "unknown key" in problem
-        assert "did you mean 'alpha'" in problem
+        assert "did you mean 'seed'" in problem
 
-    @pytest.mark.parametrize("key", ["fit.obj_tol", "fit.seed"])
+    @pytest.mark.parametrize("key", ["fit.obj_tol", "fit.seed", "alpha"])
     def test_removed_fit_keys_are_unknown(self, key):
         cfg = RunConfig(entries={key: "1"})
         [problem] = cfg.problems()
@@ -124,10 +124,6 @@ class TestSchemaDiagnostics:
         assert RunConfig(entries={"experiment.use_popularity": "yes"}).problems() == []
         cfg = RunConfig(entries={"experiment.use_popularity": "maybe"})
         assert len(cfg.problems()) == 1
-
-    def test_alias_conflict(self):
-        cfg = RunConfig(entries={"alpha": "0.1", "fit.init_net_weight": "0.2"})
-        assert any("aliases" in p for p in cfg.problems())
 
     def test_network_indices_contiguous(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -232,7 +228,7 @@ class TestBuilders:
 
     def test_fit_config_defaults_and_alias(self, tmp_path):
         self.write_bundle(tmp_path)
-        cfg = load_config(self.config(tmp_path, "alpha = 0.25\n"))
+        cfg = load_config(self.config(tmp_path, "fit.init_net_weight = 0.25\n"))
         fc = cfg.fit_config()
         assert fc.init_net_weight == 0.25
         assert fc.max_iters == 10_000
@@ -244,7 +240,7 @@ class TestBuilders:
             cfg.fit_config()
 
     @pytest.mark.parametrize("key", ["fit.grad_tol", "fit.init_susceptibility",
-                                     "fit.init_net_weight", "alpha"])
+                                     "fit.init_net_weight"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_fit_config_non_finite_wrapped(self, key, text):
         cfg = RunConfig(entries={key: text})
@@ -366,6 +362,6 @@ class TestLoadConfig:
 
     def test_schema_checked_on_load(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("aplha = 0.5\n")
+        path.write_text("sede = 3\n")
         with pytest.raises(ConfigError, match="did you mean"):
             load_config(path)

@@ -322,6 +322,34 @@ class TestLogLikelihood:
             log_likelihood(params, stack, adoptions, [1, 1])
 
 
+class TestTrainingTermsChecks:
+    def instance(self):
+        rng = np.random.default_rng(5)
+        stack, adoptions, _ = random_instance(rng, num_users=6, num_networks=2,
+                                              num_apps=5)
+        return stack, adoptions
+
+    @pytest.mark.parametrize("users", [[-1], [0, 6], [6]])
+    def test_term_user_out_of_range_rejected(self, users):
+        stack, adoptions = self.instance()
+        with pytest.raises(ValueError, match="term_users contains a user id outside 0..5"):
+            training_terms(stack, adoptions, np.arange(5), term_users=users)
+
+    def test_term_users_in_range_accepted(self):
+        stack, adoptions = self.instance()
+        terms = training_terms(stack, adoptions, np.arange(5), term_users=[0, 5])
+        np.testing.assert_array_equal(terms.term_users, [1, 0, 0, 0, 0, 1])
+
+    @pytest.mark.parametrize("num_apps", [3, 7])
+    def test_evidence_app_count_mismatch_rejected(self, num_apps):
+        stack, adoptions = self.instance()
+        evidence = AdoptionMatrix(num_users=6, num_apps=num_apps,
+                                  installed=np.zeros((6, num_apps), dtype=bool))
+        with pytest.raises(ValueError, match=f"evidence has {num_apps} apps but the labels have 5"):
+            training_terms(stack, adoptions, np.arange(5), evidence=evidence)
+
+
+
 def finite_difference(stack, adoptions, params, train_apps, h=1e-5):
     """Central differences over the flattened (s..., w..., pop) vector."""
     U, M = params.num_users, params.num_networks

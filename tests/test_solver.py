@@ -9,9 +9,13 @@ import pytest
 
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
 from adoptnet.model import (
+    ModelParams,
+    TrainingTerms,
     log_likelihood,
     network_potentials,
     objective_gradient,
+    objective_hessian,
+    objective_value,
     training_terms,
 )
 from adoptnet.solver import (
@@ -25,7 +29,7 @@ from adoptnet.solver import (
     nonneg_least_squares,
     random_baseline,
 )
-from adoptnet.synth import SynthSpec, generate
+from adoptnet.synth import SynthSpec, generate, recovery_fit
 
 
 def make_instance(seed, num_users=12, num_networks=2, num_apps=15, density=0.3):
@@ -312,7 +316,7 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
     skipped.
     """
     terms = training_terms(stack, adoptions, train, term_users=term_users)
-    pot_scale = terms.potentials.max(axis=(1, 2))
+    pot_scale = terms.potentials.max(axis=2)[:, terms.term_users].max(axis=1)
     pop_scale = float(terms.popularity.max())
     gs, gw, gp = objective_gradient(terms, params.susceptibility,
                                     params.net_weights, params.pop_weight)
@@ -320,7 +324,8 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
     theta = np.concatenate([params.susceptibility, params.net_weights,
                             [params.pop_weight]])
     U, M = params.num_users, params.num_networks
-    # fit_mle solves for weight * channel max, so its gradient is ours / max
+    # fit_mle solves for weight * channel max over the term rows, so its
+    # gradient is ours / max
     grad[U:U + M] /= np.where(pot_scale > 0.0, pot_scale, 1.0)
     grad[U + M] /= pop_scale if pop_scale > 0.0 else 1.0
     free = np.ones(theta.size, dtype=bool)
@@ -360,6 +365,159 @@ class TestKKT:
         assert res.stop_reason == "grad_tol"
         assert kkt_violation(stack, adoptions, train, params, cfg,
                              term_users=[0, 2, 4]) <= cfg.grad_tol
+
+
+def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
+                      term_users=None):
+    """The earlier fit_mle formulation, kept as an oracle for the current one.
+
+    It slices the potentials and labels down to the term users, divides each
+    channel by its maximum, rebuilds TrainingTerms on the scaled copy, fits
+    there and scatters the susceptibilities back to every user.
+    """
+    cfg = cfg or FitConfig()
+    terms = training_terms(stack, adoptions, train_apps, evidence=evidence,
+                           term_users=term_users)
+    full_users = terms.num_users
+    active = np.flatnonzero(terms.term_users)
+    potentials, labels = terms.potentials[:, active, :], terms.labels[active, :]
+    num_users, num_nets = active.size, terms.num_networks
+    init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
+    pot_max = potentials.max(axis=(1, 2))
+    flat_nets = pot_max == 0.0
+    pot_scale = np.where(flat_nets, 1.0, pot_max)
+    pop_max = float(terms.popularity.max())
+    has_pop = pop_max > 0.0
+    pop_scale = pop_max if has_pop else 1.0
+    terms = TrainingTerms(potentials=potentials / pot_scale[:, None, None],
+                          popularity=terms.popularity / pop_scale, labels=labels,
+                          term_users=np.ones(num_users, dtype=bool))
+    s_idx = np.arange(num_users)
+    w_idx = num_users + np.arange(num_nets)
+    pop_idx = num_users + num_nets
+    theta0 = np.zeros(num_users + num_nets + 1)
+    theta0[s_idx] = 0.0 if cfg.fix_susceptibility_at_zero else cfg.init_susceptibility
+    theta0[w_idx] = 0.0 if cfg.fix_net_weights_at_zero else init_w * pot_scale
+    theta0[pop_idx] = init_w * pop_scale if has_pop else 0.0
+    frozen = np.zeros(theta0.size, dtype=bool)
+    frozen[s_idx] = cfg.fix_susceptibility_at_zero
+    frozen[w_idx] = cfg.fix_net_weights_at_zero
+    frozen[pop_idx] = not has_pop
+    theta0[w_idx[flat_nets]] = 0.0
+    frozen[w_idx[flat_nets]] = True
+    nonneg = np.ones(theta0.size, dtype=bool)
+    if cfg.allow_negative_net_weights:
+        nonneg[w_idx] = False
+
+    def value(t):
+        return objective_value(terms, t[s_idx], t[w_idx], t[pop_idx])
+
+    def gradient(t):
+        gs, gw, gp = objective_gradient(terms, t[s_idx], t[w_idx], t[pop_idx])
+        return np.concatenate([gs, gw, [gp]])
+
+    def hessian(t):
+        return objective_hessian(terms, t[s_idx], t[w_idx], t[pop_idx])
+
+    theta, result = _projected_newton(value, gradient, hessian, theta0, nonneg,
+                                      frozen, cfg)
+    susceptibility = np.zeros(full_users)
+    susceptibility[active] = theta[s_idx]
+    params = ModelParams(net_weights=theta[w_idx] / pot_scale,
+                         pop_weight=float(theta[pop_idx]) / pop_scale,
+                         susceptibility=susceptibility,
+                         constrained=not cfg.allow_negative_net_weights)
+    return params, result
+
+
+def flat_params(params):
+    return np.concatenate([params.susceptibility, params.net_weights,
+                           [params.pop_weight]])
+
+
+def with_zero_network(stack):
+    U = stack.num_users
+    zero = CandidateNetwork(num_users=U, weights=np.zeros((U, U)), name="zero")
+    return NetworkStack(networks=stack.networks + (zero,),
+                        popularity=stack.popularity)
+
+
+class TestChangeOfVariables:
+    """fit_mle's unit-max change of variables against the slice-rescale oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", [
+        "default",
+        "fix_susceptibility_at_zero",
+        "fix_net_weights_at_zero",
+        "zero_network",
+        "term_users",
+    ])
+    def test_matches_slice_rescale_oracle(self, seed, case):
+        stack, adoptions = make_instance(seed, num_users=14, num_networks=3)
+        train = np.arange(adoptions.num_apps)
+        kwargs = {}
+        cfg = FitConfig()
+        if case.startswith("fix_"):
+            cfg = FitConfig(**{case: True})
+        elif case == "zero_network":
+            stack = with_zero_network(stack)
+        elif case == "term_users":
+            rng = np.random.default_rng(seed)
+            kwargs["term_users"] = np.sort(rng.choice(14, 8, replace=False))
+            kwargs["evidence"] = AdoptionMatrix(
+                num_users=14, num_apps=adoptions.num_apps,
+                installed=rng.random(adoptions.installed.shape) < 0.3)
+        got, res = fit_mle(stack, adoptions, train, cfg, **kwargs)
+        want, ref = slice_rescale_fit(stack, adoptions, train, cfg, **kwargs)
+        assert res.stop_reason == ref.stop_reason
+        assert res.iterations == ref.iterations
+        assert res.final_objective == pytest.approx(ref.final_objective,
+                                                    rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(flat_params(got), flat_params(want),
+                                   rtol=0.0, atol=1e-10)
+        if case == "zero_network":
+            assert got.net_weights[-1] == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relaxed_fit_matches_slice_rescale_oracle(self, seed):
+        # Relaxed-sign fits on these instances mostly end on a kink of the
+        # piecewise linear objective with line_search_exhausted; there the
+        # number of arc searches before both give up depends on rounding, so
+        # only where they stop is compared.
+        stack, adoptions = make_instance(seed, num_users=14, num_networks=3)
+        train = np.arange(adoptions.num_apps)
+        cfg = FitConfig(allow_negative_net_weights=True)
+        got, res = fit_mle(stack, adoptions, train, cfg)
+        want, ref = slice_rescale_fit(stack, adoptions, train, cfg)
+        assert res.stop_reason == ref.stop_reason
+        assert res.final_objective == pytest.approx(ref.final_objective,
+                                                    rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(flat_params(got), flat_params(want),
+                                   rtol=0.0, atol=1e-10)
+
+    def test_network_only_on_context_rows_is_pinned(self):
+        # edges that join only context users give every term (target) row a
+        # zero potential, so the channel is flat for the fit even though its
+        # maximum over all rows is positive
+        spec = SynthSpec(num_users=60, num_context_users=30, num_apps=40,
+                         num_networks=2, edge_density=(0.08, 0.12),
+                         planted_net_weights=(0.6, 0.3), planted_pop_weight=0.01,
+                         pop_base_max=10.0, susceptibility_rate=20.0, seed=7)
+        stack, teacher = generate(spec)
+        ctx = teacher.context_users
+        w = np.zeros((spec.num_users, spec.num_users))
+        block = np.triu(np.random.default_rng(3).random((ctx.size, ctx.size)), k=1)
+        w[np.ix_(ctx, ctx)] = block + block.T
+        context_only = CandidateNetwork(num_users=spec.num_users, weights=w,
+                                        name="context_only")
+        extended = NetworkStack(networks=stack.networks + (context_only,))
+        params, res = recovery_fit(extended, teacher)
+        assert res.converged
+        assert params.net_weights[-1] == 0.0
+        base, _ = recovery_fit(stack, teacher)
+        np.testing.assert_allclose(params.net_weights[:-1], base.net_weights,
+                                   rtol=0.0, atol=1e-10)
 
 
 def arrowhead_qp_oracle(H, b):
@@ -559,6 +717,26 @@ class TestRegression:
         stack, adoptions = make_instance(21)
         with pytest.raises(ValueError, match="empty"):
             fit_regression(stack, adoptions, [])
+
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
+    @pytest.mark.parametrize("apps, message", [
+        ([-1, 0], "out-of-range"),
+        ([0, 15], "out-of-range"),
+        ([0, 0, 1], "duplicates"),
+    ])
+    def test_both_fits_check_train_apps(self, fit, apps, message):
+        stack, adoptions = make_instance(22)
+        with pytest.raises(ValueError, match=message):
+            fit(stack, adoptions, apps)
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
+    def test_both_fits_check_popularity_length(self, fit):
+        stack, adoptions = make_instance(23)
+        short = NetworkStack(networks=stack.networks,
+                             popularity=stack.popularity[:-1])
+        with pytest.raises(ValueError, match="popularity length"):
+            fit(short, adoptions, [0, 1])
 
 
 def regression_design(stack, adoptions, apps):
