@@ -66,7 +66,7 @@ def _input_hashes(cfg: RunConfig) -> dict[str, dict[str, str]]:
     return out
 
 
-def _emit(cfg: RunConfig, command: str, files: dict[str, str]) -> Path:
+def _emit(cfg: RunConfig, command: str, files: dict[str, bytes]) -> Path:
     """Write artifacts plus manifest under a content-addressed run directory."""
     inputs = _input_hashes(cfg)
     payload = json.dumps(
@@ -77,7 +77,7 @@ def _emit(cfg: RunConfig, command: str, files: dict[str, str]) -> Path:
     run_dir = cfg.outdir / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(files):
-        (run_dir / name).write_text(files[name])
+        (run_dir / name).write_bytes(files[name])
     manifest = {
         "run_id": run_id,
         "command": command,
@@ -160,8 +160,8 @@ def cmd_train(cfg: RunConfig) -> int:
         cfg,
         "train",
         {
-            "params.json": params.to_json() + "\n",
-            "convergence.json": result.to_json() + "\n",
+            "params.json": (params.to_json() + "\n").encode(),
+            "convergence.json": (result.to_json() + "\n").encode(),
         },
     )
     print(
@@ -186,8 +186,8 @@ def cmd_predict(cfg: RunConfig) -> int:
         popularity = np.zeros(apps.size)
     evidence = data.adoptions.installed[:, apps]
     sheet = PredictionSheet(apps, score_matrix(params, data.networks, evidence, popularity))
-    rows = ["app_id,user_id,score,evaluated", *sheet.csv_rows()]
-    run_dir = _emit(cfg, "predict", {"sheets.csv": "\n".join(rows) + "\n"})
+    sheets = b"app_id,user_id,score,evaluated\n" + sheet.csv_rows()
+    run_dir = _emit(cfg, "predict", {"sheets.csv": sheets})
     print(f"scored {apps.size} app(s)")
     print(f"wrote {run_dir}")
     return EXIT_OK
@@ -217,9 +217,9 @@ def cmd_experiment(cfg: RunConfig) -> int:
         cfg,
         "experiment",
         {
-            "report.json": report.to_json() + "\n",
-            "report.csv": "\n".join(report.csv_rows()) + "\n",
-            "summary.csv": _summary_csv(report),
+            "report.json": (report.to_json() + "\n").encode(),
+            "report.csv": ("\n".join(report.csv_rows()) + "\n").encode(),
+            "summary.csv": _summary_csv(report).encode(),
         },
     )
     for s in report.series:
@@ -252,7 +252,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         )
         + "\n"
     )
-    run_dir = _emit(cfg, "synth", files)
+    run_dir = _emit(cfg, "synth", {name: text.encode() for name, text in files.items()})
     print(f"wrote {len(files)} dataset file(s) to {run_dir}")
     return EXIT_OK
 
@@ -266,7 +266,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     except (OSError, ValueError) as e:
         raise ConfigError([str(e)]) from e
     text = stats.to_json()
-    run_dir = _emit(cfg, "stats", {"stats.json": text + "\n"})
+    run_dir = _emit(cfg, "stats", {"stats.json": (text + "\n").encode()})
     print(text)
     print(f"wrote {run_dir}")
     return EXIT_OK

@@ -61,16 +61,194 @@ class PredictionSheet:
         users = np.asarray(users, dtype=bool)
         return replace(self, evaluated=self.evaluated & users[:, None])
 
-    def csv_rows(self) -> list[str]:
-        """`app_id,user_id,score,evaluated` rows, app-major, one per user."""
-        columns = zip(self.app_ids.tolist(), self.scores.T, self.evaluated.T)
-        return [
-            f"{app},{u},{score!r},{flag}"
-            for app, scores, ranked in columns
-            for u, (score, flag) in enumerate(
-                zip(scores.tolist(), ranked.astype(np.uint8).tolist())
-            )
-        ]
+    def csv_rows(self) -> bytes:
+        """The `app_id,user_id,score,evaluated` rows as ASCII bytes, no header.
+
+        Rows are app-major (every user of ``app_ids[0]``, then of
+        ``app_ids[1]``, ...), users in ascending id, each row ending in
+        ``\\n``.  The score is Python's shortest round-trip ``repr`` of the
+        double, so ``float(text)`` gives back the exact score; ``evaluated``
+        is 1 or 0.
+        """
+        num_users, num_apps = self.scores.shape
+        if not self.scores.size:
+            return b""
+        apps = _text_table([f"{a}," for a in self.app_ids.tolist()])
+        users = _text_table([f"{u}," for u in range(num_users)])
+        # blocks of whole apps when they fit, else of one app's users
+        users_per_block = min(num_users, _CHUNK_CELLS)
+        apps_per_block = _CHUNK_CELLS // users_per_block
+        pieces = []
+        for t0 in range(0, num_apps, apps_per_block):
+            cols = slice(t0, t0 + apps_per_block)
+            for u0 in range(0, num_users, users_per_block):
+                rows = slice(u0, u0 + users_per_block)
+                pieces.append(_csv_block(
+                    (apps[0][cols], apps[1][cols]),
+                    (users[0][rows], users[1][rows]),
+                    self.scores[rows, cols].T,
+                    self.evaluated[rows, cols].T,
+                ))
+        return b"".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# sheets.csv text
+#
+# A block of rows is a fixed-width uint8 matrix ``text``, one row per cell,
+# with a mask ``keep`` of the bytes each row keeps; text[keep] drops the
+# padding and joins the rows.  The score is the shortest decimal that
+# rounds back to the double and, among those, the nearest (Python's repr),
+# found as in the general case of Ryu (Adams, PLDI 2018) but on exact
+# integers: for x in [1e-4, 1), x * 10**k and the two half-ulp bounds are
+# scaled to 128-bit integers, and digits are stripped while a multiple of
+# the next power of ten still lies between the bounds.  Every other double,
+# and any x with x * 10**k an integer (a few-bit dyadic value, where the
+# last stripped digit can be an exact tie), is written by repr itself.
+
+_CHUNK_CELLS = 1 << 14  # cells per block
+_LOW32 = np.uint64(0xFFFFFFFF)
+# ASCII "0000" .. "9999" as one uint32 each
+_QUADS = np.ascontiguousarray(
+    np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+).view(np.uint32).ravel()
+_FAST_WIDTH = 22  # "0." and 20 fraction digits
+# row d keeps the last d of the 20 fraction digits
+_KEEP_LAST = np.arange(20) >= 20 - np.arange(21)[:, None]
+_MIN_BEXP = 1009  # biased exponent of [2**-14, 2**-13), the binade of 1e-4
+
+
+def _binade_scales() -> tuple[np.ndarray, np.ndarray]:
+    """Decimal scale k and shift g, per binade of [2**-14, 1).
+
+    x = m * 2**e with a 53-bit m, and x * 10**k = m * 5**k / 2**g with
+    g = -k - e.  k is the least scale at which the rounding interval of x,
+    one ulp wide, spans 10 units, so at least one digit can be stripped;
+    k <= 21 keeps m * 5**k below 2**104 and x * 10**k below 10**18.
+    """
+    ks = []
+    for e in range(_MIN_BEXP - 1075, 1023 - 1075):
+        k = 0
+        while 10**k < 10 * 2**-e:
+            k += 1
+        ks.append(k)
+    k = np.array(ks)
+    return k, (1075 - np.arange(_MIN_BEXP, 1023) - k).astype(np.uint64)
+
+
+_K, _G = _binade_scales()
+_POW5 = 5 ** _K.astype(np.uint64)
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Digits N, decimals D and a mask ``fast`` for the doubles ``x``.
+
+    Where ``fast`` is set, ``repr(x) == "0." + str(N).zfill(D)``; elsewhere
+    N and D are meaningless.
+    """
+    fast = (x >= 1e-4) & (x < 1.0)
+    bits = np.where(fast, x, 0.5).view(np.uint64)
+    j = (bits >> np.uint64(52)).astype(np.intp) - _MIN_BEXP
+    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
+    f, g = _POW5[j], _G[j]
+    # P = m * 5**k as (hi, lo) 64-bit halves, from 32-bit limbs
+    m1, m0 = m >> np.uint64(32), m & _LOW32
+    f1, f0 = f >> np.uint64(32), f & _LOW32
+    low = m0 * f0
+    mid = m0 * f1 + m1 * f0
+    lo = low + (mid << np.uint64(32))
+    hi = m1 * f1 + (mid >> np.uint64(32)) + (lo < low)
+    # x * 10**k = c + rem / 2**s, and the bounds x -+ ulp / 2 scale to
+    # (4P -+ 2f) / 2**s, never an integer: 4P -+ 2f is twice an odd number.
+    # A power of two has a narrower gap below, but it is a few-bit dyadic
+    # value: rem is 0 and repr writes it.
+    c = ((hi << (np.uint64(64) - g)) | (lo >> g)).astype(np.int64)
+    rem = (lo & ((np.uint64(1) << g) - np.uint64(1))).astype(np.int64) << 2
+    fast &= rem != 0
+    s = g.astype(np.int64) + 2
+    half_ulp = f.astype(np.int64) << 1
+    a = c + ((rem - half_ulp) >> s)
+    b = c + ((rem + half_ulp) >> s)
+    # With a, b the floors of the scaled bounds, a multiple of 10**r lies
+    # inside the interval iff a // 10**r < b // 10**r.  That holds for r = 1
+    # (the interval spans 10 units) and, once false, stays false for every
+    # larger r: strip to the last level where it holds.
+    r = np.ones(x.size, np.int64)
+    p = np.full(x.size, 100)
+    live = np.arange(x.size)
+    while live.size:
+        live = live[a[live] // p[live] < b[live] // p[live]]
+        r[live] += 1
+        p[live] *= 10
+    # Round half up by the last digit stripped: the interval is symmetric,
+    # so rounding down never leaves it, and it holds no exact half.
+    c1 = c // (p // 100)
+    n = c1 // 10
+    n += c1 - 10 * n >= 5
+    return n, _K[j] - r, fast
+
+
+def _text_table(texts: list[str], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII ``texts`` left-aligned in rows of at least ``width`` bytes, and their masks."""
+    width = max(width, max(map(len, texts)))
+    table = np.frombuffer("".join(t.ljust(width) for t in texts).encode(), np.uint8)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    return table.reshape(len(texts), width), np.arange(width) < lengths[:, None]
+
+
+def _write_fraction(
+    digits: np.ndarray, decimals: np.ndarray, text: np.ndarray, keep: np.ndarray
+) -> None:
+    """Fill text rows with "0." and ``digits`` zero-padded to ``decimals`` places.
+
+    The rows get "0." and the digits zero-padded to 20 places; ``keep``
+    drops all but the last ``decimals`` of those 20, and whatever follows.
+    """
+    quads = np.empty((digits.size, 5), np.uint32)
+    for i in range(4, 0, -1):
+        q = digits // 10000
+        quads[:, i] = _QUADS[digits - 10000 * q]
+        digits = q
+    quads[:, 0] = _QUADS[digits]
+    text[:, :2] = np.frombuffer(b"0.", np.uint8)
+    text[:, 2:_FAST_WIDTH] = quads.view(np.uint8)
+    keep[:, :2] = True
+    keep[:, 2:_FAST_WIDTH] = np.take(_KEEP_LAST, decimals, axis=0)
+    keep[:, _FAST_WIDTH:] = False
+
+
+def _csv_block(
+    apps: tuple[np.ndarray, np.ndarray],
+    users: tuple[np.ndarray, np.ndarray],
+    scores: np.ndarray,
+    evaluated: np.ndarray,
+) -> bytes:
+    """Rows of the (apps, users) cells of ``scores``, app-major.
+
+    ``apps`` and ``users`` are `id,` text tables; ``scores`` and
+    ``evaluated`` have shape (apps, users).
+    """
+    x = np.ascontiguousarray(scores).reshape(-1)
+    digits, decimals, fast = _shortest_digits(x)
+    slow = np.flatnonzero(~fast)
+    keys, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
+    reprs = [repr(v) for v in keys.view(np.float64).tolist()]
+    score_width = max(_FAST_WIDTH, max(map(len, reprs), default=0))
+    # fields: "app_id," "user_id," score ",0\n" or ",1\n"
+    ends = np.cumsum([apps[0].shape[1], users[0].shape[1], score_width, 3])
+    app, user, score, tail = map(slice, [0, *ends[:-1]], ends)
+    text = np.empty((*scores.shape, ends[-1]), np.uint8)
+    keep = np.ones(text.shape, bool)
+    text[..., app], keep[..., app] = apps[0][:, None], apps[1][:, None]
+    text[..., user], keep[..., user] = users[0], users[1]
+    text[..., tail] = np.frombuffer(b",0\n", np.uint8)
+    text[..., tail.start + 1] += evaluated
+    text, keep = text.reshape(x.size, -1), keep.reshape(x.size, -1)
+    _write_fraction(digits, decimals, text[:, score], keep[:, score])
+    if reprs:
+        table, mask = _text_table(reprs, score_width)
+        text[slow, score], keep[slow, score] = table[which], mask[which]
+    return text[keep].tobytes()
 
 
 def _exposure(

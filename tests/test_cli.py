@@ -7,9 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adoptnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from adoptnet.config import load_config
+from adoptnet.data import popularity_counts
+from adoptnet.model import ModelParams
+from adoptnet.predict import PredictionSheet, score_matrix
+from test_predict import oracle_csv_rows
 
 SYNTH_CFG = """
 synth.num_users = 24
@@ -276,6 +282,27 @@ class TestPredictCommand:
         for row in body:
             assert 0.0 <= float(row[2]) <= 1.0
             assert row[3] == "1"
+
+    def test_sheets_match_oracle_rows_and_rerun_identical(self, bundle, capsys):
+        tmp_path, data_dir, base = bundle
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params = tmp_path / "planted.json"
+        params.write_text(json.dumps(planted))
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n")
+        assert main(["predict", cfg]) == EXIT_OK
+        capsys.readouterr()
+        [run_dir] = run_dirs(tmp_path / "runs")
+        sheets = (run_dir / "sheets.csv").read_bytes()
+
+        data = load_config(cfg).build_dataset()
+        installed = data.adoptions.installed
+        assert installed.shape == (24, 16)
+        scores = score_matrix(ModelParams.from_json(params.read_text()), data.networks,
+                              installed, popularity_counts(data.adoptions))
+        want = oracle_csv_rows(PredictionSheet(np.arange(16), scores))
+        assert sheets == b"app_id,user_id,score,evaluated\n" + want
+        assert main(["predict", cfg]) == EXIT_OK
+        assert (run_dir / "sheets.csv").read_bytes() == sheets
 
     def test_user_count_mismatch_exits_config(self, bundle, capsys):
         tmp_path, _, base = bundle

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from adoptnet import predict
 from adoptnet.data import CandidateNetwork, NetworkStack
 from adoptnet.model import ModelParams, adoption_probability
 from adoptnet.predict import PredictionSheet, regression_scores, score_matrix, transfer_params
@@ -57,6 +58,41 @@ def ranked(sheet, j=0):
     return np.flatnonzero(sheet.evaluated[:, j]).tolist()
 
 
+def oracle_csv_rows(sheet):
+    """The rows of ``sheet`` written one f-string per cell: the reference for csv_rows."""
+    columns = zip(sheet.app_ids.tolist(), sheet.scores.T, sheet.evaluated.T)
+    return "".join(
+        f"{app},{u},{score!r},{flag}\n"
+        for app, scores, ranked in columns
+        for u, (score, flag) in enumerate(
+            zip(scores.tolist(), ranked.astype(np.uint8).tolist())
+        )
+    ).encode()
+
+
+def awkward_doubles(rng):
+    """Scores in [0, 1] that stress the shortest-digit writer, 1 000 000 or more."""
+    def neighbours(x, steps):
+        bits = np.float64(x).view(np.int64) + np.arange(-steps, steps + 1)
+        return bits.view(np.float64)
+
+    k = rng.integers(0, 1 << 62, 20_000)
+    n = rng.integers(1, 63, k.size)
+    tens = rng.integers(1, 18, 20_000)
+    parts = [
+        rng.uniform(0.0, 1.0, 400_000),
+        10.0 ** rng.uniform(math.log10(5e-324), 0.0, 200_000),
+        10.0 ** rng.uniform(-4.0, 0.0, 400_000),  # every binade of the fast path
+        *(neighbours(x, 500) for x in (1e-4, 1e-3, 1e-2, 0.1)),
+        neighbours(1.0, 500)[:501],  # 1.0 and the doubles just below
+        2.0 ** -np.arange(1, 1075),
+        (k % (1 << n)) / 2.0 ** n,
+        rng.integers(0, 10**tens, dtype=np.int64) / 10.0**tens,
+        np.array([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+    ]
+    return np.concatenate(parts)
+
+
 class TestPredictionSheet:
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ValueError, match="scores"):
@@ -77,13 +113,56 @@ class TestPredictionSheet:
     def test_csv_rows_round_trip_floats(self):
         sheet = PredictionSheet([7, 2], np.array([[0.25, 0.5], [1.0 / 3.0, 1.0]]),
                                 evaluated=np.array([[False, True], [True, True]]))
-        rows = sheet.csv_rows()
+        rows = sheet.csv_rows().decode().splitlines()
         assert rows[0] == "7,0,0.25,0"
         app, user, score, ev = rows[1].split(",")
         assert (app, user, ev) == ("7", "1", "1")
         assert float(score) == 1.0 / 3.0
         # app-major: every user of app 7, then every user of app 2
         assert rows[2:] == ["2,0,0.5,1", "2,1,1.0,1"]
+
+    def test_csv_rows_match_oracle_on_awkward_doubles(self):
+        rng = np.random.default_rng(11)
+        values = rng.permutation(awkward_doubles(rng))
+        assert values.size >= 1_000_000
+        num_users = 1000
+        values = np.concatenate([values, np.zeros(-values.size % num_users)])
+        scores = values.reshape(-1, num_users).T.copy()
+        sheet = PredictionSheet(rng.permutation(scores.shape[1]) * 13, scores,
+                                evaluated=rng.random(scores.shape) < 0.5)
+        assert sheet.csv_rows() == oracle_csv_rows(sheet)
+
+    def test_csv_rows_of_an_empty_block_are_empty(self):
+        assert PredictionSheet([], np.zeros((5, 0))).csv_rows() == b""
+        assert PredictionSheet([3, 4], np.zeros((0, 2))).csv_rows() == b""
+
+    @pytest.mark.parametrize("mask", ["all", "per_user", "per_cell"])
+    def test_csv_rows_layout(self, mask):
+        rng = np.random.default_rng(5)
+        full = rng.random((13, 6))
+        full[0, 0], full[1, 2], full[2, 4] = 0.0, 1.0, 5e-5
+        full.setflags(write=False)
+        evaluated = {
+            "all": True,
+            "per_user": column(rng.random(13) < 0.5),
+            "per_cell": rng.random((13, 3)) < 0.5,
+        }[mask]
+        sheet = PredictionSheet([0, 7, 12345], full[:, ::2], evaluated=evaluated)
+        assert not sheet.scores.flags.c_contiguous
+        rows = sheet.csv_rows()
+        assert rows == oracle_csv_rows(sheet)
+        lines = rows.decode().splitlines()
+        assert len(lines) == 3 * 13
+        assert lines[0].startswith("0,0,0.0,") and lines[13].startswith("7,0,")
+        assert lines[-1].startswith("12345,12,")
+        assert lines[14].startswith("7,1,1.0,")
+
+    def test_csv_rows_split_an_app_across_blocks(self):
+        rng = np.random.default_rng(6)
+        num_users = predict._CHUNK_CELLS + 5  # more users than one block holds
+        sheet = PredictionSheet([4, 1], rng.random((num_users, 2)),
+                                evaluated=rng.random((num_users, 2)) < 0.5)
+        assert sheet.csv_rows() == oracle_csv_rows(sheet)
 
     def test_restrict_evaluated_intersects(self):
         sheet = PredictionSheet([0], np.zeros((5, 1)),
