@@ -84,13 +84,31 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
+        """Parameters from the wire format; a ValueError names the bad key."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("parameters must be a JSON object")
+        for key in ("alpha", "alpha_pop", "s", "constrained"):
+            if key not in obj:
+                raise ValueError(f"missing key {key!r}")
+        for key in ("alpha", "s"):
+            if not (isinstance(obj[key], list) and all(map(_is_number, obj[key]))):
+                raise ValueError(f"{key!r} must be a list of numbers")
+        if not _is_number(obj["alpha_pop"]):
+            raise ValueError("'alpha_pop' must be a number")
+        if not isinstance(obj["constrained"], bool):
+            raise ValueError("'constrained' must be true or false")
         return cls(
             net_weights=np.asarray(obj["alpha"], dtype=float),
             pop_weight=float(obj["alpha_pop"]),
             susceptibility=np.asarray(obj["s"], dtype=float),
-            constrained=bool(obj["constrained"]),
+            constrained=obj["constrained"],
         )
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
@@ -100,6 +118,11 @@ def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
     [m, u, t] is the weighted count of user u's neighbours in network m who
     adopted app t.  A user's own entry never contributes because the
     diagonal is zero.
+
+    Only the fit reads the channels apart: training_terms and the
+    regression design in fit_regression need one feature per network.
+    Scoring never builds this tensor; it multiplies the evidence by the
+    composite network sum_m c_m W_m once (see predict._exposure).
     """
     ev = np.asarray(evidence, dtype=float)
     if ev.ndim != 2 or ev.shape[0] != stack.num_users:

@@ -1,8 +1,12 @@
 """Adoption scores for a batch of apps, as one users × apps block.
 
 score_matrix scores every (user, app) pair from an evidence matrix, one
-column per app, and a popularity value per app.  The three observation
-regimes differ only in the inputs the caller builds:
+column per app, and a popularity value per app.  Scoring runs on the
+paper's composite network: the weighted sum C = sum_m c_m W_m of the
+candidate networks is built once per call, so every app's exposure is
+one product C @ evidence, and the per-network (M, U, T) potentials are
+never formed.  The three observation regimes differ only in the inputs
+the caller builds:
 
 - standard mode conditions on every other user's true adoption,
   ``installed[:, apps]`` (a user's own bit never feeds their own potential
@@ -13,9 +17,10 @@ regimes differ only in the inputs the caller builds:
   remaining users with transfer_params, which imputes the susceptibilities
   the fit on the observable group could not estimate.
 
-regression_scores is the same computation for the linear baseline.  A
-PredictionSheet pairs a score matrix with its app ids and the mask of
-ranked users; the metrics read it column by column.
+regression_scores is the same computation, on the composite of its own
+network coefficients, for the linear baseline.  A PredictionSheet pairs a
+score matrix with its app ids and the mask of ranked users; the metrics
+read it column by column.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import NetworkStack
-from .model import ModelParams, adoption_probability, network_potentials
+from .model import ModelParams, adoption_probability
 from .solver import RegressionParams
 
 
@@ -258,16 +263,26 @@ def _exposure(
     evidence: np.ndarray,
     popularity: np.ndarray,
 ) -> np.ndarray:
-    """net_coefs . potentials + pop_coef * popularity, shape (U, T)."""
+    """C @ evidence + pop_coef * popularity for C = sum_m net_coefs[m] W_m, shape (U, T).
+
+    The composite network C is accumulated in network order in one (U, U)
+    array, then multiplies the evidence once for every app.
+    """
     if net_coefs.size != stack.num_networks:
         raise ValueError("coefficient / stack network count mismatch")
-    potentials = network_potentials(stack, evidence)
-    pop = np.asarray(popularity, dtype=float)
-    if pop.shape != potentials.shape[2:]:
+    ev = np.asarray(evidence, dtype=float)
+    if ev.ndim != 2 or ev.shape[0] != stack.num_users:
         raise ValueError(
-            f"popularity shape {pop.shape} does not match {potentials.shape[2]} apps"
+            f"evidence shape {ev.shape} does not match {stack.num_users} users"
         )
-    return np.tensordot(net_coefs, potentials, axes=1) + pop_coef * pop
+    pop = np.asarray(popularity, dtype=float)
+    if pop.shape != ev.shape[1:]:
+        raise ValueError(f"popularity shape {pop.shape} does not match {ev.shape[1]} apps")
+    first, *rest = stack.networks
+    composite = net_coefs[0] * first.weights
+    for coef, g in zip(net_coefs[1:], rest):
+        composite += coef * g.weights
+    return composite @ ev + pop_coef * pop
 
 
 def score_matrix(
@@ -328,9 +343,14 @@ def regression_scores(
     the per-user training-app install count (the same feature the regression
     was fitted on).
     """
+    activity = np.asarray(activity, dtype=float)
+    if activity.shape != (stack.num_users,):
+        raise ValueError(
+            f"activity shape {activity.shape} does not match {stack.num_users} users"
+        )
     linear = (
         _exposure(reg.net_coefs, reg.pop_coef, stack, evidence, popularity)
-        + reg.activity_coef * np.asarray(activity, dtype=float)[:, None]
+        + reg.activity_coef * activity[:, None]
         + reg.intercept
     )
     return np.clip(linear, 0.0, 1.0)

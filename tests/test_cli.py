@@ -314,6 +314,27 @@ class TestPredictCommand:
         assert main(["predict", cfg]) == EXIT_CONFIG
         assert "user count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "validate"])
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: {}, "missing key 'alpha'", id="empty"),
+        pytest.param(lambda p: [p], "parameters must be a JSON object", id="list"),
+        pytest.param(lambda p: {**p, "alpha_pop": [1]}, "'alpha_pop' must be a number",
+                     id="alpha_pop"),
+        pytest.param(lambda p: {**p, "s": [0.1, "x"]}, "'s' must be a list of numbers",
+                     id="s"),
+        pytest.param(lambda p: {**p, "constrained": "false"},
+                     "'constrained' must be true or false", id="constrained"),
+    ])
+    def test_malformed_params_exit_config(self, bundle, capsys, command, edit, message):
+        tmp_path, data_dir, base = bundle
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(edit(planted)))
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n")
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert f"predict.params: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestExperimentCommand:
     def test_reports_written_and_rerun_identical(self, bundle, capsys):

@@ -95,6 +95,26 @@ class TestModelParams:
         np.testing.assert_array_equal(back.susceptibility, p.susceptibility)
         assert back.pop_weight == p.pop_weight and back.constrained
 
+    @pytest.mark.parametrize("text, key", [
+        pytest.param("{}", "'alpha'", id="empty"),
+        pytest.param("[0.5]", "JSON object", id="list"),
+        pytest.param('{"alpha": [0.5], "alpha_pop": [1], "s": [0.0], "constrained": true}',
+                     "'alpha_pop'", id="alpha_pop_list"),
+        pytest.param('{"alpha": 0.5, "alpha_pop": 0.0, "s": [0.0], "constrained": true}',
+                     "'alpha'", id="alpha_scalar"),
+        pytest.param('{"alpha": [0.5], "alpha_pop": 0.0, "s": [true], "constrained": true}',
+                     "'s'", id="s_bool"),
+        pytest.param('{"alpha": [0.5], "alpha_pop": 0.0, "s": [0.0]}', "'constrained'",
+                     id="constrained_missing"),
+        pytest.param('{"alpha": [0.5], "alpha_pop": 0.0, "s": [0.0], "constrained": "false"}',
+                     "'constrained'", id="constrained_string"),
+        pytest.param('{"alpha": [0.5], "alpha_pop": 0.0, "s": [0.0], "constrained": 0}',
+                     "'constrained'", id="constrained_int"),
+    ])
+    def test_from_json_names_the_bad_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            ModelParams.from_json(text)
+
 
 def one_app_potentials(g: CandidateNetwork, x) -> np.ndarray:
     """Exposure of every user to one app through one network."""
@@ -198,8 +218,8 @@ class TestCompositePotential:
             score_matrix(p, two_network_stack(1.0, 1.0), np.zeros((2, 1)), np.zeros(1))
 
     def test_decomposition_matches_presummed_matrix(self):
-        # combining per-network exposures with weights must equal the exposure
-        # computed on the single pre-combined weight matrix
+        # scoring runs on the pre-combined weight matrix, summed in network
+        # order, so it equals the exposure computed on that matrix exactly
         rng = np.random.default_rng(4)
         for _ in range(10):
             n, m = 7, 3
@@ -216,10 +236,9 @@ class TestCompositePotential:
             ),))
             params = ModelParams(net_weights=alpha, pop_weight=0.0,
                                  susceptibility=np.zeros(n))
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 score_matrix(params, stack, x, np.zeros(2)),
                 adoption_probability(0.0, network_potentials(combined, x)[0]),
-                atol=1e-10,
             )
 
 

@@ -382,6 +382,31 @@ class TestRegressionScores:
         with pytest.raises(ValueError, match="mismatch"):
             regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), np.zeros(3))
 
+    def test_activity_length_mismatch(self):
+        reg = RegressionParams(net_coefs=np.array([0.1]), pop_coef=0.0,
+                               activity_coef=0.2, intercept=0.0)
+        for activity in (np.array([4.0]), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="activity shape"):
+                regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), activity)
+
+
+def test_scoring_never_builds_per_network_potentials(monkeypatch):
+    """Both scorers run on the composite network, never on the (M, U, T) tensor."""
+    def refuse(*args):
+        raise AssertionError("scoring built the per-network potentials")
+
+    monkeypatch.setattr("adoptnet.model.network_potentials", refuse)
+    monkeypatch.setattr(predict, "network_potentials", refuse, raising=False)
+    rng = np.random.default_rng(8)
+    stack = random_stack(rng, 6, 3)
+    evidence = rng.random((6, 4)) < 0.4
+    popularity = rng.random(4) * 3.0
+    params = random_params(rng, 6, 3)
+    reg = RegressionParams(net_coefs=rng.random(3), pop_coef=0.1, activity_coef=0.05,
+                           intercept=0.01)
+    assert score_matrix(params, stack, evidence, popularity).shape == (6, 4)
+    assert regression_scores(reg, stack, evidence, popularity, np.ones(6)).shape == (6, 4)
+
 
 # ---------------------------------------------------------------------------
 # Reference: the per-app scorers the batched path replaced, kept verbatim in
