@@ -34,7 +34,7 @@ from .experiments import (
     run_future,
     run_transfer,
 )
-from .metrics import MetricReport, evaluate_sheets, mean_precision_at_k, optimal_f1, pr_curve, rmse
+from .metrics import MetricReport, evaluate_sheets, rmse
 from .model import (
     ModelParams,
     adoption_probability,
@@ -101,13 +101,10 @@ __all__ = [
     "log_likelihood",
     "log_likelihood_gradient",
     "low_activity_subset",
-    "mean_precision_at_k",
     "normalize_network",
     "observable_user_split",
-    "optimal_f1",
     "planted_params",
     "popularity_counts",
-    "pr_curve",
     "random_baseline",
     "recovery_error",
     "recovery_fit",

@@ -281,8 +281,8 @@ class ExperimentReport:
             "provenance": self.provenance,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self) -> list[str]:
         """Flat rows for tabulation; per-repeat rows then a mean row per metric."""

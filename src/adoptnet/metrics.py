@@ -1,15 +1,20 @@
 """Ranking and error metrics: RMSE, precision@k, MP-k, pooled PR curve, optimal F1.
 
 The metrics of a test pass read a list of PredictionSheet blocks, one per
-fold, and treat every column as one test app.  The evaluated cells are
-gathered with each block's mask into (score, truth-bit) pairs, app-major
-and by ascending user id within an app, so ties rank by user id.
+fold, and treat every column as one test app.  Each block is ranked where
+it lies: one stable sort of all its columns at once (`_rank_block`) puts
+every app's evaluated users in descending score, ties by ascending user id.
+MP-k and the per-app optimal F1 read those rankings, app-major.
 
 Every curve comes from one array sweep (`_sweep`) over pairs sorted by
 descending score: TP, FP, precision, recall and F1 at each distinct score.
-The exact optimal F1 is the maximum of that F1 array.  Reports carry the
-curve on a fixed 101-point recall grid, interpolated after Davis & Goadrich
-(ICML 2006), so their size does not depend on the number of pairs.
+The sweep reads only the last pair of each tie run, so the pooled pairs are
+sorted by the faster unstable sort, after -0.0 is made 0.0 so that a tie
+run's threshold has one sign.  The exact optimal F1 is the maximum of the
+F1 array.  Reports carry the curve on a fixed 101-point recall grid,
+interpolated after Davis & Goadrich (ICML 2006), so their size does not
+depend on the number of pairs.  RMSE sums the squared errors app-major, by
+ascending user id within an app.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ class MetricReport:
     optimal_f1 is the exact maximum F1 over every distinct threshold of the
     pooled pairs (primary); the per-app averaged variant is reported
     alongside.  pr_points is the pooled PR curve on the 101-point recall
-    grid of `pr_grid`.  clipped_apps counts test apps whose evaluated set was
+    grid of `_grid`.  clipped_apps counts test apps whose evaluated set was
     smaller than the requested k.
     """
 
@@ -101,9 +106,9 @@ def precision_at_k(scores: np.ndarray, adopters: Sequence[int] | np.ndarray, k: 
 
 
 class _Sweep(NamedTuple):
-    """One point per distinct score of each group, groups ascending, scores descending."""
+    """One point per distinct score of each group, groups in order, scores descending."""
 
-    group: np.ndarray
+    offsets: np.ndarray  # index of each group's first point
     threshold: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
@@ -113,50 +118,41 @@ class _Sweep(NamedTuple):
     positives: np.ndarray  # per group
 
 
-def _sweep(scores: np.ndarray, truth: np.ndarray, group: np.ndarray) -> _Sweep:
-    """Threshold sweep of non-empty pairs sorted by group, then by descending score.
+def _sweep(scores: np.ndarray, truth: np.ndarray, sizes: np.ndarray) -> _Sweep:
+    """Threshold sweep of consecutive groups of ``sizes`` pairs, each sorted by descending score.
 
-    A threshold t predicts positive on score >= t within its group:
-    precision = TP/(TP+FP), recall = TP/P with P the group's positives (a
-    group without positives gets recall 0), F1 = 2·p·r/(p+r), or 0 where
-    p + r = 0.  Arithmetic is that of `f1_score` on the same operands.
+    Every size is positive.  A threshold t predicts positive on score >= t
+    within its group: precision = TP/(TP+FP), recall = TP/P with P the
+    group's positives (a group without positives gets recall 0), F1 =
+    2·p·r/(p+r), or 0 where p + r = 0.  A point reads only the last pair of
+    its tie run and the counts up to it, so the order of tied pairs does not
+    change the sweep.
     """
-    n = scores.size
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(group[1:], group[:-1], out=first[1:])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     # the last pair of each tie run marks one distinct threshold
-    last = np.empty(n, dtype=bool)
-    last[-1] = True
-    last[:-1] = first[1:] | (scores[1:] != scores[:-1])
-    starts = np.flatnonzero(first)
-    tp_cum = np.concatenate(([0], np.cumsum(truth)))
-    positives = tp_cum[np.append(starts[1:], n)] - tp_cum[starts]
+    last = np.empty(scores.size, dtype=bool)
+    np.not_equal(scores[1:], scores[:-1], out=last[:-1])
+    last[ends - 1] = True
     cut = np.flatnonzero(last)
-    point_group = (np.cumsum(first) - 1)[cut]
-    tp = tp_cum[cut + 1] - tp_cum[starts[point_group]]
-    predicted = cut + 1 - starts[point_group]
+    points = np.diff(np.searchsorted(cut, ends - 1), prepend=-1)
+    tp_cum = np.zeros(scores.size + 1, dtype=np.int64)
+    np.cumsum(truth, out=tp_cum[1:])
+    positives = tp_cum[ends] - tp_cum[starts]
+    predicted = cut + 1  # pairs up to each point, counted from the first pair
+    tp = tp_cum[predicted]
+    tp -= np.repeat(tp_cum[starts], points)
+    predicted -= np.repeat(starts, points)
     precision = tp / predicted
-    recall = tp / np.maximum(positives, 1)[point_group]
+    recall = tp / np.repeat(np.maximum(positives, 1), points)
     denom = precision + recall
-    f1 = np.zeros(cut.size)
-    np.divide(2.0 * precision * recall, denom, out=f1, where=denom != 0)
-    return _Sweep(point_group, scores[cut], tp, predicted - tp, precision, recall, f1,
-                  positives)
-
-
-def _sorted_pairs(
-    scores: Sequence[float] | np.ndarray, truth: Sequence[int] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked pairs of one group, sorted by descending score, for `_sweep`."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(truth, dtype=bool)
-    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and truth must be aligned non-empty 1-d")
-    if not y.any():
-        raise NoPositivesError("PR curve needs at least one positive pair")
-    order = np.argsort(-s, kind="stable")
-    return s[order], y[order], np.zeros(s.size, dtype=int)
+    # p + r = 0 only where p = r = 0, and there 0 / 1 gives F1 = 0
+    denom[denom == 0] = 1.0
+    f1 = 2.0 * precision
+    f1 *= recall
+    f1 /= denom
+    return _Sweep(np.cumsum(points) - points, scores[cut], tp, predicted - tp, precision,
+                  recall, f1, positives)
 
 
 def _grid(sweep: _Sweep) -> tuple[PRPoint, ...]:
@@ -185,125 +181,53 @@ def _grid(sweep: _Sweep) -> tuple[PRPoint, ...]:
                      sweep.threshold[at].tolist()))
 
 
-def pr_curve(
-    scores: Sequence[float] | np.ndarray, truth: Sequence[int] | np.ndarray
-) -> tuple[PRPoint, ...]:
-    """Pooled precision-recall sweep over the distinct scores, descending.
+def _rank_block(
+    sheet: PredictionSheet, truth: AdoptionMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every column of one block ranked, as app-major pairs.
 
-    Each threshold t predicts positive on score >= t; precision = TP/(TP+FP),
-    recall = TP/P.
+    One stable sort of the rows of the block's (T, U) transpose, keyed by
+    -score with the cells outside the mask keyed +inf so that they sort
+    last, orders each app's evaluated users by descending score, ties by
+    ascending user id; the first ``sizes[j]`` of row j are app j's ranking.
+    Returns the ranked scores, the ranked truth bits and the sizes, then the
+    evaluated (score, truth-bit) pairs unranked: app-major, ascending user
+    id within an app.
     """
-    sweep = _sweep(*_sorted_pairs(scores, truth))
-    return tuple(map(PRPoint, sweep.precision.tolist(), sweep.recall.tolist(),
-                     sweep.threshold.tolist()))
-
-
-def pr_grid(
-    scores: Sequence[float] | np.ndarray, truth: Sequence[int] | np.ndarray
-) -> tuple[PRPoint, ...]:
-    """The `pr_curve` of the pairs interpolated onto 101 recalls 0, 0.01, ..., 1.
-
-    See `_grid` for the Davis–Goadrich interpolation and the threshold rule.
-    """
-    return _grid(_sweep(*_sorted_pairs(scores, truth)))
-
-
-def f1_score(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def optimal_f1(points: Sequence[PRPoint]) -> float:
-    """Max F1 over the PR points (0 when precision + recall is 0 everywhere)."""
-    if not points:
-        raise ValueError("optimal_f1 of an empty PR curve")
-    return max(f1_score(p.precision, p.recall) for p in points)
-
-
-def _pairs(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluated (score, truth-bit) pairs of every column of every sheet.
-
-    Pairs run app-major (sheet by sheet, column by column) with ascending
-    user id inside each app.  Also returns the app id and the pair count of
-    each column.
-    """
-    scores, bits, apps, sizes = [], [], [], []
-    for sheet in sheets:
-        col, user = np.nonzero(sheet.evaluated.T)
-        scores.append(sheet.scores[user, col])
-        bits.append(truth.installed[user, sheet.app_ids[col]])
-        apps.append(sheet.app_ids)
-        sizes.append(np.count_nonzero(sheet.evaluated, axis=0))
-    if not scores:
-        empty = np.empty(0, dtype=int)
-        return np.empty(0), np.empty(0, dtype=bool), empty, empty
-    return tuple(map(np.concatenate, (scores, bits, apps, sizes)))
-
-
-def pooled_pairs(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten (score, truth-bit) pairs across every sheet's evaluated cells.
-
-    Pairs run app-major, with ascending user id inside each app.
-    """
-    scores, bits, _, _ = _pairs(sheets, truth)
-    return scores, bits
-
-
-def _rank_within_apps(
-    scores: np.ndarray, bits: np.ndarray, apps: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_pairs` sorted by app column, then by descending score.
-
-    Ties keep ascending user id, as `rank_users` does within one app.
-    Returns sorted scores, sorted bits and the column index of each pair.
-    """
+    sizes = np.count_nonzero(sheet.evaluated, axis=0)
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
-        raise ValueError(f"app {apps[empty[0]]} has no evaluated users")
-    group = np.repeat(np.arange(sizes.size), sizes)
-    order = np.lexsort((-scores, group))
-    return scores[order], bits[order], group
+        raise ValueError(f"app {sheet.app_ids[empty[0]]} has no evaluated users")
+    num_users, num_apps = sheet.scores.shape
+    installed = truth.installed[:, sheet.app_ids]
+    key = np.negative(sheet.scores.T, order="C")
+    evaluated = sheet.evaluated.T
+    # every user evaluated: no mask to key or gather through (a fifth of
+    # the metrics time of a 400 x 800 comparison)
+    full = sizes.min() == num_users
+    if not full:
+        key[~evaluated] = np.inf
+    # flat indices into the (U, T) blocks, row j holding app j's ranking
+    ranked = np.argsort(key, axis=1, kind="stable") * num_apps + np.arange(num_apps)[:, None]
+    if full:
+        ranked = ranked.ravel()
+        pairs = sheet.scores.T.ravel(), installed.T.ravel()
+    else:
+        ranked = ranked[np.arange(num_users) < sizes[:, None]]
+        pairs = sheet.scores.T[evaluated], installed.T[evaluated]
+    return sheet.scores.take(ranked), installed.take(ranked), sizes, *pairs
 
 
 def _precisions_at_k(
     ranked_bits: np.ndarray, sizes: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sheet precision@min(k, size) of bits ranked within each sheet, and the clipped flags."""
+    """Per-app precision@min(k, size) of bits ranked within each app, and the clipped flags."""
     if k < 1:
         raise ValueError(f"k={k} out of range: must be at least 1")
     starts = np.cumsum(sizes) - sizes
     kk = np.minimum(k, sizes)
     hits_cum = np.concatenate(([0], np.cumsum(ranked_bits)))
     return (hits_cum[starts + kk] - hits_cum[starts]) / kk, kk < k
-
-
-def per_app_precisions(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-app precision@k on each column's evaluated users, app-major.
-
-    Apps with fewer evaluated users than k fall back to the evaluated count;
-    the second return flags them.  Positives are the truth adopters among the
-    column's evaluated users.
-    """
-    scores, bits, apps, sizes = _pairs(sheets, truth)
-    _, ranked_bits, _ = _rank_within_apps(scores, bits, apps, sizes)
-    return _precisions_at_k(ranked_bits, sizes, k)
-
-
-def mean_precision_at_k(
-    sheets: Sequence[PredictionSheet], truth: AdoptionMatrix, k: int = 5
-) -> float:
-    """Unweighted mean of per-app precision@k over the test apps."""
-    values, _ = per_app_precisions(sheets, truth, k)
-    if not values.size:
-        raise ValueError("no sheets to evaluate")
-    return float(np.mean(values))
 
 
 def evaluate_sheets(
@@ -317,24 +241,29 @@ def evaluate_sheets(
     Every column of every sheet is one test app.  The per-app-averaged
     optimal F1 skips apps with no positive evaluated user (they have no PR
     curve).  The pooled curve is reported on the 101-point grid of
-    `pr_grid`; optimal_f1 is exact over every threshold.
+    `_grid`; optimal_f1 is exact over every threshold.
     """
-    scores, bits, apps, sizes = _pairs(sheets, truth)
-    if not sizes.size:
+    blocks = [_rank_block(sheet, truth) for sheet in sheets if sheet.app_ids.size]
+    if not blocks:
         raise ValueError("no sheets to evaluate")
-    ranked_scores, ranked_bits, group = _rank_within_apps(scores, bits, apps, sizes)
+    ranked_scores, ranked_bits, sizes, scores, bits = map(np.concatenate, zip(*blocks))
     mp = {}
     clipped_total = 0
     for k in ks:
         values, clipped = _precisions_at_k(ranked_bits, sizes, k)
         mp[int(k)] = float(np.mean(values))
         clipped_total = max(clipped_total, int(clipped.sum()))
-    pooled = _sweep(*_sorted_pairs(scores, bits))
-    per_app = _sweep(ranked_scores, ranked_bits, group)
-    best = np.maximum.reduceat(per_app.f1, np.searchsorted(per_app.group, np.arange(sizes.size)))
-    best = best[per_app.positives > 0]
+    if not ranked_bits.any():
+        raise NoPositivesError("PR curve needs at least one positive pair")
+    # -0.0 + 0.0 is 0.0: a tie run of both zeros then has one threshold,
+    # whichever pair the unstable sort puts last
+    pooled_scores = ranked_scores + 0.0
+    order = np.argsort(-pooled_scores)
+    pooled = _sweep(pooled_scores[order], ranked_bits[order], np.array([order.size]))
+    per_app = _sweep(ranked_scores, ranked_bits, sizes)
+    best = np.maximum.reduceat(per_app.f1, per_app.offsets)[per_app.positives > 0]
     return MetricReport(
-        rmse=rmse(scores, bits.astype(float)),
+        rmse=rmse(scores, bits),
         mp_at_k=mp,
         optimal_f1=float(pooled.f1.max()),
         pr_points=_grid(pooled),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,19 +14,128 @@ from adoptnet.metrics import (
     MetricReport,
     NoPositivesError,
     PRPoint,
+    _grid,
+    _precisions_at_k,
+    _sweep,
     evaluate_sheets,
-    f1_score,
-    mean_precision_at_k,
-    optimal_f1,
-    per_app_precisions,
-    pooled_pairs,
-    pr_curve,
-    pr_grid,
     precision_at_k,
     rank_users,
     rmse,
 )
 from adoptnet.predict import PredictionSheet
+
+
+# The public wrappers that adoptnet.metrics once exported, and the pooled
+# lexsort ranking that evaluate_sheets used before it ranked each block in
+# place, kept as oracles.  They run the module's own `_sweep` and `_grid`:
+# the PR tests reach those two through them, and the lexsort oracle checks
+# the gathering and ranking of evaluate_sheets, while the loop oracles below
+# check the arithmetic independently.
+
+def f1_score(precision, recall):
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def optimal_f1(points):
+    """Max F1 over the PR points (0 when precision + recall is 0 everywhere)."""
+    if not points:
+        raise ValueError("optimal_f1 of an empty PR curve")
+    return max(f1_score(p.precision, p.recall) for p in points)
+
+
+def sorted_pairs(scores, truth):
+    """Checked pairs of one group, stably sorted by descending score, for `_sweep`."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(truth, dtype=bool)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and truth must be aligned non-empty 1-d")
+    if not y.any():
+        raise NoPositivesError("PR curve needs at least one positive pair")
+    order = np.argsort(-s, kind="stable")
+    return s[order], y[order], np.array([s.size])
+
+
+def pr_curve(scores, truth):
+    """Pooled precision-recall sweep over the distinct scores, descending."""
+    sweep = _sweep(*sorted_pairs(scores, truth))
+    return tuple(map(PRPoint, sweep.precision.tolist(), sweep.recall.tolist(),
+                     sweep.threshold.tolist()))
+
+
+def pr_grid(scores, truth):
+    """The `pr_curve` of the pairs interpolated onto 101 recalls 0, 0.01, ..., 1."""
+    return _grid(_sweep(*sorted_pairs(scores, truth)))
+
+
+def gathered_pairs(sheets, truth):
+    """Evaluated (score, truth-bit) pairs, app-major, ascending user id; app ids; sizes."""
+    scores, bits, apps, sizes = [], [], [], []
+    for sh in sheets:
+        col, user = np.nonzero(sh.evaluated.T)
+        scores.append(sh.scores[user, col])
+        bits.append(truth.installed[user, sh.app_ids[col]])
+        apps.append(sh.app_ids)
+        sizes.append(np.count_nonzero(sh.evaluated, axis=0))
+    if not scores:
+        empty = np.empty(0, dtype=int)
+        return np.empty(0), np.empty(0, dtype=bool), empty, empty
+    return tuple(map(np.concatenate, (scores, bits, apps, sizes)))
+
+
+def pooled_pairs(sheets, truth):
+    scores, bits, _, _ = gathered_pairs(sheets, truth)
+    return scores, bits
+
+
+def rank_within_apps(scores, bits, apps, sizes):
+    """The pairs sorted by app column with one lexsort, then by descending score."""
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValueError(f"app {apps[empty[0]]} has no evaluated users")
+    group = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((-scores, group))
+    return scores[order], bits[order]
+
+
+def per_app_precisions(sheets, truth, k=5):
+    scores, bits, apps, sizes = gathered_pairs(sheets, truth)
+    _, ranked_bits = rank_within_apps(scores, bits, apps, sizes)
+    return _precisions_at_k(ranked_bits, sizes, k)
+
+
+def mean_precision_at_k(sheets, truth, k=5):
+    values, _ = per_app_precisions(sheets, truth, k)
+    if not values.size:
+        raise ValueError("no sheets to evaluate")
+    return float(np.mean(values))
+
+
+def lexsort_evaluate_sheets(sheets, truth, ks=(5,), skipped_apps=0):
+    scores, bits, apps, sizes = gathered_pairs(sheets, truth)
+    if not sizes.size:
+        raise ValueError("no sheets to evaluate")
+    ranked_scores, ranked_bits = rank_within_apps(scores, bits, apps, sizes)
+    mp = {}
+    clipped_total = 0
+    for k in ks:
+        values, clipped = _precisions_at_k(ranked_bits, sizes, k)
+        mp[int(k)] = float(np.mean(values))
+        clipped_total = max(clipped_total, int(clipped.sum()))
+    # zeros made +0.0, as evaluate_sheets does before its pooled sort
+    pooled = _sweep(*sorted_pairs(scores + 0.0, bits))
+    per_app = _sweep(ranked_scores, ranked_bits, sizes)
+    best = np.maximum.reduceat(per_app.f1, per_app.offsets)[per_app.positives > 0]
+    return MetricReport(
+        rmse=rmse(scores, bits.astype(float)),
+        mp_at_k=mp,
+        optimal_f1=float(pooled.f1.max()),
+        pr_points=_grid(pooled),
+        optimal_f1_per_app=float(np.mean(best)) if best.size else None,
+        clipped_apps=clipped_total,
+        skipped_apps=skipped_apps,
+    )
 
 
 def brute_precision_at_k(scores, adopters, k):
@@ -565,3 +675,94 @@ class TestEvaluateSheetsOracle:
         assert got.clipped_apps == want.clipped_apps == 3
         assert got.optimal_f1 == want.optimal_f1
         assert len(got.pr_points) == 101
+
+    def test_equals_lexsort_ranking(self):
+        # ties are heavy and hold both zeros; masks are whole, per-user and
+        # per-cell; some cases end in each of the three errors
+        rng = np.random.default_rng(1313)
+        levels = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
+        errors = {}
+        compared = 0
+        for case in range(600):
+            num_users = int(rng.integers(1, 10))
+            num_apps = int(rng.integers(1, 6))
+            installed = rng.random((num_users, num_apps)) < rng.choice([0.02, 0.3, 0.3])
+            truth = AdoptionMatrix(num_users=num_users, num_apps=num_apps,
+                                   installed=installed)
+            num_test = 0 if rng.random() < 0.05 else int(rng.integers(1, num_apps + 1))
+            apps = rng.permutation(num_apps)[:num_test]
+            cuts = np.sort(rng.integers(0, apps.size + 1, int(rng.integers(0, 3))))
+            sheets = []
+            for block_apps in np.split(apps, cuts):
+                scores = rng.choice(levels, (num_users, block_apps.size))
+                mask = rng.integers(3)
+                if mask == 0:
+                    evaluated = True
+                elif mask == 1:
+                    evaluated = rng.random((num_users, 1)) < 0.9
+                else:
+                    evaluated = rng.random((num_users, block_apps.size)) < 0.8
+                sheets.append(PredictionSheet(block_apps, scores, evaluated))
+            ks = tuple(int(k) for k in rng.integers(1, num_users + 3, int(rng.integers(1, 3))))
+            try:
+                want = lexsort_evaluate_sheets(sheets, truth, ks=ks)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))) as raised:
+                    evaluate_sheets(sheets, truth, ks=ks)
+                assert raised.type is type(err), f"case {case}"
+                kind = "no users" if "no evaluated users" in str(err) else str(err)
+                errors[kind] = errors.get(kind, 0) + 1
+                continue
+            got = evaluate_sheets(sheets, truth, ks=ks)
+            assert got == want, f"case {case}"
+            assert got.to_json() == want.to_json(), f"case {case}"
+            compared += 1
+        assert compared >= 300
+        assert set(errors) == {"no sheets to evaluate", "no users",
+                               "PR curve needs at least one positive pair"}
+        assert min(errors.values()) >= 10
+
+    def test_signed_zeros_give_one_threshold(self):
+        # users 1, 2, 4, 5 score zero in both apps; however their zeros are
+        # signed, the report is the same, and its zero threshold is +0.0
+        truth = AdoptionMatrix(num_users=6, num_apps=2,
+                               installed=np.array([[True, False],
+                                                   [False, True],
+                                                   [True, False],
+                                                   [False, False],
+                                                   [False, True],
+                                                   [True, False]]))
+        zero_cells = np.array([1, 2, 4, 5])
+        rng = np.random.default_rng(5)
+        reports = []
+        for signs in [np.zeros((4, 2), bool), np.ones((4, 2), bool),
+                      *(rng.random((4, 2)) < 0.5 for _ in range(8))]:
+            scores = np.array([[0.75, 0.5], [0, 0], [0, 0], [0.25, 0.5], [0, 0], [0, 0]])
+            scores[zero_cells] = np.where(signs, -0.0, 0.0)
+            reports.append(evaluate_sheets([PredictionSheet([0, 1], scores)], truth))
+        for rep in reports:
+            assert rep == reports[0]
+            assert rep.to_json() == reports[0].to_json()
+        thresholds = [p.threshold for p in reports[0].pr_points]
+        assert thresholds[-1] == 0.0
+        assert not any(math.copysign(1.0, t) < 0 for t in thresholds)
+
+
+def test_ranking_never_calls_lexsort(monkeypatch):
+    """Each block is ranked by its own sort, never by a lexsort of the pooled pairs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_sheets called np.lexsort")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    truth = AdoptionMatrix(num_users=4, num_apps=4,
+                           installed=np.array([[True, False, True, False],
+                                               [False, True, False, False],
+                                               [True, False, False, True],
+                                               [False, True, True, False]]))
+    sheets = [
+        PredictionSheet([2, 0], np.array([[0.5, 0.25], [0.5, 0.75], [0.0, 0.25], [1.0, 0.5]])),
+        PredictionSheet([3, 1], np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.0], [0.0, 0.5]]),
+                        column([True, True, False, True])),
+    ]
+    rep = evaluate_sheets(sheets, truth, ks=(1, 3))
+    assert len(rep.pr_points) == 101
