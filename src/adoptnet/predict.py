@@ -256,10 +256,6 @@ def _csv_block(
     return text[keep].tobytes()
 
 
-# bytes of C summed per block of rows: the block and its scratch stay in cache
-_COMPOSITE_BLOCK_BYTES = 1 << 18
-
-
 def _exposure(
     net_coefs: np.ndarray,
     pop_coef: float,
@@ -269,11 +265,8 @@ def _exposure(
 ) -> np.ndarray:
     """C @ evidence + pop_coef * popularity for C = sum_m net_coefs[m] W_m, shape (U, T).
 
-    The composite network C is accumulated in network order, one block of
-    rows at a time through one reused scratch block, so each W_m is read
-    once and no (U, U) temporary is made; every entry gets the same
-    operations in the same order as in the whole-matrix sum.  C then
-    multiplies the evidence once for every app.
+    The composite network C is accumulated in network order in one (U, U)
+    array, then multiplies the evidence once for every app.
     """
     if net_coefs.size != stack.num_networks:
         raise ValueError("coefficient / stack network count mismatch")
@@ -286,15 +279,9 @@ def _exposure(
     if pop.shape != ev.shape[1:]:
         raise ValueError(f"popularity shape {pop.shape} does not match {ev.shape[1]} apps")
     first, *rest = stack.networks
-    composite = np.empty_like(first.weights)
-    rows = max(1, _COMPOSITE_BLOCK_BYTES // max(composite[:1].nbytes, 1))
-    scratch = np.empty_like(composite[:rows])
-    for r in range(0, len(composite), rows):
-        block = composite[r:r + rows]
-        np.multiply(net_coefs[0], first.weights[r:r + rows], out=block)
-        for coef, g in zip(net_coefs[1:], rest):
-            term = np.multiply(coef, g.weights[r:r + rows], out=scratch[:len(block)])
-            block += term
+    composite = net_coefs[0] * first.weights
+    for coef, g in zip(net_coefs[1:], rest):
+        composite += coef * g.weights
     return composite @ ev + pop_coef * pop
 
 

@@ -408,25 +408,6 @@ def test_scoring_never_builds_per_network_potentials(monkeypatch):
     assert regression_scores(reg, stack, evidence, popularity, np.ones(6)).shape == (6, 4)
 
 
-def test_composite_summed_in_row_blocks_is_bit_identical():
-    """The row-blocked composite equals the whole-matrix sum in network order, bit for bit."""
-    rng = np.random.default_rng(12)
-    num_users = 300
-    rows = predict._COMPOSITE_BLOCK_BYTES // (8 * num_users)
-    assert 1 <= rows < num_users and num_users % rows  # several blocks, the last one short
-    for num_networks in (1, 4):
-        stack = random_stack(rng, num_users, num_networks)
-        coefs = rng.random(num_networks) * 2.0 - 0.5
-        evidence = rng.random((num_users, 3)) < 0.3
-        popularity = rng.random(3)
-        composite = coefs[0] * stack.networks[0].weights
-        for coef, g in zip(coefs[1:], stack.networks[1:]):
-            composite += coef * g.weights
-        want = composite @ evidence.astype(float) + 0.7 * popularity
-        got = predict._exposure(coefs, 0.7, stack, evidence, popularity)
-        assert got.tobytes() == want.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # Reference: the per-app scorers the batched path replaced, kept verbatim in
 # substance as an oracle.  One app per call, one matrix-vector product per
