@@ -7,6 +7,10 @@ hash, nothing embeds a timestamp, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration or data error, 3 runtime or protocol
 error.
+
+Each command imports only the modules it runs: experiments, predict and synth
+are imported inside the commands that call them, so `train` never loads the
+protocol runners, the metrics or the generator.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .config import ConfigError, RunConfig, load_config
 from .data import (
     AdoptionMatrix,
     DataFormatError,
+    Dataset,
     EmptyDataError,
     NetworkStack,
     adoption_lines,
@@ -31,11 +36,8 @@ from .data import (
     network_edge_lines,
     popularity_counts,
 )
-from .experiments import Dataset, LeakError, run_experiment
 from .model import ModelParams
-from .predict import PredictionSheet, score_matrix
 from .solver import SolverError, fit_mle
-from .synth import gen_networks, planted_params, sample_adoptions_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,6 +178,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    from .predict import PredictionSheet, score_matrix
+
     data = _build_dataset(cfg)
     cfg.require("predict.params")
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
@@ -210,9 +214,14 @@ def _summary_csv(report) -> str:
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
+    from .experiments import LeakError, run_experiment
+
     data = _build_dataset(cfg)
     spec = cfg.experiment_spec()
-    report = run_experiment(data, spec)
+    try:
+        report = run_experiment(data, spec)
+    except LeakError as e:
+        return _fail([str(e)], EXIT_RUNTIME)
     run_dir = _emit(
         cfg,
         "experiment",
@@ -235,6 +244,8 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    from .synth import gen_networks, planted_params, sample_adoptions_teacher
+
     spec = cfg.synth_spec()
     stack = gen_networks(spec)
     params = planted_params(spec)
@@ -324,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(e.problems, EXIT_CONFIG)
     except (DataFormatError, EmptyDataError, OSError) as e:
         return _fail([str(e)], EXIT_CONFIG)
-    except (SolverError, LeakError, FloatingPointError, ValueError, KeyError) as e:
+    except (SolverError, FloatingPointError, ValueError, KeyError) as e:
         return _fail([str(e)], EXIT_RUNTIME)
 
 

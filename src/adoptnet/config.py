@@ -4,10 +4,13 @@ The file format is one `key = value` per line with `#` comments.  Keys are
 dotted and flat (no sections); relative paths resolve against the config
 file's directory.  Unknown keys are rejected with a close-match suggestion
 so typos fail loudly instead of silently using a default.
+
+The run specs the builders return (ExperimentSpec, SynthSpec) and their
+choice lists live here too, so that reading a config loads only the data and
+solver modules; experiments and synth import them from here.
 """
 from __future__ import annotations
 
-import difflib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,18 +19,22 @@ from typing import Sequence
 import numpy as np
 
 from .data import (
+    NETWORK_KINDS,
     NORMALIZE_MODES,
     SYMMETRIZE_MODES,
     AdoptionMatrix,
     CandidateNetwork,
+    Dataset,
     NetworkStack,
     load_adoptions,
     load_network_edge_list,
     normalize_network,
 )
-from .experiments import PROTOCOLS, USER_SUBSETS, Dataset, ExperimentSpec
 from .solver import FitConfig
-from .synth import WEIGHT_DISTS, SynthSpec
+
+PROTOCOLS = ("ablation", "comparison", "future", "transfer")
+USER_SUBSETS = ("all", "low_activity")
+WEIGHT_DISTS = ("unit", "uniform")
 
 
 class ConfigError(ValueError):
@@ -36,6 +43,121 @@ class ConfigError(ValueError):
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One protocol run: the split scheme, repeats, seed and solver settings.
+
+    Exactly one of train_fraction / folds may be given; with neither, 5-fold
+    cross-validation is assumed.  min_users drops rarely-installed apps
+    before anything else happens.
+    """
+
+    protocol: str
+    train_fraction: float | None = None
+    folds: int | None = None
+    min_users: int = 2
+    repeats: int = 5
+    seed: int = 0
+    user_subset: str = "all"
+    observable_fraction: float = 0.5
+    mp_k: int = 5
+    use_popularity: bool = True
+    fit: FitConfig = field(default_factory=FitConfig)
+
+    def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.train_fraction is not None and self.folds is not None:
+            raise ValueError("set train_fraction or folds, not both")
+        if self.train_fraction is None and self.folds is None:
+            object.__setattr__(self, "folds", 5)
+        if self.train_fraction is not None and not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        if self.folds is not None and self.folds < 2:
+            raise ValueError("need at least two folds")
+        if self.min_users < 0:
+            raise ValueError("min_users must be non-negative")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
+        if self.user_subset not in USER_SUBSETS:
+            raise ValueError(f"unknown user subset {self.user_subset!r}")
+        if not 0 < self.observable_fraction < 1:
+            raise ValueError("observable_fraction must lie in (0, 1)")
+        if self.mp_k < 1:
+            raise ValueError("mp_k must be positive")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Shape and planted parameters of one synthetic dataset.
+
+    edge_density may be a scalar (shared) or one value per network.  Weights
+    are 1.0 under ``unit`` or drawn from uniform(0, weight_max).  Planted
+    susceptibilities are exponential with the given rate; context users'
+    stage-one popularity pull is pop_weight times a uniform(0, pop_base_max)
+    per-app base draw.  Every weight, rate and bound must be finite.
+    """
+
+    num_users: int = 400
+    num_context_users: int = 200
+    num_apps: int = 400
+    num_networks: int = 4
+    edge_density: tuple[float, ...] | float = (0.01, 0.015, 0.02, 0.03)
+    weight_dist: str = "uniform"
+    weight_max: float = 1.0
+    planted_net_weights: tuple[float, ...] = (0.5, 0.35, 0.2, 0.1)
+    planted_pop_weight: float = 0.004
+    susceptibility_rate: float = 25.0
+    pop_base_max: float = 15.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.num_users < 2 or not 1 <= self.num_context_users < self.num_users:
+            raise ValueError("need at least one context and one target user")
+        if self.num_apps < 1 or self.num_networks < 1:
+            raise ValueError("num_apps and num_networks must be positive")
+        dens = self.edge_density
+        if np.isscalar(dens):
+            dens = (float(dens),) * self.num_networks
+        else:
+            dens = tuple(float(d) for d in dens)
+        if len(dens) != self.num_networks:
+            raise ValueError("edge_density must be scalar or one value per network")
+        if any(not 0 < d <= 1 for d in dens):
+            raise ValueError("edge densities must lie in (0, 1]")
+        object.__setattr__(self, "edge_density", dens)
+        if self.weight_dist not in WEIGHT_DISTS:
+            raise ValueError(f"unknown weight distribution {self.weight_dist!r}")
+        if self.weight_max <= 0:
+            raise ValueError("weight_max must be positive")
+        weights = tuple(float(w) for w in self.planted_net_weights)
+        if len(weights) != self.num_networks:
+            raise ValueError("planted_net_weights must have one value per network")
+        if any(w < 0 for w in weights):
+            raise ValueError("planted network weights must be non-negative")
+        object.__setattr__(self, "planted_net_weights", weights)
+        if self.planted_pop_weight < 0:
+            raise ValueError("planted popularity weight must be non-negative")
+        if self.susceptibility_rate <= 0:
+            raise ValueError("susceptibility rate must be positive")
+        if self.pop_base_max < 0:
+            raise ValueError("pop_base_max must be non-negative")
+        # NaN passes the sign checks; non-finite values overflow the uniform
+        # draws or plant all-zero susceptibilities
+        for name in ("weight_max", "planted_net_weights", "planted_pop_weight",
+                     "susceptibility_rate", "pop_base_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+
+    @property
+    def context_users(self) -> np.ndarray:
+        return np.arange(self.num_context_users)
+
+    @property
+    def target_users(self) -> np.ndarray:
+        return np.arange(self.num_context_users, self.num_users)
 
 
 # key -> type tag (int, float, bool, str, path, apps, floats, choice:a|b|c)
@@ -82,7 +204,7 @@ NETWORK_KEY_RE = re.compile(r"^network\.(0|[1-9]\d*)\.(path|name|kind|symmetrize
 NETWORK_FIELD_TYPES = {
     "path": "path",
     "name": "str",
-    "kind": "choice:weighted|binary",
+    "kind": "choice:" + "|".join(NETWORK_KINDS),
     "symmetrize": "choice:" + "|".join(SYMMETRIZE_MODES),
     "normalize": "choice:" + "|".join(NORMALIZE_MODES),
 }
@@ -193,6 +315,8 @@ class RunConfig:
             elif m:
                 tag = NETWORK_FIELD_TYPES[m.group(2)]
             else:
+                import difflib  # only a config with a typo needs it
+
                 hint = difflib.get_close_matches(key, known, n=1)
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
                 out.append(f"unknown key {key!r}{suffix}")

@@ -10,6 +10,7 @@ diagnostic.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -164,6 +165,31 @@ class NetworkStack:
     @property
     def num_users(self) -> int:
         return self.networks[0].num_users
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Candidate networks plus the adoption matrix they explain."""
+
+    networks: NetworkStack
+    adoptions: AdoptionMatrix
+
+    def __post_init__(self) -> None:
+        if self.networks.num_users != self.adoptions.num_users:
+            raise ValueError("networks and adoptions disagree on the user count")
+
+    def fingerprint(self) -> str:
+        """sha256 over all weights, adoption bits and timestamps."""
+        h = hashlib.sha256()
+        for g in self.networks.networks:
+            h.update(g.name.encode())
+            h.update(g.weights.tobytes())
+        if self.networks.popularity is not None:
+            h.update(self.networks.popularity.tobytes())
+        h.update(self.adoptions.installed.tobytes())
+        if self.adoptions.install_times is not None:
+            h.update(self.adoptions.install_times.tobytes())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)

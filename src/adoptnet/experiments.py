@@ -13,16 +13,17 @@ adopters in the future protocol, observable users in the transfer protocol.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .config import PROTOCOLS, USER_SUBSETS, ExperimentSpec  # noqa: F401  (re-exported)
 from .data import (
     AdoptionMatrix,
+    Dataset,
     NetworkStack,
     filter_min_users,
     popularity_counts,
@@ -33,9 +34,6 @@ from .metrics import MetricReport, evaluate_sheets
 from .predict import PredictionSheet, regression_scores, score_matrix, transfer_params
 from .seeds import derive_seed
 from .solver import FitConfig, fit_mle, fit_regression, random_baseline
-
-PROTOCOLS = ("ablation", "comparison", "future", "transfer")
-USER_SUBSETS = ("all", "low_activity")
 
 # name -> (popularity channel on, FitConfig overrides)
 ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = (
@@ -56,75 +54,6 @@ FUTURE_KS = (3, 4, 5)
 
 class LeakError(AssertionError):
     """A protocol invariant that separates train from test was violated."""
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Candidate networks plus the adoption matrix they explain."""
-
-    networks: NetworkStack
-    adoptions: AdoptionMatrix
-
-    def __post_init__(self) -> None:
-        if self.networks.num_users != self.adoptions.num_users:
-            raise ValueError("networks and adoptions disagree on the user count")
-
-    def fingerprint(self) -> str:
-        """sha256 over all weights, adoption bits and timestamps."""
-        h = hashlib.sha256()
-        for g in self.networks.networks:
-            h.update(g.name.encode())
-            h.update(g.weights.tobytes())
-        if self.networks.popularity is not None:
-            h.update(self.networks.popularity.tobytes())
-        h.update(self.adoptions.installed.tobytes())
-        if self.adoptions.install_times is not None:
-            h.update(self.adoptions.install_times.tobytes())
-        return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One protocol run: the split scheme, repeats, seed and solver settings.
-
-    Exactly one of train_fraction / folds may be given; with neither, 5-fold
-    cross-validation is assumed.  min_users drops rarely-installed apps
-    before anything else happens.
-    """
-
-    protocol: str
-    train_fraction: float | None = None
-    folds: int | None = None
-    min_users: int = 2
-    repeats: int = 5
-    seed: int = 0
-    user_subset: str = "all"
-    observable_fraction: float = 0.5
-    mp_k: int = 5
-    use_popularity: bool = True
-    fit: FitConfig = field(default_factory=FitConfig)
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.train_fraction is not None and self.folds is not None:
-            raise ValueError("set train_fraction or folds, not both")
-        if self.train_fraction is None and self.folds is None:
-            object.__setattr__(self, "folds", 5)
-        if self.train_fraction is not None and not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.folds is not None and self.folds < 2:
-            raise ValueError("need at least two folds")
-        if self.min_users < 0:
-            raise ValueError("min_users must be non-negative")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        if self.user_subset not in USER_SUBSETS:
-            raise ValueError(f"unknown user subset {self.user_subset!r}")
-        if not 0 < self.observable_fraction < 1:
-            raise ValueError("observable_fraction must lie in (0, 1)")
-        if self.mp_k < 1:
-            raise ValueError("mp_k must be positive")
 
 
 def round_half_up(x: float) -> int:

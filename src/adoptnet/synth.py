@@ -9,89 +9,16 @@ parameters, which is the correctness oracle for the whole estimator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import WEIGHT_DISTS, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
 from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
 from .model import ModelParams
 from .seeds import derive_seed
 from .solver import FitConfig, FitResult, fit_mle
-
-WEIGHT_DISTS = ("unit", "uniform")
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Shape and planted parameters of one synthetic dataset.
-
-    edge_density may be a scalar (shared) or one value per network.  Weights
-    are 1.0 under ``unit`` or drawn from uniform(0, weight_max).  Planted
-    susceptibilities are exponential with the given rate; context users'
-    stage-one popularity pull is pop_weight times a uniform(0, pop_base_max)
-    per-app base draw.  Every weight, rate and bound must be finite.
-    """
-
-    num_users: int = 400
-    num_context_users: int = 200
-    num_apps: int = 400
-    num_networks: int = 4
-    edge_density: tuple[float, ...] | float = (0.01, 0.015, 0.02, 0.03)
-    weight_dist: str = "uniform"
-    weight_max: float = 1.0
-    planted_net_weights: tuple[float, ...] = (0.5, 0.35, 0.2, 0.1)
-    planted_pop_weight: float = 0.004
-    susceptibility_rate: float = 25.0
-    pop_base_max: float = 15.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_users < 2 or not 1 <= self.num_context_users < self.num_users:
-            raise ValueError("need at least one context and one target user")
-        if self.num_apps < 1 or self.num_networks < 1:
-            raise ValueError("num_apps and num_networks must be positive")
-        dens = self.edge_density
-        if np.isscalar(dens):
-            dens = (float(dens),) * self.num_networks
-        else:
-            dens = tuple(float(d) for d in dens)
-        if len(dens) != self.num_networks:
-            raise ValueError("edge_density must be scalar or one value per network")
-        if any(not 0 < d <= 1 for d in dens):
-            raise ValueError("edge densities must lie in (0, 1]")
-        object.__setattr__(self, "edge_density", dens)
-        if self.weight_dist not in WEIGHT_DISTS:
-            raise ValueError(f"unknown weight distribution {self.weight_dist!r}")
-        if self.weight_max <= 0:
-            raise ValueError("weight_max must be positive")
-        weights = tuple(float(w) for w in self.planted_net_weights)
-        if len(weights) != self.num_networks:
-            raise ValueError("planted_net_weights must have one value per network")
-        if any(w < 0 for w in weights):
-            raise ValueError("planted network weights must be non-negative")
-        object.__setattr__(self, "planted_net_weights", weights)
-        if self.planted_pop_weight < 0:
-            raise ValueError("planted popularity weight must be non-negative")
-        if self.susceptibility_rate <= 0:
-            raise ValueError("susceptibility rate must be positive")
-        if self.pop_base_max < 0:
-            raise ValueError("pop_base_max must be non-negative")
-        # NaN passes the sign checks; non-finite values overflow the uniform
-        # draws or plant all-zero susceptibilities
-        for name in ("weight_max", "planted_net_weights", "planted_pop_weight",
-                     "susceptibility_rate", "pop_base_max"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def context_users(self) -> np.ndarray:
-        return np.arange(self.num_context_users)
-
-    @property
-    def target_users(self) -> np.ndarray:
-        return np.arange(self.num_context_users, self.num_users)
 
 
 @dataclass(frozen=True)

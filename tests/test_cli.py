@@ -493,3 +493,86 @@ class TestArgumentHandling:
     def test_missing_config_file_exits_config(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.cfg")]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_leak_error_exits_runtime(self, bundle, capsys, monkeypatch):
+        from adoptnet.experiments import LeakError
+
+        def leak(*args, **kwargs):
+            raise LeakError("planted leak")
+
+        # cmd_experiment imports run_experiment when it runs
+        monkeypatch.setattr("adoptnet.experiments.run_experiment", leak)
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = comparison\n")
+        assert main(["experiment", cfg]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == ["error: planted leak"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_solver_error_exits_runtime(self, bundle, capsys, monkeypatch):
+        from adoptnet.solver import SolverError
+
+        def fail(*args, **kwargs):
+            raise SolverError("planted solver failure")
+
+        # cli binds fit_mle at import, so cmd_train looks it up there
+        monkeypatch.setattr("adoptnet.cli.fit_mle", fail)
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["train", cfg]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == ["error: planted solver failure"]
+        assert not (tmp_path / "runs").exists()
+
+
+def loaded_modules(script: str) -> list[str]:
+    """The sorted adoptnet module names a fresh interpreter holds after `script`."""
+    script += (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'adoptnet')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportedModules:
+    """Each path loads only the modules it runs."""
+
+    def test_train(self, bundle):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        loaded = loaded_modules(
+            f"from adoptnet.cli import main\nassert main(['train', {cfg!r}]) == 0\n")
+        assert "adoptnet.solver" in loaded
+        for name in ("experiments", "metrics", "predict", "synth"):
+            assert f"adoptnet.{name}" not in loaded
+
+    def test_predict(self, bundle):
+        tmp_path, data_dir, base = bundle
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params = tmp_path / "planted.json"
+        params.write_text(json.dumps(planted))
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n")
+        loaded = loaded_modules(
+            f"from adoptnet.cli import main\nassert main(['predict', {cfg!r}]) == 0\n")
+        assert "adoptnet.predict" in loaded
+        for name in ("experiments", "metrics", "synth"):
+            assert f"adoptnet.{name}" not in loaded
+
+    def test_dataset_from_config(self, bundle):
+        """The benchmark's setup probe: import the package, read one dataset."""
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        loaded = loaded_modules(
+            "import adoptnet\n"
+            "from adoptnet.config import load_config\n"
+            f"load_config({cfg!r}).build_dataset()\n"
+        )
+        assert "adoptnet.data" in loaded
+        for name in ("experiments", "metrics", "predict", "synth", "cli"):
+            assert f"adoptnet.{name}" not in loaded
