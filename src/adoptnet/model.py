@@ -24,6 +24,11 @@ from .data import AdoptionMatrix, NetworkStack
 # line-searchable pull instead of a singular one.
 EXPONENT_KNEE = 1e-3
 
+# Curvature of log(1 - exp(-z)) at the knee, exp(z)/expm1(z)^2 at z = EXPONENT_KNEE
+# (about 1e6): what an adopter cell at or below the knee meets as soon as a
+# step lifts it past the knee.  See knee_curvature.
+KNEE_CURVATURE = float(1.0 / (np.expm1(EXPONENT_KNEE) * -np.expm1(-EXPONENT_KNEE)))
+
 # Floor applied when converting an unconstrained negative exponent to a
 # probability; irrelevant under the non-negativity constraints.
 NEGATIVE_EXPONENT_EPS = 1e-12
@@ -352,6 +357,26 @@ def objective_hessian(
     )
     root = features * np.sqrt(h)  # root @ root.T is symmetric bit for bit
     return diag, coupling, root @ root.T
+
+
+def knee_curvature(
+    terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
+) -> np.ndarray:
+    """KNEE_CURVATURE times each user's count of adopter cells in [0, knee], shape (U,).
+
+    Such a cell lies on the linear piece of the objective, so it adds nothing
+    to objective_hessian, yet any step that lifts it past EXPONENT_KNEE
+    meets a curvature of KNEE_CURVATURE.  fit_mle adds this vector to the
+    susceptibility diagonal of its Newton model, so a user held at the knee
+    takes a Newton step instead of creeping up by the knee per iteration.
+    It is zero when every adopter cell is above the knee, as at an optimum
+    that is an exact MLE (see objective_value), and cells below zero
+    (relaxed-sign fits only) get nothing.
+    """
+    z = _adopter_exponents(terms, s, w, w_pop)
+    at_knee = (z >= 0.0) & (z <= EXPONENT_KNEE)
+    counts = np.bincount(terms.adopter_users[at_knee], minlength=terms.num_users)
+    return KNEE_CURVATURE * counts
 
 
 def log_likelihood(

@@ -1,7 +1,15 @@
 """Constrained maximization of the training objective, plus the baselines.
 
 The main fit is projected Newton (Bertsekas 1982, SIAM J. Control Optim.
-20:221) on the arrowhead Hessian from ``objective_hessian``.  Each iteration
+20:221) on an arrowhead Newton model: the exact Hessian from
+``objective_hessian`` plus, on the susceptibility diagonal, the knee term
+from ``knee_curvature``.  An adopter cell at or below EXPONENT_KNEE lies on
+the objective's linear piece and adds no exact curvature, yet a step that
+lifts it past the knee meets a curvature of about 1/knee^2; without the
+term, a user held there could only creep by the knee per iteration, and a
+fit could stall.  The term is zero when no adopter cell lies in
+[0, EXPONENT_KNEE], so near an optimum the model is the exact Hessian; the
+value, the gradient and the grad_tol test do not change.  Each iteration
 splits the coordinates.  Frozen ones stay put.  Active ones, Bertsekas's
 epsilon-active set widened to every coordinate whose own diagonal Newton
 step reaches its bound, take that diagonal step.  Constrained coordinates
@@ -38,6 +46,7 @@ from .model import (
     EXPONENT_KNEE,
     ModelParams,
     checked_train_apps,
+    knee_curvature,
     network_potentials,
     objective_gradient,
     objective_hessian,
@@ -225,13 +234,16 @@ def _newton_direction(
     frozen: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Projected-Newton ascent direction on an arrowhead negated Hessian.
+    """Projected-Newton ascent direction on an arrowhead negated Hessian model.
 
-    ``hessian`` is (D, B, C) as returned by objective_hessian: the first
-    D.size coordinates form the diagonal block.  Frozen coordinates do not
-    move.  Active coordinates, and free ones without curvature, take a
-    diagonal step; the remaining block is solved through the Schur
-    complement of its diagonal part.
+    ``hessian`` is (D, B, C) in objective_hessian's layout: the first D.size
+    coordinates form the diagonal block.  fit_mle passes objective_hessian
+    with the knee term of knee_curvature added to D, so a user whose adopter
+    cells sit on the linear piece below the knee takes a Newton step sized
+    by the curvature it meets past the knee, not the linear-model step.
+    Frozen coordinates do not move.  Active coordinates, and free ones
+    without curvature, take a diagonal step; the remaining block is solved
+    through the Schur complement of its diagonal part.
     """
     diag_block, coupling, dense = hessian
     n = diag_block.size
@@ -382,7 +394,9 @@ def fit_mle(
         return np.append(gs, np.append(gw, gp) / scale)
 
     def hessian(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        diag, coupling, dense = objective_hessian(terms, *unscaled(t))
+        params = unscaled(t)
+        diag, coupling, dense = objective_hessian(terms, *params)
+        diag = diag + knee_curvature(terms, *params)
         return diag, coupling / scale, dense / scale[:, None] / scale
 
     theta, result = _projected_newton(

@@ -9,8 +9,10 @@ import pytest
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
 from adoptnet.model import (
     EXPONENT_KNEE,
+    KNEE_CURVATURE,
     ModelParams,
     adoption_probability,
+    knee_curvature,
     log1mexp,
     log_likelihood,
     log_likelihood_gradient,
@@ -521,6 +523,83 @@ class TestHessian:
         assert diag.shape == (6,) and coupling.shape == (6, 3)
         assert dense.shape == (3, 3)
         assert not diag.any() and not coupling.any() and not dense.any()
+
+
+def complete_stack(num_users):
+    """One network joining every pair of users with weight 1."""
+    w = np.ones((num_users, num_users)) - np.eye(num_users)
+    return NetworkStack(networks=(CandidateNetwork(num_users=num_users, weights=w),))
+
+
+class TestKneeCurvature:
+    def test_constant_is_the_curvature_at_the_knee(self):
+        # objective_hessian's cell curvature exp(z)/expm1(z)^2, just above the knee
+        z = EXPONENT_KNEE * (1.0 + 1e-12)
+        assert KNEE_CURVATURE == pytest.approx(math.exp(z) / math.expm1(z) ** 2,
+                                               rel=1e-9)
+
+    def test_zero_above_the_knee(self):
+        # random_instance keeps every exponent at least 0.05
+        rng = np.random.default_rng(44)
+        for _ in range(6):
+            stack, adoptions, params = random_instance(rng)
+            terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+            args = (params.susceptibility, params.net_weights, params.pop_weight)
+            knee = knee_curvature(terms, *args)
+            diag = objective_hessian(terms, *args)[0]
+            assert knee.shape == diag.shape and not knee.any()
+            np.testing.assert_array_equal(diag + knee, diag)
+
+    def test_zero_below_zero(self):
+        # a negative weight on a complete network: every app has at least two
+        # adopters, so every adopter cell has potential >= 1 and z <= -0.5
+        U, A = 6, 4
+        installed = np.zeros((U, A), dtype=bool)
+        installed[:3, :] = True
+        installed[3:, 1] = True
+        adoptions = AdoptionMatrix(num_users=U, num_apps=A, installed=installed)
+        terms = training_terms(complete_stack(U), adoptions, np.arange(A))
+        s, w = np.full(U, 0.5), np.array([-1.0])
+        z = s[terms.adopter_users] + w @ terms.adopter_features[:1]
+        assert z.max() <= -0.5
+        knee = knee_curvature(terms, s, w, 0.0)
+        diag = objective_hessian(terms, s, w, 0.0)[0]
+        assert not knee.any()
+        np.testing.assert_array_equal(diag + knee, diag)
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_counts_each_users_cells_in_the_knee_band(self, subset):
+        rng = np.random.default_rng(45)
+        stack, adoptions, _ = random_instance(rng, num_users=30, num_networks=2,
+                                              num_apps=25)
+        U, A = 30, 25
+        term_users = np.sort(rng.choice(U, 18, replace=False)) if subset else None
+        terms = training_terms(stack, adoptions, np.arange(A), term_users=term_users)
+        # exponents spread around [0, knee], both ends included
+        s = rng.choice([0.0, 0.5, 1.0, 2.0], size=U) * EXPONENT_KNEE
+        w = rng.uniform(0.0, 1e-4, 2)
+        w_pop = 1e-5
+        z = (s[:, None] + np.tensordot(w, terms.potentials, axes=1)
+             + w_pop * terms.popularity)
+        band = terms.labels & (z >= 0.0) & (z <= EXPONENT_KNEE)
+        band &= terms.term_users[:, None]
+        counts = band.sum(axis=1)
+        assert counts.any() and (terms.labels.sum(axis=1) > counts).any()
+        knee = knee_curvature(terms, s, w, w_pop)
+        np.testing.assert_array_equal(knee, KNEE_CURVATURE * counts)
+
+    def test_user_with_only_zero_exponent_cells_gets_curvature(self):
+        # one adopter cell at z = 0 lies on the linear piece: no exact curvature
+        stack = edgeless_stack(2)
+        installed = np.array([[True, False, False], [True, True, False]])
+        adoptions = AdoptionMatrix(num_users=2, num_apps=3, installed=installed)
+        terms = training_terms(stack, adoptions, np.arange(3))
+        s = np.array([0.0, 0.5])
+        diag = objective_hessian(terms, s, np.zeros(1), 0.0)[0]
+        knee = knee_curvature(terms, s, np.zeros(1), 0.0)
+        assert diag[0] == 0.0 and diag[1] > 0.0
+        assert knee[0] == KNEE_CURVATURE > 0.0
+        assert knee[1] == 0.0
 
 
 class TestObjectiveProperties:

@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
+from adoptnet.data import (
+    AdoptionMatrix,
+    CandidateNetwork,
+    NetworkStack,
+    filter_min_users,
+    popularity_counts,
+)
+from adoptnet.experiments import fraction_split
 from adoptnet.model import (
+    KNEE_CURVATURE,
     ModelParams,
     TrainingTerms,
     log_likelihood,
@@ -18,6 +26,7 @@ from adoptnet.model import (
     objective_value,
     training_terms,
 )
+from adoptnet import solver
 from adoptnet.solver import (
     FitConfig,
     FitResult,
@@ -29,6 +38,7 @@ from adoptnet.solver import (
     nonneg_least_squares,
     random_baseline,
 )
+from adoptnet.seeds import derive_seed
 from adoptnet.synth import SynthSpec, generate, recovery_fit
 
 
@@ -518,6 +528,74 @@ class TestChangeOfVariables:
         base, _ = recovery_fit(stack, teacher)
         np.testing.assert_allclose(params.net_weights[:-1], base.net_weights,
                                    rtol=0.0, atol=1e-10)
+
+
+class TestKneeCurvature:
+    """The Newton model's knee term: adopter cells at the knee count as curved."""
+
+    def test_fit_model_is_exact_hessian_plus_knee_term(self, monkeypatch):
+        stack, adoptions = make_instance(3, num_users=14, num_networks=3)
+        train = np.arange(adoptions.num_apps)
+        captured = {}
+
+        def capture(value, grad, hessian, theta0, nonneg, frozen, cfg):
+            captured["hessian"] = hessian
+            return theta0, None
+
+        monkeypatch.setattr(solver, "_projected_newton", capture)
+        fit_mle(stack, adoptions, train)
+        model = captured["hessian"]
+        terms = training_terms(stack, adoptions, train)
+        U, M = terms.num_users, terms.num_networks
+        scale = np.append(terms.potentials.max(axis=(1, 2)), terms.popularity.max())
+        # every exponent above the knee: the model is the exact Hessian
+        theta = np.append(np.full(U, 0.2), 0.3 * scale)
+        want = objective_hessian(terms, theta[:U], np.full(M, 0.3), 0.3)
+        got = model(theta)
+        np.testing.assert_array_equal(got[0], want[0])
+        # the weight blocks only pass through the unit-max change of variables
+        np.testing.assert_allclose(got[1] * scale, want[1], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got[2] * scale[:, None] * scale, want[2],
+                                   rtol=1e-14, atol=0.0)
+        # all parameters at zero: every adopter cell sits at z = 0
+        diag, coupling, dense = model(np.zeros(U + M + 1))
+        counts = np.bincount(terms.adopter_users, minlength=U)
+        np.testing.assert_array_equal(diag, KNEE_CURVATURE * counts)
+        assert not coupling.any() and not dense.any()
+
+    def test_knee_users_take_newton_steps(self):
+        # Sparse single-network data puts users with few adopter cells on the
+        # knee, where the exact Hessian has no curvature; with the exact
+        # Hessian as its Newton model this fit takes 48 objective evaluations
+        # in 15 iterations, most of them halving Newton steps.
+        stack, adoptions = make_instance(8, num_users=40, num_networks=1,
+                                         num_apps=20, density=0.05)
+        stack = NetworkStack(stack.networks)
+        train = np.arange(adoptions.num_apps)
+        params, res = fit_mle(stack, adoptions, train)
+        assert res.stop_reason == "grad_tol"
+        assert res.objective_evals <= 2 * (res.iterations + 1)
+        # the same optimum as the exact-Hessian path
+        exact, ref = slice_rescale_fit(stack, adoptions, train)
+        assert ref.stop_reason == "grad_tol"
+        np.testing.assert_allclose(flat_params(params), flat_params(exact),
+                                   rtol=0.0, atol=1e-8)
+
+    def test_comparison_fit_does_not_stall(self):
+        # The 20% full-model fit of the comparison protocol on a small
+        # teacher bundle: with the exact Hessian as its Newton model it makes
+        # no progress at the knee and ends on max_iters with a projected
+        # gradient of about 2.
+        spec = SynthSpec(num_users=60, num_context_users=30, num_apps=40,
+                         num_networks=4, seed=1)
+        networks, teacher = generate(spec)
+        adoptions, _ = filter_min_users(teacher.adoptions, 3)
+        stack = NetworkStack(networks.networks, popularity_counts(adoptions))
+        seed = derive_seed(0, "comparison", "split", 0.2, 0)
+        train, _ = fraction_split(np.arange(adoptions.num_apps), 0.2, seed)
+        _, res = fit_mle(stack, adoptions, train, FitConfig(max_iters=200))
+        assert res.stop_reason == "grad_tol"
+        assert res.final_objective >= -72.0583
 
 
 def arrowhead_qp_oracle(H, b):
