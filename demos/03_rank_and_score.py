@@ -14,6 +14,7 @@ import numpy as np
 from adoptnet.data import NetworkStack, popularity_counts
 from adoptnet.experiments import future_split
 from adoptnet.metrics import evaluate_sheets
+from adoptnet.model import training_terms
 from adoptnet.predict import PredictionSheet, score_matrix
 from adoptnet.solver import fit_mle, random_baseline
 from adoptnet.synth import SynthSpec, generate
@@ -46,7 +47,10 @@ def random_like(sheet):
     return PredictionSheet(sheet.app_ids, np.column_stack(columns), sheet.evaluated)
 
 
-params, fit = fit_mle(stack, adoptions, train)
+# The fit reads the training split's features, built once by training_terms:
+# each network's exposure of every user to every training app, the apps'
+# popularity and who adopted them.
+params, fit = fit_mle(training_terms(stack, adoptions, train))
 print(f"fit: {fit.iterations} iterations, objective {fit.final_objective:.2f}")
 print(f"network weights {np.round(params.net_weights, 3)}, "
       f"popularity weight {params.pop_weight:.4f}")

@@ -51,6 +51,7 @@ _EXPORTS = {
         "adoption_probability",
         "log_likelihood",
         "log_likelihood_gradient",
+        "training_terms",
     ),
     "predict": ("PredictionSheet", "score_matrix", "transfer_params"),
     "solver": (

@@ -36,7 +36,7 @@ from .data import (
     network_edge_lines,
     popularity_counts,
 )
-from .model import ModelParams
+from .model import ModelParams, training_terms
 from .solver import SolverError, fit_mle
 
 EXIT_OK = 0
@@ -157,7 +157,7 @@ def cmd_train(cfg: RunConfig) -> int:
     pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
-    params, result = fit_mle(stack, data.adoptions, apps, fit_cfg)
+    params, result = fit_mle(training_terms(stack, data.adoptions, apps), cfg=fit_cfg)
     run_dir = _emit(
         cfg,
         "train",

@@ -10,6 +10,13 @@ always see identical splits.
 The exogenous popularity channel is always derived from the adoption matrix
 at the protocol's visibility: every user in the standard protocols, early
 adopters in the future protocol, observable users in the transfer protocol.
+When spec.use_popularity is off, the channel is a zero vector.
+
+Each train/test split builds its TrainingTerms once, and every fit of that
+split reads them: the model and the regression baseline alike.  A variant
+fit derives its terms with dataclasses.replace: popularity zeroed for the
+variants without the exogenous channel, one network's slice of the
+potentials for each single-network fit.
 """
 from __future__ import annotations
 
@@ -31,6 +38,7 @@ from .data import (
     restrict_users,
 )
 from .metrics import MetricReport, evaluate_sheets
+from .model import TrainingTerms, training_terms
 from .predict import PredictionSheet, regression_scores, score_matrix, transfer_params
 from .seeds import derive_seed
 from .solver import FitConfig, fit_mle, fit_regression, random_baseline
@@ -254,44 +262,34 @@ def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
         raise LeakError("train and test apps overlap")
 
 
-def _fit_stack(stack: NetworkStack, adoptions: AdoptionMatrix, use_pop: bool) -> NetworkStack:
-    pop = popularity_counts(adoptions) if use_pop else None
-    return NetworkStack(networks=stack.networks, popularity=pop)
-
-
-def _popularity(pop: np.ndarray | None, apps: np.ndarray) -> np.ndarray:
-    """Popularity values of ``apps``, zeros when the channel is off."""
-    return pop[apps] if pop is not None else np.zeros(apps.size)
-
-
 def _mle_sheet(
-    fit_stack: NetworkStack,
+    terms: TrainingTerms,
+    stack: NetworkStack,
     adoptions: AdoptionMatrix,
-    train: np.ndarray,
     test: np.ndarray,
     cfg: FitConfig,
 ) -> PredictionSheet:
-    """Fit on the train apps, score every test app in standard mode."""
-    _check_disjoint(train, test)
-    params, _ = fit_mle(fit_stack, adoptions, train, cfg)
+    """Fit on ``terms``, score every test app in standard mode.
+
+    ``stack`` holds the networks and the popularity vector the terms were
+    built from; scoring reads the same popularity channel as the fit.
+    """
+    params, _ = fit_mle(terms, cfg=cfg)
     evidence = adoptions.installed[:, test]
-    pop = _popularity(fit_stack.popularity, test)
-    return PredictionSheet(test, score_matrix(params, fit_stack, evidence, pop))
+    return PredictionSheet(test, score_matrix(params, stack, evidence, stack.popularity[test]))
 
 
 def _regression_sheet(
-    fit_stack: NetworkStack,
+    terms: TrainingTerms,
+    stack: NetworkStack,
     adoptions: AdoptionMatrix,
-    train: np.ndarray,
     test: np.ndarray,
 ) -> PredictionSheet:
-    _check_disjoint(train, test)
-    reg = fit_regression(fit_stack, adoptions, train)
-    activity = adoptions.installed[:, train].sum(axis=1).astype(float)
+    reg = fit_regression(terms)
+    activity = terms.labels.sum(axis=1).astype(float)
     evidence = adoptions.installed[:, test]
-    pop = _popularity(fit_stack.popularity, test)
     return PredictionSheet(
-        test, regression_scores(reg, fit_stack, evidence, pop, activity)
+        test, regression_scores(reg, stack, evidence, stack.popularity[test], activity)
     )
 
 
@@ -359,20 +357,28 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     popularity channel; individual susceptibility only (network weights
     frozen at zero); network weights only (susceptibility frozen at zero);
     and the network-only variant with the non-negativity constraint lifted.
+    The five fits of a fold share its terms, so the loop runs over folds
+    first and holds one fold's terms at a time.
     """
     adoptions, kept = _prepare(data, spec)
     subset = _subset_users(adoptions, spec)
+    no_pop = np.zeros(adoptions.num_apps)
+    pop = popularity_counts(adoptions) if spec.use_popularity else no_pop
+    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
+    bare = NetworkStack(networks=data.networks.networks, popularity=no_pop)
     per_series: dict[str, list[MetricReport]] = {n: [] for n, _, _ in ABLATION_CONFIGS}
     for r in range(spec.repeats):
-        splits = _cv_splits(adoptions.num_apps, spec, r)
-        for name, use_pop, overrides in ABLATION_CONFIGS:
-            cfg = replace(spec.fit, **overrides)
-            fit_stack = _fit_stack(data.networks, adoptions, use_pop and spec.use_popularity)
-            sheets = [
-                _mle_sheet(fit_stack, adoptions, train, test, cfg).restrict(subset)
-                for train, test in splits
-            ]
-            per_series[name].append(evaluate_sheets(sheets, adoptions, ks=(spec.mp_k,)))
+        sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
+        for train, test in _cv_splits(adoptions.num_apps, spec, r):
+            _check_disjoint(train, test)
+            terms = training_terms(stack, adoptions, train)
+            bare_terms = replace(terms, popularity=no_pop[train])
+            for name, use_pop, overrides in ABLATION_CONFIGS:
+                fit = (terms, stack) if use_pop else (bare_terms, bare)
+                sheet = _mle_sheet(*fit, adoptions, test, replace(spec.fit, **overrides))
+                sheets[name].append(sheet.restrict(subset))
+        for name, sh in sheets.items():
+            per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
     return _report(data, spec, adoptions, kept, series)
 
@@ -388,7 +394,9 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     adoptions, kept = _prepare(data, spec)
     everyone = np.ones(adoptions.num_users, dtype=bool)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
-    fit_stack = _fit_stack(data.networks, adoptions, spec.use_popularity)
+    no_pop = np.zeros(adoptions.num_apps)
+    pop = popularity_counts(adoptions) if spec.use_popularity else no_pop
+    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = np.arange(adoptions.num_apps)
 
     names = []
@@ -403,9 +411,11 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for frac in COMPARISON_FRACTIONS:
             seed = derive_seed(spec.seed, spec.protocol, "split", frac, r)
             train, test = fraction_split(apps, frac, seed)
+            _check_disjoint(train, test)
+            terms = training_terms(stack, adoptions, train)
             by_method = {
-                "full": _mle_sheet(fit_stack, adoptions, train, test, spec.fit),
-                "regression": _regression_sheet(fit_stack, adoptions, train, test),
+                "full": _mle_sheet(terms, stack, adoptions, test, spec.fit),
+                "regression": _regression_sheet(terms, stack, adoptions, test),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
             cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
@@ -416,9 +426,12 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                         evaluate_sheets([sheet.restrict(subset)], adoptions, ks=(spec.mp_k,))
                     )
             if frac == 0.5:
-                for g in data.networks.networks:
-                    single = NetworkStack(networks=(g,))
-                    sheet = _mle_sheet(single, adoptions, train, test, spec.fit)
+                for m, g in enumerate(stack.networks):
+                    single_terms = replace(
+                        terms, potentials=terms.potentials[m : m + 1], popularity=no_pop[train]
+                    )
+                    single = NetworkStack(networks=(g,), popularity=no_pop)
+                    sheet = _mle_sheet(single_terms, single, adoptions, test, spec.fit)
                     per_series[f"single_{g.name}_f50_all"].append(
                         evaluate_sheets([sheet], adoptions, ks=(spec.mp_k,))
                     )
@@ -435,7 +448,8 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     halves = future_split(adoptions)
-    fit_stack = _fit_stack(data.networks, adoptions, spec.use_popularity)
+    pop = popularity_counts(adoptions) if spec.use_popularity else np.zeros(adoptions.num_apps)
+    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     subset = _subset_users(adoptions, spec)
 
     per_series: dict[str, list[MetricReport]] = {
@@ -447,9 +461,10 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         skipped = 0
         for train, test in splits:
             _check_disjoint(train, test)
-            params, _ = fit_mle(fit_stack, adoptions, train, spec.fit)
-            reg = fit_regression(fit_stack, adoptions, train)
-            activity = adoptions.installed[:, train].sum(axis=1).astype(float)
+            terms = training_terms(stack, adoptions, train)
+            params, _ = fit_mle(terms, cfg=spec.fit)
+            reg = fit_regression(terms)
+            activity = terms.labels.sum(axis=1).astype(float)
             scored = np.array([a for a in test if halves[int(a)][1].size], dtype=int)
             skipped += test.size - scored.size
             early = np.zeros((adoptions.num_users, scored.size), dtype=bool)
@@ -462,9 +477,9 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 raise LeakError("late adopter marked as visible evidence")
             c_visible = early.sum(axis=0).astype(float)
             ranked = ~early & subset[:, None]
-            scores = score_matrix(params, fit_stack, early, c_visible)
+            scores = score_matrix(params, stack, early, c_visible)
             sheets["full"].append(PredictionSheet(scored, scores, ranked))
-            scores = regression_scores(reg, fit_stack, early, c_visible, activity)
+            scores = regression_scores(reg, stack, early, c_visible, activity)
             sheets["regression"].append(PredictionSheet(scored, scores, ranked))
             sheets["random"].append(
                 _random_sheet(adoptions.num_users, scored, spec, r, evaluated=ranked)
@@ -497,7 +512,11 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         observable, hidden = observable_user_split(
             np.arange(num_users), spec.observable_fraction, seed
         )
-        pop_visible = popularity_counts(adoptions, observable) if spec.use_popularity else None
+        pop_visible = (
+            popularity_counts(adoptions, observable)
+            if spec.use_popularity
+            else np.zeros(adoptions.num_apps)
+        )
         stack_obs = NetworkStack(
             networks=tuple(restrict_users(g, observable) for g in data.networks.networks),
             popularity=pop_visible,
@@ -510,7 +529,8 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         skipped = 0
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
-            params_obs, _ = fit_mle(stack_obs, adopt_obs, train, spec.fit)
+            terms = training_terms(stack_obs, adopt_obs, train)
+            params_obs, _ = fit_mle(terms, cfg=spec.fit)
             n_pos = adoptions.installed[hidden][:, test].sum(axis=0)
             scored = test[n_pos > 0]
             skipped += int(np.sum(n_pos == 0))
@@ -518,7 +538,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             evidence = adoptions.installed[:, scored] & visible[:, None]
             if np.any(evidence[hidden]):
                 raise LeakError("hidden adopter leaked into transfer evidence")
-            pop = _popularity(pop_visible, scored)
+            pop = pop_visible[scored]
             for mode in ("mean", "zero"):
                 params = transfer_params(params_obs, observable, num_users, mode)
                 scores = score_matrix(params, data.networks, evidence, pop)

@@ -124,10 +124,10 @@ def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
     adopted app t.  A user's own entry never contributes because the
     diagonal is zero.
 
-    Only the fit reads the channels apart: training_terms and the
-    regression design in fit_regression need one feature per network.
-    Scoring never builds this tensor; it multiplies the evidence by the
-    composite network sum_m c_m W_m once (see predict._exposure).
+    Only training_terms builds this tensor, once per training split; both
+    fits read their per-network features from the TrainingTerms it returns.
+    Scoring never builds it; it multiplies the evidence by the composite
+    network sum_m c_m W_m once (see predict._exposure).
     """
     ev = np.asarray(evidence, dtype=float)
     if ev.ndim != 2 or ev.shape[0] != stack.num_users:
@@ -176,7 +176,9 @@ class TrainingTerms:
     vector (its potentials, then its app's popularity); linear_susceptibility
     (U,), each user's count of non-adopted apps; and linear_weights (M+1,),
     each channel summed over the non-adopter mask itself, not as a total
-    minus the adopters' share.
+    minus the adopters' share.  dataclasses.replace derives a variant on the
+    same split (popularity zeroed, a single network's potentials) and
+    gathers those fields afresh.
     """
 
     potentials: np.ndarray  # (M, U, T)
@@ -210,14 +212,21 @@ class TrainingTerms:
         return int(self.potentials.shape[1])
 
 
-def checked_train_apps(
-    stack: NetworkStack, adoptions: AdoptionMatrix, train_apps: Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """``train_apps`` as an int array, checked as every fit needs it.
+def training_terms(
+    stack: NetworkStack,
+    adoptions: AdoptionMatrix,
+    train_apps: Sequence[int] | np.ndarray,
+    evidence: AdoptionMatrix | None = None,
+    term_users: Sequence[int] | np.ndarray | None = None,
+) -> TrainingTerms:
+    """Build TrainingTerms for ``train_apps``: the one input of every fit.
 
-    Raises ValueError when the list is empty, holds an id outside
-    [0, num_apps) or a duplicate, or when the stack's popularity vector does
-    not have one entry per app.
+    ``evidence`` defaults to the label matrix itself (standard conditioning)
+    and must cover the same users and apps.  ``term_users`` holds user ids in
+    [0, num_users) and defaults to every user.  Raises ValueError when
+    ``train_apps`` is empty, holds an id outside [0, num_apps) or a
+    duplicate, or when the stack's popularity vector does not have one entry
+    per app.
     """
     apps = np.asarray(train_apps, dtype=int)
     if apps.size == 0:
@@ -228,23 +237,6 @@ def checked_train_apps(
         raise ValueError("train_apps contains duplicates")
     if stack.popularity is not None and stack.popularity.shape != (adoptions.num_apps,):
         raise ValueError("stack popularity length does not match num_apps")
-    return apps
-
-
-def training_terms(
-    stack: NetworkStack,
-    adoptions: AdoptionMatrix,
-    train_apps: Sequence[int] | np.ndarray,
-    evidence: AdoptionMatrix | None = None,
-    term_users: Sequence[int] | np.ndarray | None = None,
-) -> TrainingTerms:
-    """Build TrainingTerms for ``train_apps``.
-
-    ``evidence`` defaults to the label matrix itself (standard conditioning)
-    and must cover the same users and apps.  ``term_users`` holds user ids in
-    [0, num_users) and defaults to every user.
-    """
-    apps = checked_train_apps(stack, adoptions, train_apps)
     if evidence is None:
         evidence = adoptions
     if evidence.num_users != adoptions.num_users:

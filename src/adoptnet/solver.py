@@ -27,31 +27,30 @@ point is feasible, and the concave objective rises monotonically up to the
 rounding allowance of a full Newton step.  Each evaluation of a constrained
 fit costs O(M * adopter cells): none passes over the (M, U, T) tensor.
 
-The regression baseline is an exact non-negative least squares, solved by
-Lawson and Hanson's active-set method on its (users x train apps) by
-(networks + 3) design.  It reads no FitConfig: it stops when the KKT
-conditions hold to a rounding-level tolerance taken from the design, and
-raises SolverError instead of returning an unconverged fit.
+Both fits take the TrainingTerms of their split, so a split's per-network
+potentials are built once.  The regression baseline is an exact
+non-negative least squares, solved by Lawson and Hanson's active-set method
+on its (users x train apps) by (networks + 3) design, read off those terms.
+It reads no FitConfig: it stops when the KKT conditions hold to a
+rounding-level tolerance taken from the design, and raises SolverError
+instead of returning an unconverged fit.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .data import AdoptionMatrix, NetworkStack
 from .model import (
     EXPONENT_KNEE,
     ModelParams,
-    checked_train_apps,
+    TrainingTerms,
     knee_curvature,
-    network_potentials,
     objective_gradient,
     objective_hessian,
     objective_value,
-    training_terms,
 )
 
 ARMIJO_SHRINK = 0.5
@@ -333,30 +332,21 @@ def _projected_newton(
 
 
 def fit_mle(
-    stack: NetworkStack,
-    adoptions: AdoptionMatrix,
-    train_apps: Sequence[int] | np.ndarray,
-    cfg: FitConfig | None = None,
-    *,
-    evidence: AdoptionMatrix | None = None,
-    term_users: Sequence[int] | np.ndarray | None = None,
+    terms: TrainingTerms, cfg: FitConfig | None = None
 ) -> tuple[ModelParams, FitResult]:
-    """Maximum-likelihood fit of the composite-network model on ``train_apps``.
+    """Maximum-likelihood fit of the composite-network model on ``terms``.
 
-    ``evidence`` and ``term_users`` support fits whose likelihood terms cover
-    only a user subset, conditioned on a different adoption matrix (teacher
-    recovery); both default to ordinary training.  The solver sees each
-    weight channel (every network, then popularity) in unit-max coordinates:
-    the weight times the channel's largest value on a term user's row, and
-    grad_tol is measured there.  Coordinates that cannot affect the objective
-    (a channel that is zero on every term row, a user outside term_users)
-    are frozen at zero, so the returned parameters are the minimum-norm
-    representative on flat directions.
+    ``terms`` comes from training_terms, which also builds the terms of fits
+    whose likelihood covers only a user subset, conditioned on a different
+    adoption matrix (teacher recovery).  The solver sees each weight channel
+    (every network, then popularity) in unit-max coordinates: the weight
+    times the channel's largest value on a term user's row, and grad_tol is
+    measured there.  Coordinates that cannot affect the objective (a channel
+    that is zero on every term row, a user outside term_users) are frozen at
+    zero, so the returned parameters are the minimum-norm representative on
+    flat directions.
     """
     cfg = cfg or FitConfig()
-    terms = training_terms(
-        stack, adoptions, train_apps, evidence=evidence, term_users=term_users
-    )
     if not terms.term_users.any():
         raise ValueError("term_users excludes every user")
     num_users, num_nets = terms.num_users, terms.num_networks
@@ -489,34 +479,28 @@ class RegressionParams:
         object.__setattr__(self, "net_coefs", c)
 
 
-def fit_regression(
-    stack: NetworkStack,
-    adoptions: AdoptionMatrix,
-    train_apps: Sequence[int] | np.ndarray,
-) -> RegressionParams:
-    """Non-negative least squares of adoption bits on evidence features.
+def fit_regression(terms: TrainingTerms) -> RegressionParams:
+    """Non-negative least squares of adoption bits on the features of ``terms``.
 
     One row per training (user, app) cell; columns are the per-network
     potentials, the app's popularity, the user's training-app install count,
-    and an intercept.  All coefficients are constrained non-negative.
-    ``train_apps`` is checked as fit_mle checks it (checked_train_apps).
+    and an intercept.  All coefficients are constrained non-negative.  Every
+    user's cells are rows, so ``terms.term_users`` must hold every user.
     """
-    apps = checked_train_apps(stack, adoptions, train_apps)
-    ev = adoptions.installed[:, apps].astype(float)
-    num_users, num_train = ev.shape
-    columns = [p.ravel() for p in network_potentials(stack, ev)]
-    if stack.popularity is not None:
-        pop = stack.popularity[apps]
-    else:
-        pop = np.zeros(num_train)
-    columns.append(np.broadcast_to(pop, (num_users, num_train)).ravel())
-    activity = ev.sum(axis=1)  # training apps only: test installs must not leak in
-    columns.append(np.repeat(activity, num_train))
-    columns.append(np.ones(num_users * num_train))
-    F = np.column_stack(columns)
-    y = ev.ravel()
-    coef = nonneg_least_squares(F, y)
-    num_nets = stack.num_networks
+    if not terms.term_users.all():
+        raise ValueError("fit_regression needs term_users to hold every user")
+    num_users, num_train = terms.labels.shape
+    activity = terms.labels.sum(axis=1)  # training apps only: test installs must not leak in
+    F = np.column_stack(
+        [p.ravel() for p in terms.potentials]
+        + [
+            np.broadcast_to(terms.popularity, (num_users, num_train)).ravel(),
+            np.repeat(activity, num_train),
+            np.ones(num_users * num_train),
+        ]
+    )
+    coef = nonneg_least_squares(F, terms.labels.ravel())
+    num_nets = terms.num_networks
     return RegressionParams(
         net_coefs=coef[:num_nets],
         pop_coef=float(coef[num_nets]),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import WEIGHT_DISTS, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
 from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
-from .model import ModelParams
+from .model import ModelParams, training_terms
 from .seeds import derive_seed
 from .solver import FitConfig, FitResult, fit_mle
 
@@ -178,14 +178,10 @@ def recovery_fit(
         networks=stack.networks,
         popularity=popularity_counts(adoptions, teacher.context_users),
     )
-    return fit_mle(
-        fit_stack,
-        adoptions,
-        train_apps,
-        cfg,
-        evidence=evidence,
-        term_users=teacher.target_users,
+    terms = training_terms(
+        fit_stack, adoptions, train_apps, evidence=evidence, term_users=teacher.target_users
     )
+    return fit_mle(terms, cfg)
 
 
 @dataclass(frozen=True)

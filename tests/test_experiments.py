@@ -6,6 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from adoptnet import experiments as exp_mod
+from adoptnet import model as model_mod
+from adoptnet import solver as solver_mod
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
 from adoptnet.experiments import (
     ABLATION_CONFIGS,
@@ -15,7 +18,6 @@ from adoptnet.experiments import (
     MetricReport,
     RunSeries,
     _check_disjoint,
-    _mle_sheet,
     fraction_split,
     future_split,
     kfold_apps,
@@ -259,14 +261,52 @@ class TestLeakGuards:
         _check_disjoint(np.array([0, 4, 7]), np.array([1, 2, 9]))
         _check_disjoint(np.array([3]), np.array([], dtype=int))
 
-    def test_overlapping_split_raises(self):
+    def test_overlapping_split_raises(self, monkeypatch):
+        # every runner checks its split before the split's first fit
+        def overlapping(*args, **kwargs):
+            return np.array([0, 1, 2]), np.array([2, 3])
+
+        def fit_before_check(*args, **kwargs):
+            raise RuntimeError("fit ran on an overlapping split")
+
+        monkeypatch.setattr(exp_mod, "fraction_split", overlapping)
+        monkeypatch.setattr(exp_mod, "_cv_splits", lambda *a, **k: [overlapping()])
+        monkeypatch.setattr(exp_mod, "fit_mle", fit_before_check)
         data = tiny_dataset()
-        with pytest.raises(LeakError):
-            _mle_sheet(data.networks, data.adoptions,
-                        np.array([0, 1, 2]), np.array([2, 3]), FitConfig())
+        for protocol in ("ablation", "comparison", "future", "transfer"):
+            spec = ExperimentSpec(protocol=protocol, folds=3, repeats=1, fit=FAST_FIT)
+            with pytest.raises(LeakError):
+                run_experiment(data, spec)
 
 
 FAST_FIT = FitConfig(grad_tol=1e-4)
+
+
+class TestSharedTerms:
+    """Each split builds its per-network potentials once, for every fit of the split."""
+
+    @pytest.mark.parametrize("protocol, per_repeat", [
+        ("comparison", 2),  # one per training fraction
+        ("ablation", 3),  # one per fold
+        ("future", 3),
+        ("transfer", 3),
+    ])
+    def test_one_potentials_build_per_split(self, monkeypatch, protocol, per_repeat):
+        calls = []
+        real = model_mod.network_potentials
+
+        def counting(*args, **kwargs):
+            calls.append(protocol)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "network_potentials", counting)
+        spec = ExperimentSpec(protocol=protocol, folds=3, repeats=2, seed=3,
+                              fit=FAST_FIT)
+        run_experiment(tiny_dataset(), spec)
+        assert len(calls) == per_repeat * spec.repeats
+
+    def test_solver_builds_no_potentials(self):
+        assert not hasattr(solver_mod, "network_potentials")
 
 
 class TestAblationProtocol:

@@ -1,6 +1,7 @@
 """Potentials, adoption probability, likelihood, and the analytic gradient."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from adoptnet.model import (
     EXPONENT_KNEE,
     KNEE_CURVATURE,
     ModelParams,
+    TrainingTerms,
     adoption_probability,
     knee_curvature,
     log1mexp,
@@ -368,6 +370,50 @@ class TestTrainingTermsChecks:
                                   installed=np.zeros((6, num_apps), dtype=bool))
         with pytest.raises(ValueError, match=f"evidence has {num_apps} apps but the labels have 5"):
             training_terms(stack, adoptions, np.arange(5), evidence=evidence)
+
+    @pytest.mark.parametrize("apps, message", [
+        ([-1, 0], "out-of-range"),
+        ([0, 5], "out-of-range"),
+        ([0, 0, 1], "duplicates"),
+    ])
+    def test_train_apps_checked(self, apps, message):
+        stack, adoptions = self.instance()
+        with pytest.raises(ValueError, match=message):
+            training_terms(stack, adoptions, apps)
+
+    def test_popularity_length_checked(self):
+        stack, adoptions = self.instance()
+        short = NetworkStack(networks=stack.networks,
+                             popularity=stack.popularity[:-1])
+        with pytest.raises(ValueError, match="popularity length"):
+            training_terms(short, adoptions, [0, 1])
+
+
+class TestDerivedTerms:
+    """Variant terms derived with dataclasses.replace equal terms built afresh."""
+
+    @staticmethod
+    def assert_terms_equal(got, want):
+        for f in dataclasses.fields(TrainingTerms):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_popularity_and_single_network_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        stack, adoptions, _ = random_instance(rng, num_networks=3)
+        train = np.sort(rng.permutation(adoptions.num_apps)[: adoptions.num_apps // 2 + 1])
+        terms = training_terms(stack, adoptions, train)
+        no_pop = np.zeros(train.size)
+        self.assert_terms_equal(
+            dataclasses.replace(terms, popularity=no_pop),
+            training_terms(NetworkStack(networks=stack.networks), adoptions, train),
+        )
+        for m, g in enumerate(stack.networks):
+            single = dataclasses.replace(terms, potentials=terms.potentials[m:m + 1],
+                                         popularity=no_pop)
+            self.assert_terms_equal(
+                single, training_terms(NetworkStack(networks=(g,)), adoptions, train)
+            )
 
 
 

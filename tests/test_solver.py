@@ -166,7 +166,7 @@ class TestFitMLE:
     def test_reported_objective_matches_true_space_likelihood(self):
         stack, adoptions = make_instance(0)
         train = np.arange(adoptions.num_apps)
-        params, res = fit_mle(stack, adoptions, train)
+        params, res = fit_mle(training_terms(stack, adoptions, train))
         assert res.converged
         ll = log_likelihood(params, stack, adoptions, train)
         assert abs(ll - res.final_objective) <= 1e-9 * max(1.0, abs(ll))
@@ -176,7 +176,7 @@ class TestFitMLE:
         train = np.arange(adoptions.num_apps)
         objectives = []
         for init_w, init_s in [(None, 0.1), (0.9, 0.01), (0.05, 1.0)]:
-            _, res = fit_mle(stack, adoptions, train,
+            _, res = fit_mle(training_terms(stack, adoptions, train),
                              FitConfig(init_net_weight=init_w,
                                        init_susceptibility=init_s))
             assert res.converged
@@ -186,7 +186,7 @@ class TestFitMLE:
 
     def test_feasibility_of_fit(self):
         stack, adoptions = make_instance(2)
-        params, _ = fit_mle(stack, adoptions, np.arange(adoptions.num_apps))
+        params, _ = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)))
         assert np.all(params.net_weights >= 0.0)
         assert np.all(params.susceptibility >= 0.0)
         assert params.pop_weight >= 0.0
@@ -195,7 +195,7 @@ class TestFitMLE:
     def test_network_rescaling_recovers_same_model(self):
         stack, adoptions = make_instance(3)
         train = np.arange(adoptions.num_apps)
-        base_params, base_res = fit_mle(stack, adoptions, train)
+        base_params, base_res = fit_mle(training_terms(stack, adoptions, train))
         c = 10.0
         scaled = NetworkStack(
             networks=tuple(
@@ -205,7 +205,7 @@ class TestFitMLE:
             ),
             popularity=stack.popularity,
         )
-        scaled_params, scaled_res = fit_mle(scaled, adoptions, train)
+        scaled_params, scaled_res = fit_mle(training_terms(scaled, adoptions, train))
         rel = abs(scaled_res.final_objective - base_res.final_objective)
         assert rel <= 1e-6 * max(1.0, abs(base_res.final_objective))
         np.testing.assert_allclose(scaled_params.net_weights * c,
@@ -218,7 +218,7 @@ class TestFitMLE:
                                installed=np.zeros_like(adoptions.installed))
         zero_pop = NetworkStack(networks=stack.networks,
                                 popularity=np.zeros(adoptions.num_apps))
-        params, res = fit_mle(zero_pop, empty, np.arange(adoptions.num_apps))
+        params, res = fit_mle(training_terms(zero_pop, empty, np.arange(adoptions.num_apps)))
         assert res.converged
         assert not params.net_weights.any()
         assert not params.susceptibility.any()
@@ -235,18 +235,18 @@ class TestFitMLE:
             ),
             popularity=stack.popularity,
         )
-        params, _ = fit_mle(with_dead, adoptions, np.arange(adoptions.num_apps))
+        params, _ = fit_mle(training_terms(with_dead, adoptions, np.arange(adoptions.num_apps)))
         assert params.net_weights[-1] == 0.0
 
     def test_fix_flags(self):
         stack, adoptions = make_instance(6)
         train = np.arange(adoptions.num_apps)
-        _, res_full = fit_mle(stack, adoptions, train)
-        p1, res1 = fit_mle(stack, adoptions, train,
+        _, res_full = fit_mle(training_terms(stack, adoptions, train))
+        p1, res1 = fit_mle(training_terms(stack, adoptions, train),
                            FitConfig(fix_susceptibility_at_zero=True))
         assert not p1.susceptibility.any()
         assert p1.pop_weight > 0.0 or p1.net_weights.any()
-        p2, res2 = fit_mle(stack, adoptions, train,
+        p2, res2 = fit_mle(training_terms(stack, adoptions, train),
                            FitConfig(fix_net_weights_at_zero=True))
         assert not p2.net_weights.any()
         assert p2.susceptibility.any()
@@ -257,17 +257,17 @@ class TestFitMLE:
     def test_relaxing_sign_constraint_cannot_hurt(self):
         stack, adoptions = make_instance(7)
         train = np.arange(adoptions.num_apps)
-        _, res_con = fit_mle(stack, adoptions, train)
+        _, res_con = fit_mle(training_terms(stack, adoptions, train))
         params_rel, res_rel = fit_mle(
-            stack, adoptions, train, FitConfig(allow_negative_net_weights=True)
+            training_terms(stack, adoptions, train), FitConfig(allow_negative_net_weights=True)
         )
         assert not params_rel.constrained
         assert res_rel.final_objective >= res_con.final_objective - 1e-9
 
     def test_term_users_scatter_back(self):
         stack, adoptions = make_instance(8, num_users=6)
-        params, _ = fit_mle(stack, adoptions, np.arange(adoptions.num_apps),
-                            term_users=[0, 2, 4])
+        params, _ = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps),
+                                           term_users=[0, 2, 4]))
         assert params.susceptibility.shape == (6,)
         assert params.susceptibility[1] == 0.0
         assert params.susceptibility[3] == 0.0
@@ -276,11 +276,11 @@ class TestFitMLE:
     def test_term_users_empty_rejected(self):
         stack, adoptions = make_instance(9, num_users=4)
         with pytest.raises(ValueError):
-            fit_mle(stack, adoptions, [0, 1], term_users=[])
+            fit_mle(training_terms(stack, adoptions, [0, 1], term_users=[]))
 
     def test_max_iters_flags_non_convergence(self):
         stack, adoptions = make_instance(10)
-        _, res = fit_mle(stack, adoptions, np.arange(adoptions.num_apps),
+        _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)),
                          FitConfig(max_iters=1))
         assert not res.converged
         assert res.iterations == 1
@@ -291,7 +291,7 @@ class TestFitMLE:
         # must still end early and report why
         stack, adoptions = make_instance(7)
         cfg = FitConfig(allow_negative_net_weights=True)
-        _, res = fit_mle(stack, adoptions, np.arange(adoptions.num_apps), cfg)
+        _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)), cfg)
         assert res.iterations <= 500
         assert res.converged == (res.grad_norm <= cfg.grad_tol)
         assert res.stop_reason in ("grad_tol", "line_search_exhausted")
@@ -302,7 +302,7 @@ class TestFitMLE:
         stack, adoptions = make_instance(11)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError):
-                fit_mle(stack, adoptions, np.arange(adoptions.num_apps),
+                fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)),
                         FitConfig(init_susceptibility=1e308, init_net_weight=1e308))
 
     def test_result_serializes(self):
@@ -362,7 +362,7 @@ class TestKKT:
         stack, adoptions = make_instance(seed)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig(**flags)
-        params, res = fit_mle(stack, adoptions, train, cfg)
+        params, res = fit_mle(training_terms(stack, adoptions, train), cfg)
         assert res.stop_reason == "grad_tol"
         assert res.converged
         assert kkt_violation(stack, adoptions, train, params, cfg) <= cfg.grad_tol
@@ -371,7 +371,7 @@ class TestKKT:
         stack, adoptions = make_instance(8, num_users=6)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig()
-        params, res = fit_mle(stack, adoptions, train, cfg, term_users=[0, 2, 4])
+        params, res = fit_mle(training_terms(stack, adoptions, train, term_users=[0, 2, 4]), cfg)
         assert res.stop_reason == "grad_tol"
         assert kkt_violation(stack, adoptions, train, params, cfg,
                              term_users=[0, 2, 4]) <= cfg.grad_tol
@@ -478,7 +478,7 @@ class TestChangeOfVariables:
             kwargs["evidence"] = AdoptionMatrix(
                 num_users=14, num_apps=adoptions.num_apps,
                 installed=rng.random(adoptions.installed.shape) < 0.3)
-        got, res = fit_mle(stack, adoptions, train, cfg, **kwargs)
+        got, res = fit_mle(training_terms(stack, adoptions, train, **kwargs), cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg, **kwargs)
         assert res.stop_reason == ref.stop_reason
         assert res.iterations == ref.iterations
@@ -498,7 +498,7 @@ class TestChangeOfVariables:
         stack, adoptions = make_instance(seed, num_users=14, num_networks=3)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig(allow_negative_net_weights=True)
-        got, res = fit_mle(stack, adoptions, train, cfg)
+        got, res = fit_mle(training_terms(stack, adoptions, train), cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg)
         assert res.stop_reason == ref.stop_reason
         assert res.final_objective == pytest.approx(ref.final_objective,
@@ -543,7 +543,7 @@ class TestKneeCurvature:
             return theta0, None
 
         monkeypatch.setattr(solver, "_projected_newton", capture)
-        fit_mle(stack, adoptions, train)
+        fit_mle(training_terms(stack, adoptions, train))
         model = captured["hessian"]
         terms = training_terms(stack, adoptions, train)
         U, M = terms.num_users, terms.num_networks
@@ -572,7 +572,7 @@ class TestKneeCurvature:
                                          num_apps=20, density=0.05)
         stack = NetworkStack(stack.networks)
         train = np.arange(adoptions.num_apps)
-        params, res = fit_mle(stack, adoptions, train)
+        params, res = fit_mle(training_terms(stack, adoptions, train))
         assert res.stop_reason == "grad_tol"
         assert res.objective_evals <= 2 * (res.iterations + 1)
         # the same optimum as the exact-Hessian path
@@ -593,7 +593,7 @@ class TestKneeCurvature:
         stack = NetworkStack(networks.networks, popularity_counts(adoptions))
         seed = derive_seed(0, "comparison", "split", 0.2, 0)
         train, _ = fraction_split(np.arange(adoptions.num_apps), 0.2, seed)
-        _, res = fit_mle(stack, adoptions, train, FitConfig(max_iters=200))
+        _, res = fit_mle(training_terms(stack, adoptions, train), FitConfig(max_iters=200))
         assert res.stop_reason == "grad_tol"
         assert res.final_objective >= -72.0583
 
@@ -770,7 +770,7 @@ class TestFitConfigValidation:
 class TestRegression:
     def test_coefficients_are_nonnegative(self):
         stack, adoptions = make_instance(20)
-        reg = fit_regression(stack, adoptions, np.arange(adoptions.num_apps))
+        reg = fit_regression(training_terms(stack, adoptions, np.arange(adoptions.num_apps)))
         assert isinstance(reg, RegressionParams)
         assert np.all(reg.net_coefs >= 0.0)
         assert reg.pop_coef >= 0.0
@@ -787,34 +787,35 @@ class TestRegression:
         )
         adoptions = AdoptionMatrix(num_users=U, num_apps=A,
                                    installed=np.ones((U, A), dtype=bool))
-        reg = fit_regression(stack, adoptions, np.arange(A))
+        reg = fit_regression(training_terms(stack, adoptions, np.arange(A)))
         pred = (reg.pop_coef * 2.0 + reg.activity_coef * A + reg.intercept)
         assert pred == pytest.approx(1.0, abs=1e-5)
 
     def test_empty_train_apps_rejected(self):
         stack, adoptions = make_instance(21)
         with pytest.raises(ValueError, match="empty"):
-            fit_regression(stack, adoptions, [])
+            fit_regression(training_terms(stack, adoptions, []))
 
+    def test_partial_term_users_rejected(self):
+        # recovery-style terms cover a user subset; regressing on them would
+        # silently treat every other user's cells as rows
+        stack, adoptions = make_instance(24)
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps),
+                               term_users=[0, 2, 4])
+        with pytest.raises(ValueError, match="term_users"):
+            fit_regression(terms)
 
-    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
-    @pytest.mark.parametrize("apps, message", [
-        ([-1, 0], "out-of-range"),
-        ([0, 15], "out-of-range"),
-        ([0, 0, 1], "duplicates"),
-    ])
-    def test_both_fits_check_train_apps(self, fit, apps, message):
-        stack, adoptions = make_instance(22)
-        with pytest.raises(ValueError, match=message):
-            fit(stack, adoptions, apps)
-
-    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
-    def test_both_fits_check_popularity_length(self, fit):
-        stack, adoptions = make_instance(23)
-        short = NetworkStack(networks=stack.networks,
-                             popularity=stack.popularity[:-1])
-        with pytest.raises(ValueError, match="popularity length"):
-            fit(short, adoptions, [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_design_oracle_bit_for_bit(self, seed):
+        stack, adoptions = make_instance(seed, num_networks=3)
+        train = np.arange(0, adoptions.num_apps, 2)
+        reg = fit_regression(training_terms(stack, adoptions, train))
+        F, y = regression_design(stack, adoptions, train)
+        beta = nonneg_least_squares(F, y)
+        np.testing.assert_array_equal(
+            np.concatenate([reg.net_coefs,
+                            [reg.pop_coef, reg.activity_coef, reg.intercept]]),
+            beta)
 
 
 def regression_design(stack, adoptions, apps):
@@ -842,7 +843,7 @@ class TestRegressionKKT:
             popularity=adoptions.installed.sum(axis=0).astype(float),
         )
         train = np.arange(0, apps, 2)
-        reg = fit_regression(stack, adoptions, train)
+        reg = fit_regression(training_terms(stack, adoptions, train))
         beta = np.concatenate([reg.net_coefs,
                                [reg.pop_coef, reg.activity_coef, reg.intercept]])
         F, y = regression_design(stack, adoptions, train)
