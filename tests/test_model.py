@@ -371,23 +371,6 @@ class TestTrainingTermsChecks:
         with pytest.raises(ValueError, match=f"evidence has {num_apps} apps but the labels have 5"):
             training_terms(stack, adoptions, np.arange(5), evidence=evidence)
 
-    @pytest.mark.parametrize("apps, message", [
-        ([-1, 0], "out-of-range"),
-        ([0, 5], "out-of-range"),
-        ([0, 0, 1], "duplicates"),
-    ])
-    def test_train_apps_checked(self, apps, message):
-        stack, adoptions = self.instance()
-        with pytest.raises(ValueError, match=message):
-            training_terms(stack, adoptions, apps)
-
-    def test_popularity_length_checked(self):
-        stack, adoptions = self.instance()
-        short = NetworkStack(networks=stack.networks,
-                             popularity=stack.popularity[:-1])
-        with pytest.raises(ValueError, match="popularity length"):
-            training_terms(short, adoptions, [0, 1])
-
 
 class TestDerivedTerms:
     """Variant terms derived with dataclasses.replace equal terms built afresh."""

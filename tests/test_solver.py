@@ -805,6 +805,25 @@ class TestRegression:
         with pytest.raises(ValueError, match="term_users"):
             fit_regression(terms)
 
+    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
+    @pytest.mark.parametrize("apps, message", [
+        ([-1, 0], "out-of-range"),
+        ([0, 15], "out-of-range"),
+        ([0, 0, 1], "duplicates"),
+    ])
+    def test_both_fits_check_train_apps(self, fit, apps, message):
+        stack, adoptions = make_instance(22)
+        with pytest.raises(ValueError, match=message):
+            fit(training_terms(stack, adoptions, apps))
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
+    def test_both_fits_check_popularity_length(self, fit):
+        stack, adoptions = make_instance(23)
+        short = NetworkStack(networks=stack.networks,
+                             popularity=stack.popularity[:-1])
+        with pytest.raises(ValueError, match="popularity length"):
+            fit(training_terms(short, adoptions, [0, 1]))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_design_oracle_bit_for_bit(self, seed):
         stack, adoptions = make_instance(seed, num_networks=3)
