@@ -60,9 +60,11 @@ class CandidateNetwork:
             )
         if self.kind not in NETWORK_KINDS:
             raise ValueError(f"network {self.name!r}: unknown kind {self.kind!r}")
-        if not np.all(np.isfinite(w)):
+        # min and max propagate NaN and reach any infinity, with no temporary
+        lowest, highest = w.min(initial=0.0), w.max(initial=0.0)
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise ValueError(f"network {self.name!r}: non-finite weight")
-        if np.any(w < 0):
+        if lowest < 0:
             raise ValueError(f"network {self.name!r}: negative weight")
         if np.any(np.diagonal(w) != 0):
             raise ValueError(f"network {self.name!r}: non-zero diagonal (self-loop)")
@@ -229,12 +231,17 @@ def _lines(text: str | Iterable[str]) -> Iterable[tuple[int, str]]:
 
 
 # Byte classes of a canonical data text: ids are digits, the optional third
-# field may also hold the other characters of a float literal.
+# field may also hold the other characters of a float literal.  The table is
+# for bytes.translate (0 for any other byte), which classifies in C without
+# the intp index array that a numpy lookup would build.
 _DIGIT, _SEPARATOR, _FLOAT_CHAR = 1, 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
-_BYTE_CLASS[np.frombuffer(b",\n", dtype=np.uint8)] = _SEPARATOR
-_BYTE_CLASS[np.frombuffer(b".eE+-", dtype=np.uint8)] = _FLOAT_CHAR
+_BYTE_CLASS = bytes(
+    _DIGIT if byte in b"0123456789"
+    else _SEPARATOR if byte in b",\n"
+    else _FLOAT_CHAR if byte in b".eE+-"
+    else 0
+    for byte in range(256)
+)
 
 
 def _bulk_table(text: str | Iterable[str]) -> np.ndarray | None:
@@ -250,8 +257,9 @@ def _bulk_table(text: str | Iterable[str]) -> np.ndarray | None:
         return None
     if not text.endswith("\n"):
         text += "\n"
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cls = _BYTE_CLASS[buf]
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
     if not cls.all():
         return None
     sep = np.flatnonzero(cls == _SEPARATOR)
@@ -285,10 +293,21 @@ def _parse_user_id(token: str, num_users: int, lineno: int, what: str) -> int:
     return value
 
 
-def _bulk_directed(
+def _bulk_weights(
     table: np.ndarray, num_users: int, kind: str, symmetrize: str
 ) -> np.ndarray | None:
-    """The directed weights of a canonical edge table, or None if any line check fails."""
+    """The symmetric weight matrix of a canonical edge table, or None.
+
+    None when a line check fails, when the table needs a diagnostic (a
+    strict-mode duplicate or unmatched edge, a binary sum outside {0, 1}),
+    or for a one-sided zero-weight edge under strict, which the line parser
+    accepts; the line parser then reads the text again.  Otherwise the lines
+    are grouped by pair {i, j}, i < j, and the lines of each direction are
+    summed (np.bincount adds in input order, as `+=` per line does) or
+    maxed.  W[i, j] = W[j, i] is d_ij + d_ji under sum, the maximum under
+    max and the one weight under strict, written into one zeroed (U, U)
+    array.
+    """
     if table[:, :2].max() >= num_users:
         return None
     src = table[:, 0].astype(np.intp)
@@ -298,18 +317,35 @@ def _bulk_directed(
         return None
     if kind == "binary" and not np.all((weight == 0) | (weight == 1)):
         return None
-    directed = np.zeros((num_users, num_users))
-    if symmetrize == "sum":
-        np.add.at(directed, (src, dst), weight)  # in file order, as `+=` per line
-    elif symmetrize == "max":
-        np.maximum.at(directed, (src, dst), weight)
-    else:  # strict
-        if np.unique(src * num_users + dst).size != len(table):
-            return None
-        directed[src, dst] = weight
-        if np.any(directed[dst, src] != weight):
-            return None
-    return directed
+    key = np.minimum(src, dst) * num_users + np.maximum(src, dst)
+    order = np.argsort(key)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    pairs = key[order[first]]
+    pair = np.empty_like(key)
+    pair[order] = np.cumsum(first) - 1
+    if symmetrize == "max":
+        value = np.zeros(pairs.size)
+        np.maximum.at(value, pair, weight)
+    else:
+        # column 0 sums the lines i -> j, column 1 the lines j -> i
+        slot = 2 * pair + (src > dst)
+        directed = np.bincount(slot, weights=weight, minlength=2 * pairs.size).reshape(-1, 2)
+        if symmetrize == "sum":
+            value = directed[:, 0] + directed[:, 1]
+        elif np.any(np.bincount(slot, minlength=2 * pairs.size) != 1) or np.any(
+            directed[:, 0] != directed[:, 1]
+        ):
+            return None  # strict wants each direction once, with one weight
+        else:
+            value = directed[:, 0]
+    if kind == "binary" and not np.all((value == 0) | (value == 1)):
+        return None
+    weights = np.zeros((num_users, num_users))
+    lo, hi = np.divmod(pairs, num_users)
+    weights[lo, hi] = value
+    weights[hi, lo] = value
+    return weights
 
 
 def _directed_lines(
@@ -395,22 +431,20 @@ def load_network_edge_list(
         raise ValueError(f"unknown symmetrize mode {symmetrize!r}")
     text = _read(text)
     table = _bulk_table(text)
-    directed = None if table is None else _bulk_directed(table, num_users, kind, symmetrize)
-    if directed is None:
+    weights = None if table is None else _bulk_weights(table, num_users, kind, symmetrize)
+    if weights is None:
         directed = _directed_lines(text, num_users, kind, symmetrize)
-
-    if symmetrize == "strict":
-        weights = directed
-    elif symmetrize == "sum":
-        weights = directed + directed.T
-    else:
-        weights = np.maximum(directed, directed.T)
-
-    if kind == "binary" and not np.all((weights == 0) | (weights == 1)):
-        raise DataFormatError(
-            "binary network: symmetrization produced a weight outside {0, 1} "
-            "(use symmetrize='max' for binary edge lists)"
-        )
+        if symmetrize == "strict":
+            weights = directed
+        elif symmetrize == "sum":
+            weights = directed + directed.T
+        else:
+            weights = np.maximum(directed, directed.T)
+        if kind == "binary" and not np.all((weights == 0) | (weights == 1)):
+            raise DataFormatError(
+                "binary network: symmetrization produced a weight outside {0, 1} "
+                "(use symmetrize='max' for binary edge lists)"
+            )
     return CandidateNetwork(num_users=num_users, weights=weights, name=name, kind=kind)
 
 

@@ -26,7 +26,7 @@ EXPONENT_KNEE = 1e-3
 
 # Curvature of log(1 - exp(-z)) at the knee, exp(z)/expm1(z)^2 at z = EXPONENT_KNEE
 # (about 1e6): what an adopter cell at or below the knee meets as soon as a
-# step lifts it past the knee.  See knee_curvature.
+# step lifts it past the knee.  See objective_derivatives.
 KNEE_CURVATURE = float(1.0 / (np.expm1(EXPONENT_KNEE) * -np.expm1(-EXPONENT_KNEE)))
 
 # Floor applied when converting an unconstrained negative exponent to a
@@ -134,7 +134,10 @@ def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"evidence shape {ev.shape} does not match {stack.num_users} users"
         )
-    return np.stack([g.weights @ ev for g in stack.networks])
+    out = np.empty((stack.num_networks, stack.num_users, ev.shape[1]))
+    for g, block in zip(stack.networks, out):
+        np.matmul(g.weights, ev, out=block)
+    return out
 
 
 def adoption_probability(susceptibility, potential):
@@ -192,7 +195,9 @@ class TrainingTerms:
 
     def __post_init__(self) -> None:
         users, apps = np.nonzero(self.labels & self.term_users[:, None])
-        features = np.vstack([self.potentials[:, users, apps], self.popularity[apps]])
+        features = np.empty((self.num_networks + 1, users.size))  # C-contiguous rows
+        features[:-1] = self.potentials[:, users, apps]
+        features[-1] = self.popularity[apps]
         passive = (~self.labels & self.term_users[:, None]).astype(float)
         linear_weights = np.append(
             self.potentials.reshape(self.num_networks, -1) @ passive.ravel(),
@@ -301,6 +306,33 @@ def objective_value(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: f
     return value
 
 
+def _adopter_slopes(z: np.ndarray) -> np.ndarray:
+    """Each adopter cell's slope exp(-z)/(1 - exp(-z)) = 1/expm1(z), at the floored exponent."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1(np.maximum(z, EXPONENT_KNEE))
+
+
+def _per_user_sums(terms: TrainingTerms, cells: np.ndarray) -> np.ndarray:
+    """Sum each row of a (k, adopter cells) array over each user's cells: (U, k).
+
+    The adopter cells are sorted by user, so one np.add.reduceat sums every
+    user's run; a user without adopter cells has no run and keeps a zero row
+    (reduceat would return the next run's first element for it).
+    """
+    bounds = np.searchsorted(terms.adopter_users, np.arange(terms.num_users + 1))
+    has_cells = bounds[1:] > bounds[:-1]
+    out = np.zeros((terms.num_users, cells.shape[0]))
+    out[has_cells] = np.add.reduceat(cells, bounds[:-1][has_cells], axis=1).T
+    return out
+
+
+def _gradient(
+    terms: TrainingTerms, slopes: np.ndarray, slope_sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    grad_wp = terms.adopter_features @ slopes - terms.linear_weights
+    return slope_sums - terms.linear_susceptibility, grad_wp[:-1], float(grad_wp[-1])
+
+
 def objective_gradient(
     terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -310,65 +342,50 @@ def objective_gradient(
     exponent; every non-adopter cell contributes the constant -1 (times the
     cell's potential for the weight blocks), the gathered linear
     coefficients, even where the relaxed-sign correction is active.
+    objective_derivatives returns the same gradient, by the same formula.
     """
-    z = _adopter_exponents(terms, s, w, w_pop)
-    with np.errstate(over="ignore"):
-        coef = 1.0 / np.expm1(np.maximum(z, EXPONENT_KNEE))
-    grad_s = (
-        np.bincount(terms.adopter_users, weights=coef, minlength=terms.num_users)
-        - terms.linear_susceptibility
-    )
-    grad_wp = terms.adopter_features @ coef - terms.linear_weights
-    return grad_s, grad_wp[:-1], float(grad_wp[-1])
+    slopes = _adopter_slopes(_adopter_exponents(terms, s, w, w_pop))
+    return _gradient(terms, slopes, _per_user_sums(terms, slopes[None])[:, 0])
 
 
-def objective_hessian(
+def objective_derivatives(
     terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Negated Hessian of objective_value in arrowhead blocks (D, B, C).
+) -> tuple[tuple[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The gradient and the Newton model of objective_value, from one pass over the cells.
 
-    With parameters ordered (susceptibility, net weights, pop weight) the
-    negated Hessian is [[diag(D), B], [B.T, C]]: D (U,) is the diagonal
-    susceptibility block, B (U, M+1) couples each user's susceptibility to
-    the weights, and C (M+1, M+1) is the dense weight block.  Non-adopter
-    terms and adopter cells at or below EXPONENT_KNEE are linear in the
-    parameters, so only adopter cells above the knee add curvature, each
-    exp(z)/expm1(z)^2 times the outer product of its feature vector
-    (1 for its user, then its potentials and its app's popularity).  Those
-    cells are gathered once; nothing passes over the full M x U x T block.
+    Returns (objective_gradient's value, (D, B, C)).  With parameters ordered
+    (susceptibility, net weights, pop weight) the model is the symmetric
+    arrowhead matrix [[diag(D), B], [B.T, C]]: D (U,) is the susceptibility
+    diagonal, B (U, M+1) couples each user's susceptibility to the weights,
+    and C (M+1, M+1) is the dense weight block.  It is the negated Hessian
+    plus a knee term on D.  Non-adopter terms and adopter cells at or below
+    EXPONENT_KNEE are linear in the parameters, so only adopter cells above
+    the knee add curvature, each exp(z)/expm1(z)^2 = slope * (1 + slope)
+    times the outer product of its feature vector (1 for its user, then its
+    potentials and its app's popularity).  An adopter cell in [0, knee] lies
+    on the linear piece, yet a step that lifts it past the knee meets a
+    curvature of KNEE_CURVATURE; its user's D gains that much, so a user
+    held at the knee takes a Newton step instead of creeping up by the knee
+    per iteration.  The term is zero when every adopter cell is above the
+    knee, as at an optimum that is an exact MLE (see objective_value), and
+    cells below zero (relaxed-sign fits only) add nothing.  The adopter
+    exponents and slopes are computed once and every per-user sum comes
+    from one np.add.reduceat; nothing passes over the M x U x T block.
     """
     z = _adopter_exponents(terms, s, w, w_pop)
-    users, features = terms.adopter_users, terms.adopter_features
-    with np.errstate(over="ignore", divide="ignore"):
-        h = np.where(z > EXPONENT_KNEE, 1.0 / (np.expm1(z) * -np.expm1(-z)), 0.0)
-    num_users = terms.num_users
-    diag = np.bincount(users, weights=h, minlength=num_users)
-    coupling = np.stack(
-        [np.bincount(users, weights=row * h, minlength=num_users) for row in features],
-        axis=1,
-    )
-    root = features * np.sqrt(h)  # root @ root.T is symmetric bit for bit
-    return diag, coupling, root @ root.T
-
-
-def knee_curvature(
-    terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
-) -> np.ndarray:
-    """KNEE_CURVATURE times each user's count of adopter cells in [0, knee], shape (U,).
-
-    Such a cell lies on the linear piece of the objective, so it adds nothing
-    to objective_hessian, yet any step that lifts it past EXPONENT_KNEE
-    meets a curvature of KNEE_CURVATURE.  fit_mle adds this vector to the
-    susceptibility diagonal of its Newton model, so a user held at the knee
-    takes a Newton step instead of creeping up by the knee per iteration.
-    It is zero when every adopter cell is above the knee, as at an optimum
-    that is an exact MLE (see objective_value), and cells below zero
-    (relaxed-sign fits only) get nothing.
-    """
-    z = _adopter_exponents(terms, s, w, w_pop)
-    at_knee = (z >= 0.0) & (z <= EXPONENT_KNEE)
-    counts = np.bincount(terms.adopter_users[at_knee], minlength=terms.num_users)
-    return KNEE_CURVATURE * counts
+    slopes = _adopter_slopes(z)
+    above = z > EXPONENT_KNEE
+    features = terms.adopter_features
+    cells = np.empty((features.shape[0] + 3, slopes.size))
+    cells[0] = slopes
+    cells[1] = np.where(above, slopes * (1.0 + slopes), 0.0)  # the curvature
+    cells[2] = (z >= 0.0) & ~above  # the knee band [0, knee]
+    weighted = np.multiply(features, cells[1], out=cells[3:])
+    per_user = _per_user_sums(terms, cells)
+    diag = per_user[:, 1] + KNEE_CURVATURE * per_user[:, 2]
+    dense = features @ weighted.T
+    model = (diag, per_user[:, 3:], 0.5 * (dense + dense.T))
+    return _gradient(terms, slopes, per_user[:, 0]), model
 
 
 def log_likelihood(

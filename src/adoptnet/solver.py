@@ -1,31 +1,38 @@
 """Constrained maximization of the training objective, plus the baselines.
 
 The main fit is projected Newton (Bertsekas 1982, SIAM J. Control Optim.
-20:221) on an arrowhead Newton model: the exact Hessian from
-``objective_hessian`` plus, on the susceptibility diagonal, the knee term
-from ``knee_curvature``.  An adopter cell at or below EXPONENT_KNEE lies on
-the objective's linear piece and adds no exact curvature, yet a step that
-lifts it past the knee meets a curvature of about 1/knee^2; without the
-term, a user held there could only creep by the knee per iteration, and a
-fit could stall.  The term is zero when no adopter cell lies in
-[0, EXPONENT_KNEE], so near an optimum the model is the exact Hessian; the
-value, the gradient and the grad_tol test do not change.  Each iteration
-splits the coordinates.  Frozen ones stay put.  Active ones, Bertsekas's
-epsilon-active set widened to every coordinate whose own diagonal Newton
-step reaches its bound, take that diagonal step.  Constrained coordinates
-without curvature take a linear-model step: to the bound when the gradient
-points down, by EXPONENT_KNEE when it points up.  The rest take a Newton
-step, solved through the Schur complement of the diagonal susceptibility
-block in O(U * M^2).  The step is backtracked along the projection arc
+20:221) on an arrowhead Newton model: the exact Hessian plus, on the
+susceptibility diagonal, a knee term.  An adopter cell at or below
+EXPONENT_KNEE lies on the objective's linear piece and adds no exact
+curvature, yet a step that lifts it past the knee meets a curvature of about
+1/knee^2; without the term, a user held there could only creep by the knee
+per iteration, and a fit could stall.  The term is zero when no adopter cell
+lies in [0, EXPONENT_KNEE], so near an optimum the model is the exact
+Hessian; the value, the gradient and the grad_tol test do not change.
+``objective_derivatives`` returns the gradient and this model from one pass
+over the adopter cells, once per accepted point; trial points of the arc
+search evaluate only ``objective_value``.  Each iteration splits the
+coordinates.  Frozen ones stay put.  Active ones, Bertsekas's epsilon-active
+set widened to every coordinate whose own diagonal Newton step reaches its
+bound, take that diagonal step.  Constrained coordinates without curvature
+take a linear-model step: to the bound when the gradient points down, by
+EXPONENT_KNEE when it points up.  The rest take a Newton step, solved
+through the Schur complement of the diagonal susceptibility block in
+O(U * M^2); the Schur block, at most (M+1) square, is solved directly when
+its Cholesky factor shows it numerically positive definite, and by least
+squares otherwise.  The step is backtracked along the projection arc
 project(theta + a * d) with an Armijo test on the actual displacement.  When
 the Newton arc finds no sufficient increase (for instance on the piecewise
 linear objective of unconstrained weights), the same iteration falls back to
-a projected-gradient step.  The fit stops only when the projected gradient
-is within grad_tol, when both arcs fail, or at max_iters.  Projection is
-componentwise max(., 0) on every constrained coordinate, so every evaluated
-point is feasible, and the concave objective rises monotonically up to the
-rounding allowance of a full Newton step.  Each evaluation of a constrained
-fit costs O(M * adopter cells): none passes over the (M, U, T) tensor.
+a projected-gradient step.  An arc ends at its first trial that leaves
+theta bit for bit unchanged, since no shorter step can move it.  The fit
+stops only when the projected gradient is within grad_tol, when the
+projected-gradient arc ends that way (stalled), when both arcs fail
+otherwise, or at max_iters.  Projection is componentwise max(., 0) on every
+constrained coordinate, so every evaluated point is feasible, and the
+concave objective rises monotonically up to the rounding allowance of a full
+Newton step.  Each evaluation of a constrained fit costs O(M * adopter
+cells): none passes over the (M, U, T) tensor.
 
 Both fits take the TrainingTerms of their split, so a split's per-network
 potentials are built once.  The regression baseline is an exact
@@ -47,9 +54,7 @@ from .model import (
     EXPONENT_KNEE,
     ModelParams,
     TrainingTerms,
-    knee_curvature,
-    objective_gradient,
-    objective_hessian,
+    objective_derivatives,
     objective_value,
 )
 
@@ -81,12 +86,12 @@ class FitConfig:
     popularity weight).  grad_tol applies to the infinity norm of the
     projected gradient and is the only test that ends a maximum-likelihood
     fit as converged; that fit is projected Newton and otherwise stops when
-    neither its Newton nor its projected-gradient arc search finds an
-    increase, or at max_iters.  grad_tol and the starting values must be
-    finite: a NaN tolerance is never met and an infinite one is met at the
-    start.  The fix_* flags freeze a parameter block at zero;
-    allow_negative_net_weights lifts the sign constraint on the network
-    weights only.
+    no projected-gradient step can move the parameters, when neither its
+    Newton nor its projected-gradient arc search finds an increase, or at
+    max_iters.  grad_tol and the starting values must be finite: a NaN
+    tolerance is never met and an infinite one is met at the start.  The
+    fix_* flags freeze a parameter block at zero; allow_negative_net_weights
+    lifts the sign constraint on the network weights only.
     """
 
     max_iters: int = 10_000
@@ -114,9 +119,12 @@ class FitResult:
 
     converged is true exactly when grad_norm, the infinity norm of the
     projected gradient at the returned point, is at most grad_tol.
-    stop_reason names the test that ended the loop: grad_tol,
-    line_search_exhausted or max_iters.  The evaluation counts include those
-    at the start and at the returned point.
+    stop_reason names the test that ended the loop: grad_tol, stalled (the
+    projected-gradient arc reached steps that leave the parameters bit for
+    bit unchanged), line_search_exhausted or max_iters.  The evaluation
+    counts include those at the start and at the returned point;
+    gradient_evals counts the derivative passes, each of which also builds
+    the Newton model.
     """
 
     iterations: int
@@ -146,8 +154,12 @@ def _projected_gradient(t: np.ndarray, g: np.ndarray, nonneg: np.ndarray) -> np.
     return pg
 
 
+# An arrowhead negated-Hessian model (D, B, C); see objective_derivatives.
+Model = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class _Oracle:
-    """Counted objective and gradient evaluations of one fit.
+    """Counted objective and derivative evaluations of one fit.
 
     A non-finite objective becomes SolverError; frozen coordinates get a
     zero gradient.
@@ -156,11 +168,11 @@ class _Oracle:
     def __init__(
         self,
         value: Callable[[np.ndarray], float],
-        grad: Callable[[np.ndarray], np.ndarray],
+        derivatives: Callable[[np.ndarray], tuple[np.ndarray, Model]],
         frozen: np.ndarray,
     ):
         self._value = value
-        self._grad = grad
+        self._derivatives = derivatives
         self._frozen = frozen
         self.objective_evals = 0
         self.gradient_evals = 0
@@ -173,11 +185,11 @@ class _Oracle:
             where = "the initial point" if iteration == 0 else f"iteration {iteration}"
             raise SolverError(f"non-finite objective at {where}: {exc}") from exc
 
-    def gradient(self, t: np.ndarray) -> np.ndarray:
+    def derivatives(self, t: np.ndarray) -> tuple[np.ndarray, Model]:
         self.gradient_evals += 1
-        g = self._grad(t)
+        g, model = self._derivatives(t)
         g[self._frozen] = 0.0
-        return g
+        return g, model
 
     def result(
         self, iterations: int, objective: float, grad_norm: float, reason: str, cfg: FitConfig
@@ -209,11 +221,16 @@ def _arc_search(
     The sufficient-increase test uses the actual displacement,
     g . (candidate - theta), which must be positive.  A first trial whose
     predicted gain is at most ``noise`` passes if the objective falls by no
-    more than ``noise``.  Returns None when the step shrinks below min_step.
+    more than ``noise``.  Returns None when the step shrinks below min_step,
+    and (theta, current) itself, unevaluated, at the first trial that leaves
+    theta bit for bit unchanged: every shorter step rounds to theta too, so
+    the arc cannot move it.
     """
     step = 1.0
     while step > min_step:
         cand = project(theta + step * d)
+        if np.array_equal(cand, theta):
+            return theta, current
         cand_val = oracle.value(cand, iteration)
         gain = float(g @ (cand - theta))
         if gain > 0.0:
@@ -225,26 +242,43 @@ def _arc_search(
     return None
 
 
+def _solve_schur(schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """schur^-1 rhs; least squares when Cholesky finds schur not numerically definite.
+
+    Cholesky fails on an indefinite block, and a pivot below 1e-6 of the
+    largest one (1e-12 in the squares, lstsq's rcond) counts as a failure
+    too: such a block is singular to working precision.  Otherwise the
+    block is solved directly; on these blocks of at most 5 x 5, one
+    np.linalg.solve costs less than the factor's two triangular solves.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(schur))
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is not None and pivots.min() > 1e-6 * pivots.max():
+        return np.linalg.solve(schur, rhs)
+    return np.linalg.lstsq(schur, rhs, rcond=1e-12)[0]
+
+
 def _newton_direction(
     theta: np.ndarray,
     g: np.ndarray,
-    hessian: tuple[np.ndarray, np.ndarray, np.ndarray],
+    model: Model,
     nonneg: np.ndarray,
     frozen: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Projected-Newton ascent direction on an arrowhead negated Hessian model.
 
-    ``hessian`` is (D, B, C) in objective_hessian's layout: the first D.size
-    coordinates form the diagonal block.  fit_mle passes objective_hessian
-    with the knee term of knee_curvature added to D, so a user whose adopter
-    cells sit on the linear piece below the knee takes a Newton step sized
-    by the curvature it meets past the knee, not the linear-model step.
-    Frozen coordinates do not move.  Active coordinates, and free ones
-    without curvature, take a diagonal step; the remaining block is solved
-    through the Schur complement of its diagonal part.
+    ``model`` is (D, B, C) in objective_derivatives' layout: the first
+    D.size coordinates form the diagonal block.  D carries the knee term, so
+    a user whose adopter cells sit on the linear piece below the knee takes
+    a Newton step sized by the curvature it meets past the knee, not the
+    linear-model step.  Frozen coordinates do not move.  Active coordinates,
+    and free ones without curvature, take a diagonal step; the remaining
+    block is solved through the Schur complement of its diagonal part.
     """
-    diag_block, coupling, dense = hessian
+    diag_block, coupling, dense = model
     n = diag_block.size
     curvature = np.concatenate([diag_block, np.diag(dense)])
     curved = curvature > 0.0
@@ -270,7 +304,7 @@ def _newton_direction(
         scaled = coupling_f / diag_f[:, None]
         schur = dense[np.ix_(cols, cols)] - coupling_f.T @ scaled
         rhs = g[n + cols] - scaled.T @ g_rows
-        d_cols = np.linalg.lstsq(schur, rhs, rcond=1e-12)[0]
+        d_cols = _solve_schur(schur, rhs)
         d[n + cols] = d_cols
         d[rows] = (g_rows - coupling_f @ d_cols) / diag_f
     else:
@@ -280,32 +314,36 @@ def _newton_direction(
 
 def _projected_newton(
     value: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, Model]],
     theta0: np.ndarray,
     nonneg: np.ndarray,
     frozen: np.ndarray,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, FitResult]:
-    """Maximize a concave value() with an arrowhead Hessian from theta0.
+    """Maximize a concave value() from theta0, given its gradient and arrowhead model.
 
-    Frozen coordinates keep their initial value; nonneg coordinates are
-    projected onto [0, inf).  Each iteration searches the projected-Newton
-    arc and, if that finds no sufficient increase, the projected-gradient
-    arc.  The loop stops when the projected gradient's infinity norm is
-    within grad_tol, when both arc searches fail, or at max_iters.
+    derivatives(theta) returns the gradient and the Newton model (D, B, C)
+    at theta; it runs once per accepted point, and value() at every trial
+    point.  Frozen coordinates keep their initial value; nonneg coordinates
+    are projected onto [0, inf).  Each iteration searches the
+    projected-Newton arc and, if that finds no sufficient increase, the
+    projected-gradient arc.  The loop stops when the projected gradient's
+    infinity norm is within grad_tol, when the projected-gradient arc
+    reaches steps that leave theta bit for bit unchanged (stalled, without
+    counting an iteration), when both arc searches fail otherwise, or at
+    max_iters.
     """
     theta0 = np.asarray(theta0, dtype=float)
 
     def project(t: np.ndarray) -> np.ndarray:
         return _project(t, theta0, nonneg, frozen)
 
-    oracle = _Oracle(value, grad, frozen)
+    oracle = _Oracle(value, derivatives, frozen)
     theta = project(theta0)
     current = oracle.value(theta, 0)
     iterations = 0
     while True:
-        g = oracle.gradient(theta)
+        g, model = oracle.derivatives(theta)
         grad_norm = float(np.abs(_projected_gradient(theta, g, nonneg)).max())
         if grad_norm <= cfg.grad_tol:
             reason = "grad_tol"
@@ -313,7 +351,7 @@ def _projected_newton(
         if iterations >= cfg.max_iters:
             reason = "max_iters"
             break
-        d = _newton_direction(theta, g, hessian(theta), nonneg, frozen, project)
+        d = _newton_direction(theta, g, model, nonneg, frozen, project)
         noise = OBJECTIVE_ROUNDOFF * max(1.0, abs(current))
         step = None
         if np.all(np.isfinite(d)):
@@ -321,10 +359,15 @@ def _projected_newton(
                 oracle, project, theta, current, g, d, iterations + 1, noise,
                 NEWTON_MIN_STEP,
             )
-        if step is None:
+        # a Newton arc that cannot move theta (a singular model can give a
+        # zero step along the gradient) hands over like a failed one
+        if step is None or step[0] is theta:
             step = _arc_search(oracle, project, theta, current, g, g, iterations + 1)
         if step is None:
             reason = "line_search_exhausted"
+            break
+        if step[0] is theta:
+            reason = "stalled"
             break
         iterations += 1
         theta, current = step
@@ -332,7 +375,7 @@ def _projected_newton(
 
 
 def fit_mle(
-    terms: TrainingTerms, cfg: FitConfig | None = None
+    terms: TrainingTerms, *, cfg: FitConfig | None = None
 ) -> tuple[ModelParams, FitResult]:
     """Maximum-likelihood fit of the composite-network model on ``terms``.
 
@@ -379,19 +422,12 @@ def fit_mle(
     def value(t: np.ndarray) -> float:
         return objective_value(terms, *unscaled(t))
 
-    def gradient(t: np.ndarray) -> np.ndarray:
-        gs, gw, gp = objective_gradient(terms, *unscaled(t))
-        return np.append(gs, np.append(gw, gp) / scale)
+    def derivatives(t: np.ndarray) -> tuple[np.ndarray, Model]:
+        (gs, gw, gp), (diag, coupling, dense) = objective_derivatives(terms, *unscaled(t))
+        g = np.append(gs, np.append(gw, gp) / scale)
+        return g, (diag, coupling / scale, dense / scale[:, None] / scale)
 
-    def hessian(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        params = unscaled(t)
-        diag, coupling, dense = objective_hessian(terms, *params)
-        diag = diag + knee_curvature(terms, *params)
-        return diag, coupling / scale, dense / scale[:, None] / scale
-
-    theta, result = _projected_newton(
-        value, gradient, hessian, theta0, nonneg, frozen, cfg
-    )
+    theta, result = _projected_newton(value, derivatives, theta0, nonneg, frozen, cfg)
     susceptibility, net_weights, pop_weight = unscaled(theta)
     params = ModelParams(
         net_weights=net_weights,

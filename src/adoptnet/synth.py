@@ -181,7 +181,7 @@ def recovery_fit(
     terms = training_terms(
         fit_stack, adoptions, train_apps, evidence=evidence, term_users=teacher.target_users
     )
-    return fit_mle(terms, cfg)
+    return fit_mle(terms, cfg=cfg)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ class TestCriterion03SolverOptimality:
         starts = [(0.01, 0.0), (0.1, 0.05), (0.5, 0.2), (1.0, 0.8), (2.0, 1.5)]
         for w0, s0 in starts:
             cfg = FitConfig(init_net_weight=w0, init_susceptibility=s0)
-            params, result = fit_mle(training_terms(stack, adoptions, train), cfg)
+            params, result = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
             assert result.converged
             assert params.susceptibility.min() >= 0
             assert params.net_weights.min() >= 0 and params.pop_weight >= 0
@@ -421,8 +421,8 @@ class TestCriterion08Rescaling:
             popularity=stack.popularity,
         )
         cfg = FitConfig(grad_tol=1e-8)
-        params_base, fit_base = fit_mle(training_terms(stack, adoptions, train), cfg)
-        params_scaled, fit_scaled = fit_mle(training_terms(scaled, adoptions, train), cfg)
+        params_base, fit_base = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
+        params_scaled, fit_scaled = fit_mle(training_terms(scaled, adoptions, train), cfg=cfg)
 
         obj_rel = abs(fit_scaled.final_objective - fit_base.final_objective) \
             / max(1.0, abs(fit_base.final_objective))
@@ -516,7 +516,7 @@ class TestCriterion10LeakChecks:
         stack, adoptions = _random_instance(rng, 40, 2, 30)
         train = np.arange(15)
         cfg = FitConfig(grad_tol=1e-5)
-        params, result = fit_mle(training_terms(stack, adoptions, train), cfg)
+        params, result = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
 
         poisoned_bits = adoptions.installed.copy()
         poisoned_bits[:, 15:] = rng.random((40, 15)) < 0.5
@@ -525,7 +525,7 @@ class TestCriterion10LeakChecks:
         p2, r2 = fit_mle(training_terms(
             NetworkStack(networks=stack.networks, popularity=poisoned_pop),
             AdoptionMatrix(num_users=40, num_apps=30, installed=poisoned_bits),
-            train), cfg)
+            train), cfg=cfg)
 
         identical = (np.array_equal(params.susceptibility, p2.susceptibility)
                      and np.array_equal(params.net_weights, p2.net_weights)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -635,3 +636,93 @@ class TestBulkParsing:
                 assert back.install_times is None
             else:
                 np.testing.assert_array_equal(back.install_times, times)
+
+
+class TestBulkWeights:
+    """The bulk path writes each pair once; its sums keep the line parser's order."""
+
+    # pair {0, 1}: 0->1 carries 0.2 and 0.3, 1->0 carries 0.1, so the sum is
+    # (0.2 + 0.3) + 0.1 = 0.6, while file order would give 0.6000000000000001;
+    # pair {1, 2}: 0.1 and 0.6 one way, 0.2 the other, 0.7 + 0.2 = 0.8999999999999999
+    TEXT = "0,1,0.2\n1,0,0.1\n0,1,0.3\n2,1,0.1\n1,2,0.2\n2,1,0.6\n3,0,0.7\n0,3,0.7\n"
+
+    @pytest.mark.parametrize("sym, w01, w12, w03", [
+        ("sum", 0.6, 0.8999999999999999, 1.4),
+        ("max", 0.3, 0.6, 0.7),
+    ])
+    def test_duplicate_and_two_direction_pairs(self, monkeypatch, sym, w01, w12, w03):
+        assert data._bulk_table(self.TEXT) is not None
+        got = load_network_edge_list(self.TEXT, 5, symmetrize=sym)
+        want = square([(0, 1, w01), (1, 2, w12), (0, 3, w03)], 5)
+        assert got.weights.tobytes() == want.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(data, "_bulk_table", lambda text: None)
+            lines = load_network_edge_list(self.TEXT, 5, symmetrize=sym)
+        assert got.weights.tobytes() == lines.weights.tobytes()
+
+    def test_strict_matches_line_parser(self, monkeypatch):
+        text = "0,1,0.1\n2,3,0.3\n1,0,0.1\n3,2,0.3\n4,0,0.7\n0,4,0.7\n"
+        for candidate in (text, text + "0,1,0.1\n", text + "2,4,0.5\n",
+                          text.replace("3,2,0.3", "3,2,0.2")):
+            got = outcome(partial(load_network_edge_list, candidate, 5, symmetrize="strict"))
+            with monkeypatch.context() as m:
+                m.setattr(data, "_bulk_table", lambda text: None)
+                want = outcome(partial(load_network_edge_list, candidate, 5,
+                                       symmetrize="strict"))
+            assert got == want
+        back = load_network_edge_list(text, 5, symmetrize="strict")
+        np.testing.assert_array_equal(
+            back.weights, square([(0, 1, 0.1), (2, 3, 0.3), (0, 4, 0.7)], 5))
+
+    def test_binary_sum_outside_zero_one_keeps_its_diagnostic(self):
+        with pytest.raises(DataFormatError, match="symmetrization produced a weight"):
+            load_network_edge_list("0,1\n1,0\n", 2, kind="binary")
+
+    def test_bulk_path_allocates_one_dense_matrix(self):
+        # the weights themselves, plus the symmetry check's boolean temporary;
+        # a directed matrix and its symmetrized copy would double the peak
+        n = 400
+        text = "".join(f"{i},{(i * 7 + 3) % n},0.5\n" for i in range(n) if (i * 7 + 3) % n != i)
+        assert data._bulk_table(text) is not None
+        tracemalloc.start()
+        try:
+            load_network_edge_list(text, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+
+class TestCandidateNetworkMessages:
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "network 'g': non-finite weight"),
+        (np.inf, "network 'g': non-finite weight"),
+        (-np.inf, "network 'g': non-finite weight"),
+        (-1.0, "network 'g': negative weight"),
+    ])
+    def test_bad_weight(self, value, message):
+        with pytest.raises(ValueError) as info:
+            CandidateNetwork(num_users=3, weights=square([(0, 1, value)], 3), name="g")
+        assert str(info.value) == message
+
+    def test_diagonal(self):
+        w = np.zeros((3, 3))
+        w[1, 1] = 0.5
+        with pytest.raises(ValueError) as info:
+            CandidateNetwork(num_users=3, weights=w, name="g")
+        assert str(info.value) == "network 'g': non-zero diagonal (self-loop)"
+
+    def test_asymmetric(self):
+        w = square([(0, 2, 1.0)], 3)
+        w[2, 0] = 2.0
+        with pytest.raises(ValueError) as info:
+            CandidateNetwork(num_users=3, weights=w, name="g")
+        assert str(info.value) == "network 'g': weight matrix is not symmetric"
+
+    def test_nan_beside_a_negative_weight_reads_non_finite(self):
+        w = square([(0, 1, -1.0), (1, 2, np.nan)], 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            CandidateNetwork(num_users=3, weights=w, name="g")
+
+    def test_empty_network_is_valid(self):
+        assert CandidateNetwork(num_users=0, weights=np.zeros((0, 0))).num_edges == 0

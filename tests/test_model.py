@@ -14,13 +14,12 @@ from adoptnet.model import (
     ModelParams,
     TrainingTerms,
     adoption_probability,
-    knee_curvature,
     log1mexp,
     log_likelihood,
     log_likelihood_gradient,
     network_potentials,
+    objective_derivatives,
     objective_gradient,
-    objective_hessian,
     objective_value,
     training_terms,
 )
@@ -485,6 +484,51 @@ class TestGradient:
         assert abs(hi - lo) < 1e-5
 
 
+# -- exact Hessian and knee term ---------------------------------------------
+# The package's Newton model (objective_derivatives) came from these two
+# functions, each of which recomputed the adopter exponents and summed the
+# cells per user with one np.bincount per channel.  They stay here as
+# oracles: TestHessian checks the first against differences of the gradient,
+# and TestObjectiveDerivatives checks the package's one-pass model against
+# both.
+
+
+def objective_hessian(terms, s, w, w_pop):
+    """Negated Hessian of objective_value in arrowhead blocks (D, B, C).
+
+    With parameters ordered (susceptibility, net weights, pop weight) the
+    negated Hessian is [[diag(D), B], [B.T, C]].  Only adopter cells above
+    EXPONENT_KNEE add curvature, each exp(z)/expm1(z)^2 times the outer
+    product of its feature vector (1 for its user, then its potentials and
+    its app's popularity).
+    """
+    z = s[terms.adopter_users] + np.append(w, w_pop) @ terms.adopter_features
+    users, features = terms.adopter_users, terms.adopter_features
+    with np.errstate(over="ignore", divide="ignore"):
+        h = np.where(z > EXPONENT_KNEE, 1.0 / (np.expm1(z) * -np.expm1(-z)), 0.0)
+    num_users = terms.num_users
+    diag = np.bincount(users, weights=h, minlength=num_users)
+    coupling = np.stack(
+        [np.bincount(users, weights=row * h, minlength=num_users) for row in features],
+        axis=1,
+    )
+    root = features * np.sqrt(h)  # root @ root.T is symmetric bit for bit
+    return diag, coupling, root @ root.T
+
+
+def knee_curvature(terms, s, w, w_pop):
+    """KNEE_CURVATURE times each user's count of adopter cells in [0, knee], shape (U,).
+
+    Such a cell lies on the linear piece of the objective, so it adds nothing
+    to objective_hessian, yet any step that lifts it past EXPONENT_KNEE
+    meets a curvature of KNEE_CURVATURE.  Cells below zero get nothing.
+    """
+    z = s[terms.adopter_users] + np.append(w, w_pop) @ terms.adopter_features
+    at_knee = (z >= 0.0) & (z <= EXPONENT_KNEE)
+    counts = np.bincount(terms.adopter_users[at_knee], minlength=terms.num_users)
+    return KNEE_CURVATURE * counts
+
+
 def assembled_hessian(terms, params):
     """Dense Hessian of objective_value from the arrowhead blocks."""
     diag, coupling, dense = objective_hessian(
@@ -864,3 +908,90 @@ class TestAdopterOnlyOracle:
         assert close(terms.linear_weights, expected, rel=1e-14)
         assert terms.adopter_features.shape == (terms.num_networks + 1,
                                                 terms.adopter_users.size)
+
+
+def derivative_instance(rng):
+    """oracle_instance plus users without adopter cells, relaxed signs half the time.
+
+    Users 2 and 3 adopt nothing; user 4 is outside term_users whenever a
+    subset is drawn, so its cells are not gathered either.
+    """
+    negative = bool(rng.random() < 0.5)
+    terms, s, w, w_pop = oracle_instance(rng, negative)
+    labels = terms.labels.copy()
+    labels[2:4] = False
+    term_users = terms.term_users.copy()
+    if not term_users.all():
+        term_users[4] = False
+    terms = TrainingTerms(potentials=terms.potentials, popularity=terms.popularity,
+                          labels=labels, term_users=term_users)
+    return terms, s, w, w_pop
+
+
+class TestObjectiveDerivatives:
+    """The one-pass gradient and Newton model against the per-function oracles."""
+
+    def test_matches_gradient_hessian_and_knee_oracles(self):
+        rng = np.random.default_rng(97)
+        knee_cells = below_zero = without_cells = frozen = 0
+        for _ in range(200):
+            terms, s, w, w_pop = derivative_instance(rng)
+            z = s[terms.adopter_users] + np.append(w, w_pop) @ terms.adopter_features
+            knee_cells += int(np.count_nonzero((z >= 0.0) & (z <= EXPONENT_KNEE)))
+            below_zero += int(np.count_nonzero(z < 0.0))
+            without_cells += int(np.count_nonzero(
+                np.bincount(terms.adopter_users, minlength=terms.num_users) == 0))
+            frozen += int(np.count_nonzero(~terms.term_users))
+            gradient, (diag, coupling, dense) = objective_derivatives(terms, s, w, w_pop)
+            for got, want in zip(gradient, objective_gradient(terms, s, w, w_pop)):
+                assert close(got, want)
+            want_diag, want_coupling, want_dense = objective_hessian(terms, s, w, w_pop)
+            assert close(diag, want_diag + knee_curvature(terms, s, w, w_pop))
+            assert close(coupling, want_coupling)
+            assert close(dense, want_dense)
+            assert diag.shape == (terms.num_users,)
+            assert coupling.shape == (terms.num_users, terms.num_networks + 1)
+            np.testing.assert_array_equal(dense, dense.T)
+        assert min(knee_cells, below_zero, without_cells, frozen) > 0
+
+    def test_users_without_adopter_cells_get_zero_rows(self):
+        # reduceat would hand a user with no run the next run's first cell
+        rng = np.random.default_rng(99)
+        stack, adoptions, params = random_instance(rng, num_users=8, num_networks=2,
+                                                   num_apps=6)
+        installed = adoptions.installed.copy()
+        installed[[0, 3, 7]] = False
+        installed[[1, 2, 4, 5, 6], 0] = True
+        adoptions = AdoptionMatrix(num_users=8, num_apps=6, installed=installed)
+        terms = training_terms(stack, adoptions, np.arange(6))
+        args = (params.susceptibility, params.net_weights, params.pop_weight)
+        _, (diag, coupling, _) = objective_derivatives(terms, *args)
+        assert not diag[[0, 3, 7]].any() and not coupling[[0, 3, 7]].any()
+        assert diag[[1, 2, 4, 5, 6]].all()
+
+    def test_knee_term_is_an_exact_count(self):
+        # every adopter cell at z = 0: D is KNEE_CURVATURE times the count, exactly
+        rng = np.random.default_rng(100)
+        stack, adoptions, _ = random_instance(rng, num_users=9, num_networks=2, num_apps=7)
+        terms = training_terms(stack, adoptions, np.arange(7))
+        _, (diag, coupling, dense) = objective_derivatives(
+            terms, np.zeros(9), np.zeros(2), 0.0)
+        counts = np.bincount(terms.adopter_users, minlength=9)
+        np.testing.assert_array_equal(diag, KNEE_CURVATURE * counts)
+        assert not coupling.any() and not dense.any()
+
+    def test_constrained_pass_never_reads_the_tensor(self):
+        rng = np.random.default_rng(101)
+        terms, s, w, w_pop = oracle_instance(rng, negative=False)
+        before = objective_derivatives(terms, s, w, w_pop)
+        terms.potentials[...] = np.nan
+        terms.popularity[...] = np.nan
+        terms.labels[...] = ~terms.labels
+        after = objective_derivatives(terms, s, w, w_pop)
+        for got, want in zip(after[0] + after[1], before[0] + before[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_adopter_features_are_c_contiguous(self):
+        rng = np.random.default_rng(102)
+        terms, _, _, _ = oracle_instance(rng, negative=False)
+        assert terms.adopter_features.flags.c_contiguous

@@ -22,7 +22,6 @@ from adoptnet.model import (
     log_likelihood,
     network_potentials,
     objective_gradient,
-    objective_hessian,
     objective_value,
     training_terms,
 )
@@ -40,6 +39,7 @@ from adoptnet.solver import (
 )
 from adoptnet.seeds import derive_seed
 from adoptnet.synth import SynthSpec, generate, recovery_fit
+from test_model import objective_hessian
 
 
 def make_instance(seed, num_users=12, num_networks=2, num_apps=15, density=0.3):
@@ -177,8 +177,8 @@ class TestFitMLE:
         objectives = []
         for init_w, init_s in [(None, 0.1), (0.9, 0.01), (0.05, 1.0)]:
             _, res = fit_mle(training_terms(stack, adoptions, train),
-                             FitConfig(init_net_weight=init_w,
-                                       init_susceptibility=init_s))
+                             cfg=FitConfig(init_net_weight=init_w,
+                                           init_susceptibility=init_s))
             assert res.converged
             objectives.append(res.final_objective)
         spread = max(objectives) - min(objectives)
@@ -243,11 +243,11 @@ class TestFitMLE:
         train = np.arange(adoptions.num_apps)
         _, res_full = fit_mle(training_terms(stack, adoptions, train))
         p1, res1 = fit_mle(training_terms(stack, adoptions, train),
-                           FitConfig(fix_susceptibility_at_zero=True))
+                           cfg=FitConfig(fix_susceptibility_at_zero=True))
         assert not p1.susceptibility.any()
         assert p1.pop_weight > 0.0 or p1.net_weights.any()
         p2, res2 = fit_mle(training_terms(stack, adoptions, train),
-                           FitConfig(fix_net_weights_at_zero=True))
+                           cfg=FitConfig(fix_net_weights_at_zero=True))
         assert not p2.net_weights.any()
         assert p2.susceptibility.any()
         # restricted fits cannot beat the full fit
@@ -259,7 +259,7 @@ class TestFitMLE:
         train = np.arange(adoptions.num_apps)
         _, res_con = fit_mle(training_terms(stack, adoptions, train))
         params_rel, res_rel = fit_mle(
-            training_terms(stack, adoptions, train), FitConfig(allow_negative_net_weights=True)
+            training_terms(stack, adoptions, train), cfg=FitConfig(allow_negative_net_weights=True)
         )
         assert not params_rel.constrained
         assert res_rel.final_objective >= res_con.final_objective - 1e-9
@@ -281,7 +281,7 @@ class TestFitMLE:
     def test_max_iters_flags_non_convergence(self):
         stack, adoptions = make_instance(10)
         _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)),
-                         FitConfig(max_iters=1))
+                         cfg=FitConfig(max_iters=1))
         assert not res.converged
         assert res.iterations == 1
         assert res.stop_reason == "max_iters"
@@ -291,7 +291,7 @@ class TestFitMLE:
         # must still end early and report why
         stack, adoptions = make_instance(7)
         cfg = FitConfig(allow_negative_net_weights=True)
-        _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)), cfg)
+        _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)), cfg=cfg)
         assert res.iterations <= 500
         assert res.converged == (res.grad_norm <= cfg.grad_tol)
         assert res.stop_reason in ("grad_tol", "line_search_exhausted")
@@ -303,7 +303,13 @@ class TestFitMLE:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError):
                 fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)),
-                        FitConfig(init_susceptibility=1e308, init_net_weight=1e308))
+                        cfg=FitConfig(init_susceptibility=1e308, init_net_weight=1e308))
+
+    def test_cfg_is_keyword_only(self):
+        stack, adoptions = make_instance(0)
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+        with pytest.raises(TypeError):
+            fit_mle(terms, FitConfig())
 
     def test_result_serializes(self):
         import json
@@ -362,7 +368,7 @@ class TestKKT:
         stack, adoptions = make_instance(seed)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig(**flags)
-        params, res = fit_mle(training_terms(stack, adoptions, train), cfg)
+        params, res = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
         assert res.stop_reason == "grad_tol"
         assert res.converged
         assert kkt_violation(stack, adoptions, train, params, cfg) <= cfg.grad_tol
@@ -371,7 +377,8 @@ class TestKKT:
         stack, adoptions = make_instance(8, num_users=6)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig()
-        params, res = fit_mle(training_terms(stack, adoptions, train, term_users=[0, 2, 4]), cfg)
+        params, res = fit_mle(training_terms(stack, adoptions, train, term_users=[0, 2, 4]),
+                              cfg=cfg)
         assert res.stop_reason == "grad_tol"
         assert kkt_violation(stack, adoptions, train, params, cfg,
                              term_users=[0, 2, 4]) <= cfg.grad_tol
@@ -429,8 +436,8 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
     def hessian(t):
         return objective_hessian(terms, t[s_idx], t[w_idx], t[pop_idx])
 
-    theta, result = _projected_newton(value, gradient, hessian, theta0, nonneg,
-                                      frozen, cfg)
+    theta, result = _projected_newton(value, lambda t: (gradient(t), hessian(t)),
+                                      theta0, nonneg, frozen, cfg)
     susceptibility = np.zeros(full_users)
     susceptibility[active] = theta[s_idx]
     params = ModelParams(net_weights=theta[w_idx] / pot_scale,
@@ -478,7 +485,7 @@ class TestChangeOfVariables:
             kwargs["evidence"] = AdoptionMatrix(
                 num_users=14, num_apps=adoptions.num_apps,
                 installed=rng.random(adoptions.installed.shape) < 0.3)
-        got, res = fit_mle(training_terms(stack, adoptions, train, **kwargs), cfg)
+        got, res = fit_mle(training_terms(stack, adoptions, train, **kwargs), cfg=cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg, **kwargs)
         assert res.stop_reason == ref.stop_reason
         assert res.iterations == ref.iterations
@@ -498,7 +505,7 @@ class TestChangeOfVariables:
         stack, adoptions = make_instance(seed, num_users=14, num_networks=3)
         train = np.arange(adoptions.num_apps)
         cfg = FitConfig(allow_negative_net_weights=True)
-        got, res = fit_mle(training_terms(stack, adoptions, train), cfg)
+        got, res = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg)
         assert res.stop_reason == ref.stop_reason
         assert res.final_objective == pytest.approx(ref.final_objective,
@@ -538,13 +545,15 @@ class TestKneeCurvature:
         train = np.arange(adoptions.num_apps)
         captured = {}
 
-        def capture(value, grad, hessian, theta0, nonneg, frozen, cfg):
-            captured["hessian"] = hessian
+        def capture(value, derivatives, theta0, nonneg, frozen, cfg):
+            captured["derivatives"] = derivatives
             return theta0, None
 
         monkeypatch.setattr(solver, "_projected_newton", capture)
         fit_mle(training_terms(stack, adoptions, train))
-        model = captured["hessian"]
+
+        def model(theta):
+            return captured["derivatives"](theta)[1]
         terms = training_terms(stack, adoptions, train)
         U, M = terms.num_users, terms.num_networks
         scale = np.append(terms.potentials.max(axis=(1, 2)), terms.popularity.max())
@@ -552,7 +561,8 @@ class TestKneeCurvature:
         theta = np.append(np.full(U, 0.2), 0.3 * scale)
         want = objective_hessian(terms, theta[:U], np.full(M, 0.3), 0.3)
         got = model(theta)
-        np.testing.assert_array_equal(got[0], want[0])
+        # one np.add.reduceat sums the cells in another order than np.bincount
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-14, atol=0.0)
         # the weight blocks only pass through the unit-max change of variables
         np.testing.assert_allclose(got[1] * scale, want[1], rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(got[2] * scale[:, None] * scale, want[2],
@@ -593,7 +603,8 @@ class TestKneeCurvature:
         stack = NetworkStack(networks.networks, popularity_counts(adoptions))
         seed = derive_seed(0, "comparison", "split", 0.2, 0)
         train, _ = fraction_split(np.arange(adoptions.num_apps), 0.2, seed)
-        _, res = fit_mle(training_terms(stack, adoptions, train), FitConfig(max_iters=200))
+        _, res = fit_mle(training_terms(stack, adoptions, train),
+                         cfg=FitConfig(max_iters=200))
         assert res.stop_reason == "grad_tol"
         assert res.final_objective >= -72.0583
 
@@ -634,7 +645,7 @@ class TestProjectedNewton:
             def grad(x):
                 return b - H @ x
 
-            x, res = _projected_newton(value, grad, lambda x: blocks,
+            x, res = _projected_newton(value, lambda x: (grad(x), blocks),
                                        np.full(U + K, 0.5),
                                        np.ones(U + K, dtype=bool),
                                        np.zeros(U + K, dtype=bool),
@@ -649,8 +660,8 @@ class TestProjectedNewton:
         b = np.array([4.0, 4.0, 1.0])
         blocks = (np.array([2.0, 2.0]), np.zeros((2, 1)), np.array([[1.0]]))
         x, res = _projected_newton(
-            lambda t: float(b @ t - 0.5 * t @ H @ t), lambda t: b - H @ t,
-            lambda t: blocks, np.array([0.3, 0.3, 0.3]), np.ones(3, dtype=bool),
+            lambda t: float(b @ t - 0.5 * t @ H @ t), lambda t: (b - H @ t, blocks),
+            np.array([0.3, 0.3, 0.3]), np.ones(3, dtype=bool),
             np.array([False, True, False]), FitConfig())
         assert x[1] == 0.3
         np.testing.assert_allclose(x[[0, 2]], [2.0, 1.0], atol=1e-9)
@@ -661,7 +672,7 @@ class TestProjectedNewton:
         blocks = (np.zeros(2), np.zeros((2, 1)), np.zeros((1, 1)))
         slope = np.array([-3.0, -1.0, -2.0])
         x, res = _projected_newton(
-            lambda t: float(slope @ t), lambda t: slope.copy(), lambda t: blocks,
+            lambda t: float(slope @ t), lambda t: (slope.copy(), blocks),
             np.array([0.4, 7.0, 2.5]), np.ones(3, dtype=bool),
             np.zeros(3, dtype=bool), FitConfig())
         assert x.tolist() == [0.0, 0.0, 0.0]
@@ -674,7 +685,7 @@ class TestProjectedNewton:
         blocks = (np.full(3, 2.0), np.zeros((3, 1)), np.array([[2.0]]))
         x, res = _projected_newton(
             lambda t: -float(np.sum((t - target) ** 2)),
-            lambda t: -2.0 * (t - target), lambda t: blocks, np.zeros(4),
+            lambda t: (-2.0 * (t - target), blocks), np.zeros(4),
             np.ones(4, dtype=bool), np.zeros(4, dtype=bool), FitConfig())
         np.testing.assert_allclose(x, [2.0, 0.0, 0.5, 0.0], atol=1e-12)
         assert res.converged
@@ -694,7 +705,7 @@ class TestProjectedNewton:
             return c[:2], np.zeros((2, 1)), c[2:, None]
 
         x, res = _projected_newton(
-            value, lambda x: -np.sinh(x - target), hessian,
+            value, lambda x: (-np.sinh(x - target), hessian(x)),
             np.array([0.5, 0.5, -1.0]), np.array([True, True, False]),
             np.zeros(3, dtype=bool), FitConfig())
         assert len(seen) > 3
@@ -722,12 +733,65 @@ class TestProjectedNewton:
         def hessian(x):
             return np.zeros(0), np.zeros((0, 5)), H + np.diag(np.cosh(x))
 
-        _, res = _projected_newton(value, grad, hessian, np.full(5, 2.0),
+        _, res = _projected_newton(value, lambda x: (grad(x), hessian(x)), np.full(5, 2.0),
                                    np.ones(5, dtype=bool),
                                    np.zeros(5, dtype=bool), FitConfig())
         assert res.converged and res.iterations >= 2
         assert all(later >= earlier - 1e-12 * max(1.0, abs(earlier))
                    for earlier, later in zip(values, values[1:]))
+
+
+class TestStalledSteps:
+    """Arc trials that round back to theta end the arc; a stalled gradient arc ends the fit."""
+
+    @staticmethod
+    def one_coordinate_model(curvature):
+        return np.array([curvature]), np.zeros((1, 0)), np.zeros((0, 0))
+
+    def test_stall_ends_the_fit_without_an_iteration(self):
+        # f(t) = t - H (t - 1)^2 / 2 peaks at 1 + 1/H, within rounding of the
+        # start t = 1: the Newton step rounds back to 1, and every
+        # projected-gradient step long enough to move t overshoots and loses
+        big = 1e20
+        evaluated = []
+
+        def value(t):
+            evaluated.append(float(t[0]))
+            return float(t[0] - 0.5 * big * (t[0] - 1.0) ** 2)
+
+        def derivatives(t):
+            return np.array([1.0 - big * (t[0] - 1.0)]), self.one_coordinate_model(big)
+
+        x, res = _projected_newton(value, derivatives, np.array([1.0]),
+                                   np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                   FitConfig())
+        assert res.stop_reason == "stalled"
+        assert res.iterations == 0 and not res.converged
+        assert x.tolist() == [1.0]
+        assert res.final_objective == 1.0 and res.grad_norm == 1.0
+        # the start, then gradient steps 1, 1/2, ..., 2^-52; 1 + 2^-53 rounds to 1
+        assert evaluated == [1.0] + [1.0 + 2.0 ** -k for k in range(53)]
+        assert res.objective_evals == len(evaluated) and res.gradient_evals == 1
+
+    def test_newton_arc_that_cannot_move_hands_over(self):
+        # a model with a huge curvature makes the Newton step round to theta:
+        # the gradient arc takes over at once instead of halving the Newton
+        # step down to NEWTON_MIN_STEP
+        evaluated = []
+
+        def value(t):
+            evaluated.append(float(t[0]))
+            return -float((t[0] - 2.0) ** 2)
+
+        def derivatives(t):
+            return np.array([-2.0 * (t[0] - 2.0)]), self.one_coordinate_model(1e300)
+
+        x, res = _projected_newton(value, derivatives, np.array([0.5]),
+                                   np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                   FitConfig())
+        assert res.stop_reason == "grad_tol" and res.iterations == 1
+        assert x.tolist() == [2.0]
+        assert evaluated == [0.5, 3.5, 2.0]
 
 
 class TestProjectedAscent:
@@ -737,7 +801,7 @@ class TestProjectedAscent:
         blocks = (np.array([2.0]), np.zeros((1, 1)), np.array([[2.0]]))
         x, _ = _projected_newton(
             lambda t: -float(np.sum((t - target) ** 2)),
-            lambda t: -2.0 * (t - target), lambda t: blocks, np.zeros(2),
+            lambda t: (-2.0 * (t - target), blocks), np.zeros(2),
             np.ones(2, dtype=bool), np.array([False, True]), FitConfig())
         assert x[1] == 0.0
         assert x[0] == pytest.approx(2.0, abs=1e-6)
