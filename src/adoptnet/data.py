@@ -3,10 +3,12 @@
 Candidate networks are symmetric, non-negative, zero-diagonal weight matrices
 over a fixed user universe with dense 0-based ids.  Adoption data is a binary
 user x app matrix with optional install timestamps.  Loaders parse the CSV
-formats described in the README and fail fast with line-numbered diagnostics:
-canonical text is parsed and checked in bulk with numpy, and any other text,
-or any that fails a check, goes through the line parser, which writes every
-diagnostic.
+formats described in the README and fail fast with line-numbered diagnostics.
+Each format has one writer that turns a table of rows into matrices:
+canonical text reaches it as one numpy table, and any other text, or any
+that fails a line check, first goes through the line parser, which checks
+each line in order, writes every per-line diagnostic and returns the
+checked rows.  The network writer raises the end-of-file diagnostics.
 """
 from __future__ import annotations
 
@@ -281,39 +283,37 @@ def _bulk_table(text: str | Iterable[str]) -> np.ndarray | None:
         return None
 
 
-def _parse_user_id(token: str, num_users: int, lineno: int, what: str) -> int:
+def _parse_id(token: str, limit: int, lineno: int, what: str) -> int:
     try:
         value = int(token)
     except ValueError:
         raise DataFormatError(f"line {lineno}: {what} {token!r} is not an integer") from None
-    if not 0 <= value < num_users:
-        raise DataFormatError(
-            f"line {lineno}: {what} {value} out of range [0, {num_users})"
-        )
+    if not 0 <= value < limit:
+        raise DataFormatError(f"line {lineno}: {what} {value} out of range [0, {limit})")
     return value
 
 
 def _bulk_weights(
-    table: np.ndarray, num_users: int, kind: str, symmetrize: str
+    table: np.ndarray, lines: np.ndarray, num_users: int, kind: str, symmetrize: str
 ) -> np.ndarray | None:
-    """The symmetric weight matrix of a canonical edge table, or None.
+    """The symmetric weight matrix of an edge table whose row r is on line lines[r].
 
-    None when a line check fails, when the table needs a diagnostic (a
-    strict-mode duplicate or unmatched edge, a binary sum outside {0, 1}),
-    or for a one-sided zero-weight edge under strict, which the line parser
-    accepts; the line parser then reads the text again.  Otherwise the lines
-    are grouped by pair {i, j}, i < j, and the lines of each direction are
-    summed (np.bincount adds in input order, as `+=` per line does) or
-    maxed.  W[i, j] = W[j, i] is d_ij + d_ji under sum, the maximum under
-    max and the one weight under strict, written into one zeroed (U, U)
-    array.
+    The one network writer.  None when a row fails a line check or repeats
+    a direction under strict: the line parser then names the line.  The
+    rows are grouped by pair {i, j}, i < j, and the rows of each direction
+    are summed (np.bincount adds in row order, as `+=` per line does) or
+    maxed.  W[i, j] = W[j, i] is d_ij + d_ji under sum and the maximum
+    under max, written into one zeroed (U, U) array; under strict each
+    row's weight is written where it points.  The end-of-file diagnostics
+    are raised here: a strict edge without its matching reverse, and a
+    binary sum outside {0, 1}.
     """
-    if table[:, :2].max() >= num_users:
+    if table[:, :2].max(initial=-1) >= num_users:
         return None
     src = table[:, 0].astype(np.intp)
     dst = table[:, 1].astype(np.intp)
     weight = table[:, 2] if table.shape[1] == 3 else np.ones(len(table))
-    if np.any(src == dst) or not np.all(np.isfinite(weight)) or np.any(np.signbit(weight)):
+    if np.any(src == dst) or not np.all(np.isfinite(weight)) or np.any(weight < 0):
         return None
     if kind == "binary" and not np.all((weight == 0) | (weight == 1)):
         return None
@@ -324,24 +324,33 @@ def _bulk_weights(
     pairs = key[order[first]]
     pair = np.empty_like(key)
     pair[order] = np.cumsum(first) - 1
+    weights = np.zeros((num_users, num_users))
     if symmetrize == "max":
         value = np.zeros(pairs.size)
         np.maximum.at(value, pair, weight)
+        value += 0.0  # a -0.0 maximum reads 0.0, as the maximum from 0.0 does
     else:
-        # column 0 sums the lines i -> j, column 1 the lines j -> i
+        # column 0 sums the rows i -> j, column 1 the rows j -> i
         slot = 2 * pair + (src > dst)
         directed = np.bincount(slot, weights=weight, minlength=2 * pairs.size).reshape(-1, 2)
-        if symmetrize == "sum":
-            value = directed[:, 0] + directed[:, 1]
-        elif np.any(np.bincount(slot, minlength=2 * pairs.size) != 1) or np.any(
-            directed[:, 0] != directed[:, 1]
-        ):
-            return None  # strict wants each direction once, with one weight
-        else:
-            value = directed[:, 0]
+        value = directed[:, 0] + directed[:, 1]
+    if symmetrize == "strict":
+        if np.any(np.bincount(slot, minlength=2 * pairs.size) > 1):
+            return None
+        unmatched = np.flatnonzero((directed[:, 0] != directed[:, 1])[pair])
+        if unmatched.size:
+            r = unmatched[0]
+            raise DataFormatError(
+                f"line {lines[r]}: edge {src[r]},{dst[r]} has no matching symmetric "
+                f"entry under strict mode"
+            )
+        weights[src, dst] = weight
+        return weights
     if kind == "binary" and not np.all((value == 0) | (value == 1)):
-        return None
-    weights = np.zeros((num_users, num_users))
+        raise DataFormatError(
+            "binary network: symmetrization produced a weight outside {0, 1} "
+            "(use symmetrize='max' for binary edge lists)"
+        )
     lo, hi = np.divmod(pairs, num_users)
     weights[lo, hi] = value
     weights[hi, lo] = value
@@ -350,13 +359,14 @@ def _bulk_weights(
 
 def _directed_lines(
     text: str | Iterable[str], num_users: int, kind: str, symmetrize: str
-) -> np.ndarray:
-    """The directed weights of an edge list, parsed line by line.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (src, dst, weight) rows of an edge list and their line numbers.
 
-    The reference for the bulk path and the only writer of per-line
-    diagnostics.
+    The only writer of per-line diagnostics, raised in line order; under
+    strict a repeated direction names both of its lines.
     """
-    directed = np.zeros((num_users, num_users), dtype=float)
+    rows: list[tuple[int, int, float]] = []
+    linenos: list[int] = []
     seen_line: dict[tuple[int, int], int] = {}
     for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
@@ -364,8 +374,8 @@ def _directed_lines(
             raise DataFormatError(
                 f"line {lineno}: expected `src,dst[,weight]`, got {line!r}"
             )
-        src = _parse_user_id(parts[0], num_users, lineno, "src id")
-        dst = _parse_user_id(parts[1], num_users, lineno, "dst id")
+        src = _parse_id(parts[0], num_users, lineno, "src id")
+        dst = _parse_id(parts[1], num_users, lineno, "dst id")
         if src == dst:
             raise DataFormatError(f"line {lineno}: self-loop on user {src}")
         if len(parts) == 3:
@@ -392,21 +402,9 @@ def _directed_lines(
                     f"(first seen on line {seen_line[(src, dst)]})"
                 )
             seen_line[(src, dst)] = lineno
-            directed[src, dst] = weight
-        elif symmetrize == "sum":
-            directed[src, dst] += weight
-        else:  # max
-            directed[src, dst] = max(directed[src, dst], weight)
-            seen_line.setdefault((src, dst), lineno)
-
-    if symmetrize == "strict":
-        for (src, dst), lineno in sorted(seen_line.items(), key=lambda kv: kv[1]):
-            if directed[dst, src] != directed[src, dst]:
-                raise DataFormatError(
-                    f"line {lineno}: edge {src},{dst} has no matching symmetric entry "
-                    f"under strict mode"
-                )
-    return directed
+        rows.append((src, dst, weight))
+        linenos.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, 3), np.array(linenos, dtype=np.intp)
 
 
 def load_network_edge_list(
@@ -431,20 +429,13 @@ def load_network_edge_list(
         raise ValueError(f"unknown symmetrize mode {symmetrize!r}")
     text = _read(text)
     table = _bulk_table(text)
-    weights = None if table is None else _bulk_weights(table, num_users, kind, symmetrize)
+    weights = None
+    if table is not None:
+        lines = np.arange(1, len(table) + 1)
+        weights = _bulk_weights(table, lines, num_users, kind, symmetrize)
     if weights is None:
-        directed = _directed_lines(text, num_users, kind, symmetrize)
-        if symmetrize == "strict":
-            weights = directed
-        elif symmetrize == "sum":
-            weights = directed + directed.T
-        else:
-            weights = np.maximum(directed, directed.T)
-        if kind == "binary" and not np.all((weights == 0) | (weights == 1)):
-            raise DataFormatError(
-                "binary network: symmetrization produced a weight outside {0, 1} "
-                "(use symmetrize='max' for binary edge lists)"
-            )
+        table, lines = _directed_lines(text, num_users, kind, symmetrize)
+        weights = _bulk_weights(table, lines, num_users, kind, symmetrize)
     return CandidateNetwork(num_users=num_users, weights=weights, name=name, kind=kind)
 
 
@@ -460,55 +451,51 @@ def network_edge_lines(g: CandidateNetwork) -> list[str]:
 def _bulk_adoptions(
     table: np.ndarray, num_users: int, num_apps: int
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """(installed, times) of a canonical adoption table, or None if any line check fails."""
-    if table[:, 0].max() >= num_users or table[:, 1].max() >= num_apps:
+    """(installed, times) of a `user, app[, stamp]` table, NaN for a missing stamp.
+
+    The one adoption writer.  None when a row fails a line check or a
+    repeated cell disagrees on its stamp: the line parser then names the
+    lines.  A repeated cell keeps its first row's stamp, bit for bit.
+    times is None when no row carries a stamp.
+    """
+    if table[:, 0].max(initial=-1) >= num_users or table[:, 1].max(initial=-1) >= num_apps:
         return None
-    user = table[:, 0].astype(np.intp)
-    app = table[:, 1].astype(np.intp)
+    # the index arrays are reversed copies, so numpy writes the rows last to
+    # first and the first row of a repeated cell is the one that stays
+    user = table[::-1, 0].astype(np.intp)
+    app = table[::-1, 1].astype(np.intp)
     installed = np.zeros((num_users, num_apps), dtype=bool)
     installed[user, app] = True
-    if table.shape[1] == 2:
+    if table.shape[1] == 2 or np.all(np.isnan(table[:, 2])):
         return installed, None
-    stamp = table[:, 2]
-    if not np.all(np.isfinite(stamp)) or np.any(np.signbit(stamp)):
+    stamp = table[::-1, 2]
+    if np.any(np.isinf(stamp)):
         return None
     times = np.full((num_users, num_apps), np.nan)
     times[user, app] = stamp
-    # whichever duplicate was stored, one that disagrees reads back different
-    if np.any(times[user, app] != stamp):
+    # a repeat that disagrees reads back its cell's other stamp
+    if not np.array_equal(times[user, app], stamp, equal_nan=True):
         return None
     return installed, times
 
 
-def _adoptions_lines(
-    text: str | Iterable[str], num_users: int, num_apps: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(installed, times) of an adoption log, parsed line by line.
+def _adoptions_lines(text: str | Iterable[str], num_users: int, num_apps: int) -> np.ndarray:
+    """The checked (user, app, stamp) rows of an adoption log, NaN for no stamp.
 
-    The reference for the bulk path and the only writer of per-line
-    diagnostics; times is None when no line carries a timestamp.
+    The only writer of per-line diagnostics, raised in line order.  A
+    repeated cell keeps its first line; a repeat with another stamp (or
+    none where the first had one) names both lines.
     """
-    installed = np.zeros((num_users, num_apps), dtype=bool)
-    times = np.full((num_users, num_apps), np.nan)
+    rows: list[tuple[int, int, float]] = []
     seen: dict[tuple[int, int], tuple[float | None, int]] = {}
-    any_time = False
     for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (2, 3):
             raise DataFormatError(
                 f"line {lineno}: expected `user,app[,timestamp]`, got {line!r}"
             )
-        user = _parse_user_id(parts[0], num_users, lineno, "user id")
-        try:
-            app = int(parts[1])
-        except ValueError:
-            raise DataFormatError(
-                f"line {lineno}: app id {parts[1]!r} is not an integer"
-            ) from None
-        if not 0 <= app < num_apps:
-            raise DataFormatError(
-                f"line {lineno}: app id {app} out of range [0, {num_apps})"
-            )
+        user = _parse_id(parts[0], num_users, lineno, "user id")
+        app = _parse_id(parts[1], num_apps, lineno, "app id")
         stamp: float | None = None
         if len(parts) == 3:
             try:
@@ -529,11 +516,8 @@ def _adoptions_lines(
                 )
             continue
         seen[key] = (stamp, lineno)
-        installed[user, app] = True
-        if stamp is not None:
-            times[user, app] = stamp
-            any_time = True
-    return installed, times if any_time else None
+        rows.append((user, app, math.nan if stamp is None else stamp))
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def load_adoptions(
@@ -552,7 +536,8 @@ def load_adoptions(
     table = _bulk_table(text)
     parsed = None if table is None else _bulk_adoptions(table, num_users, num_apps)
     if parsed is None:
-        parsed = _adoptions_lines(text, num_users, num_apps)
+        rows = _adoptions_lines(text, num_users, num_apps)
+        parsed = _bulk_adoptions(rows, num_users, num_apps)
     installed, times = parsed
     return AdoptionMatrix(
         num_users=num_users,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import math
 import tracemalloc
 from functools import partial
 
@@ -457,17 +458,146 @@ class TestLenientSyntax:
         assert m.installed.sum() == 2 and m.install_times is None
 
 
-EDGE_WEIGHTS = ["1", "0", "2", "0.1", "0.2", "0.3", "0.7", "1e-3", "2.5E+2", "7.", ".5"]
-BAD_WEIGHTS = ["-1", "-0.0", "+1", "nan", "inf", "1e999", "x", "1_0", "1e", "", " 1"]
+def oracle_edge_list(text, num_users, kind="weighted", symmetrize="sum", name=""):
+    """The reference network loader: each line parsed and checked in order into
+    a dense directed matrix, which is symmetrized after the last line."""
+    directed = np.zeros((num_users, num_users), dtype=float)
+    seen_line = {}
+    for lineno, line in data._lines(text):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (2, 3):
+            raise DataFormatError(
+                f"line {lineno}: expected `src,dst[,weight]`, got {line!r}"
+            )
+        src = oracle_id(parts[0], num_users, lineno, "src id")
+        dst = oracle_id(parts[1], num_users, lineno, "dst id")
+        if src == dst:
+            raise DataFormatError(f"line {lineno}: self-loop on user {src}")
+        if len(parts) == 3:
+            try:
+                weight = float(parts[2])
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}: weight {parts[2]!r} is not a number"
+                ) from None
+        else:
+            weight = 1.0
+        if not math.isfinite(weight):
+            raise DataFormatError(f"line {lineno}: non-finite weight")
+        if weight < 0:
+            raise DataFormatError(f"line {lineno}: negative weight {weight}")
+        if kind == "binary" and weight not in (0.0, 1.0):
+            raise DataFormatError(
+                f"line {lineno}: binary network weight must be 0 or 1, got {weight}"
+            )
+        if symmetrize == "strict":
+            if (src, dst) in seen_line:
+                raise DataFormatError(
+                    f"line {lineno}: duplicate edge {src},{dst} under strict mode "
+                    f"(first seen on line {seen_line[(src, dst)]})"
+                )
+            seen_line[(src, dst)] = lineno
+            directed[src, dst] = weight
+        elif symmetrize == "sum":
+            directed[src, dst] += weight
+        else:  # max
+            directed[src, dst] = max(directed[src, dst], weight)
+
+    if symmetrize == "strict":
+        for (src, dst), lineno in sorted(seen_line.items(), key=lambda kv: kv[1]):
+            if directed[dst, src] != directed[src, dst]:
+                raise DataFormatError(
+                    f"line {lineno}: edge {src},{dst} has no matching symmetric entry "
+                    f"under strict mode"
+                )
+        weights = directed
+    elif symmetrize == "sum":
+        weights = directed + directed.T
+    else:
+        weights = np.maximum(directed, directed.T)
+    if kind == "binary" and not np.all((weights == 0) | (weights == 1)):
+        raise DataFormatError(
+            "binary network: symmetrization produced a weight outside {0, 1} "
+            "(use symmetrize='max' for binary edge lists)"
+        )
+    return CandidateNetwork(num_users=num_users, weights=weights, name=name, kind=kind)
+
+
+def oracle_adoptions(text, num_users, num_apps):
+    """The reference adoption loader: each line parsed, checked and written in order."""
+    installed = np.zeros((num_users, num_apps), dtype=bool)
+    times = np.full((num_users, num_apps), np.nan)
+    seen = {}
+    any_time = False
+    for lineno, line in data._lines(text):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (2, 3):
+            raise DataFormatError(
+                f"line {lineno}: expected `user,app[,timestamp]`, got {line!r}"
+            )
+        user = oracle_id(parts[0], num_users, lineno, "user id")
+        try:
+            app = int(parts[1])
+        except ValueError:
+            raise DataFormatError(
+                f"line {lineno}: app id {parts[1]!r} is not an integer"
+            ) from None
+        if not 0 <= app < num_apps:
+            raise DataFormatError(
+                f"line {lineno}: app id {app} out of range [0, {num_apps})"
+            )
+        stamp = None
+        if len(parts) == 3:
+            try:
+                stamp = float(parts[2])
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}: timestamp {parts[2]!r} is not a number"
+                ) from None
+            if not math.isfinite(stamp):
+                raise DataFormatError(f"line {lineno}: non-finite timestamp")
+        key = (user, app)
+        if key in seen:
+            prev_stamp, prev_line = seen[key]
+            if prev_stamp != stamp:
+                raise DataFormatError(
+                    f"line {lineno}: duplicate entry {user},{app} conflicts with "
+                    f"line {prev_line} (timestamps {prev_stamp} vs {stamp})"
+                )
+            continue
+        seen[key] = (stamp, lineno)
+        installed[user, app] = True
+        if stamp is not None:
+            times[user, app] = stamp
+            any_time = True
+    return AdoptionMatrix(num_users=num_users, num_apps=num_apps, installed=installed,
+                          install_times=times if any_time else None)
+
+
+def oracle_id(token, num_users, lineno, what):
+    try:
+        value = int(token)
+    except ValueError:
+        raise DataFormatError(f"line {lineno}: {what} {token!r} is not an integer") from None
+    if not 0 <= value < num_users:
+        raise DataFormatError(
+            f"line {lineno}: {what} {value} out of range [0, {num_users})"
+        )
+    return value
+
+
+EDGE_WEIGHTS = ["1", "0", "-0.0", "2", "0.1", "0.2", "0.3", "0.7", "1e-3", "2.5E+2", "7.", ".5"]
+BAD_WEIGHTS = ["-1", "+1", "nan", "inf", "1e999", "x", "1_0", "1e", "", " 1"]
 BAD_IDS = ["1.0", "1e2", "x", "+1", "-1", "", " 1", "01", "٣"]
-STAMPS = ["0.0", "5", "12.25", "1.5e9", "3E-2"]
-BAD_STAMPS = ["-3", "-0.0", "nan", "inf", "1e999", "abc", "1e", "", " 7"]
+STAMPS = ["0.0", "-0.0", "5", "-3", "12.25", "1.5e9", "3E-2"]
+BAD_STAMPS = ["nan", "inf", "1e999", "abc", "1e", "", " 7"]
 
 
 def _fields_text(rng, rows, corruptions):
-    """Comma-joined rows, with one random corruption in about half of the texts."""
+    """Comma-joined rows: 30% of the texts get one random corruption, 30% two."""
     rows = [list(r) for r in rows]
-    if rows and rng.random() < 0.5:
+    faults = int(rng.choice(3, p=[0.4, 0.3, 0.3])) if rows else 0
+    for _ in range(faults):
         i = int(rng.integers(len(rows)))
         how = corruptions[int(rng.integers(len(corruptions)))]
         how(rng, rows, i)
@@ -589,17 +719,18 @@ class TestBulkParsing:
             log = random_adoption_text(rng, n, 5)
             bulk_tables += sum(data._bulk_table(text) is not None for text in (edges, log))
             calls = [
-                partial(load_network_edge_list, edges, n, kind=kind, symmetrize=sym)
+                (partial(load_network_edge_list, edges, n, kind=kind, symmetrize=sym),
+                 partial(oracle_edge_list, edges, n, kind=kind, symmetrize=sym))
                 for kind in NETWORK_KINDS
                 for sym in SYMMETRIZE_MODES
-            ] + [partial(load_adoptions, log, n, 5)]
-            for call in calls:
-                got = outcome(call)
+            ] + [(partial(load_adoptions, log, n, 5), partial(oracle_adoptions, log, n, 5))]
+            for call, oracle in calls:
+                want = outcome(oracle)
+                assert outcome(call) == want, call
                 with monkeypatch.context() as m:
                     m.setattr(data, "_bulk_table", lambda text: None)
-                    want = outcome(call)
-                assert got == want, call
-        # about half of the texts are canonical, so the bulk path is exercised
+                    assert outcome(call) == want, call
+        # about two fifths of the texts are canonical, so the bulk path is exercised
         assert bulk_tables > 150
 
     def test_bulk_path_parses_serialized_data(self, monkeypatch):
@@ -678,19 +809,56 @@ class TestBulkWeights:
         with pytest.raises(DataFormatError, match="symmetrization produced a weight"):
             load_network_edge_list("0,1\n1,0\n", 2, kind="binary")
 
-    def test_bulk_path_allocates_one_dense_matrix(self):
+    @pytest.mark.parametrize("header", ["", "# header\n"], ids=["canonical", "commented"])
+    @pytest.mark.parametrize("sym", SYMMETRIZE_MODES)
+    def test_bulk_path_allocates_one_dense_matrix(self, sym, header):
         # the weights themselves, plus the symmetry check's boolean temporary;
         # a directed matrix and its symmetrized copy would double the peak
         n = 400
-        text = "".join(f"{i},{(i * 7 + 3) % n},0.5\n" for i in range(n) if (i * 7 + 3) % n != i)
-        assert data._bulk_table(text) is not None
+        pairs = [(i, (i * 7 + 3) % n) for i in range(n) if (i * 7 + 3) % n != i]
+        text = header + "".join(f"{i},{j},0.5\n{j},{i},0.5\n" for i, j in pairs)
+        assert (data._bulk_table(text) is None) == bool(header)
         tracemalloc.start()
         try:
-            load_network_edge_list(text, n)
+            load_network_edge_list(text, n, symmetrize=sym)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
+
+
+class TestNoSecondRead:
+    """Canonical text that needs no diagnostic never reaches a line parser."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_parser(self, monkeypatch):
+        def line_parser(*args):
+            raise AssertionError("the line parser ran")
+
+        monkeypatch.setattr(data, "_directed_lines", line_parser)
+        monkeypatch.setattr(data, "_adoptions_lines", line_parser)
+
+    @pytest.mark.parametrize("text", [
+        "0,1,-0.0\n1,0,-0.0\n1,2,0.5\n2,1,0.5\n",
+        "0,1,-0.0\n1,0,0.0\n0,2,-0.0\n1,2,2.5\n2,1,2.5\n",
+        "0,1,0\n1,2,0.5\n2,1,0.5\n",
+        "2,0,-0.0\n1,2,0.5\n2,1,0.5\n",
+    ], ids=["minus-zero-pair", "signed-zero-pair", "one-sided-zero", "one-sided-minus-zero"])
+    @pytest.mark.parametrize("sym", SYMMETRIZE_MODES)
+    def test_network(self, sym, text):
+        want = outcome(partial(oracle_edge_list, text, 3, symmetrize=sym))
+        assert want[0] == "ok"
+        assert outcome(partial(load_network_edge_list, text, 3, symmetrize=sym)) == want
+
+    @pytest.mark.parametrize("text", [
+        "0,1,-3\n1,2,-0.0\n2,0,4.5\n",
+        "0,1,-0.0\n1,2,1.0\n0,1,0.0\n",
+        "0,1,0.0\n0,1,-0.0\n1,1,-0.0\n1,1,-0.0\n",
+    ], ids=["negative-stamps", "minus-zero-repeated-as-zero", "zero-repeated-as-minus-zero"])
+    def test_adoptions(self, text):
+        want = outcome(partial(oracle_adoptions, text, 3, 4))
+        assert want[0] == "ok"
+        assert outcome(partial(load_adoptions, text, 3, 4)) == want
 
 
 class TestCandidateNetworkMessages:
