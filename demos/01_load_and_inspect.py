@@ -70,8 +70,7 @@ ADOPTIONS = """
 1,3,8.0
 """
 
-adoptions = load_adoptions(ADOPTIONS, NUM_USERS, NUM_APPS,
-                           app_labels=["maps", "chat", "game", "news"])
+adoptions = load_adoptions(ADOPTIONS, NUM_USERS, NUM_APPS)
 
 print("\n== adoptions ==")
 stats = dataset_stats(adoptions)

@@ -21,8 +21,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .data import (
@@ -184,10 +182,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     cfg.require("predict.params")
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
-    if cfg.use_popularity:
-        popularity = popularity_counts(data.adoptions)[apps]
-    else:
-        popularity = np.zeros(apps.size)
+    # the fitted pop_weight is the popularity switch: a fit without the
+    # channel has pop_weight 0.0, and the counts then add nothing
+    popularity = popularity_counts(data.adoptions)[apps]
     evidence = data.adoptions.installed[:, apps]
     sheet = PredictionSheet(apps, score_matrix(params, data.networks, evidence, popularity))
     sheets = b"app_id,user_id,score,evaluated\n" + sheet.csv_rows()

@@ -439,7 +439,7 @@ class RunConfig:
 
     @property
     def use_popularity(self) -> bool:
-        """experiment.use_popularity, which train and predict read without a protocol."""
+        """experiment.use_popularity, which train reads without a protocol."""
         return self._section("experiment").get(
             "use_popularity", ExperimentSpec.use_popularity
         )

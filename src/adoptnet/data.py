@@ -94,7 +94,6 @@ class AdoptionMatrix:
     num_apps: int
     installed: np.ndarray
     install_times: np.ndarray | None = None
-    app_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         x = np.asarray(self.installed, dtype=bool)
@@ -111,12 +110,6 @@ class AdoptionMatrix:
             if np.any(np.isfinite(t) & ~x):
                 raise ValueError("timestamp present on a cell that is not installed")
             object.__setattr__(self, "install_times", _freeze(t))
-        labels = tuple(self.app_labels) if self.app_labels else tuple(
-            f"app{j}" for j in range(self.num_apps)
-        )
-        if len(labels) != self.num_apps:
-            raise ValueError("app_labels length does not match num_apps")
-        object.__setattr__(self, "app_labels", labels)
 
     @property
     def has_timestamps(self) -> bool:
@@ -524,7 +517,6 @@ def load_adoptions(
     text: str | IO[str] | Iterable[str],
     num_users: int,
     num_apps: int,
-    app_labels: Sequence[str] | None = None,
 ) -> AdoptionMatrix:
     """Parse `user,app[,timestamp]` lines into an AdoptionMatrix.
 
@@ -544,7 +536,6 @@ def load_adoptions(
         num_apps=num_apps,
         installed=installed,
         install_times=times,
-        app_labels=tuple(app_labels) if app_labels else (),
     )
 
 
@@ -581,7 +572,6 @@ def filter_min_users(
             num_apps=int(kept.size),
             installed=adoptions.installed[:, kept],
             install_times=times,
-            app_labels=tuple(adoptions.app_labels[j] for j in kept.tolist()),
         ),
         kept,
     )
@@ -667,5 +657,4 @@ def restrict_adoption_users(
         num_apps=adoptions.num_apps,
         installed=adoptions.installed[idx, :],
         install_times=times,
-        app_labels=adoptions.app_labels,
     )

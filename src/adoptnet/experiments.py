@@ -10,19 +10,22 @@ always see identical splits.
 The exogenous popularity channel is always derived from the adoption matrix
 at the protocol's visibility: every user in the standard protocols, early
 adopters in the future protocol, observable users in the transfer protocol.
-When spec.use_popularity is off, the channel is a zero vector.
+When spec.use_popularity is off, the channel is a zero vector.  Scoring
+always reads the channel: a fit on zero popularity returns a popularity
+weight of exactly 0.0, and that weight is the channel's one switch.
 
-Each train/test split builds its TrainingTerms once, and every fit of that
-split reads them: the model and the regression baseline alike.  A variant
-fit derives its terms with dataclasses.replace: popularity zeroed for the
-variants without the exogenous channel, one network's slice of the
-potentials for each single-network fit.
+Each train/test split builds its TrainingTerms once, every fit of that
+split reads them, and they are released before the next split builds its
+own.  A variant fit derives its terms with dataclasses.replace: popularity
+zeroed for the variants without the exogenous channel, one network's slice
+of the potentials for each single-network fit.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -87,18 +90,25 @@ def kfold_apps(
     return out
 
 
+def _seeded_split(
+    ids: Sequence[int] | np.ndarray, fraction: float, seed: int, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded partition whose first side holds round-half-up(fraction * ids) ids."""
+    ids = np.asarray(ids, dtype=int)
+    if not 0 < fraction < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    n_first = round_half_up(fraction * ids.size)
+    if n_first == 0 or n_first == ids.size:
+        raise ValueError("degenerate split: one side is empty")
+    perm = np.random.default_rng(seed).permutation(ids)
+    return np.sort(perm[:n_first]), np.sort(perm[n_first:])
+
+
 def fraction_split(
     app_ids: Sequence[int] | np.ndarray, train_fraction: float, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded app split with |train| = round-half-up(fraction * apps)."""
-    ids = np.asarray(app_ids, dtype=int)
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie in (0, 1)")
-    n_train = round_half_up(train_fraction * ids.size)
-    if n_train == 0 or n_train == ids.size:
-        raise ValueError("degenerate split: one side is empty")
-    perm = np.random.default_rng(seed).permutation(ids)
-    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    return _seeded_split(app_ids, train_fraction, seed, "train_fraction")
 
 
 def future_split(
@@ -130,14 +140,7 @@ def observable_user_split(
     users: Sequence[int] | np.ndarray, observable_fraction: float, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded user partition; observable side = round-half-up(fraction * users)."""
-    ids = np.asarray(users, dtype=int)
-    if not 0 < observable_fraction < 1:
-        raise ValueError("observable_fraction must lie in (0, 1)")
-    n_obs = round_half_up(observable_fraction * ids.size)
-    if n_obs == 0 or n_obs == ids.size:
-        raise ValueError("degenerate split: one side is empty")
-    perm = np.random.default_rng(seed).permutation(ids)
-    return np.sort(perm[:n_obs]), np.sort(perm[n_obs:])
+    return _seeded_split(users, observable_fraction, seed, "observable_fraction")
 
 
 def low_activity_subset(adoptions: AdoptionMatrix) -> np.ndarray:
@@ -255,6 +258,13 @@ def _cv_splits(
     return kfold_apps(apps, spec.folds, seed)
 
 
+def _popularity(adoptions: AdoptionMatrix, spec: ExperimentSpec, users=None) -> np.ndarray:
+    """Install counts over ``users`` (every user by default); zeros with popularity off."""
+    if not spec.use_popularity:
+        return np.zeros(adoptions.num_apps)
+    return popularity_counts(adoptions, users)
+
+
 def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
     in_train = np.zeros(max(train.max(initial=-1), test.max(initial=-1)) + 1, dtype=bool)
     in_train[train] = True
@@ -263,34 +273,42 @@ def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
 
 
 def _mle_sheet(
+    cfg: FitConfig,
     terms: TrainingTerms,
     stack: NetworkStack,
-    adoptions: AdoptionMatrix,
-    test: np.ndarray,
-    cfg: FitConfig,
+    apps: np.ndarray,
+    evidence: np.ndarray,
+    popularity: np.ndarray,
+    evaluated: np.ndarray | bool,
 ) -> PredictionSheet:
-    """Fit on ``terms``, score every test app in standard mode.
-
-    ``stack`` holds the networks and the popularity vector the terms were
-    built from; scoring reads the same popularity channel as the fit.
-    """
+    """Fit on ``terms``, then score ``apps`` on the networks of ``stack``."""
     params, _ = fit_mle(terms, cfg=cfg)
-    evidence = adoptions.installed[:, test]
-    return PredictionSheet(test, score_matrix(params, stack, evidence, stack.popularity[test]))
+    return PredictionSheet(apps, score_matrix(params, stack, evidence, popularity), evaluated)
 
 
 def _regression_sheet(
     terms: TrainingTerms,
     stack: NetworkStack,
-    adoptions: AdoptionMatrix,
-    test: np.ndarray,
+    apps: np.ndarray,
+    evidence: np.ndarray,
+    popularity: np.ndarray,
+    evaluated: np.ndarray | bool,
 ) -> PredictionSheet:
+    """The regression baseline's counterpart of _mle_sheet."""
     reg = fit_regression(terms)
     activity = terms.labels.sum(axis=1).astype(float)
-    evidence = adoptions.installed[:, test]
-    return PredictionSheet(
-        test, regression_scores(reg, stack, evidence, stack.popularity[test], activity)
-    )
+    scores = regression_scores(reg, stack, evidence, popularity, activity)
+    return PredictionSheet(apps, scores, evaluated)
+
+
+def _standard_view(
+    adoptions: AdoptionMatrix, popularity: np.ndarray, test: np.ndarray, evaluated=True
+) -> tuple:
+    """A sheet's apps, evidence, popularity and ranked users when every adopter is seen.
+
+    Built per sheet, so the evidence block lives only while that sheet is scored.
+    """
+    return test, adoptions.installed[:, test], popularity[test], evaluated
 
 
 def _random_sheet(
@@ -362,21 +380,21 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     subset = _subset_users(adoptions, spec)
-    no_pop = np.zeros(adoptions.num_apps)
-    pop = popularity_counts(adoptions) if spec.use_popularity else no_pop
+    pop = _popularity(adoptions, spec)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
-    bare = NetworkStack(networks=data.networks.networks, popularity=no_pop)
     per_series: dict[str, list[MetricReport]] = {n: [] for n, _, _ in ABLATION_CONFIGS}
     for r in range(spec.repeats):
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
-            bare_terms = replace(terms, popularity=no_pop[train])
+            bare = replace(terms, popularity=np.zeros(train.size))
+            standard = partial(_standard_view, adoptions, pop, test, subset[:, None])
             for name, use_pop, overrides in ABLATION_CONFIGS:
-                fit = (terms, stack) if use_pop else (bare_terms, bare)
-                sheet = _mle_sheet(*fit, adoptions, test, replace(spec.fit, **overrides))
-                sheets[name].append(sheet.restrict(subset))
+                cfg = replace(spec.fit, **overrides)
+                sheet = _mle_sheet(cfg, terms if use_pop else bare, stack, *standard())
+                sheets[name].append(sheet)
+            del terms, bare
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
@@ -394,48 +412,40 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     adoptions, kept = _prepare(data, spec)
     everyone = np.ones(adoptions.num_users, dtype=bool)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
-    no_pop = np.zeros(adoptions.num_apps)
-    pop = popularity_counts(adoptions) if spec.use_popularity else no_pop
+    pop = _popularity(adoptions, spec)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
-    apps = np.arange(adoptions.num_apps)
+    per_series: dict[str, list[MetricReport]] = {}
 
-    names = []
-    for frac in COMPARISON_FRACTIONS:
-        cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
-        for method in ("full", "regression", "random"):
-            names += [f"{method}_f{int(frac * 100)}_{cell}" for cell, _ in cells]
-    names += [f"single_{g.name}_f50_all" for g in data.networks.networks]
-    per_series: dict[str, list[MetricReport]] = {n: [] for n in names}
+    def add(name: str, sheet: PredictionSheet) -> None:
+        report = evaluate_sheets([sheet], adoptions, ks=(spec.mp_k,))
+        per_series.setdefault(name, []).append(report)
 
     for r in range(spec.repeats):
         for frac in COMPARISON_FRACTIONS:
             seed = derive_seed(spec.seed, spec.protocol, "split", frac, r)
-            train, test = fraction_split(apps, frac, seed)
+            train, test = fraction_split(np.arange(adoptions.num_apps), frac, seed)
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
+            standard = partial(_standard_view, adoptions, pop, test)
             by_method = {
-                "full": _mle_sheet(terms, stack, adoptions, test, spec.fit),
-                "regression": _regression_sheet(terms, stack, adoptions, test),
+                "full": _mle_sheet(spec.fit, terms, stack, *standard()),
+                "regression": _regression_sheet(terms, stack, *standard()),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
             cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
             for method, sheet in by_method.items():
                 for cell, subset in cells:
-                    name = f"{method}_f{int(frac * 100)}_{cell}"
-                    per_series[name].append(
-                        evaluate_sheets([sheet.restrict(subset)], adoptions, ks=(spec.mp_k,))
-                    )
+                    add(f"{method}_f{int(frac * 100)}_{cell}", sheet.restrict(subset))
             if frac == 0.5:
                 for m, g in enumerate(stack.networks):
-                    single_terms = replace(
-                        terms, potentials=terms.potentials[m : m + 1], popularity=no_pop[train]
-                    )
-                    single = NetworkStack(networks=(g,), popularity=no_pop)
-                    sheet = _mle_sheet(single_terms, single, adoptions, test, spec.fit)
-                    per_series[f"single_{g.name}_f50_all"].append(
-                        evaluate_sheets([sheet], adoptions, ks=(spec.mp_k,))
-                    )
-    series = [RunSeries(n, tuple(per_series[n])) for n in names]
+                    single = replace(terms, potentials=terms.potentials[m : m + 1],
+                                     popularity=np.zeros(train.size))
+                    one = NetworkStack(networks=(g,))
+                    sheet = _mle_sheet(spec.fit, single, one, *standard())
+                    add(f"single_{g.name}_f50_all", sheet)
+                del single
+            del terms
+    series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
     return _report(data, spec, adoptions, kept, series)
 
 
@@ -448,7 +458,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     halves = future_split(adoptions)
-    pop = popularity_counts(adoptions) if spec.use_popularity else np.zeros(adoptions.num_apps)
+    pop = _popularity(adoptions, spec)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     subset = _subset_users(adoptions, spec)
 
@@ -456,15 +466,11 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         n: [] for n in ("full", "regression", "random")
     }
     for r in range(spec.repeats):
-        splits = _cv_splits(adoptions.num_apps, spec, r)
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
         skipped = 0
-        for train, test in splits:
+        for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
-            params, _ = fit_mle(terms, cfg=spec.fit)
-            reg = fit_regression(terms)
-            activity = terms.labels.sum(axis=1).astype(float)
             scored = np.array([a for a in test if halves[int(a)][1].size], dtype=int)
             skipped += test.size - scored.size
             early = np.zeros((adoptions.num_users, scored.size), dtype=bool)
@@ -475,12 +481,11 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 late[g2, j] = True
             if np.any(early & late):
                 raise LeakError("late adopter marked as visible evidence")
-            c_visible = early.sum(axis=0).astype(float)
             ranked = ~early & subset[:, None]
-            scores = score_matrix(params, stack, early, c_visible)
-            sheets["full"].append(PredictionSheet(scored, scores, ranked))
-            scores = regression_scores(reg, stack, early, c_visible, activity)
-            sheets["regression"].append(PredictionSheet(scored, scores, ranked))
+            view = (scored, early, early.sum(axis=0).astype(float), ranked)
+            sheets["full"].append(_mle_sheet(spec.fit, terms, stack, *view))
+            sheets["regression"].append(_regression_sheet(terms, stack, *view))
+            del terms
             sheets["random"].append(
                 _random_sheet(adoptions.num_users, scored, spec, r, evaluated=ranked)
             )
@@ -512,11 +517,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         observable, hidden = observable_user_split(
             np.arange(num_users), spec.observable_fraction, seed
         )
-        pop_visible = (
-            popularity_counts(adoptions, observable)
-            if spec.use_popularity
-            else np.zeros(adoptions.num_apps)
-        )
+        pop_visible = _popularity(adoptions, spec, observable)
         stack_obs = NetworkStack(
             networks=tuple(restrict_users(g, observable) for g in data.networks.networks),
             popularity=pop_visible,
@@ -529,8 +530,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         skipped = 0
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
-            terms = training_terms(stack_obs, adopt_obs, train)
-            params_obs, _ = fit_mle(terms, cfg=spec.fit)
+            params_obs, _ = fit_mle(training_terms(stack_obs, adopt_obs, train), cfg=spec.fit)
             n_pos = adoptions.installed[hidden][:, test].sum(axis=0)
             scored = test[n_pos > 0]
             skipped += int(np.sum(n_pos == 0))

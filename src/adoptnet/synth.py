@@ -134,24 +134,6 @@ def generate(spec: SynthSpec) -> tuple[NetworkStack, TeacherData]:
     return stack, sample_adoptions_teacher(stack, planted_params(spec), spec)
 
 
-def target_probabilities(
-    stack: NetworkStack, params: ModelParams, teacher: TeacherData
-) -> np.ndarray:
-    """Model probability of each (target user, app) cell given the realized context.
-
-    The Monte Carlo consistency oracle: empirical target adoption frequencies
-    must match these within binomial error.
-    """
-    context = teacher.context_users
-    target = teacher.target_users
-    ev = teacher.adoptions.installed[context, :].astype(float)
-    counts = ev.sum(axis=0)
-    cross = np.stack([g.weights[np.ix_(target, context)] for g in stack.networks])
-    exposure = np.tensordot(params.net_weights, cross @ ev, axes=1)
-    z = params.susceptibility[target][:, None] + exposure + params.pop_weight * counts[None, :]
-    return -np.expm1(-np.maximum(z, 0.0))
-
-
 def recovery_fit(
     stack: NetworkStack,
     teacher: TeacherData,

@@ -304,6 +304,26 @@ class TestPredictCommand:
         assert main(["predict", cfg]) == EXIT_OK
         assert (run_dir / "sheets.csv").read_bytes() == sheets
 
+    def test_scores_with_the_popularity_its_params_were_fitted_for(self, bundle, capsys):
+        # the fitted pop_weight switches the channel, not experiment.use_popularity
+        tmp_path, data_dir, base = bundle
+        planted = json.loads((data_dir / "planted.json").read_text())["params"]
+        params = tmp_path / "planted.json"
+        params.write_text(json.dumps(planted))
+        model = ModelParams.from_json(params.read_text())
+        assert model.pop_weight > 0
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n"
+                        "experiment.use_popularity = false\n")
+        assert main(["predict", cfg]) == EXIT_OK
+        capsys.readouterr()
+        [run_dir] = run_dirs(tmp_path / "runs")
+        data = load_config(cfg).build_dataset()
+        scores = score_matrix(model, data.networks, data.adoptions.installed,
+                              popularity_counts(data.adoptions))
+        want = oracle_csv_rows(PredictionSheet(np.arange(16), scores))
+        assert (run_dir / "sheets.csv").read_bytes() == (
+            b"app_id,user_id,score,evaluated\n" + want)
+
     def test_user_count_mismatch_exits_config(self, bundle, capsys):
         tmp_path, _, base = bundle
         params = tmp_path / "p.json"

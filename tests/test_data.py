@@ -98,10 +98,6 @@ class TestAdoptionMatrix:
         m = AdoptionMatrix(num_users=2, num_apps=2, installed=installed, install_times=full)
         assert m.has_timestamps
 
-    def test_default_app_labels(self):
-        m = AdoptionMatrix(num_users=1, num_apps=2, installed=np.zeros((1, 2), dtype=bool))
-        assert m.app_labels == ("app0", "app1")
-
     def test_counts(self):
         installed = np.array([[True, True, False], [False, True, False]])
         m = AdoptionMatrix(num_users=2, num_apps=3, installed=installed)
@@ -235,7 +231,6 @@ class TestFilterMinUsers:
         kept_m, kept = filter_min_users(m, 2)
         assert kept.tolist() == [0]
         assert kept_m.num_apps == 1
-        assert kept_m.app_labels == ("app0",)
 
     def test_min_one_keeps_adopted(self):
         installed = np.array([[1, 0, 1]], dtype=bool)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from adoptnet import experiments as exp_mod
 from adoptnet import model as model_mod
 from adoptnet import solver as solver_mod
-from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
+from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
 from adoptnet.experiments import (
     ABLATION_CONFIGS,
     Dataset,
@@ -30,7 +31,9 @@ from adoptnet.experiments import (
     run_future,
     run_transfer,
 )
-from adoptnet.solver import FitConfig
+from adoptnet.model import TrainingTerms, training_terms
+from adoptnet.predict import score_matrix
+from adoptnet.solver import FitConfig, fit_mle
 from adoptnet.synth import SynthSpec, generate
 
 
@@ -307,6 +310,72 @@ class TestSharedTerms:
 
     def test_solver_builds_no_potentials(self):
         assert not hasattr(solver_mod, "network_potentials")
+
+
+class TestSplitStateReleased:
+    """No split's TrainingTerms outlive it: the next split and the metrics never see them."""
+
+    @pytest.mark.parametrize("protocol", ["ablation", "comparison", "future", "transfer"])
+    def test_no_terms_of_an_earlier_split_alive(self, monkeypatch, protocol):
+        made = []
+        real_terms = exp_mod.training_terms
+        real_replace = exp_mod.replace
+        real_evaluate = exp_mod.evaluate_sheets
+
+        def track(obj):
+            if isinstance(obj, TrainingTerms):
+                made.append(weakref.ref(obj))
+            return obj
+
+        def alive():
+            return sum(ref() is not None for ref in made)
+
+        def checked_terms(*args, **kwargs):
+            assert alive() == 0
+            return track(real_terms(*args, **kwargs))
+
+        def checked_evaluate(*args, **kwargs):
+            # comparison scores inside its split, which still holds its terms
+            if protocol != "comparison":
+                assert alive() == 0
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "training_terms", checked_terms)
+        monkeypatch.setattr(exp_mod, "replace", lambda obj, **kw: track(real_replace(obj, **kw)))
+        monkeypatch.setattr(exp_mod, "evaluate_sheets", checked_evaluate)
+        spec = ExperimentSpec(protocol=protocol, folds=3, repeats=2, seed=3, fit=FAST_FIT)
+        run_experiment(tiny_dataset(), spec)
+        assert len(made) >= 4
+
+
+class TestZeroPopularityFits:
+    """A fit on zeroed popularity ignores the popularity it is scored with."""
+
+    def test_pop_weight_is_exactly_zero_and_scores_are_unchanged(self):
+        data = tiny_dataset()
+        adoptions = data.adoptions
+        pop = popularity_counts(adoptions)
+        assert pop.min() > 0
+        stack = NetworkStack(networks=data.networks.networks, popularity=pop)
+        train, test = fraction_split(np.arange(adoptions.num_apps), 0.5, seed=0)
+        terms = training_terms(stack, adoptions, train)
+        bare = dataclasses.replace(terms, popularity=np.zeros(train.size))
+        fits = [
+            (bare, stack, dataclasses.replace(FAST_FIT, **overrides))
+            for _, use_pop, overrides in ABLATION_CONFIGS
+            if not use_pop
+        ]
+        for m, g in enumerate(stack.networks):
+            single = dataclasses.replace(bare, potentials=terms.potentials[m : m + 1])
+            fits.append((single, NetworkStack(networks=(g,)), FAST_FIT))
+        assert len(fits) == 4 + stack.num_networks
+        evidence = adoptions.installed[:, test]
+        for fit_terms, fit_stack, cfg in fits:
+            params, _ = fit_mle(fit_terms, cfg=cfg)
+            assert params.pop_weight == 0.0 and not np.signbit(params.pop_weight)
+            with_pop = score_matrix(params, fit_stack, evidence, pop[test])
+            without = score_matrix(params, fit_stack, evidence, np.zeros(test.size))
+            assert with_pop.tobytes() == without.tobytes()
 
 
 class TestAblationProtocol:

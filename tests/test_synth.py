@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from adoptnet.data import popularity_counts
 from adoptnet.model import ModelParams
+from adoptnet.predict import score_matrix
 from adoptnet.synth import (
     RecoveryError,
     SynthSpec,
@@ -18,7 +20,6 @@ from adoptnet.synth import (
     recovery_error,
     recovery_fit,
     sample_adoptions_teacher,
-    target_probabilities,
 )
 
 SMALL = SynthSpec(
@@ -181,12 +182,17 @@ class TestTeacherSampling:
 
     def test_target_frequencies_match_model_probabilities(self):
         # aggregate target adoptions follow a Poisson-binomial with the
-        # probabilities reported by target_probabilities; 4 sigma bound
+        # probabilities that score_matrix gives the target rows, conditioned
+        # on the realized context adopters; 4 sigma bound
         spec = dataclasses.replace(SMALL, num_apps=800, seed=3)
         stack = gen_networks(spec)
         params = planted_params(spec)
         teacher = sample_adoptions_teacher(stack, params, spec)
-        probs = target_probabilities(stack, params, teacher)
+        context = np.zeros(spec.num_users, dtype=bool)
+        context[teacher.context_users] = True
+        evidence = teacher.adoptions.installed & context[:, None]
+        popularity = popularity_counts(teacher.adoptions, teacher.context_users)
+        probs = score_matrix(params, stack, evidence, popularity)[teacher.target_users]
         observed = float(teacher.adoptions.installed[teacher.target_users, :].sum())
         expected = float(probs.sum())
         std = math.sqrt(float((probs * (1 - probs)).sum()))
