@@ -7,12 +7,14 @@ so typos fail loudly instead of silently using a default.
 
 The run specs the builders return (ExperimentSpec, SynthSpec) and their
 choice lists live here too, so that reading a config loads only the data and
-solver modules; experiments and synth import them from here.
+solver modules; experiments and synth import them from here.  They and
+FitConfig are the schema of the `experiment.*`, `synth.*` and `fit.*` keys,
+one key per field; the top-level `seed` and `protocol` set those two fields.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +28,7 @@ from .data import (
     CandidateNetwork,
     Dataset,
     NetworkStack,
+    _lines,
     load_adoptions,
     load_network_edge_list,
     normalize_network,
@@ -160,6 +163,33 @@ class SynthSpec:
         return np.arange(self.num_context_users, self.num_users)
 
 
+# a spec field's annotation, less any ` | None` -> the type tag of its key
+_FIELD_TAGS = {"int": "int", "float": "float", "bool": "bool",
+               "tuple[float, ...]": "floats", "tuple[float, ...] | float": "floats"}
+
+
+def _section_keys() -> dict[str, str]:
+    """`<section>.<field>` -> type tag for the fields of the three run specs.
+
+    seed, protocol and fit are set by other keys.  An annotation with no tag
+    raises at import, so a spec field cannot drift from its key.
+    """
+    choices = {"user_subset": USER_SUBSETS, "weight_dist": WEIGHT_DISTS}
+    keys = {}
+    for section, spec in (("fit", FitConfig), ("experiment", ExperimentSpec), ("synth", SynthSpec)):
+        for f in fields(spec):
+            if f.name in ("seed", "protocol", "fit"):
+                continue
+            if f.name in choices:
+                tag = "choice:" + "|".join(choices[f.name])
+            else:
+                tag = _FIELD_TAGS.get(f.type.removesuffix(" | None"))
+            if tag is None:
+                raise TypeError(f"{section}.{f.name}: no config type for {f.type!r}")
+            keys[f"{section}.{f.name}"] = tag
+    return keys
+
+
 # key -> type tag (int, float, bool, str, path, apps, floats, choice:a|b|c)
 SCALAR_KEYS: dict[str, str] = {
     "num_users": "int",
@@ -168,36 +198,10 @@ SCALAR_KEYS: dict[str, str] = {
     "outdir": "str",
     "seed": "int",
     "protocol": "choice:" + "|".join(PROTOCOLS),
-    "experiment.train_fraction": "float",
-    "experiment.folds": "int",
-    "experiment.min_users": "int",
-    "experiment.repeats": "int",
-    "experiment.user_subset": "choice:" + "|".join(USER_SUBSETS),
-    "experiment.observable_fraction": "float",
-    "experiment.mp_k": "int",
-    "experiment.use_popularity": "bool",
-    "fit.max_iters": "int",
-    "fit.grad_tol": "float",
-    "fit.init_net_weight": "float",
-    "fit.init_susceptibility": "float",
-    "fit.allow_negative_net_weights": "bool",
-    "fit.fix_susceptibility_at_zero": "bool",
-    "fit.fix_net_weights_at_zero": "bool",
     "train.apps": "apps",
     "predict.params": "path",
     "predict.apps": "apps",
-    "synth.num_users": "int",
-    "synth.num_context_users": "int",
-    "synth.num_apps": "int",
-    "synth.num_networks": "int",
-    "synth.edge_density": "floats",
-    "synth.weight_dist": "choice:" + "|".join(WEIGHT_DISTS),
-    "synth.weight_max": "float",
-    "synth.planted_net_weights": "floats",
-    "synth.planted_pop_weight": "float",
-    "synth.susceptibility_rate": "float",
-    "synth.pop_base_max": "float",
-    "synth.seed": "int",
+    **_section_keys(),
 }
 
 NETWORK_KEY_RE = re.compile(r"^network\.(0|[1-9]\d*)\.(path|name|kind|symmetrize|normalize)$")
@@ -217,10 +221,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """`key = value` lines to a dict; duplicate keys are errors."""
     entries: dict[str, str] = {}
     problems = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
@@ -251,12 +252,10 @@ def apply_overrides(entries: dict[str, str], overrides: Sequence[str]) -> dict[s
     return merged
 
 
-def _known_keys(entries: dict[str, str]) -> list[str]:
-    keys = list(SCALAR_KEYS)
-    indices = {m.group(1) for k in entries if (m := NETWORK_KEY_RE.match(k))}
-    for i in sorted(indices | {"0"}):
-        keys += [f"network.{i}.{f}" for f in NETWORK_FIELD_TYPES]
-    return keys
+def _known_keys(indices: list[int]) -> list[str]:
+    """Every scalar key and the network keys of the given indices and of 0."""
+    nets = [f"network.{i}.{f}" for i in sorted({0, *indices}) for f in NETWORK_FIELD_TYPES]
+    return list(SCALAR_KEYS) + nets
 
 
 def _parse(type_tag: str, value: str) -> object:
@@ -307,7 +306,7 @@ class RunConfig:
     def problems(self) -> list[str]:
         """All schema and value diagnostics; empty means the config is well formed."""
         out: list[str] = []
-        known = _known_keys(self.entries)
+        known = _known_keys(self.network_indices())
         for key, value in self.entries.items():
             m = NETWORK_KEY_RE.match(key)
             if key in SCALAR_KEYS:
@@ -332,9 +331,7 @@ class RunConfig:
         return out
 
     def _network_index_problems(self) -> list[str]:
-        indices = sorted(
-            {int(m.group(1)) for k in self.entries if (m := NETWORK_KEY_RE.match(k))}
-        )
+        indices = self.network_indices()
         out = []
         if indices and indices != list(range(len(indices))):
             out.append(f"network indices must be contiguous from 0, got {indices}")
@@ -471,8 +468,7 @@ class RunConfig:
             # edge_density alone may be one value shared by every network
             if len(density) == 1:
                 kwargs["edge_density"] = density[0]
-            kwargs.setdefault("seed", self.seed)
-            return SynthSpec(**kwargs)
+            return SynthSpec(seed=self.seed, **kwargs)
         except ValueError as e:
             raise ConfigError([f"synth.*: {e}"]) from e
 

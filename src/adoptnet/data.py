@@ -76,10 +76,6 @@ class CandidateNetwork:
             raise ValueError(f"network {self.name!r}: binary network with weight outside {{0, 1}}")
         object.__setattr__(self, "weights", _freeze(w))
 
-    @property
-    def num_edges(self) -> int:
-        return int(np.count_nonzero(np.triu(self.weights, k=1)))
-
 
 @dataclass(frozen=True)
 class AdoptionMatrix:
@@ -110,13 +106,6 @@ class AdoptionMatrix:
             if np.any(np.isfinite(t) & ~x):
                 raise ValueError("timestamp present on a cell that is not installed")
             object.__setattr__(self, "install_times", _freeze(t))
-
-    @property
-    def has_timestamps(self) -> bool:
-        """True when every installed cell carries a timestamp."""
-        if self.install_times is None:
-            return False
-        return bool(np.all(np.isfinite(self.install_times[self.installed])))
 
     def adopters_of(self, app: int) -> np.ndarray:
         return np.flatnonzero(self.installed[:, app])

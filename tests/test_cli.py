@@ -102,6 +102,17 @@ class TestSynthCommand:
         after = {p.name: p.read_bytes() for p in again.iterdir()}
         assert before == after
 
+    def test_seed_is_the_only_seed_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SYNTH_CFG + f"outdir = {tmp_path / 'o'}\n")
+        # a second seed key could draw the data from one seed and record another
+        assert main(["synth", cfg, "--set", "seed=7", "--set", "synth.seed=1"]) == EXIT_CONFIG
+        assert "unknown key 'synth.seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["synth", cfg, "--set", "seed=7"]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "o")
+        assert json.loads((run_dir / "manifest.json").read_text())["root_seed"] == 7
+        assert json.loads((run_dir / "planted.json").read_text())["spec"]["seed"] == 7
+
 
 class TestValidateCommand:
     def test_ok(self, bundle, capsys):

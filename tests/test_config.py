@@ -1,9 +1,14 @@
 """Flat config parsing, schema diagnostics, and object builders."""
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from adoptnet import config
 from adoptnet.config import (
     SCALAR_KEYS,
     ConfigError,
@@ -46,8 +51,44 @@ SECTION_VALUES = {
     "synth.planted_pop_weight": ("0.01", 0.01),
     "synth.susceptibility_rate": ("10", 10.0),
     "synth.pop_base_max": ("3", 3.0),
-    "synth.seed": ("9", 9),
 }
+
+# the fit.*, experiment.* and synth.* keys with their type tags, written out:
+# the spec fields define these keys, so a field that is added, renamed or
+# retyped fails here and its key shows up as a diff of this table
+REFERENCE_SECTION_KEYS = {
+    "experiment.train_fraction": "float",
+    "experiment.folds": "int",
+    "experiment.min_users": "int",
+    "experiment.repeats": "int",
+    "experiment.user_subset": "choice:all|low_activity",
+    "experiment.observable_fraction": "float",
+    "experiment.mp_k": "int",
+    "experiment.use_popularity": "bool",
+    "fit.max_iters": "int",
+    "fit.grad_tol": "float",
+    "fit.init_net_weight": "float",
+    "fit.init_susceptibility": "float",
+    "fit.allow_negative_net_weights": "bool",
+    "fit.fix_susceptibility_at_zero": "bool",
+    "fit.fix_net_weights_at_zero": "bool",
+    "synth.num_users": "int",
+    "synth.num_context_users": "int",
+    "synth.num_apps": "int",
+    "synth.num_networks": "int",
+    "synth.edge_density": "floats",
+    "synth.weight_dist": "choice:unit|uniform",
+    "synth.weight_max": "float",
+    "synth.planted_net_weights": "floats",
+    "synth.planted_pop_weight": "float",
+    "synth.susceptibility_rate": "float",
+    "synth.pop_base_max": "float",
+}
+SECTION_SPECS = {"fit": FitConfig, "experiment": ExperimentSpec, "synth": SynthSpec}
+# spec fields that top-level keys set (seed, protocol) or that another section
+# fills (fit)
+NOT_SECTION_KEYS = ("seed", "protocol", "fit")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParseConfigText:
@@ -144,6 +185,39 @@ class TestSchemaDiagnostics:
         with pytest.raises(ConfigError) as exc:
             cfg.check()
         assert len(exc.value.problems) == 2
+
+
+class TestSchemaIsTheSpecs:
+    def section_rows(self):
+        return {k: t for k, t in SCALAR_KEYS.items() if k.split(".")[0] in SECTION_SPECS}
+
+    def test_section_keys_are_the_spec_fields(self):
+        fields = {
+            f"{section}.{f.name}"
+            for section, spec in SECTION_SPECS.items()
+            for f in dataclasses.fields(spec)
+            if f.name not in NOT_SECTION_KEYS
+        }
+        assert set(self.section_rows()) == fields
+
+    def test_section_keys_match_the_reference_table(self):
+        assert self.section_rows() == REFERENCE_SECTION_KEYS
+        assert len(SCALAR_KEYS) == 9 + len(REFERENCE_SECTION_KEYS)
+
+    def test_field_without_a_type_tag_fails_loudly(self, monkeypatch):
+        @dataclasses.dataclass
+        class Spec:
+            label: str = "x"
+
+        monkeypatch.setattr(config, "SynthSpec", Spec)
+        with pytest.raises(TypeError, match=r"synth\.label: no config type for 'str'"):
+            config._section_keys()
+
+    def test_readme_protocol_table_lists_every_experiment_key(self):
+        first_cells = [line.split("|")[1] for line in README.read_text().splitlines()
+                       if line.startswith("| `experiment.")]
+        listed = set(re.findall(r"`(experiment\.\w+)`", "".join(first_cells)))
+        assert {k for k in SCALAR_KEYS if k.startswith("experiment.")} <= listed
 
 
 class TestGetters:

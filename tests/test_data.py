@@ -41,7 +41,6 @@ def square(entries, n):
 class TestCandidateNetwork:
     def test_valid_construction_freezes_weights(self):
         g = CandidateNetwork(num_users=3, weights=square([(0, 1, 2.0)], 3), name="g")
-        assert g.num_edges == 1
         with pytest.raises(ValueError):
             g.weights[0, 1] = 5.0
 
@@ -84,19 +83,6 @@ class TestAdoptionMatrix:
         times[1, 1] = 3.0
         with pytest.raises(ValueError, match="not installed"):
             AdoptionMatrix(num_users=2, num_apps=2, installed=installed, install_times=times)
-
-    def test_has_timestamps_requires_full_coverage(self):
-        installed = np.zeros((2, 2), dtype=bool)
-        installed[0, 0] = installed[1, 1] = True
-        times = np.full((2, 2), np.nan)
-        times[0, 0] = 1.0
-        m = AdoptionMatrix(num_users=2, num_apps=2, installed=installed, install_times=times)
-        assert not m.has_timestamps
-        full = np.full((2, 2), np.nan)
-        full[0, 0] = 1.0
-        full[1, 1] = 2.0
-        m = AdoptionMatrix(num_users=2, num_apps=2, installed=installed, install_times=full)
-        assert m.has_timestamps
 
     def test_counts(self):
         installed = np.array([[True, True, False], [False, True, False]])
@@ -888,4 +874,4 @@ class TestCandidateNetworkMessages:
             CandidateNetwork(num_users=3, weights=w, name="g")
 
     def test_empty_network_is_valid(self):
-        assert CandidateNetwork(num_users=0, weights=np.zeros((0, 0))).num_edges == 0
+        CandidateNetwork(num_users=0, weights=np.zeros((0, 0)))

@@ -94,7 +94,8 @@ class TestGenNetworks:
         pairs = 200 * 199 // 2
         for g, p in zip(stack.networks, spec.edge_density):
             std = math.sqrt(pairs * p * (1 - p))
-            assert abs(g.num_edges - pairs * p) < 4 * std
+            num_edges = np.count_nonzero(np.triu(g.weights, 1))
+            assert abs(num_edges - pairs * p) < 4 * std
 
     def test_unit_weights_are_binary(self):
         spec = dataclasses.replace(SMALL, weight_dist="unit")
@@ -162,7 +163,7 @@ class TestTeacherSampling:
         _, teacher = generate(SMALL)
         times = teacher.adoptions.install_times
         installed = teacher.adoptions.installed
-        assert teacher.adoptions.has_timestamps
+        assert np.isfinite(times[installed]).all()
         ctx, tgt = teacher.context_users, teacher.target_users
         for a in range(SMALL.num_apps):
             adopters = np.flatnonzero(installed[:, a])
