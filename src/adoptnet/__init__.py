@@ -30,7 +30,7 @@ _EXPORTS = {
         "normalize_network",
         "popularity_counts",
     ),
-    "config": ("ExperimentSpec", "SynthSpec"),
+    "config": ("ExperimentSpec", "FitConfig", "SynthSpec"),
     "experiments": (
         "ExperimentReport",
         "RunSeries",
@@ -55,7 +55,6 @@ _EXPORTS = {
     ),
     "predict": ("PredictionSheet", "score_matrix", "transfer_params"),
     "solver": (
-        "FitConfig",
         "FitResult",
         "RegressionParams",
         "SolverError",

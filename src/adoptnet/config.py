@@ -1,15 +1,17 @@
 """Flat key-value run configuration: parsing, schema checks, object builders.
 
-The file format is one `key = value` per line with `#` comments.  Keys are
-dotted and flat (no sections); relative paths resolve against the config
-file's directory.  Unknown keys are rejected with a close-match suggestion
-so typos fail loudly instead of silently using a default.
+The file format is one `key = value` per line.  A `#` at the start of a
+line or after whitespace starts a comment; one glued to other text is part
+of the value, as in `outdir = out#1`.  Keys are dotted and flat (no
+sections); relative paths resolve against the config file's directory.
+Unknown keys are rejected with a close-match suggestion so typos fail
+loudly instead of silently using a default.
 
-The run specs the builders return (ExperimentSpec, SynthSpec) and their
-choice lists live here too, so that reading a config loads only the data and
-solver modules; experiments and synth import them from here.  They and
-FitConfig are the schema of the `experiment.*`, `synth.*` and `fit.*` keys,
-one key per field; the top-level `seed` and `protocol` set those two fields.
+The run specs the builders return (FitConfig, ExperimentSpec, SynthSpec)
+and their choice lists live here too, so that reading a config loads only
+the data module; solver, experiments and synth import them from here.  They
+are the schema of the `fit.*`, `experiment.*` and `synth.*` keys, one key
+per field; the top-level `seed` and `protocol` set those two fields.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .data import (
     load_network_edge_list,
     normalize_network,
 )
-from .solver import FitConfig
 
 PROTOCOLS = ("ablation", "comparison", "future", "transfer")
 USER_SUBSETS = ("all", "low_activity")
@@ -46,6 +47,41 @@ class ConfigError(ValueError):
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Optimizer settings.
+
+    init_net_weight of None means 1/num_networks (also used for the
+    popularity weight).  grad_tol applies to the infinity norm of the
+    projected gradient and is the only test that ends a maximum-likelihood
+    fit as converged; that fit is projected Newton and otherwise stops when
+    no projected-gradient step can move the parameters, when neither its
+    Newton nor its projected-gradient arc search finds an increase, or at
+    max_iters.  grad_tol and the starting values must be finite: a NaN
+    tolerance is never met and an infinite one is met at the start.  The
+    fix_* flags freeze a parameter block at zero; allow_negative_net_weights
+    lifts the sign constraint on the network weights only.
+    """
+
+    max_iters: int = 10_000
+    grad_tol: float = 1e-6
+    init_net_weight: float | None = None
+    init_susceptibility: float = 0.1
+    allow_negative_net_weights: bool = False
+    fix_susceptibility_at_zero: bool = False
+    fix_net_weights_at_zero: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"tolerances must be finite and positive: grad_tol {self.grad_tol}")
+        if not (np.isfinite(self.init_susceptibility) and self.init_susceptibility >= 0):
+            raise ValueError("init_susceptibility must be finite and non-negative")
+        if self.init_net_weight is not None and not np.isfinite(self.init_net_weight):
+            raise ValueError("init_net_weight must be finite")
 
 
 @dataclass(frozen=True)
@@ -314,9 +350,10 @@ class RunConfig:
             elif m:
                 tag = NETWORK_FIELD_TYPES[m.group(2)]
             else:
-                import difflib  # only a config with a typo needs it
+                from difflib import get_close_matches  # only a config with a typo needs it
 
-                hint = difflib.get_close_matches(key, known, n=1)
+                last = key.rpartition(".")[2]  # a top-level key under a prefix: synth.seed
+                hint = [last] if last in SCALAR_KEYS else get_close_matches(key, known, n=1)
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
                 out.append(f"unknown key {key!r}{suffix}")
                 continue

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -205,11 +206,15 @@ def _read(text: str | IO[str] | Iterable[str]) -> str | Iterable[str]:
     return text.read() if hasattr(text, "read") else text  # type: ignore[union-attr]
 
 
+# a comment starts at a `#` that opens the line or follows whitespace: `out#1` is a value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _lines(text: str | Iterable[str]) -> Iterable[tuple[int, str]]:
     if isinstance(text, str):
         text = text.splitlines()
     for lineno, raw in enumerate(text, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip() if "#" in raw else raw.strip()
         if line:
             yield lineno, line
 

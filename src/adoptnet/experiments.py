@@ -18,7 +18,8 @@ Each train/test split builds its TrainingTerms once, every fit of that
 split reads them, and they are released before the next split builds its
 own.  A variant fit derives its terms with dataclasses.replace: popularity
 zeroed for the variants without the exogenous channel, one network's slice
-of the potentials for each single-network fit.
+of the potentials for each single-network fit.  The runners call fit_mle
+and fit_regression themselves, and _sheet scores either fitted model.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +42,10 @@ from .data import (
     restrict_users,
 )
 from .metrics import MetricReport, evaluate_sheets
-from .model import TrainingTerms, training_terms
+from .model import training_terms
 from .predict import PredictionSheet, regression_scores, score_matrix, transfer_params
 from .seeds import derive_seed
-from .solver import FitConfig, fit_mle, fit_regression, random_baseline
+from .solver import fit_mle, fit_regression, random_baseline
 
 # name -> (popularity channel on, FitConfig overrides)
 ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = (
@@ -272,33 +273,13 @@ def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
         raise LeakError("train and test apps overlap")
 
 
-def _mle_sheet(
-    cfg: FitConfig,
-    terms: TrainingTerms,
-    stack: NetworkStack,
-    apps: np.ndarray,
-    evidence: np.ndarray,
-    popularity: np.ndarray,
-    evaluated: np.ndarray | bool,
-) -> PredictionSheet:
-    """Fit on ``terms``, then score ``apps`` on the networks of ``stack``."""
-    params, _ = fit_mle(terms, cfg=cfg)
-    return PredictionSheet(apps, score_matrix(params, stack, evidence, popularity), evaluated)
+def _sheet(score: Callable, params: object, stack: NetworkStack, *view) -> PredictionSheet:
+    """Score view = (apps, evidence, popularity, evaluated) with fitted ``params``.
 
-
-def _regression_sheet(
-    terms: TrainingTerms,
-    stack: NetworkStack,
-    apps: np.ndarray,
-    evidence: np.ndarray,
-    popularity: np.ndarray,
-    evaluated: np.ndarray | bool,
-) -> PredictionSheet:
-    """The regression baseline's counterpart of _mle_sheet."""
-    reg = fit_regression(terms)
-    activity = terms.labels.sum(axis=1).astype(float)
-    scores = regression_scores(reg, stack, evidence, popularity, activity)
-    return PredictionSheet(apps, scores, evaluated)
+    ``score`` is score_matrix or regression_scores, which share their arguments.
+    """
+    apps, evidence, popularity, evaluated = view
+    return PredictionSheet(apps, score(params, stack, evidence, popularity), evaluated)
 
 
 def _standard_view(
@@ -392,8 +373,8 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             standard = partial(_standard_view, adoptions, pop, test, subset[:, None])
             for name, use_pop, overrides in ABLATION_CONFIGS:
                 cfg = replace(spec.fit, **overrides)
-                sheet = _mle_sheet(cfg, terms if use_pop else bare, stack, *standard())
-                sheets[name].append(sheet)
+                params, _ = fit_mle(terms if use_pop else bare, cfg=cfg)
+                sheets[name].append(_sheet(score_matrix, params, stack, *standard()))
             del terms, bare
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
@@ -427,9 +408,11 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
             standard = partial(_standard_view, adoptions, pop, test)
+            params, _ = fit_mle(terms, cfg=spec.fit)
+            reg = fit_regression(terms)
             by_method = {
-                "full": _mle_sheet(spec.fit, terms, stack, *standard()),
-                "regression": _regression_sheet(terms, stack, *standard()),
+                "full": _sheet(score_matrix, params, stack, *standard()),
+                "regression": _sheet(regression_scores, reg, stack, *standard()),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
             cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
@@ -440,8 +423,9 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 for m, g in enumerate(stack.networks):
                     single = replace(terms, potentials=terms.potentials[m : m + 1],
                                      popularity=np.zeros(train.size))
+                    params, _ = fit_mle(single, cfg=spec.fit)
                     one = NetworkStack(networks=(g,))
-                    sheet = _mle_sheet(spec.fit, single, one, *standard())
+                    sheet = _sheet(score_matrix, params, one, *standard())
                     add(f"single_{g.name}_f50_all", sheet)
                 del single
             del terms
@@ -483,9 +467,11 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 raise LeakError("late adopter marked as visible evidence")
             ranked = ~early & subset[:, None]
             view = (scored, early, early.sum(axis=0).astype(float), ranked)
-            sheets["full"].append(_mle_sheet(spec.fit, terms, stack, *view))
-            sheets["regression"].append(_regression_sheet(terms, stack, *view))
+            params, _ = fit_mle(terms, cfg=spec.fit)
+            reg = fit_regression(terms)
             del terms
+            sheets["full"].append(_sheet(score_matrix, params, stack, *view))
+            sheets["regression"].append(_sheet(regression_scores, reg, stack, *view))
             sheets["random"].append(
                 _random_sheet(adoptions.num_users, scored, spec, r, evaluated=ranked)
             )
@@ -538,12 +524,11 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             evidence = adoptions.installed[:, scored] & visible[:, None]
             if np.any(evidence[hidden]):
                 raise LeakError("hidden adopter leaked into transfer evidence")
-            pop = pop_visible[scored]
+            view = (scored, evidence, pop_visible[scored], ~visible[:, None])
             for mode in ("mean", "zero"):
                 params = transfer_params(params_obs, observable, num_users, mode)
-                scores = score_matrix(params, data.networks, evidence, pop)
                 sheets[f"transfer_{mode}"].append(
-                    PredictionSheet(scored, scores, ~visible[:, None])
+                    _sheet(score_matrix, params, data.networks, *view)
                 )
             sheets["random"].append(
                 _random_sheet(num_users, scored, spec, r, evaluated=~visible[:, None])

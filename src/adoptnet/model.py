@@ -326,13 +326,6 @@ def _per_user_sums(terms: TrainingTerms, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gradient(
-    terms: TrainingTerms, slopes: np.ndarray, slope_sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    grad_wp = terms.adopter_features @ slopes - terms.linear_weights
-    return slope_sums - terms.linear_susceptibility, grad_wp[:-1], float(grad_wp[-1])
-
-
 def objective_gradient(
     terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -341,11 +334,10 @@ def objective_gradient(
     Adopter cells contribute exp(-z)/(1 - exp(-z)) evaluated at the floored
     exponent; every non-adopter cell contributes the constant -1 (times the
     cell's potential for the weight blocks), the gathered linear
-    coefficients, even where the relaxed-sign correction is active.
-    objective_derivatives returns the same gradient, by the same formula.
+    coefficients, even where the relaxed-sign correction is active.  It is
+    the first half of objective_derivatives, which computes it.
     """
-    slopes = _adopter_slopes(_adopter_exponents(terms, s, w, w_pop))
-    return _gradient(terms, slopes, _per_user_sums(terms, slopes[None])[:, 0])
+    return objective_derivatives(terms, s, w, w_pop)[0]
 
 
 def objective_derivatives(
@@ -385,7 +377,9 @@ def objective_derivatives(
     diag = per_user[:, 1] + KNEE_CURVATURE * per_user[:, 2]
     dense = features @ weighted.T
     model = (diag, per_user[:, 3:], 0.5 * (dense + dense.T))
-    return _gradient(terms, slopes, per_user[:, 0]), model
+    grad_wp = features @ slopes - terms.linear_weights
+    gradient = (per_user[:, 0] - terms.linear_susceptibility, grad_wp[:-1], float(grad_wp[-1]))
+    return gradient, model
 
 
 def log_likelihood(

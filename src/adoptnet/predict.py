@@ -18,9 +18,10 @@ the caller builds:
   the fit on the observable group could not estimate.
 
 regression_scores is the same computation, on the composite of its own
-network coefficients, for the linear baseline.  A PredictionSheet pairs a
-score matrix with its app ids and the mask of ranked users; the metrics
-read it column by column.
+network coefficients, for the linear baseline, with the same arguments:
+each scorer reads everything else from its fitted parameters.  A
+PredictionSheet pairs a score matrix with its app ids and the mask of
+ranked users; the metrics read it column by column.
 """
 from __future__ import annotations
 
@@ -335,22 +336,20 @@ def regression_scores(
     stack: NetworkStack,
     evidence: np.ndarray,
     popularity: np.ndarray,
-    activity: np.ndarray,
 ) -> np.ndarray:
     """Baseline linear scores clipped to [0, 1], shape (U, T).
 
-    ``evidence`` and ``popularity`` are as in score_matrix; ``activity`` is
-    the per-user training-app install count (the same feature the regression
-    was fitted on).
+    The arguments are as in score_matrix; the per-user activity feature is
+    ``reg.activity``, the training-app install count the regression was
+    fitted on.
     """
-    activity = np.asarray(activity, dtype=float)
-    if activity.shape != (stack.num_users,):
+    if reg.activity.shape != (stack.num_users,):
         raise ValueError(
-            f"activity shape {activity.shape} does not match {stack.num_users} users"
+            f"activity shape {reg.activity.shape} does not match {stack.num_users} users"
         )
     linear = (
         _exposure(reg.net_coefs, reg.pop_coef, stack, evidence, popularity)
-        + reg.activity_coef * activity[:, None]
+        + reg.activity_coef * reg.activity[:, None]
         + reg.intercept
     )
     return np.clip(linear, 0.0, 1.0)

@@ -35,10 +35,13 @@ Newton step.  Each evaluation of a constrained fit costs O(M * adopter
 cells): none passes over the (M, U, T) tensor.
 
 Both fits take the TrainingTerms of their split, so a split's per-network
-potentials are built once.  The regression baseline is an exact
-non-negative least squares, solved by Lawson and Hanson's active-set method
-on its (users x train apps) by (networks + 3) design, read off those terms.
-It reads no FitConfig: it stops when the KKT conditions hold to a
+potentials are built once; the protocol runners call both themselves.  The
+regression baseline is an exact non-negative least squares, solved by
+Lawson and Hanson's active-set method on its (users x train apps) by
+(networks + 3) design, read off those terms; its parameters carry the
+per-user activity feature it was fitted on, so it is scored from its
+parameters alone, as the main model is.  It reads no FitConfig (owned by
+config, re-exported here): it stops when the KKT conditions hold to a
 rounding-level tolerance taken from the design, and raises SolverError
 instead of returning an unconverged fit.
 """
@@ -50,6 +53,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import FitConfig
 from .model import (
     EXPONENT_KNEE,
     ModelParams,
@@ -62,8 +66,8 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_SUFFICIENT = 1e-4
 MIN_STEP = 1e-20
 # A Newton arc that needs a shorter step than this hands over to the
-# projected-gradient arc.
-NEWTON_MIN_STEP = 1e-6
+# projected-gradient arc: at most 10 trials, steps 1 down to 2**-9.
+NEWTON_MIN_STEP = 2.0**-10
 # Bertsekas's epsilon: a constrained coordinate within
 # min(ACTIVE_EPS, ||theta - project(theta + g)||) of zero whose gradient
 # points below zero is active.
@@ -76,41 +80,6 @@ OBJECTIVE_ROUNDOFF = 1e-12
 
 class SolverError(RuntimeError):
     """A fit hit a non-finite objective value, or NNLS exceeded its step bound."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer settings.
-
-    init_net_weight of None means 1/num_networks (also used for the
-    popularity weight).  grad_tol applies to the infinity norm of the
-    projected gradient and is the only test that ends a maximum-likelihood
-    fit as converged; that fit is projected Newton and otherwise stops when
-    no projected-gradient step can move the parameters, when neither its
-    Newton nor its projected-gradient arc search finds an increase, or at
-    max_iters.  grad_tol and the starting values must be finite: a NaN
-    tolerance is never met and an infinite one is met at the start.  The
-    fix_* flags freeze a parameter block at zero; allow_negative_net_weights
-    lifts the sign constraint on the network weights only.
-    """
-
-    max_iters: int = 10_000
-    grad_tol: float = 1e-6
-    init_net_weight: float | None = None
-    init_susceptibility: float = 0.1
-    allow_negative_net_weights: bool = False
-    fix_susceptibility_at_zero: bool = False
-    fix_net_weights_at_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(f"tolerances must be finite and positive: grad_tol {self.grad_tol}")
-        if not (np.isfinite(self.init_susceptibility) and self.init_susceptibility >= 0):
-            raise ValueError("init_susceptibility must be finite and non-negative")
-        if self.init_net_weight is not None and not np.isfinite(self.init_net_weight):
-            raise ValueError("init_net_weight must be finite")
 
 
 @dataclass(frozen=True)
@@ -501,18 +470,21 @@ class RegressionParams:
     """Non-negative regression coefficients for the baseline predictor.
 
     Scores are clip(net_coefs . potentials + pop_coef * popularity
-    + activity_coef * apps_per_user + intercept, 0, 1).
+    + activity_coef * activity + intercept, 0, 1), where ``activity`` is
+    the (U,) per-user install count over the training apps the fit read.
     """
 
     net_coefs: np.ndarray
     pop_coef: float
     activity_coef: float
     intercept: float
+    activity: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.net_coefs, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "net_coefs", c)
+        for name in ("net_coefs", "activity"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def fit_regression(terms: TrainingTerms) -> RegressionParams:
@@ -521,12 +493,14 @@ def fit_regression(terms: TrainingTerms) -> RegressionParams:
     One row per training (user, app) cell; columns are the per-network
     potentials, the app's popularity, the user's training-app install count,
     and an intercept.  All coefficients are constrained non-negative.  Every
-    user's cells are rows, so ``terms.term_users`` must hold every user.
+    user's cells are rows, so ``terms.term_users`` must hold every user.  The
+    install count is returned as ``activity``, the feature regression_scores
+    reads, so test installs never reach the baseline's scores.
     """
     if not terms.term_users.all():
         raise ValueError("fit_regression needs term_users to hold every user")
     num_users, num_train = terms.labels.shape
-    activity = terms.labels.sum(axis=1)  # training apps only: test installs must not leak in
+    activity = terms.labels.sum(axis=1)
     F = np.column_stack(
         [p.ravel() for p in terms.potentials]
         + [
@@ -542,6 +516,7 @@ def fit_regression(terms: TrainingTerms) -> RegressionParams:
         pop_coef=float(coef[num_nets]),
         activity_coef=float(coef[num_nets + 1]),
         intercept=float(coef[num_nets + 2]),
+        activity=activity,
     )
 
 

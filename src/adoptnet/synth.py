@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import WEIGHT_DISTS, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
+from .config import WEIGHT_DISTS, FitConfig, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
 from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
 from .model import ModelParams, training_terms
 from .seeds import derive_seed
-from .solver import FitConfig, FitResult, fit_mle
+from .solver import FitResult, fit_mle
 
 
 @dataclass(frozen=True)

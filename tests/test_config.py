@@ -101,6 +101,17 @@ class TestParseConfigText:
         """
         assert parse_config_text(text) == {"num_users": "10", "seed": "3"}
 
+    def test_glued_hash_stays_in_the_value(self):
+        # only a `#` at the start of a line or after whitespace starts a comment
+        text = "adoptions.path = runs/#3/adoptions.csv\noutdir = out#1\nseed = 1 # note\n"
+        entries = parse_config_text(text)
+        assert entries == {"adoptions.path": "runs/#3/adoptions.csv", "outdir": "out#1",
+                           "seed": "1"}
+        cfg = RunConfig(entries=entries, base_dir=Path("/base"))
+        assert cfg.outdir == Path("/base/out#1")
+        assert cfg.resolve_path("adoptions.path") == Path("/base/runs/#3/adoptions.csv")
+        assert cfg.seed == 1
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2", source="f.cfg")
@@ -130,6 +141,12 @@ class TestSchemaDiagnostics:
         [problem] = cfg.problems()
         assert "unknown key" in problem
         assert "did you mean 'seed'" in problem
+
+    @pytest.mark.parametrize("key, top", [
+        ("synth.seed", "seed"), ("fit.seed", "seed"), ("experiment.protocol", "protocol")])
+    def test_top_level_key_under_a_prefix_suggests_that_key(self, key, top):
+        [problem] = RunConfig(entries={key: "1"}).problems()
+        assert problem == f"unknown key {key!r} (did you mean {top!r}?)"
 
     @pytest.mark.parametrize("key", ["fit.obj_tol", "fit.seed", "alpha"])
     def test_removed_fit_keys_are_unknown(self, key):

@@ -401,6 +401,19 @@ class TestLoaderDiagnostics:
         )
 
 
+class TestGluedHash:
+    """A `#` glued to a field is part of it, so the field fails its check."""
+
+    def test_glued_hash_fails_the_field_check_with_its_line(self):
+        text = "# header\n0,1 # a comment\n1,2,2.0#x\n"
+        assert message_of(lambda: load_network_edge_list(text, num_users=3)) == (
+            "line 3: weight '2.0#x' is not a number"
+        )
+        assert message_of(lambda: load_adoptions("0,1\n1,2#x\n", 3, 4)) == (
+            "line 2: app id '2#x' is not an integer"
+        )
+
+
 class TestLenientSyntax:
     """Input outside the canonical form still parses as the line parser reads it."""
 

@@ -40,9 +40,10 @@ def test_dir_lists_public_names():
 
 
 def test_moved_names_import_from_their_old_modules():
-    from adoptnet import config, data, experiments, synth
+    from adoptnet import config, data, experiments, solver, synth
 
     assert experiments.Dataset is data.Dataset
+    assert solver.FitConfig is config.FitConfig
     assert experiments.ExperimentSpec is config.ExperimentSpec
     assert experiments.PROTOCOLS is config.PROTOCOLS
     assert experiments.USER_SUBSETS is config.USER_SUBSETS
@@ -62,6 +63,21 @@ def test_fresh_import_loads_no_submodule():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == ["adoptnet"]
+
+
+def test_reading_a_config_loads_only_the_data_module():
+    # config owns the whole run schema, FitConfig included, so it needs no solver
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import json, sys, adoptnet.config\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'adoptnet')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == ["adoptnet", "adoptnet.config", "adoptnet.data"]
 
 
 # The benchmark wraps and imports adoptnet names from outside the package; a

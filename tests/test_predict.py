@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from adoptnet import predict
-from adoptnet.data import CandidateNetwork, NetworkStack
-from adoptnet.model import ModelParams, adoption_probability
+from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
+from adoptnet.model import ModelParams, adoption_probability, training_terms
 from adoptnet.predict import PredictionSheet, regression_scores, score_matrix, transfer_params
-from adoptnet.solver import RegressionParams
+from adoptnet.solver import RegressionParams, fit_regression
 
 
 def path_stack(num_users=4, weight=1.0, popularity=None):
@@ -357,11 +357,11 @@ class TestScoreTransfer:
 class TestRegressionScores:
     def test_linear_form_and_clipping(self):
         stack = path_stack(3)
-        reg = RegressionParams(net_coefs=np.array([0.5]), pop_coef=0.1,
-                               activity_coef=0.2, intercept=0.05)
-        adopted = column(np.array([1, 0, 0]))
         activity = np.array([0.0, 2.0, 10.0])
-        scores = regression_scores(reg, stack, adopted, np.array([1.0]), activity)[:, 0]
+        reg = RegressionParams(net_coefs=np.array([0.5]), pop_coef=0.1,
+                               activity_coef=0.2, intercept=0.05, activity=activity)
+        adopted = column(np.array([1, 0, 0]))
+        scores = regression_scores(reg, stack, adopted, np.array([1.0]))[:, 0]
         # user 1: 0.5*1 + 0.1*1 + 0.2*2 + 0.05 = 1.05 -> clipped
         assert scores[1] == 1.0
         # user 0: no adopted neighbour, activity 0
@@ -371,23 +371,37 @@ class TestRegressionScores:
     def test_zero_coefficients_zero_scores(self):
         stack = path_stack(3)
         reg = RegressionParams(net_coefs=np.array([0.0]), pop_coef=0.0,
-                               activity_coef=0.0, intercept=0.0)
-        scores = regression_scores(reg, stack, np.ones((3, 2)), np.array([5.0, 1.0]),
-                                   np.full(3, 9.0))
+                               activity_coef=0.0, intercept=0.0, activity=np.full(3, 9.0))
+        scores = regression_scores(reg, stack, np.ones((3, 2)), np.array([5.0, 1.0]))
         assert scores.tolist() == [[0.0, 0.0]] * 3
 
     def test_network_count_mismatch(self):
         reg = RegressionParams(net_coefs=np.array([0.1, 0.2]), pop_coef=0.0,
-                               activity_coef=0.0, intercept=0.0)
+                               activity_coef=0.0, intercept=0.0, activity=np.zeros(3))
         with pytest.raises(ValueError, match="mismatch"):
-            regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), np.zeros(3))
+            regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1))
+
+    def test_fitted_regression_scores_from_its_own_activity(self):
+        # the scorer reads the training-app install counts the fit stored
+        rng = np.random.default_rng(11)
+        stack = random_stack(rng, 8, 2)
+        installed = rng.random((8, 10)) < 0.4
+        adoptions = AdoptionMatrix(num_users=8, num_apps=10, installed=installed)
+        reg = fit_regression(training_terms(stack, adoptions, np.arange(0, 10, 2)))
+        evidence = installed[:, 1::2]
+        popularity = evidence.sum(axis=0).astype(float)
+        got = regression_scores(reg, stack, evidence, popularity)
+        activity = installed[:, ::2].sum(axis=1)
+        for t in range(evidence.shape[1]):
+            want = ref_regression_scores(reg, stack, evidence[:, t], popularity[t], activity)
+            np.testing.assert_allclose(got[:, t], want, rtol=0.0, atol=1e-12)
 
     def test_activity_length_mismatch(self):
-        reg = RegressionParams(net_coefs=np.array([0.1]), pop_coef=0.0,
-                               activity_coef=0.2, intercept=0.0)
         for activity in (np.array([4.0]), np.zeros(4), np.zeros((3, 1))):
+            reg = RegressionParams(net_coefs=np.array([0.1]), pop_coef=0.0,
+                                   activity_coef=0.2, intercept=0.0, activity=activity)
             with pytest.raises(ValueError, match="activity shape"):
-                regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1), activity)
+                regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1))
 
 
 def test_scoring_never_builds_per_network_potentials(monkeypatch):
@@ -403,9 +417,9 @@ def test_scoring_never_builds_per_network_potentials(monkeypatch):
     popularity = rng.random(4) * 3.0
     params = random_params(rng, 6, 3)
     reg = RegressionParams(net_coefs=rng.random(3), pop_coef=0.1, activity_coef=0.05,
-                           intercept=0.01)
+                           intercept=0.01, activity=np.ones(6))
     assert score_matrix(params, stack, evidence, popularity).shape == (6, 4)
-    assert regression_scores(reg, stack, evidence, popularity, np.ones(6)).shape == (6, 4)
+    assert regression_scores(reg, stack, evidence, popularity).shape == (6, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +599,10 @@ class TestBatchedOracle:
                 pop_coef=float(rng.random() * 0.05),
                 activity_coef=float(rng.random() * 0.05),
                 intercept=float(rng.random() * 0.1),
+                activity=rng.integers(0, 15, size=stack.num_users).astype(float),
             )
-            activity = rng.integers(0, 15, size=stack.num_users).astype(float)
-            got = regression_scores(reg, stack, evidence, popularity, activity)
+            activity = reg.activity
+            got = regression_scores(reg, stack, evidence, popularity)
             assert got.shape == evidence.shape
             for t in range(apps.size):
                 want = ref_regression_scores(reg, stack, evidence[:, t], popularity[t],

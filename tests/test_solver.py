@@ -793,6 +793,27 @@ class TestStalledSteps:
         assert x.tolist() == [2.0]
         assert evaluated == [0.5, 3.5, 2.0]
 
+    def test_failing_newton_arc_spends_at_most_ten_trials(self):
+        # a far too flat model sends the Newton step 3 * 2**20 past the peak
+        # of -(t - 2)^2: every Newton trial overshoots and loses, and after
+        # steps 1 .. 2**-9 the gradient arc takes over and finds the peak
+        evaluated = []
+
+        def value(t):
+            evaluated.append(float(t[0]))
+            return -float((t[0] - 2.0) ** 2)
+
+        def derivatives(t):
+            return np.array([-2.0 * (t[0] - 2.0)]), self.one_coordinate_model(2.0 ** -20)
+
+        x, res = _projected_newton(value, derivatives, np.array([0.5]),
+                                   np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                   FitConfig())
+        assert res.stop_reason == "grad_tol" and res.iterations == 1
+        assert x.tolist() == [2.0]
+        newton = [0.5 + 2.0 ** -k * 3.0 * 2.0 ** 20 for k in range(10)]
+        assert evaluated == [0.5, *newton, 3.5, 2.0]
+
 
 class TestProjectedAscent:
     # a separable quadratic with one coordinate frozen at its start value
@@ -854,6 +875,20 @@ class TestRegression:
         reg = fit_regression(training_terms(stack, adoptions, np.arange(A)))
         pred = (reg.pop_coef * 2.0 + reg.activity_coef * A + reg.intercept)
         assert pred == pytest.approx(1.0, abs=1e-5)
+
+    def test_activity_counts_training_apps_only(self):
+        # the activity feature is fitted, stored and scored from one place;
+        # the test apps' installs must not reach it
+        stack, adoptions = make_instance(25)
+        train = np.arange(0, adoptions.num_apps, 2)
+        terms = training_terms(stack, adoptions, train)
+        reg = fit_regression(terms)
+        np.testing.assert_array_equal(reg.activity, terms.labels.sum(axis=1))
+        np.testing.assert_array_equal(reg.activity, adoptions.installed[:, train].sum(axis=1))
+        assert not np.array_equal(reg.activity, adoptions.installed.sum(axis=1))
+        assert reg.activity.dtype == float and not reg.activity.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            reg.activity[0] = 1.0
 
     def test_empty_train_apps_rejected(self):
         stack, adoptions = make_instance(21)
