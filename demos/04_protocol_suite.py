@@ -49,5 +49,5 @@ cmp_report = run_comparison(data, ExperimentSpec(protocol="comparison", repeats=
                                                  seed=0, min_users=3, fit=fast))
 show(cmp_report, ("mp@5", "optimal_f1"))
 
-print("\nreports serialize with to_json()/csv_rows(); the CLI writes exactly")
-print("those plus a summary table and a manifest per run.")
+print("\nreport.files() holds the report's three files, report.json, report.csv and")
+print("summary.csv; `adoptnet experiment` writes exactly those plus a manifest.json.")

@@ -48,6 +48,7 @@ _EXPORTS = {
     "metrics": ("MetricReport", "evaluate_sheets", "rmse"),
     "model": (
         "ModelParams",
+        "SolverError",
         "adoption_probability",
         "log_likelihood",
         "log_likelihood_gradient",
@@ -57,7 +58,6 @@ _EXPORTS = {
     "solver": (
         "FitResult",
         "RegressionParams",
-        "SolverError",
         "fit_mle",
         "fit_regression",
         "random_baseline",

@@ -8,9 +8,13 @@ hash, nothing embeds a timestamp, so reruns are byte-identical.
 Exit codes: 0 success, 2 configuration or data error, 3 runtime or protocol
 error.
 
-Each command imports only the modules it runs: experiments, predict and synth
-are imported inside the commands that call them, so `train` never loads the
-protocol runners, the metrics or the generator.
+Each command imports only the modules it runs: experiments, predict, solver
+and synth are imported inside the commands that call them, so `train` never
+loads the protocol runners, the metrics or the generator, and `predict`,
+`validate` and `stats` never load the solvers.
+
+Every JSON artifact is encoded by data.artifact_json: sorted keys, no
+whitespace.
 """
 from __future__ import annotations
 
@@ -30,12 +34,12 @@ from .data import (
     EmptyDataError,
     NetworkStack,
     adoption_lines,
+    artifact_json,
     dataset_stats,
     network_edge_lines,
     popularity_counts,
 )
-from .model import ModelParams, training_terms
-from .solver import SolverError, fit_mle
+from .model import ModelParams, SolverError, training_terms
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,9 +70,16 @@ def _input_hashes(cfg: RunConfig) -> dict[str, dict[str, str]]:
     return out
 
 
-def _emit(cfg: RunConfig, command: str, files: dict[str, bytes]) -> Path:
-    """Write artifacts plus manifest under a content-addressed run directory."""
+def _emit(
+    cfg: RunConfig, command: str, files: dict[str, bytes | tuple[bytes, ...]]
+) -> Path:
+    """Write artifacts plus manifest under a content-addressed run directory.
+
+    A file given as a tuple of chunks is written chunk by chunk, in order,
+    so a large file is never joined into one more copy.
+    """
     inputs = _input_hashes(cfg)
+    # the run id hashes this encoding, not the artifacts': it must not move
     payload = json.dumps(
         {"command": command, "config": sorted(cfg.entries.items()), "inputs": inputs},
         sort_keys=True,
@@ -77,7 +88,9 @@ def _emit(cfg: RunConfig, command: str, files: dict[str, bytes]) -> Path:
     run_dir = cfg.outdir / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(files):
-        (run_dir / name).write_bytes(files[name])
+        chunks = files[name]
+        with open(run_dir / name, "wb") as f:
+            f.writelines((chunks,) if isinstance(chunks, bytes) else chunks)
     manifest = {
         "run_id": run_id,
         "command": command,
@@ -87,9 +100,7 @@ def _emit(cfg: RunConfig, command: str, files: dict[str, bytes]) -> Path:
         "root_seed": cfg.seed,
         "outputs": sorted(files),
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    (run_dir / "manifest.json").write_text(artifact_json(manifest) + "\n")
     return run_dir
 
 
@@ -150,6 +161,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from .solver import fit_mle
+
     data = _build_dataset(cfg)
     fit_cfg = cfg.fit_config()
     pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
@@ -187,27 +200,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     popularity = popularity_counts(data.adoptions)[apps]
     evidence = data.adoptions.installed[:, apps]
     sheet = PredictionSheet(apps, score_matrix(params, data.networks, evidence, popularity))
-    sheets = b"app_id,user_id,score,evaluated\n" + sheet.csv_rows()
+    sheets = (b"app_id,user_id,score,evaluated\n", sheet.csv_rows())
     run_dir = _emit(cfg, "predict", {"sheets.csv": sheets})
     print(f"scored {apps.size} app(s)")
     print(f"wrote {run_dir}")
     return EXIT_OK
-
-
-def _summary_csv(report) -> str:
-    """One wide row per series: config plus its mean metrics."""
-    metric_names: list[str] = []
-    means = {}
-    for s in report.series:
-        means[s.name] = s.mean_metrics()
-        metric_names += [m for m in means[s.name] if m not in metric_names]
-    rows = ["config," + ",".join(metric_names)]
-    for s in report.series:
-        cells = [
-            repr(means[s.name][m]) if m in means[s.name] else "" for m in metric_names
-        ]
-        rows.append(s.name + "," + ",".join(cells))
-    return "\n".join(rows) + "\n"
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
@@ -219,15 +216,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         report = run_experiment(data, spec)
     except LeakError as e:
         return _fail([str(e)], EXIT_RUNTIME)
-    run_dir = _emit(
-        cfg,
-        "experiment",
-        {
-            "report.json": (report.to_json() + "\n").encode(),
-            "report.csv": ("\n".join(report.csv_rows()) + "\n").encode(),
-            "summary.csv": _summary_csv(report).encode(),
-        },
-    )
+    run_dir = _emit(cfg, "experiment", report.files())
     for s in report.series:
         mean = s.mean_metrics()
         shown = {
@@ -253,12 +242,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     }
     files["adoptions.csv"] = "\n".join(adoption_lines(teacher.adoptions)) + "\n"
     files["planted.json"] = (
-        json.dumps(
-            {"spec": asdict(spec), "params": json.loads(params.to_json())},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        artifact_json({"spec": asdict(spec), "params": params.to_dict()}) + "\n"
     )
     run_dir = _emit(cfg, "synth", {name: text.encode() for name, text in files.items()})
     print(f"wrote {len(files)} dataset file(s) to {run_dir}")

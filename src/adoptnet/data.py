@@ -35,6 +35,17 @@ class EmptyDataError(ValueError):
     """An operation that needs at least one adoption got an all-zero matrix."""
 
 
+def artifact_json(obj: object) -> str:
+    """The text of a JSON artifact: sorted keys and no whitespace, no final newline.
+
+    Without ``indent`` json.dumps runs CPython's C encoder, about three
+    times faster than the pure-Python one; ``python3 -m json.tool FILE``
+    pretty-prints the result.  Every JSON file the package writes is
+    encoded here.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -138,7 +149,8 @@ class NetworkStack:
             raise ValueError(f"networks disagree on the user universe: {sorted(users)}")
         object.__setattr__(self, "networks", nets)
         if self.popularity is not None:
-            c = np.asarray(self.popularity, dtype=float)
+            # a copy: freezing it leaves the caller's array writable
+            c = np.array(self.popularity, dtype=float)
             if c.ndim != 1:
                 raise ValueError("popularity must be a per-app vector")
             if np.any(~np.isfinite(c)) or np.any(c < 0):
@@ -199,7 +211,7 @@ class DatasetStats:
             "mean_apps_per_user": self.mean_apps_per_user,
             "exp_rate": self.exp_rate,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return artifact_json(payload)
 
 
 def _read(text: str | IO[str] | Iterable[str]) -> str | Iterable[str]:

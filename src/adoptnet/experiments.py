@@ -23,7 +23,6 @@ and fit_regression themselves, and _sheet scores either fitted model.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -36,6 +35,7 @@ from .data import (
     AdoptionMatrix,
     Dataset,
     NetworkStack,
+    artifact_json,
     filter_min_users,
     popularity_counts,
     restrict_adoption_users,
@@ -172,7 +172,11 @@ def _flat_metrics(report: MetricReport) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class RunSeries:
-    """One configuration's repeat-by-repeat metrics within a protocol run."""
+    """One configuration's repeat-by-repeat metrics within a protocol run.
+
+    The means are computed once, here: the report's three files and the
+    command's printed lines all read them.
+    """
 
     name: str
     repeats: tuple[MetricReport, ...]
@@ -180,16 +184,16 @@ class RunSeries:
     def __post_init__(self) -> None:
         if not self.repeats:
             raise ValueError("a series needs at least one repeat")
-
-    def mean_metrics(self) -> dict[str, float]:
-        """Arithmetic mean per metric over the repeats that report it."""
         flats = [_flat_metrics(r) for r in self.repeats]
         keys: list[str] = []
         for f in flats:
             keys += [k for k in f if k not in keys]
-        return {
-            k: float(np.mean([f[k] for f in flats if k in f])) for k in keys
-        }
+        mean = {k: float(np.mean([f[k] for f in flats if k in f])) for k in keys}
+        object.__setattr__(self, "_mean", mean)
+
+    def mean_metrics(self) -> dict[str, float]:
+        """Arithmetic mean per metric over the repeats that report it (a fresh dict)."""
+        return dict(self._mean)
 
     def to_dict(self) -> dict:
         return {
@@ -223,7 +227,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return artifact_json(self.to_dict())
 
     def csv_rows(self) -> list[str]:
         """Flat rows for tabulation; per-repeat rows then a mean row per metric."""
@@ -235,6 +239,26 @@ class ExperimentReport:
             for metric, value in s.mean_metrics().items():
                 rows.append(f"{self.protocol},{s.name},mean,{metric},{value!r}")
         return rows
+
+    def summary_csv(self) -> str:
+        """One wide row per series: config plus its mean metrics."""
+        means = [s.mean_metrics() for s in self.series]
+        metric_names: list[str] = []
+        for mean in means:
+            metric_names += [m for m in mean if m not in metric_names]
+        rows = ["config," + ",".join(metric_names)]
+        for s, mean in zip(self.series, means):
+            cells = [repr(mean[m]) if m in mean else "" for m in metric_names]
+            rows.append(s.name + "," + ",".join(cells))
+        return "\n".join(rows) + "\n"
+
+    def files(self) -> dict[str, bytes]:
+        """report.json, report.csv and summary.csv, as the command line writes them."""
+        return {
+            "report.json": (self.to_json() + "\n").encode(),
+            "report.csv": ("\n".join(self.csv_rows()) + "\n").encode(),
+            "summary.csv": self.summary_csv().encode(),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ ascending user id within an app.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import AdoptionMatrix
+from .data import AdoptionMatrix, artifact_json
 from .predict import PredictionSheet
 
 # recall i / 100 for i = 0..100
@@ -74,7 +73,7 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return artifact_json(self.to_dict())
 
 
 def rmse(pred: Sequence[float] | np.ndarray, truth: Sequence[float] | np.ndarray) -> float:

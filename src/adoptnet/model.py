@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AdoptionMatrix, NetworkStack
+from .data import AdoptionMatrix, NetworkStack, artifact_json
 
 # Knee of the adopter log term in the training objective: below this exponent
 # the term continues linearly (first-order Taylor), which keeps the objective
@@ -34,6 +34,14 @@ KNEE_CURVATURE = float(1.0 / (np.expm1(EXPONENT_KNEE) * -np.expm1(-EXPONENT_KNEE
 NEGATIVE_EXPONENT_EPS = 1e-12
 
 
+class SolverError(RuntimeError):
+    """A fit hit a non-finite objective value, or NNLS exceeded its step bound.
+
+    Defined beside the objective rather than in the solver module, so the
+    command line can catch it without loading the solvers.
+    """
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Fitted parameters: per-network weights, popularity weight, susceptibility.
@@ -48,8 +56,9 @@ class ModelParams:
     constrained: bool = True
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.net_weights, dtype=float)
-        s = np.asarray(self.susceptibility, dtype=float)
+        # copies: freezing them leaves the caller's arrays writable
+        w = np.array(self.net_weights, dtype=float)
+        s = np.array(self.susceptibility, dtype=float)
         if w.ndim != 1 or s.ndim != 1:
             raise ValueError("net_weights and susceptibility must be 1-d")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s)) and np.isfinite(self.pop_weight)):
@@ -74,18 +83,17 @@ class ModelParams:
     def num_users(self) -> int:
         return int(self.susceptibility.size)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         # wire format keys: alpha / alpha_pop / s / constrained
-        return json.dumps(
-            {
-                "alpha": self.net_weights.tolist(),
-                "alpha_pop": self.pop_weight,
-                "s": self.susceptibility.tolist(),
-                "constrained": self.constrained,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return {
+            "alpha": self.net_weights.tolist(),
+            "alpha_pop": self.pop_weight,
+            "s": self.susceptibility.tolist(),
+            "constrained": self.constrained,
+        }
+
+    def to_json(self) -> str:
+        return artifact_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":

@@ -26,13 +26,15 @@ ranked users; the metrics read it column by column.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .data import NetworkStack
 from .model import ModelParams, adoption_probability
-from .solver import RegressionParams
+
+if TYPE_CHECKING:  # an annotation only: predict loads no solver
+    from .solver import RegressionParams
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,7 @@ def _binade_scales() -> tuple[np.ndarray, np.ndarray]:
 
 _K, _G = _binade_scales()
 _POW5 = 5 ** _K.astype(np.uint64)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,16 +182,20 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # inside the interval iff a // 10**r < b // 10**r.  That holds for r = 1
     # (the interval spans 10 units) and, once false, stays false for every
     # larger r: strip to the last level where it holds.
+    # Every survivor of a level tests the same power of ten, so each level
+    # divides the compacted survivors by one scalar.
     r = np.ones(x.size, np.int64)
-    p = np.full(x.size, 100)
     live = np.arange(x.size)
+    level = 2
     while live.size:
-        live = live[a[live] // p[live] < b[live] // p[live]]
+        p = _POW10[level]
+        keep = a // p < b // p
+        live, a, b = live[keep], a[keep], b[keep]
         r[live] += 1
-        p[live] *= 10
+        level += 1
     # Round half up by the last digit stripped: the interval is symmetric,
     # so rounding down never leaves it, and it holds no exact half.
-    c1 = c // (p // 100)
+    c1 = c // _POW10[r - 1]
     n = c1 // 10
     n += c1 - 10 * n >= 5
     return n, _K[j] - r, fast

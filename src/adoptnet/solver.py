@@ -43,20 +43,22 @@ per-user activity feature it was fitted on, so it is scored from its
 parameters alone, as the main model is.  It reads no FitConfig (owned by
 config, re-exported here): it stops when the KKT conditions hold to a
 rounding-level tolerance taken from the design, and raises SolverError
-instead of returning an unconverged fit.
+(defined in model, re-exported here) instead of returning an unconverged
+fit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import FitConfig
-from .model import (
+from .data import artifact_json
+from .model import (  # SolverError re-exported
     EXPONENT_KNEE,
     ModelParams,
+    SolverError,
     TrainingTerms,
     objective_derivatives,
     objective_value,
@@ -76,10 +78,6 @@ ACTIVE_EPS = 1e-3
 # predicted gain is below it cannot be told apart from noise, so it is
 # accepted unless the objective falls by more than that level.
 OBJECTIVE_ROUNDOFF = 1e-12
-
-
-class SolverError(RuntimeError):
-    """A fit hit a non-finite objective value, or NNLS exceeded its step bound."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ class FitResult:
     gradient_evals: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return artifact_json(asdict(self))
 
 
 def _project(
@@ -482,7 +480,8 @@ class RegressionParams:
 
     def __post_init__(self) -> None:
         for name in ("net_coefs", "activity"):
-            a = np.asarray(getattr(self, name), dtype=float)
+            # a copy: freezing it leaves the caller's array writable
+            a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 

@@ -1,18 +1,22 @@
 """End-to-end command runs: artifacts, manifests, exit codes, reruns."""
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adoptnet import __version__
 from adoptnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from adoptnet.config import load_config
-from adoptnet.data import popularity_counts
+from adoptnet.data import NetworkStack, dataset_stats, popularity_counts
 from adoptnet.model import ModelParams
 from adoptnet.predict import PredictionSheet, score_matrix
 from test_predict import oracle_csv_rows
@@ -500,6 +504,108 @@ class TestStatsCommand:
         assert found
 
 
+def same_json(got, want) -> bool:
+    """``got``, read back with json.loads, equals ``want``; NaN equals NaN, tuples read as lists."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and set(got) == set(want)
+                and all(same_json(got[k], want[k]) for k in want))
+    if isinstance(want, (list, tuple)):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(same_json, got, want)))
+    if isinstance(want, float) and math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    return got == want and isinstance(got, bool) == isinstance(want, bool)
+
+
+class TestJsonArtifacts:
+    """Every JSON artifact is one line of compact, key-sorted JSON holding what was serialized."""
+
+    @staticmethod
+    def read(run_dir: Path, name: str):
+        text = (run_dir / name).read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")  # no indentation
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return obj
+
+    def check_manifest(self, run_dir: Path, cfg: str, command: str, outputs: list[str]):
+        run = load_config(cfg)
+        inputs = {
+            key: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for key, path in run.input_paths().items()
+        }
+        assert same_json(self.read(run_dir, "manifest.json"), {
+            "run_id": run_dir.name,
+            "command": command,
+            "version": __version__,
+            "config": run.entries,
+            "inputs": inputs,
+            "root_seed": run.seed,
+            "outputs": sorted(outputs),
+        })
+
+    def test_synth(self, tmp_path, capsys):
+        from adoptnet.synth import planted_params
+
+        cfg = write_cfg(tmp_path, SYNTH_CFG + f"outdir = {tmp_path / 'o'}\n")
+        assert main(["synth", cfg]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "o")
+        spec = load_config(cfg).synth_spec()
+        want = {"spec": asdict(spec), "params": planted_params(spec).to_dict()}
+        assert same_json(self.read(run_dir, "planted.json"), want)
+        names = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+        self.check_manifest(run_dir, cfg, "synth", names)
+
+    def test_train(self, bundle, capsys):
+        from adoptnet.model import training_terms
+        from adoptnet.solver import fit_mle
+
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["train", cfg]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "runs")
+        run = load_config(cfg)
+        data = run.build_dataset()
+        stack = NetworkStack(networks=data.networks.networks,
+                             popularity=popularity_counts(data.adoptions))
+        apps = run.app_list("train.apps", data.adoptions.num_apps)
+        params, result = fit_mle(training_terms(stack, data.adoptions, apps),
+                                 cfg=run.fit_config())
+        assert same_json(self.read(run_dir, "params.json"), params.to_dict())
+        assert same_json(self.read(run_dir, "convergence.json"), asdict(result))
+        self.check_manifest(run_dir, cfg, "train", ["convergence.json", "params.json"])
+
+    def test_experiment(self, bundle, capsys):
+        from adoptnet.experiments import run_experiment
+
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = comparison\nexperiment.repeats = 1\n"
+                        "experiment.min_users = 3\n")
+        assert main(["experiment", cfg]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "runs")
+        run = load_config(cfg)
+        report = run_experiment(run.build_dataset(), run.experiment_spec())
+        assert same_json(self.read(run_dir, "report.json"), report.to_dict())
+        self.check_manifest(run_dir, cfg, "experiment",
+                            ["report.csv", "report.json", "summary.csv"])
+
+    def test_stats(self, bundle, capsys):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["stats", cfg]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "runs")
+        stats = dataset_stats(load_config(cfg).build_adoptions())
+        assert same_json(self.read(run_dir, "stats.json"), {
+            "num_users": stats.num_users,
+            "num_apps": stats.num_apps,
+            "users_per_app": sorted(stats.users_per_app.items()),
+            "apps_per_user": sorted(stats.apps_per_user.items()),
+            "mean_apps_per_user": stats.mean_apps_per_user,
+            "exp_rate": stats.exp_rate,
+        })
+        self.check_manifest(run_dir, cfg, "stats", ["stats.json"])
+
+
 class TestArgumentHandling:
     def test_jobs_flag_exits_via_argparse(self, bundle, capsys):
         tmp_path, _, base = bundle
@@ -547,8 +653,8 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise SolverError("planted solver failure")
 
-        # cli binds fit_mle at import, so cmd_train looks it up there
-        monkeypatch.setattr("adoptnet.cli.fit_mle", fail)
+        # cmd_train imports fit_mle when it runs
+        monkeypatch.setattr("adoptnet.solver.fit_mle", fail)
         tmp_path, _, base = bundle
         cfg = write_cfg(tmp_path, base)
         assert main(["train", cfg]) == EXIT_RUNTIME
@@ -592,7 +698,16 @@ class TestImportedModules:
         loaded = loaded_modules(
             f"from adoptnet.cli import main\nassert main(['predict', {cfg!r}]) == 0\n")
         assert "adoptnet.predict" in loaded
-        for name in ("experiments", "metrics", "synth"):
+        for name in ("experiments", "metrics", "solver", "synth"):
+            assert f"adoptnet.{name}" not in loaded
+
+    @pytest.mark.parametrize("command", ["stats", "validate"])
+    def test_reading_commands_load_no_solver(self, bundle, command):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        loaded = loaded_modules(
+            f"from adoptnet.cli import main\nassert main([{command!r}, {cfg!r}]) == 0\n")
+        for name in ("experiments", "metrics", "predict", "solver", "synth"):
             assert f"adoptnet.{name}" not in loaded
 
     def test_dataset_from_config(self, bundle):

@@ -103,6 +103,14 @@ class TestNetworkStack:
         with pytest.raises(ValueError):
             NetworkStack(networks=())
 
+    def test_caller_popularity_stays_writable_and_detached(self):
+        g = CandidateNetwork(num_users=2, weights=np.zeros((2, 2)))
+        pop = np.array([1.0, 2.0])
+        stack = NetworkStack(networks=(g,), popularity=pop)
+        pop[0] = 9.0
+        assert stack.popularity.tolist() == [1.0, 2.0]
+        assert not stack.popularity.flags.writeable
+
     def test_negative_popularity_rejected(self):
         g = CandidateNetwork(num_users=2, weights=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-negative"):

@@ -86,6 +86,14 @@ class TestModelParams:
             ModelParams(net_weights=np.array([np.nan]), pop_weight=0.0,
                         susceptibility=np.zeros(1))
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        w, s = np.array([0.5, 0.25]), np.array([0.0, 0.75])
+        p = ModelParams(net_weights=w, pop_weight=0.0, susceptibility=s)
+        w[0] = s[0] = 9.0
+        assert p.net_weights.tolist() == [0.5, 0.25]
+        assert p.susceptibility.tolist() == [0.0, 0.75]
+        assert not p.net_weights.flags.writeable and not p.susceptibility.flags.writeable
+
     def test_json_round_trip_uses_wire_keys(self):
         import json
 

@@ -40,9 +40,10 @@ def test_dir_lists_public_names():
 
 
 def test_moved_names_import_from_their_old_modules():
-    from adoptnet import config, data, experiments, solver, synth
+    from adoptnet import config, data, experiments, model, solver, synth
 
     assert experiments.Dataset is data.Dataset
+    assert solver.SolverError is model.SolverError
     assert solver.FitConfig is config.FitConfig
     assert experiments.ExperimentSpec is config.ExperimentSpec
     assert experiments.PROTOCOLS is config.PROTOCOLS
@@ -78,6 +79,52 @@ def test_reading_a_config_loads_only_the_data_module():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == ["adoptnet", "adoptnet.config", "adoptnet.data"]
+
+
+def test_the_command_line_module_loads_no_solver():
+    # predict, validate and stats fit nothing; train and experiment import the
+    # solver when they run, and SolverError is defined beside the objective
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import json, sys, adoptnet.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'adoptnet')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [
+        "adoptnet", "adoptnet.cli", "adoptnet.config", "adoptnet.data", "adoptnet.model",
+    ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "adoptnet"
+
+
+def _json_encoder_sites() -> set[tuple[str, str | None]]:
+    """(module, outermost function) of every json.dump/json.dumps use under src/adoptnet."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner: dict[ast.AST, str] = {}
+        for fn in ast.walk(tree):  # breadth first: outer functions come first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.add((path.stem, "from json import"))
+            elif (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.add((path.stem, owner.get(node)))
+    return found
+
+
+def test_json_is_encoded_in_one_place():
+    # every artifact's format is decided by data.artifact_json; the run id
+    # hashes its own, older encoding so that run ids do not move
+    assert _json_encoder_sites() == {("data", "artifact_json"), ("cli", "_emit")}
 
 
 # The benchmark wraps and imports adoptnet names from outside the package; a

@@ -853,6 +853,15 @@ class TestFitConfigValidation:
 
 
 class TestRegression:
+    def test_caller_arrays_stay_writable_and_detached(self):
+        coefs, activity = np.array([0.5]), np.array([1.0, 2.0])
+        reg = RegressionParams(net_coefs=coefs, pop_coef=0.0, activity_coef=0.0,
+                               intercept=0.0, activity=activity)
+        coefs[0] = activity[0] = 9.0
+        assert reg.net_coefs.tolist() == [0.5]
+        assert reg.activity.tolist() == [1.0, 2.0]
+        assert not reg.net_coefs.flags.writeable and not reg.activity.flags.writeable
+
     def test_coefficients_are_nonnegative(self):
         stack, adoptions = make_instance(20)
         reg = fit_regression(training_terms(stack, adoptions, np.arange(adoptions.num_apps)))
