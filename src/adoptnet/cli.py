@@ -163,8 +163,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     from .solver import fit_mle
 
-    data = _build_dataset(cfg)
     fit_cfg = cfg.fit_config()
+    data = _build_dataset(cfg)
     pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
@@ -191,8 +191,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     from .predict import PredictionSheet, score_matrix
 
-    data = _build_dataset(cfg)
     cfg.require("predict.params")
+    data = _build_dataset(cfg)
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
     # the fitted pop_weight is the popularity switch: a fit without the
@@ -210,8 +210,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_experiment(cfg: RunConfig) -> int:
     from .experiments import LeakError, run_experiment
 
-    data = _build_dataset(cfg)
     spec = cfg.experiment_spec()
+    data = _build_dataset(cfg)
     try:
         report = run_experiment(data, spec)
     except LeakError as e:

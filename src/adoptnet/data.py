@@ -46,9 +46,27 @@ def artifact_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def frozen(value: object, dtype: type, *, in_place: bool = False) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype``: the one way a holder takes an array.
+
+    An array the caller can still write to is copied and the copy frozen,
+    so a later write on either side never reaches the other.  A read-only
+    array is kept as it is, so a holder built from another holder's blocks
+    shares them.  ``in_place=True`` takes a writable array over instead and
+    freezes it without the copy: a loader's new matrix, or a network's weights.
+    """
+    keep = in_place or (isinstance(value, np.ndarray) and not value.flags.writeable)
+    arr = (np.asarray if keep else np.array)(value, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def hold(holder: object, *, in_place: bool = False, **dtypes: type) -> None:
+    """Take each named array field of a frozen dataclass through frozen; None stays None."""
+    for name, dtype in dtypes.items():
+        value = getattr(holder, name)
+        if value is not None:
+            object.__setattr__(holder, name, frozen(value, dtype, in_place=in_place))
 
 
 @dataclass(frozen=True)
@@ -56,8 +74,9 @@ class CandidateNetwork:
     """One candidate social network over the shared user universe.
 
     weights must be square, symmetric, non-negative with a zero diagonal;
-    binary networks additionally restrict weights to {0, 1}.  The weight
-    matrix is frozen after construction.
+    binary networks additionally restrict weights to {0, 1}.  The network
+    takes a writable matrix over, frozen in place, where other holders copy:
+    a caller that keeps its (U, U) matrices would otherwise hold each twice.
     """
 
     num_users: int
@@ -66,7 +85,8 @@ class CandidateNetwork:
     kind: str = "weighted"
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        hold(self, in_place=True, weights=float)
+        w = self.weights
         if w.shape != (self.num_users, self.num_users):
             raise ValueError(
                 f"network {self.name!r}: weight matrix shape {w.shape} does not match "
@@ -86,7 +106,6 @@ class CandidateNetwork:
             raise ValueError(f"network {self.name!r}: weight matrix is not symmetric")
         if self.kind == "binary" and not np.all((w == 0) | (w == 1)):
             raise ValueError(f"network {self.name!r}: binary network with weight outside {{0, 1}}")
-        object.__setattr__(self, "weights", _freeze(w))
 
 
 @dataclass(frozen=True)
@@ -95,7 +114,7 @@ class AdoptionMatrix:
 
     installed is (num_users, num_apps) bool; install_times is float with NaN
     where no timestamp was recorded.  Timestamps may exist only on installed
-    cells.  Instances are frozen after construction.
+    cells.  Both are taken through frozen, which copies a writable matrix.
     """
 
     num_users: int
@@ -104,20 +123,18 @@ class AdoptionMatrix:
     install_times: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.installed, dtype=bool)
+        hold(self, installed=bool, install_times=float)
+        x, t = self.installed, self.install_times
         if x.shape != (self.num_users, self.num_apps):
             raise ValueError(
                 f"adoption matrix shape {x.shape} does not match "
                 f"({self.num_users}, {self.num_apps})"
             )
-        object.__setattr__(self, "installed", _freeze(x))
-        if self.install_times is not None:
-            t = np.asarray(self.install_times, dtype=float)
+        if t is not None:
             if t.shape != x.shape:
                 raise ValueError("install_times shape does not match installed")
             if np.any(np.isfinite(t) & ~x):
                 raise ValueError("timestamp present on a cell that is not installed")
-            object.__setattr__(self, "install_times", _freeze(t))
 
     def adopters_of(self, app: int) -> np.ndarray:
         return np.flatnonzero(self.installed[:, app])
@@ -148,14 +165,13 @@ class NetworkStack:
         if len(users) != 1:
             raise ValueError(f"networks disagree on the user universe: {sorted(users)}")
         object.__setattr__(self, "networks", nets)
-        if self.popularity is not None:
-            # a copy: freezing it leaves the caller's array writable
-            c = np.array(self.popularity, dtype=float)
+        hold(self, popularity=float)
+        c = self.popularity
+        if c is not None:
             if c.ndim != 1:
                 raise ValueError("popularity must be a per-app vector")
             if np.any(~np.isfinite(c)) or np.any(c < 0):
                 raise ValueError("popularity values must be finite and non-negative")
-            object.__setattr__(self, "popularity", _freeze(c))
 
     @property
     def num_networks(self) -> int:
@@ -540,8 +556,8 @@ def load_adoptions(
     return AdoptionMatrix(
         num_users=num_users,
         num_apps=num_apps,
-        installed=installed,
-        install_times=times,
+        installed=frozen(installed, bool, in_place=True),
+        install_times=None if times is None else frozen(times, float, in_place=True),
     )
 
 

@@ -448,10 +448,10 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                     single = replace(terms, potentials=terms.potentials[m : m + 1],
                                      popularity=np.zeros(train.size))
                     params, _ = fit_mle(single, cfg=spec.fit)
+                    del single  # before the next variant gathers its terms
                     one = NetworkStack(networks=(g,))
                     sheet = _sheet(score_matrix, params, one, *standard())
                     add(f"single_{g.name}_f50_all", sheet)
-                del single
             del terms
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
     return _report(data, spec, adoptions, kept, series)

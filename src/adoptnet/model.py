@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AdoptionMatrix, NetworkStack, artifact_json
+from .data import AdoptionMatrix, NetworkStack, artifact_json, hold
 
 # Knee of the adopter log term in the training objective: below this exponent
 # the term continues linearly (first-order Taylor), which keeps the objective
@@ -56,9 +56,8 @@ class ModelParams:
     constrained: bool = True
 
     def __post_init__(self) -> None:
-        # copies: freezing them leaves the caller's arrays writable
-        w = np.array(self.net_weights, dtype=float)
-        s = np.array(self.susceptibility, dtype=float)
+        hold(self, net_weights=float, susceptibility=float)
+        w, s = self.net_weights, self.susceptibility
         if w.ndim != 1 or s.ndim != 1:
             raise ValueError("net_weights and susceptibility must be 1-d")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s)) and np.isfinite(self.pop_weight)):
@@ -69,10 +68,6 @@ class ModelParams:
             raise ValueError("popularity weight must be non-negative")
         if self.constrained and np.any(w < 0):
             raise ValueError("negative network weight in constrained parameters")
-        w.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(self, "net_weights", w)
-        object.__setattr__(self, "susceptibility", s)
         object.__setattr__(self, "pop_weight", float(self.pop_weight))
 
     @property
@@ -112,9 +107,9 @@ class ModelParams:
         if not isinstance(obj["constrained"], bool):
             raise ValueError("'constrained' must be true or false")
         return cls(
-            net_weights=np.asarray(obj["alpha"], dtype=float),
+            net_weights=obj["alpha"],
             pop_weight=float(obj["alpha_pop"]),
-            susceptibility=np.asarray(obj["s"], dtype=float),
+            susceptibility=obj["s"],
             constrained=obj["constrained"],
         )
 

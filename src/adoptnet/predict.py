@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import NetworkStack
+from .data import NetworkStack, hold
 from .model import ModelParams, adoption_probability
 
 if TYPE_CHECKING:  # an annotation only: predict loads no solver
@@ -43,7 +43,8 @@ class PredictionSheet:
 
     ``scores`` has shape (U, T) for T = len(app_ids).  ``evaluated`` marks
     the ranked users; anything that broadcasts to (U, T) is accepted, so
-    True (every user), a (U, 1) per-user column or a per-cell mask.
+    True (every user), a (U, 1) per-user column or a per-cell mask.  Each
+    is taken through data.frozen, so restrict shares the read-only scores.
     """
 
     app_ids: np.ndarray
@@ -51,18 +52,13 @@ class PredictionSheet:
     evaluated: np.ndarray | bool = True
 
     def __post_init__(self) -> None:
-        app_ids = np.array(self.app_ids, dtype=int)
-        scores = np.asarray(self.scores, dtype=float)
+        hold(self, app_ids=int, scores=float, evaluated=bool)
+        app_ids, scores = self.app_ids, self.scores
         if app_ids.ndim != 1 or scores.ndim != 2 or scores.shape[1] != app_ids.size:
             raise ValueError(f"scores of shape {scores.shape} need one column per app id")
         if np.any(~np.isfinite(scores)) or np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must be finite and in [0, 1]")
-        app_ids.setflags(write=False)
-        scores.setflags(write=False)
-        # a broadcast_to view is read-only already
-        evaluated = np.broadcast_to(np.asarray(self.evaluated, dtype=bool), scores.shape)
-        for name, value in (("app_ids", app_ids), ("scores", scores), ("evaluated", evaluated)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "evaluated", np.broadcast_to(self.evaluated, scores.shape))
 
     def restrict(self, users: np.ndarray) -> PredictionSheet:
         """The block with only the users set in the (U,) mask ``users`` left evaluated."""

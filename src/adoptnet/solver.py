@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .config import FitConfig
-from .data import artifact_json
+from .data import artifact_json, hold
 from .model import (  # SolverError re-exported
     EXPONENT_KNEE,
     ModelParams,
@@ -479,11 +479,7 @@ class RegressionParams:
     activity: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("net_coefs", "activity"):
-            # a copy: freezing it leaves the caller's array writable
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        hold(self, net_coefs=float, activity=float)
 
 
 def fit_regression(terms: TrainingTerms) -> RegressionParams:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import WEIGHT_DISTS, FitConfig, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
-from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
+from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, hold, popularity_counts
 from .model import ModelParams, training_terms
 from .seeds import derive_seed
 from .solver import FitResult, fit_mle
@@ -31,10 +31,7 @@ class TeacherData:
     params: ModelParams
 
     def __post_init__(self) -> None:
-        for name in ("context_users", "target_users"):
-            ids = np.asarray(getattr(self, name), dtype=int)
-            ids.setflags(write=False)
-            object.__setattr__(self, name, ids)
+        hold(self, context_users=int, target_users=int)
 
 
 def gen_networks(spec: SynthSpec) -> NetworkStack:
@@ -68,7 +65,7 @@ def planted_params(spec: SynthSpec) -> ModelParams:
     rng = np.random.default_rng(derive_seed(spec.seed, "susceptibility"))
     s = rng.exponential(scale=1.0 / spec.susceptibility_rate, size=spec.num_users)
     return ModelParams(
-        net_weights=np.asarray(spec.planted_net_weights, dtype=float),
+        net_weights=spec.planted_net_weights,
         pop_weight=spec.planted_pop_weight,
         susceptibility=s,
         constrained=True,

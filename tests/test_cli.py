@@ -271,6 +271,29 @@ class TestTrainCommand:
         assert "unknown key 'fit.obj_tol'" in err and "unknown key 'fit.seed'" in err
 
 
+class TestSettingsCheckedFirst:
+    """A command reports a config-only problem before it parses any input."""
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("train", ["--set", "fit.grad_tol=nan"], "fit.*:"),
+        ("predict", [], "predict.params: required for this command"),
+        ("experiment", [], "protocol: required for this command"),
+    ], ids=["train", "predict", "experiment"])
+    def test_before_a_malformed_adoption_log(self, bundle, capsys, command, overrides,
+                                             message):
+        tmp_path, data_dir, base = bundle
+        lines = (data_dir / "adoptions.csv").read_text().splitlines()
+        bad = tmp_path / "adoptions.csv"
+        bad.write_text("\n".join([lines[0], "0,x", *lines[1:]]) + "\n")
+        text = base.replace(str(data_dir / "adoptions.csv"), str(bad))
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        assert "line 2" in capsys.readouterr().err
+        assert main([command, cfg, *overrides]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "line 2" not in err
+
+
 class TestPredictCommand:
     def test_scores_from_trained_params(self, bundle, capsys):
         tmp_path, _, base = bundle

@@ -313,22 +313,32 @@ class TestSharedTerms:
 
 
 class TestSplitStateReleased:
-    """No split's TrainingTerms outlive it: the next split and the metrics never see them."""
+    """No split's TrainingTerms outlive it: the next split and the metrics never see them.
+
+    Nor does a variant derived from a split's terms outlive its fit: the
+    next variant is built after the last one has died.
+    """
 
     @pytest.mark.parametrize("protocol", ["ablation", "comparison", "future", "transfer"])
     def test_no_terms_of_an_earlier_split_alive(self, monkeypatch, protocol):
-        made = []
+        made, variants = [], []
         real_terms = exp_mod.training_terms
         real_replace = exp_mod.replace
         real_evaluate = exp_mod.evaluate_sheets
 
-        def track(obj):
+        def track(obj, into=made):
             if isinstance(obj, TrainingTerms):
-                made.append(weakref.ref(obj))
+                into.append(weakref.ref(obj))
             return obj
 
-        def alive():
-            return sum(ref() is not None for ref in made)
+        def alive(refs=made):
+            return sum(ref() is not None for ref in refs)
+
+        def checked_replace(obj, **kw):
+            if isinstance(obj, TrainingTerms):
+                assert alive(variants) == 0
+            variant = track(real_replace(obj, **kw))
+            return track(variant, into=variants)
 
         def checked_terms(*args, **kwargs):
             assert alive() == 0
@@ -341,7 +351,7 @@ class TestSplitStateReleased:
             return real_evaluate(*args, **kwargs)
 
         monkeypatch.setattr(exp_mod, "training_terms", checked_terms)
-        monkeypatch.setattr(exp_mod, "replace", lambda obj, **kw: track(real_replace(obj, **kw)))
+        monkeypatch.setattr(exp_mod, "replace", checked_replace)
         monkeypatch.setattr(exp_mod, "evaluate_sheets", checked_evaluate)
         spec = ExperimentSpec(protocol=protocol, folds=3, repeats=2, seed=3, fit=FAST_FIT)
         run_experiment(tiny_dataset(), spec)

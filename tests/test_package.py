@@ -102,8 +102,8 @@ def test_the_command_line_module_loads_no_solver():
 SRC = Path(__file__).resolve().parents[1] / "src" / "adoptnet"
 
 
-def _json_encoder_sites() -> set[tuple[str, str | None]]:
-    """(module, outermost function) of every json.dump/json.dumps use under src/adoptnet."""
+def _sites(match) -> set[tuple[str, str | None]]:
+    """(module, outermost function) of every AST node under src/adoptnet that ``match`` accepts."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -112,19 +112,29 @@ def _json_encoder_sites() -> set[tuple[str, str | None]]:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
                     owner.setdefault(node, fn.name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "json":
-                found.add((path.stem, "from json import"))
-            elif (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
-                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
-                found.add((path.stem, owner.get(node)))
+        found |= {(path.stem, owner.get(node)) for node in ast.walk(tree) if match(node)}
     return found
+
+
+def _is_json_encoder(node: ast.AST) -> bool:
+    """A `from json import ...` or a json.dump / json.dumps use."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    return (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
 
 
 def test_json_is_encoded_in_one_place():
     # every artifact's format is decided by data.artifact_json; the run id
     # hashes its own, older encoding so that run ids do not move
-    assert _json_encoder_sites() == {("data", "artifact_json"), ("cli", "_emit")}
+    assert _sites(_is_json_encoder) == {("data", "artifact_json"), ("cli", "_emit")}
+
+
+def test_arrays_are_frozen_in_one_place():
+    # every holder takes its arrays through data.frozen, the one place that
+    # decides between copying an array and keeping it
+    setflags = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "setflags")
+    assert setflags == {("data", "frozen")}
 
 
 # The benchmark wraps and imports adoptnet names from outside the package; a
