@@ -36,6 +36,7 @@ from .data import (
     adoption_lines,
     artifact_json,
     dataset_stats,
+    frozen,
     network_edge_lines,
     popularity_counts,
 )
@@ -199,7 +200,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     # channel has pop_weight 0.0, and the counts then add nothing
     popularity = popularity_counts(data.adoptions)[apps]
     evidence = data.adoptions.installed[:, apps]
-    sheet = PredictionSheet(apps, score_matrix(params, data.networks, evidence, popularity))
+    scores = frozen(score_matrix(params, data.networks, evidence, popularity), float, in_place=True)
+    sheet = PredictionSheet(apps, scores)
     sheets = (b"app_id,user_id,score,evaluated\n", sheet.csv_rows())
     run_dir = _emit(cfg, "predict", {"sheets.csv": sheets})
     print(f"scored {apps.size} app(s)")

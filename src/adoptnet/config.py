@@ -39,6 +39,7 @@ from .data import (
 PROTOCOLS = ("ablation", "comparison", "future", "transfer")
 USER_SUBSETS = ("all", "low_activity")
 WEIGHT_DISTS = ("unit", "uniform")
+FIT_VARIANTS = ("full", "individual_only", "network_only", "network_only_allow_negative")
 
 
 class ConfigError(ValueError):
@@ -60,18 +61,16 @@ class FitConfig:
     no projected-gradient step can move the parameters, when neither its
     Newton nor its projected-gradient arc search finds an increase, or at
     max_iters.  grad_tol and the starting values must be finite: a NaN
-    tolerance is never met and an infinite one is met at the start.  The
-    fix_* flags freeze a parameter block at zero; allow_negative_net_weights
-    lifts the sign constraint on the network weights only.
+    tolerance is never met and an infinite one is met at the start.
+    variant is one of the ablation's four fits, FIT_VARIANTS; fit_mle says
+    which blocks each one freezes at zero and which one signs the weights.
     """
 
     max_iters: int = 10_000
     grad_tol: float = 1e-6
     init_net_weight: float | None = None
     init_susceptibility: float = 0.1
-    allow_negative_net_weights: bool = False
-    fix_susceptibility_at_zero: bool = False
-    fix_net_weights_at_zero: bool = False
+    variant: str = "full"
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -82,6 +81,8 @@ class FitConfig:
             raise ValueError("init_susceptibility must be finite and non-negative")
         if self.init_net_weight is not None and not np.isfinite(self.init_net_weight):
             raise ValueError("init_net_weight must be finite")
+        if self.variant not in FIT_VARIANTS:
+            raise ValueError(f"unknown fit variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def _section_keys() -> dict[str, str]:
     seed, protocol and fit are set by other keys.  An annotation with no tag
     raises at import, so a spec field cannot drift from its key.
     """
-    choices = {"user_subset": USER_SUBSETS, "weight_dist": WEIGHT_DISTS}
+    choices = {"user_subset": USER_SUBSETS, "weight_dist": WEIGHT_DISTS, "variant": FIT_VARIANTS}
     keys = {}
     for section, spec in (("fit", FitConfig), ("experiment", ExperimentSpec), ("synth", SynthSpec)):
         for f in fields(spec):

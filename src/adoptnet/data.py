@@ -587,12 +587,12 @@ def filter_min_users(
     kept = np.flatnonzero(adoptions.counts_per_app() >= min_users)
     times = None
     if adoptions.install_times is not None:
-        times = adoptions.install_times[:, kept]
+        times = frozen(adoptions.install_times[:, kept], float, in_place=True)
     return (
         AdoptionMatrix(
             num_users=adoptions.num_users,
             num_apps=int(kept.size),
-            installed=adoptions.installed[:, kept],
+            installed=frozen(adoptions.installed[:, kept], bool, in_place=True),
             install_times=times,
         ),
         kept,

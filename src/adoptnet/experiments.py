@@ -37,6 +37,7 @@ from .data import (
     NetworkStack,
     artifact_json,
     filter_min_users,
+    frozen,
     popularity_counts,
     restrict_adoption_users,
     restrict_users,
@@ -47,17 +48,14 @@ from .predict import PredictionSheet, regression_scores, score_matrix, transfer_
 from .seeds import derive_seed
 from .solver import fit_mle, fit_regression, random_baseline
 
-# name -> (popularity channel on, FitConfig overrides)
+# The ablation's series: name -> (popularity channel on, FitConfig overrides).
+# Each names its fit variant, so fit.variant does not change the five fits.
 ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = (
-    ("full", True, {}),
-    ("no_exogenous", False, {}),
-    ("individual_only", False, {"fix_net_weights_at_zero": True}),
-    ("network_only", False, {"fix_susceptibility_at_zero": True}),
-    (
-        "network_only_allow_negative",
-        False,
-        {"fix_susceptibility_at_zero": True, "allow_negative_net_weights": True},
-    ),
+    ("full", True, {"variant": "full"}),
+    ("no_exogenous", False, {"variant": "full"}),
+    ("individual_only", False, {"variant": "individual_only"}),
+    ("network_only", False, {"variant": "network_only"}),
+    ("network_only_allow_negative", False, {"variant": "network_only_allow_negative"}),
 )
 
 COMPARISON_FRACTIONS = (0.2, 0.5)
@@ -303,7 +301,8 @@ def _sheet(score: Callable, params: object, stack: NetworkStack, *view) -> Predi
     ``score`` is score_matrix or regression_scores, which share their arguments.
     """
     apps, evidence, popularity, evaluated = view
-    return PredictionSheet(apps, score(params, stack, evidence, popularity), evaluated)
+    scores = frozen(score(params, stack, evidence, popularity), float, in_place=True)
+    return PredictionSheet(apps, scores, evaluated)
 
 
 def _standard_view(
@@ -331,7 +330,7 @@ def _random_sheet(
         )
         for a in test
     ]
-    scores = np.reshape(columns, (len(test), num_users)).T
+    scores = frozen(np.reshape(columns, (len(test), num_users)).T, float, in_place=True)
     return PredictionSheet(test, scores, evaluated)
 
 
@@ -374,12 +373,8 @@ def _report(
 
 
 def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
-    """Five solver configurations under one CV scheme, identical splits.
+    """The five ABLATION_CONFIGS fits under one CV scheme, identical splits.
 
-    Configurations: the full model; the model without the exogenous
-    popularity channel; individual susceptibility only (network weights
-    frozen at zero); network weights only (susceptibility frozen at zero);
-    and the network-only variant with the non-negativity constraint lifted.
     The five fits of a fold share its terms, so the loop runs over folds
     first and holds one fold's terms at a time.
     """
@@ -396,8 +391,7 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             bare = replace(terms, popularity=np.zeros(train.size))
             standard = partial(_standard_view, adoptions, pop, test, subset[:, None])
             for name, use_pop, overrides in ABLATION_CONFIGS:
-                cfg = replace(spec.fit, **overrides)
-                params, _ = fit_mle(terms if use_pop else bare, cfg=cfg)
+                params, _ = fit_mle(terms if use_pop else bare, cfg=replace(spec.fit, **overrides))
                 sheets[name].append(_sheet(score_matrix, params, stack, *standard()))
             del terms, bare
         for name, sh in sheets.items():
@@ -415,7 +409,6 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     train_fraction / folds are ignored here, the grid is fixed.
     """
     adoptions, kept = _prepare(data, spec)
-    everyone = np.ones(adoptions.num_users, dtype=bool)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
     pop = _popularity(adoptions, spec)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
@@ -439,10 +432,10 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 "regression": _sheet(regression_scores, reg, stack, *standard()),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
-            cells = [("all", everyone)] + ([("low", low)] if frac == 0.5 else [])
             for method, sheet in by_method.items():
-                for cell, subset in cells:
-                    add(f"{method}_f{int(frac * 100)}_{cell}", sheet.restrict(subset))
+                add(f"{method}_f{int(frac * 100)}_all", sheet)
+                if frac == 0.5:
+                    add(f"{method}_f50_low", sheet.restrict(low))
             if frac == 0.5:
                 for m, g in enumerate(stack.networks):
                     single = replace(terms, potentials=terms.potentials[m : m + 1],
@@ -489,7 +482,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 late[g2, j] = True
             if np.any(early & late):
                 raise LeakError("late adopter marked as visible evidence")
-            ranked = ~early & subset[:, None]
+            ranked = frozen(~early & subset[:, None], bool, in_place=True)
             view = (scored, early, early.sum(axis=0).astype(float), ranked)
             params, _ = fit_mle(terms, cfg=spec.fit)
             reg = fit_regression(terms)

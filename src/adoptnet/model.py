@@ -289,7 +289,7 @@ def objective_value(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: f
     is negative that is the linear -z, so the cost is O(M * adopter cells).
     Otherwise -max(z, 0) = -z + min(z, 0), and the sum of min(z, 0) over the
     non-adopter cells is the one pass over the (M, U, T) tensor; in fits only
-    a network weight can be negative, under allow_negative_net_weights.
+    the network_only_allow_negative variant lets a network weight go negative.
     """
     z = _adopter_exponents(terms, s, w, w_pop)
     z_knee = np.maximum(z, EXPONENT_KNEE)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import NetworkStack, hold
+from .data import NetworkStack, frozen, hold
 from .model import ModelParams, adoption_probability
 
 if TYPE_CHECKING:  # an annotation only: predict loads no solver
@@ -61,9 +61,19 @@ class PredictionSheet:
         object.__setattr__(self, "evaluated", np.broadcast_to(self.evaluated, scores.shape))
 
     def restrict(self, users: np.ndarray) -> PredictionSheet:
-        """The block with only the users set in the (U,) mask ``users`` left evaluated."""
-        users = np.asarray(users, dtype=bool)
-        return replace(self, evaluated=self.evaluated & users[:, None])
+        """The block with only the users set in the (U,) bool mask ``users`` left evaluated.
+
+        Anything else, such as a list of user ids or a mask of another length,
+        raises ValueError.  The new mask is handed over without a copy.
+        """
+        users = np.asarray(users)
+        if users.dtype != bool or users.shape != self.scores.shape[:1]:
+            raise ValueError(
+                f"restrict needs a ({self.scores.shape[0]},) bool mask of users,"
+                f" got {users.dtype} of shape {users.shape}"
+            )
+        evaluated = frozen(self.evaluated & users[:, None], bool, in_place=True)
+        return replace(self, evaluated=evaluated)
 
     def csv_rows(self) -> bytes:
         """The `app_id,user_id,score,evaluated` rows as ASCII bytes, no header.

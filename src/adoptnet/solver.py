@@ -354,7 +354,9 @@ def fit_mle(
     measured there.  Coordinates that cannot affect the objective (a channel
     that is zero on every term row, a user outside term_users) are frozen at
     zero, so the returned parameters are the minimum-norm representative on
-    flat directions.
+    flat directions.  cfg.variant freezes the network weights (individual_only)
+    or the susceptibilities (both network_only variants) at zero, and
+    network_only_allow_negative signs the weights, on terms without popularity.
     """
     cfg = cfg or FitConfig()
     if not terms.term_users.any():
@@ -373,14 +375,18 @@ def fit_mle(
     flat = scale == 0.0
     scale[flat] = 1.0
 
+    # cfg.variant is read here only: the blocks frozen at zero, signed weights
+    signed = cfg.variant == "network_only_allow_negative"
+    if signed and not flat[-1]:
+        raise ValueError(f"fit variant {cfg.variant!r} needs a flat popularity channel")
     theta0 = np.append(np.full(num_users, cfg.init_susceptibility), init_w * scale)
     frozen = np.append(~terms.term_users, flat)
-    frozen[:num_users] |= cfg.fix_susceptibility_at_zero
-    frozen[num_users:-1] |= cfg.fix_net_weights_at_zero
+    frozen[:num_users] |= cfg.variant in ("network_only", "network_only_allow_negative")
+    frozen[num_users:-1] |= cfg.variant == "individual_only"
     theta0[frozen] = 0.0
 
     nonneg = np.ones(theta0.size, dtype=bool)
-    nonneg[num_users:-1] = not cfg.allow_negative_net_weights
+    nonneg[num_users:-1] = not signed
 
     def unscaled(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         w = t[num_users:] / scale
@@ -400,7 +406,7 @@ def fit_mle(
         net_weights=net_weights,
         pop_weight=pop_weight,
         susceptibility=susceptibility,
-        constrained=not cfg.allow_negative_net_weights,
+        constrained=not signed,
     )
     return params, result
 

@@ -29,9 +29,7 @@ SECTION_VALUES = {
     "fit.grad_tol": ("1e-3", 1e-3),
     "fit.init_net_weight": ("0.3", 0.3),
     "fit.init_susceptibility": ("0.2", 0.2),
-    "fit.allow_negative_net_weights": ("yes", True),
-    "fit.fix_susceptibility_at_zero": ("on", True),
-    "fit.fix_net_weights_at_zero": ("true", True),
+    "fit.variant": ("network_only_allow_negative", "network_only_allow_negative"),
     "experiment.train_fraction": ("0.4", 0.4),
     "experiment.folds": ("3", 3),
     "experiment.min_users": ("4", 4),
@@ -69,9 +67,7 @@ REFERENCE_SECTION_KEYS = {
     "fit.grad_tol": "float",
     "fit.init_net_weight": "float",
     "fit.init_susceptibility": "float",
-    "fit.allow_negative_net_weights": "bool",
-    "fit.fix_susceptibility_at_zero": "bool",
-    "fit.fix_net_weights_at_zero": "bool",
+    "fit.variant": "choice:full|individual_only|network_only|network_only_allow_negative",
     "synth.num_users": "int",
     "synth.num_context_users": "int",
     "synth.num_apps": "int",
@@ -153,6 +149,27 @@ class TestSchemaDiagnostics:
         cfg = RunConfig(entries={key: "1"})
         [problem] = cfg.problems()
         assert "unknown key" in problem and key in problem
+
+    @pytest.mark.parametrize("key", ["fit.allow_negative_net_weights",
+                                     "fit.fix_susceptibility_at_zero",
+                                     "fit.fix_net_weights_at_zero"])
+    def test_removed_block_flags_fail_to_load(self, tmp_path, key):
+        # fit.variant replaced the three block flags
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = true\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        [problem] = exc.value.problems
+        assert problem.startswith(f"unknown key {key!r}")
+
+    def test_unknown_fit_variant_lists_the_four(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("fit.variant = bogus\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.problems == [
+            "fit.variant: expected one of full, individual_only, network_only,"
+            " network_only_allow_negative, got 'bogus'"]
 
     def test_zero_padded_network_index_is_unknown(self, tmp_path):
         (tmp_path / "calls.csv").write_text("0,1,1.0\n")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adoptnet import data
+from adoptnet.cli import EXIT_OK, main
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
 from adoptnet.model import ModelParams
 from adoptnet.predict import PredictionSheet
@@ -90,3 +92,51 @@ def test_network_takes_its_weights_over(writable):
     g = CandidateNetwork(num_users=2, weights=w)
     assert g.weights is w
     assert not w.flags.writeable
+
+
+BUNDLE = """
+synth.num_users = 30
+synth.num_context_users = 15
+synth.num_apps = 20
+synth.num_networks = 2
+synth.edge_density = 0.2
+synth.planted_net_weights = 0.6,0.3
+synth.planted_pop_weight = 0.03
+synth.pop_base_max = 5.0
+synth.susceptibility_rate = 8.0
+seed = 3
+"""
+
+
+def test_blocks_are_handed_over_without_a_copy(tmp_path, monkeypatch):
+    # a command hands its holders the blocks it builds read-only, so
+    # data.frozen copies no users x apps block on either measured path
+    (tmp_path / "synth.cfg").write_text(BUNDLE + f"outdir = {tmp_path / 'synth'}\n")
+    assert main(["synth", str(tmp_path / "synth.cfg")]) == EXIT_OK
+    [bundle] = (tmp_path / "synth").iterdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "num_users = 30\nnum_apps = 20\n"
+        f"adoptions.path = {bundle / 'adoptions.csv'}\n"
+        f"network.0.path = {bundle / 'network0.csv'}\n"
+        f"network.1.path = {bundle / 'network1.csv'}\n"
+        f"outdir = {tmp_path / 'runs'}\n"
+        "fit.grad_tol = 1e-4\nexperiment.repeats = 1\n")
+    assert main(["train", str(cfg)]) == EXIT_OK
+    [train_dir] = (tmp_path / "runs").iterdir()
+
+    copied = []
+    real = data.frozen
+
+    def counting(value, dtype, *, in_place=False):
+        out = real(value, dtype, in_place=in_place)
+        if isinstance(value, np.ndarray) and not np.may_share_memory(out, value):
+            copied.append(value.shape)
+        return out
+
+    monkeypatch.setattr(data, "frozen", counting)
+    assert main(["experiment", str(cfg), "--set", "protocol=comparison"]) == EXIT_OK
+    assert main(["predict", str(cfg), "--set", f"predict.params={train_dir / 'params.json'}"]
+                ) == EXIT_OK
+    # every sheet here scores at least two apps, so a block has 2 * 30 cells or more
+    assert copied and [s for s in copied if np.prod(s) >= 2 * 30] == []

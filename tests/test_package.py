@@ -130,6 +130,14 @@ def test_json_is_encoded_in_one_place():
     assert _sites(_is_json_encoder) == {("data", "artifact_json"), ("cli", "_emit")}
 
 
+def test_readme_names_every_fit_key():
+    from adoptnet.config import SCALAR_KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fit_keys = [key for key in SCALAR_KEYS if key.startswith("fit.")]
+    assert fit_keys and [key for key in fit_keys if f"`{key}`" not in readme] == []
+
+
 def test_arrays_are_frozen_in_one_place():
     # every holder takes its arrays through data.frozen, the one place that
     # decides between copying an array and keeping it

@@ -171,6 +171,19 @@ class TestPredictionSheet:
         assert ranked(out) == [2, 3]
         assert out.scores is sheet.scores
 
+    @pytest.mark.parametrize("users", [
+        pytest.param(np.array([1, 0, 2]), id="user_ids"),
+        pytest.param([True], id="one_true"),
+        pytest.param([False], id="one_false"),
+        pytest.param(np.array([True, False]), id="short_mask"),
+        pytest.param(column([True, False, True]), id="column"),
+    ])
+    def test_restrict_needs_a_bool_mask_of_every_user(self, users):
+        # a list of ids would be cast to a mask and a length-1 mask broadcast
+        sheet = PredictionSheet([0, 1], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"restrict needs a \(3,\) bool mask of users"):
+            sheet.restrict(users)
+
     def test_block_defaults_to_every_user_evaluated(self):
         scores = np.arange(12.0).reshape(4, 3) / 12.0
         apps = np.array([7, 2, 9])

@@ -58,6 +58,21 @@ def make_instance(seed, num_users=12, num_networks=2, num_apps=15, density=0.3):
     return stack, adoptions
 
 
+def without_popularity(stack):
+    """The stack's networks alone, as the ablation's network_only series fit them."""
+    return NetworkStack(networks=stack.networks)
+
+
+def variant_blocks(cfg):
+    """(susceptibilities frozen, network weights frozen, weights signed) under cfg.variant."""
+    return (cfg.variant in ("network_only", "network_only_allow_negative"),
+            cfg.variant == "individual_only",
+            cfg.variant == "network_only_allow_negative")
+
+
+SIGNED = FitConfig(variant="network_only_allow_negative")
+
+
 def nnls_oracle(F, y):
     """Exact non-negative least squares by enumerating active sets.
 
@@ -238,16 +253,16 @@ class TestFitMLE:
         params, _ = fit_mle(training_terms(with_dead, adoptions, np.arange(adoptions.num_apps)))
         assert params.net_weights[-1] == 0.0
 
-    def test_fix_flags(self):
+    def test_frozen_block_variants(self):
         stack, adoptions = make_instance(6)
         train = np.arange(adoptions.num_apps)
         _, res_full = fit_mle(training_terms(stack, adoptions, train))
         p1, res1 = fit_mle(training_terms(stack, adoptions, train),
-                           cfg=FitConfig(fix_susceptibility_at_zero=True))
+                           cfg=FitConfig(variant="network_only"))
         assert not p1.susceptibility.any()
         assert p1.pop_weight > 0.0 or p1.net_weights.any()
         p2, res2 = fit_mle(training_terms(stack, adoptions, train),
-                           cfg=FitConfig(fix_net_weights_at_zero=True))
+                           cfg=FitConfig(variant="individual_only"))
         assert not p2.net_weights.any()
         assert p2.susceptibility.any()
         # restricted fits cannot beat the full fit
@@ -256,11 +271,9 @@ class TestFitMLE:
 
     def test_relaxing_sign_constraint_cannot_hurt(self):
         stack, adoptions = make_instance(7)
-        train = np.arange(adoptions.num_apps)
-        _, res_con = fit_mle(training_terms(stack, adoptions, train))
-        params_rel, res_rel = fit_mle(
-            training_terms(stack, adoptions, train), cfg=FitConfig(allow_negative_net_weights=True)
-        )
+        terms = training_terms(without_popularity(stack), adoptions, np.arange(adoptions.num_apps))
+        _, res_con = fit_mle(terms, cfg=FitConfig(variant="network_only"))
+        params_rel, res_rel = fit_mle(terms, cfg=SIGNED)
         assert not params_rel.constrained
         assert res_rel.final_objective >= res_con.final_objective - 1e-9
 
@@ -290,13 +303,39 @@ class TestFitMLE:
         # unconstrained weights make the objective piecewise linear; the fit
         # must still end early and report why
         stack, adoptions = make_instance(7)
-        cfg = FitConfig(allow_negative_net_weights=True)
-        _, res = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps)), cfg=cfg)
+        cfg = SIGNED
+        terms = training_terms(without_popularity(stack), adoptions, np.arange(adoptions.num_apps))
+        _, res = fit_mle(terms, cfg=cfg)
         assert res.iterations <= 500
         assert res.converged == (res.grad_norm <= cfg.grad_tol)
         assert res.stop_reason in ("grad_tol", "line_search_exhausted")
         assert (res.stop_reason == "grad_tol") == res.converged
         assert res.gradient_evals == res.iterations + 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_signed_network_only_stops_at_its_constrained_twin(self, seed):
+        # with the susceptibilities frozen and no popularity, lifting the
+        # sign constraint moves no weight below zero on these instances
+        stack, adoptions = make_instance(seed)
+        terms = training_terms(without_popularity(stack), adoptions,
+                               np.arange(adoptions.num_apps))
+        con, res_con = fit_mle(terms, cfg=FitConfig(variant="network_only"))
+        rel, res_rel = fit_mle(terms, cfg=SIGNED)
+        assert res_con.stop_reason == res_rel.stop_reason == "grad_tol"
+        assert res_rel.final_objective == pytest.approx(res_con.final_objective,
+                                                        rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(rel.net_weights, con.net_weights, rtol=0.0, atol=1e-6)
+
+    def test_signed_variant_needs_a_flat_popularity_channel(self):
+        stack, adoptions = make_instance(7)
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+        assert terms.popularity.max() > 0.0
+        with pytest.raises(ValueError, match="network_only_allow_negative.*popularity"):
+            fit_mle(terms, cfg=SIGNED)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown fit variant 'bogus'"):
+            FitConfig(variant="bogus")
 
     def test_overflowing_start_raises_solver_error(self):
         stack, adoptions = make_instance(11)
@@ -328,8 +367,8 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
 
     A free coordinate at zero may have a gradient up to grad_tol pushing it
     below zero; a positive one must have |gradient| <= grad_tol.  Frozen
-    coordinates (fix flags, all-zero channels, users without terms) are
-    skipped.
+    coordinates (the variant's frozen blocks, all-zero channels, users
+    without terms) are skipped.
     """
     terms = training_terms(stack, adoptions, train, term_users=term_users)
     pot_scale = terms.potentials.max(axis=2)[:, terms.term_users].max(axis=1)
@@ -344,11 +383,12 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
     # gradient is ours / max
     grad[U:U + M] /= np.where(pot_scale > 0.0, pot_scale, 1.0)
     grad[U + M] /= pop_scale if pop_scale > 0.0 else 1.0
+    fix_s, fix_w, _ = variant_blocks(cfg)
     free = np.ones(theta.size, dtype=bool)
-    free[:U] = not cfg.fix_susceptibility_at_zero
+    free[:U] = not fix_s
     if term_users is not None:
         free[:U] &= terms.term_users
-    free[U:U + M] = (not cfg.fix_net_weights_at_zero) & (pot_scale > 0.0)
+    free[U:U + M] = (not fix_w) & (pot_scale > 0.0)
     free[U + M] = pop_scale > 0.0
     at_zero = free & (theta <= 0.0)
     positive = free & (theta > 0.0)
@@ -360,8 +400,8 @@ class TestKKT:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("flags", [
         {},
-        {"fix_susceptibility_at_zero": True},
-        {"fix_net_weights_at_zero": True},
+        {"variant": "network_only"},
+        {"variant": "individual_only"},
         {"init_net_weight": 0.9, "init_susceptibility": 0.01},
     ])
     def test_fit_satisfies_kkt(self, seed, flags):
@@ -412,18 +452,19 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
     s_idx = np.arange(num_users)
     w_idx = num_users + np.arange(num_nets)
     pop_idx = num_users + num_nets
+    fix_s, fix_w, signed = variant_blocks(cfg)
     theta0 = np.zeros(num_users + num_nets + 1)
-    theta0[s_idx] = 0.0 if cfg.fix_susceptibility_at_zero else cfg.init_susceptibility
-    theta0[w_idx] = 0.0 if cfg.fix_net_weights_at_zero else init_w * pot_scale
+    theta0[s_idx] = 0.0 if fix_s else cfg.init_susceptibility
+    theta0[w_idx] = 0.0 if fix_w else init_w * pot_scale
     theta0[pop_idx] = init_w * pop_scale if has_pop else 0.0
     frozen = np.zeros(theta0.size, dtype=bool)
-    frozen[s_idx] = cfg.fix_susceptibility_at_zero
-    frozen[w_idx] = cfg.fix_net_weights_at_zero
+    frozen[s_idx] = fix_s
+    frozen[w_idx] = fix_w
     frozen[pop_idx] = not has_pop
     theta0[w_idx[flat_nets]] = 0.0
     frozen[w_idx[flat_nets]] = True
     nonneg = np.ones(theta0.size, dtype=bool)
-    if cfg.allow_negative_net_weights:
+    if signed:
         nonneg[w_idx] = False
 
     def value(t):
@@ -443,7 +484,7 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
     params = ModelParams(net_weights=theta[w_idx] / pot_scale,
                          pop_weight=float(theta[pop_idx]) / pop_scale,
                          susceptibility=susceptibility,
-                         constrained=not cfg.allow_negative_net_weights)
+                         constrained=not signed)
     return params, result
 
 
@@ -457,6 +498,11 @@ def with_zero_network(stack):
     zero = CandidateNetwork(num_users=U, weights=np.zeros((U, U)), name="zero")
     return NetworkStack(networks=stack.networks + (zero,),
                         popularity=stack.popularity)
+
+
+# a case of the oracle test -> the variant that freezes that block
+FROZEN_BLOCK_VARIANTS = {"fix_susceptibility_at_zero": "network_only",
+                         "fix_net_weights_at_zero": "individual_only"}
 
 
 class TestChangeOfVariables:
@@ -476,7 +522,7 @@ class TestChangeOfVariables:
         kwargs = {}
         cfg = FitConfig()
         if case.startswith("fix_"):
-            cfg = FitConfig(**{case: True})
+            cfg = FitConfig(variant=FROZEN_BLOCK_VARIANTS[case])
         elif case == "zero_network":
             stack = with_zero_network(stack)
         elif case == "term_users":
@@ -498,13 +544,14 @@ class TestChangeOfVariables:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relaxed_fit_matches_slice_rescale_oracle(self, seed):
-        # Relaxed-sign fits on these instances mostly end on a kink of the
-        # piecewise linear objective with line_search_exhausted; there the
-        # number of arc searches before both give up depends on rounding, so
-        # only where they stop is compared.
+        # A relaxed-sign fit could end on a kink of the piecewise linear
+        # objective with line_search_exhausted, where the number of arc
+        # searches before both give up depends on rounding, so only where
+        # the two fits stop is compared.
         stack, adoptions = make_instance(seed, num_users=14, num_networks=3)
+        stack = without_popularity(stack)
         train = np.arange(adoptions.num_apps)
-        cfg = FitConfig(allow_negative_net_weights=True)
+        cfg = SIGNED
         got, res = fit_mle(training_terms(stack, adoptions, train), cfg=cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg)
         assert res.stop_reason == ref.stop_reason
