@@ -202,7 +202,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     evidence = data.adoptions.installed[:, apps]
     scores = frozen(score_matrix(params, data.networks, evidence, popularity), float, in_place=True)
     sheet = PredictionSheet(apps, scores)
-    sheets = (b"app_id,user_id,score,evaluated\n", sheet.csv_rows())
+    sheets = (b"app_id,user_id,score,evaluated\n", *sheet.csv_rows())
     run_dir = _emit(cfg, "predict", {"sheets.csv": sheets})
     print(f"scored {apps.size} app(s)")
     print(f"wrote {run_dir}")

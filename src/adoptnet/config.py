@@ -63,7 +63,8 @@ class FitConfig:
     max_iters.  grad_tol and the starting values must be finite: a NaN
     tolerance is never met and an infinite one is met at the start.
     variant is one of the ablation's four fits, FIT_VARIANTS; fit_mle says
-    which blocks each one freezes at zero and which one signs the weights.
+    which blocks each one freezes at zero (every variant but full freezes the
+    popularity weight) and which one signs the weights.
     """
 
     max_iters: int = 10_000
@@ -240,6 +241,9 @@ SCALAR_KEYS: dict[str, str] = {
     "predict.apps": "apps",
     **_section_keys(),
 }
+# removed key -> the key that replaced it, which the unknown-key hint names
+REPLACED_KEYS = dict.fromkeys(("fit.allow_negative_net_weights", "fit.fix_susceptibility_at_zero",
+                               "fit.fix_net_weights_at_zero"), "fit.variant")
 
 NETWORK_KEY_RE = re.compile(r"^network\.(0|[1-9]\d*)\.(path|name|kind|symmetrize|normalize)$")
 NETWORK_FIELD_TYPES = {
@@ -354,7 +358,9 @@ class RunConfig:
                 from difflib import get_close_matches  # only a config with a typo needs it
 
                 last = key.rpartition(".")[2]  # a top-level key under a prefix: synth.seed
-                hint = [last] if last in SCALAR_KEYS else get_close_matches(key, known, n=1)
+                hint = ([REPLACED_KEYS[key]] if key in REPLACED_KEYS
+                        else [last] if last in SCALAR_KEYS
+                        else get_close_matches(key, known, n=1))
                 suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
                 out.append(f"unknown key {key!r}{suffix}")
                 continue

@@ -75,18 +75,18 @@ class PredictionSheet:
         evaluated = frozen(self.evaluated & users[:, None], bool, in_place=True)
         return replace(self, evaluated=evaluated)
 
-    def csv_rows(self) -> bytes:
-        """The `app_id,user_id,score,evaluated` rows as ASCII bytes, no header.
+    def csv_rows(self) -> list[bytes]:
+        """The `app_id,user_id,score,evaluated` rows as ASCII byte blocks, no header.
 
         Rows are app-major (every user of ``app_ids[0]``, then of
         ``app_ids[1]``, ...), users in ascending id, each row ending in
         ``\\n``.  The score is Python's shortest round-trip ``repr`` of the
         double, so ``float(text)`` gives back the exact score; ``evaluated``
-        is 1 or 0.
+        is 1 or 0.  The blocks come unjoined: a writer never holds the rows twice.
         """
         num_users, num_apps = self.scores.shape
         if not self.scores.size:
-            return b""
+            return []
         apps = _text_table([f"{a}," for a in self.app_ids.tolist()])
         users = _text_table([f"{u}," for u in range(num_users)])
         # blocks of whole apps when they fit, else of one app's users
@@ -103,7 +103,7 @@ class PredictionSheet:
                     self.scores[rows, cols].T,
                     self.evaluated[rows, cols].T,
                 ))
-        return b"".join(pieces)
+        return pieces
 
 
 # ---------------------------------------------------------------------------

@@ -355,8 +355,8 @@ def fit_mle(
     that is zero on every term row, a user outside term_users) are frozen at
     zero, so the returned parameters are the minimum-norm representative on
     flat directions.  cfg.variant freezes the network weights (individual_only)
-    or the susceptibilities (both network_only variants) at zero, and
-    network_only_allow_negative signs the weights, on terms without popularity.
+    or the susceptibilities (both network_only variants), and every variant but
+    full the popularity weight, at zero; network_only_allow_negative signs the weights.
     """
     cfg = cfg or FitConfig()
     if not terms.term_users.any():
@@ -377,12 +377,11 @@ def fit_mle(
 
     # cfg.variant is read here only: the blocks frozen at zero, signed weights
     signed = cfg.variant == "network_only_allow_negative"
-    if signed and not flat[-1]:
-        raise ValueError(f"fit variant {cfg.variant!r} needs a flat popularity channel")
     theta0 = np.append(np.full(num_users, cfg.init_susceptibility), init_w * scale)
     frozen = np.append(~terms.term_users, flat)
     frozen[:num_users] |= cfg.variant in ("network_only", "network_only_allow_negative")
     frozen[num_users:-1] |= cfg.variant == "individual_only"
+    frozen[-1] |= cfg.variant != "full"
     theta0[frozen] = 0.0
 
     nonneg = np.ones(theta0.size, dtype=bool)

@@ -270,6 +270,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "unknown key 'fit.obj_tol'" in err and "unknown key 'fit.seed'" in err
 
+    def test_signed_variant_fits_as_with_popularity_off(self, bundle):
+        # an ablation variant freezes the popularity weight, so the popularity
+        # switch changes the run id and nothing else
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "fit.variant = network_only_allow_negative\n")
+        assert main(["validate", cfg]) == EXIT_OK
+        assert main(["train", cfg]) == EXIT_OK
+        assert main(["train", cfg, "--set", "experiment.use_popularity=off"]) == EXIT_OK
+        on, off = run_dirs(tmp_path / "runs")
+        for name in ("params.json", "convergence.json"):
+            assert (on / name).read_bytes() == (off / name).read_bytes()
+
+    @pytest.mark.parametrize("variant", ["individual_only", "network_only"])
+    def test_ablation_variant_writes_a_zero_popularity_weight(self, bundle, variant):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base)
+        assert main(["train", cfg, "--set", f"fit.variant={variant}"]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "runs")
+        assert b'"alpha_pop":0.0,' in (run_dir / "params.json").read_bytes()
+
 
 class TestSettingsCheckedFirst:
     """A command reports a config-only problem before it parses any input."""

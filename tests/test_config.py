@@ -154,13 +154,13 @@ class TestSchemaDiagnostics:
                                      "fit.fix_susceptibility_at_zero",
                                      "fit.fix_net_weights_at_zero"])
     def test_removed_block_flags_fail_to_load(self, tmp_path, key):
-        # fit.variant replaced the three block flags
+        # fit.variant replaced the three block flags, and the hint names it
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = true\n")
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         [problem] = exc.value.problems
-        assert problem.startswith(f"unknown key {key!r}")
+        assert problem == f"unknown key {key!r} (did you mean 'fit.variant'?)"
 
     def test_unknown_fit_variant_lists_the_four(self, tmp_path):
         path = tmp_path / "run.cfg"

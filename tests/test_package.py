@@ -138,6 +138,17 @@ def test_readme_names_every_fit_key():
     assert fit_keys and [key for key in fit_keys if f"`{key}`" not in readme] == []
 
 
+def test_readme_quotes_the_unknown_key_hints_the_config_gives():
+    from adoptnet.config import RunConfig
+
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    quoted = re.findall(r"unknown key '([^']+)' \(did you mean '([^']+)'\?\)", readme)
+    assert len(quoted) >= 3
+    for key, hint in quoted:
+        want = f"unknown key {key!r} (did you mean {hint!r}?)"
+        assert RunConfig(entries={key: "1"}).problems() == [want]
+
+
 def test_arrays_are_frozen_in_one_place():
     # every holder takes its arrays through data.frozen, the one place that
     # decides between copying an array and keeping it

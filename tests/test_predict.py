@@ -113,7 +113,7 @@ class TestPredictionSheet:
     def test_csv_rows_round_trip_floats(self):
         sheet = PredictionSheet([7, 2], np.array([[0.25, 0.5], [1.0 / 3.0, 1.0]]),
                                 evaluated=np.array([[False, True], [True, True]]))
-        rows = sheet.csv_rows().decode().splitlines()
+        rows = b"".join(sheet.csv_rows()).decode().splitlines()
         assert rows[0] == "7,0,0.25,0"
         app, user, score, ev = rows[1].split(",")
         assert (app, user, ev) == ("7", "1", "1")
@@ -130,11 +130,11 @@ class TestPredictionSheet:
         scores = values.reshape(-1, num_users).T.copy()
         sheet = PredictionSheet(rng.permutation(scores.shape[1]) * 13, scores,
                                 evaluated=rng.random(scores.shape) < 0.5)
-        assert sheet.csv_rows() == oracle_csv_rows(sheet)
+        assert b"".join(sheet.csv_rows()) == oracle_csv_rows(sheet)
 
     def test_csv_rows_of_an_empty_block_are_empty(self):
-        assert PredictionSheet([], np.zeros((5, 0))).csv_rows() == b""
-        assert PredictionSheet([3, 4], np.zeros((0, 2))).csv_rows() == b""
+        assert PredictionSheet([], np.zeros((5, 0))).csv_rows() == []
+        assert PredictionSheet([3, 4], np.zeros((0, 2))).csv_rows() == []
 
     @pytest.mark.parametrize("mask", ["all", "per_user", "per_cell"])
     def test_csv_rows_layout(self, mask):
@@ -149,7 +149,7 @@ class TestPredictionSheet:
         }[mask]
         sheet = PredictionSheet([0, 7, 12345], full[:, ::2], evaluated=evaluated)
         assert not sheet.scores.flags.c_contiguous
-        rows = sheet.csv_rows()
+        rows = b"".join(sheet.csv_rows())
         assert rows == oracle_csv_rows(sheet)
         lines = rows.decode().splitlines()
         assert len(lines) == 3 * 13
@@ -162,7 +162,9 @@ class TestPredictionSheet:
         num_users = predict._CHUNK_CELLS + 5  # more users than one block holds
         sheet = PredictionSheet([4, 1], rng.random((num_users, 2)),
                                 evaluated=rng.random((num_users, 2)) < 0.5)
-        assert sheet.csv_rows() == oracle_csv_rows(sheet)
+        blocks = sheet.csv_rows()
+        assert len(blocks) == 4  # two per app
+        assert b"".join(blocks) == oracle_csv_rows(sheet)
 
     def test_restrict_evaluated_intersects(self):
         sheet = PredictionSheet([0], np.zeros((5, 1)),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from adoptnet.model import (
     training_terms,
 )
 from adoptnet import solver
+from adoptnet.config import FIT_VARIANTS
 from adoptnet.solver import (
     FitConfig,
     FitResult,
@@ -64,9 +66,10 @@ def without_popularity(stack):
 
 
 def variant_blocks(cfg):
-    """(susceptibilities frozen, network weights frozen, weights signed) under cfg.variant."""
+    """(susceptibilities, network weights, popularity weight frozen; weights signed)."""
     return (cfg.variant in ("network_only", "network_only_allow_negative"),
             cfg.variant == "individual_only",
+            cfg.variant != "full",
             cfg.variant == "network_only_allow_negative")
 
 
@@ -259,11 +262,11 @@ class TestFitMLE:
         _, res_full = fit_mle(training_terms(stack, adoptions, train))
         p1, res1 = fit_mle(training_terms(stack, adoptions, train),
                            cfg=FitConfig(variant="network_only"))
-        assert not p1.susceptibility.any()
-        assert p1.pop_weight > 0.0 or p1.net_weights.any()
+        assert not p1.susceptibility.any() and p1.pop_weight == 0.0
+        assert p1.net_weights.any()
         p2, res2 = fit_mle(training_terms(stack, adoptions, train),
                            cfg=FitConfig(variant="individual_only"))
-        assert not p2.net_weights.any()
+        assert not p2.net_weights.any() and p2.pop_weight == 0.0
         assert p2.susceptibility.any()
         # restricted fits cannot beat the full fit
         assert res1.final_objective <= res_full.final_objective + 1e-9
@@ -326,12 +329,22 @@ class TestFitMLE:
                                                         rel=1e-12, abs=0.0)
         np.testing.assert_allclose(rel.net_weights, con.net_weights, rtol=0.0, atol=1e-6)
 
-    def test_signed_variant_needs_a_flat_popularity_channel(self):
-        stack, adoptions = make_instance(7)
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("variant", [v for v in FIT_VARIANTS if v != "full"])
+    def test_ablation_variant_ignores_the_popularity_channel(self, variant, seed):
+        # every variant but full freezes the popularity weight, so it fits
+        # live popularity exactly as the ablation fits it, switched off
+        stack, adoptions = make_instance(seed)
         terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
         assert terms.popularity.max() > 0.0
-        with pytest.raises(ValueError, match="network_only_allow_negative.*popularity"):
-            fit_mle(terms, cfg=SIGNED)
+        cfg = FitConfig(variant=variant)
+        got, res = fit_mle(terms, cfg=cfg)
+        want, ref = fit_mle(replace(terms, popularity=np.zeros_like(terms.popularity)),
+                            cfg=cfg)
+        assert got.pop_weight == 0.0
+        assert got.constrained == want.constrained
+        np.testing.assert_array_equal(flat_params(got), flat_params(want))
+        assert res == ref
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown fit variant 'bogus'"):
@@ -383,13 +396,13 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
     # gradient is ours / max
     grad[U:U + M] /= np.where(pot_scale > 0.0, pot_scale, 1.0)
     grad[U + M] /= pop_scale if pop_scale > 0.0 else 1.0
-    fix_s, fix_w, _ = variant_blocks(cfg)
+    fix_s, fix_w, fix_pop, _ = variant_blocks(cfg)
     free = np.ones(theta.size, dtype=bool)
     free[:U] = not fix_s
     if term_users is not None:
         free[:U] &= terms.term_users
     free[U:U + M] = (not fix_w) & (pot_scale > 0.0)
-    free[U + M] = pop_scale > 0.0
+    free[U + M] = (not fix_pop) and pop_scale > 0.0
     at_zero = free & (theta <= 0.0)
     positive = free & (theta > 0.0)
     return max(float(np.max(grad[at_zero], initial=0.0)),
@@ -452,15 +465,15 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
     s_idx = np.arange(num_users)
     w_idx = num_users + np.arange(num_nets)
     pop_idx = num_users + num_nets
-    fix_s, fix_w, signed = variant_blocks(cfg)
+    fix_s, fix_w, fix_pop, signed = variant_blocks(cfg)
     theta0 = np.zeros(num_users + num_nets + 1)
     theta0[s_idx] = 0.0 if fix_s else cfg.init_susceptibility
     theta0[w_idx] = 0.0 if fix_w else init_w * pot_scale
-    theta0[pop_idx] = init_w * pop_scale if has_pop else 0.0
+    theta0[pop_idx] = init_w * pop_scale if has_pop and not fix_pop else 0.0
     frozen = np.zeros(theta0.size, dtype=bool)
     frozen[s_idx] = fix_s
     frozen[w_idx] = fix_w
-    frozen[pop_idx] = not has_pop
+    frozen[pop_idx] = fix_pop or not has_pop
     theta0[w_idx[flat_nets]] = 0.0
     frozen[w_idx[flat_nets]] = True
     nonneg = np.ones(theta0.size, dtype=bool)
