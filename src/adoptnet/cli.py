@@ -15,15 +15,25 @@ loads the protocol runners, the metrics or the generator, and `predict`,
 
 Every JSON artifact is encoded by data.artifact_json: sorted keys, no
 whitespace.
+
+The commands run BLAS on one thread: a multi-threaded product may sum in
+another order and change the outputs' last bits.  This module sets the
+thread variables before its first import that loads numpy, so they take
+effect when it is the entry point; `import adoptnet` as a library sets
+nothing.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config

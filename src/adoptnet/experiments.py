@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -271,9 +270,9 @@ def _prepare(data: Dataset, spec: ExperimentSpec) -> tuple[AdoptionMatrix, np.nd
 
 
 def _cv_splits(
-    num_apps: int, spec: ExperimentSpec, repeat: int, tag: object = ""
+    num_apps: int, spec: ExperimentSpec, repeat: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    seed = derive_seed(spec.seed, spec.protocol, "split", tag, repeat)
+    seed = derive_seed(spec.seed, spec.protocol, "split", "", repeat)
     apps = np.arange(num_apps)
     if spec.train_fraction is not None:
         return [fraction_split(apps, spec.train_fraction, seed)]
@@ -299,20 +298,12 @@ def _sheet(score: Callable, params: object, stack: NetworkStack, *view) -> Predi
     """Score view = (apps, evidence, popularity, evaluated) with fitted ``params``.
 
     ``score`` is score_matrix or regression_scores, which share their arguments.
+    A runner builds one view per split and scores every sheet of that split
+    from it.
     """
     apps, evidence, popularity, evaluated = view
     scores = frozen(score(params, stack, evidence, popularity), float, in_place=True)
     return PredictionSheet(apps, scores, evaluated)
-
-
-def _standard_view(
-    adoptions: AdoptionMatrix, popularity: np.ndarray, test: np.ndarray, evaluated=True
-) -> tuple:
-    """A sheet's apps, evidence, popularity and ranked users when every adopter is seen.
-
-    Built per sheet, so the evidence block lives only while that sheet is scored.
-    """
-    return test, adoptions.installed[:, test], popularity[test], evaluated
 
 
 def _random_sheet(
@@ -389,10 +380,10 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
             bare = replace(terms, popularity=np.zeros(train.size))
-            standard = partial(_standard_view, adoptions, pop, test, subset[:, None])
+            view = (test, adoptions.installed[:, test], pop[test], subset[:, None])
             for name, use_pop, overrides in ABLATION_CONFIGS:
                 params, _ = fit_mle(terms if use_pop else bare, cfg=replace(spec.fit, **overrides))
-                sheets[name].append(_sheet(score_matrix, params, stack, *standard()))
+                sheets[name].append(_sheet(score_matrix, params, stack, *view))
             del terms, bare
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
@@ -424,12 +415,12 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             train, test = fraction_split(np.arange(adoptions.num_apps), frac, seed)
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
-            standard = partial(_standard_view, adoptions, pop, test)
+            view = (test, adoptions.installed[:, test], pop[test], True)
             params, _ = fit_mle(terms, cfg=spec.fit)
             reg = fit_regression(terms)
             by_method = {
-                "full": _sheet(score_matrix, params, stack, *standard()),
-                "regression": _sheet(regression_scores, reg, stack, *standard()),
+                "full": _sheet(score_matrix, params, stack, *view),
+                "regression": _sheet(regression_scores, reg, stack, *view),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
             for method, sheet in by_method.items():
@@ -443,7 +434,7 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                     params, _ = fit_mle(single, cfg=spec.fit)
                     del single  # before the next variant gathers its terms
                     one = NetworkStack(networks=(g,))
-                    sheet = _sheet(score_matrix, params, one, *standard())
+                    sheet = _sheet(score_matrix, params, one, *view)
                     add(f"single_{g.name}_f50_all", sheet)
             del terms
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]

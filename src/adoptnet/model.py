@@ -171,37 +171,39 @@ class TrainingTerms:
 
     potentials[m, u, t] is user u's exposure to the t-th training app through
     network m, computed from the evidence adoption matrix; labels holds the
-    outcomes being explained.  term_users masks which users' outcome terms
-    enter the objective (all of them in ordinary training; the target half in
-    teacher-recovery fits).
+    outcomes being explained, one row per user whose terms enter the objective
+    (every user in ordinary training; the target half in teacher recovery).
 
     While no parameter is negative every exponent z is >= 0 and each
     non-adopter cell adds exactly -z, so the objective needs only what is
-    gathered here once, over term users: adopter_users (n,) and
-    adopter_features (M+1, n), the user of each adopter cell and its feature
-    vector (its potentials, then its app's popularity); linear_susceptibility
-    (U,), each user's count of non-adopted apps; and linear_weights (M+1,),
-    each channel summed over the non-adopter mask itself, not as a total
-    minus the adopters' share.  dataclasses.replace derives a variant on the
-    same split (popularity zeroed, a single network's potentials) and
-    gathers those fields afresh.
+    gathered here once: adopter_users (n,) and adopter_features (M+1, n),
+    the user of each adopter cell and its feature vector (its potentials,
+    then its app's popularity); linear_susceptibility (U,), each user's
+    count of non-adopted apps; linear_weights (M+1,), each channel summed
+    over the non-adopter cells itself, not as a total minus the adopters'
+    share; and channel_max (M+1,), each channel's largest value, fit_mle's
+    scale.  dataclasses.replace derives a variant on the same split
+    (popularity zeroed, a single network's potentials) and gathers those
+    fields afresh.
     """
 
     potentials: np.ndarray  # (M, U, T)
     popularity: np.ndarray  # (T,)
     labels: np.ndarray  # (U, T) bool
-    term_users: np.ndarray  # (U,) bool
     adopter_users: np.ndarray = field(init=False)
     adopter_features: np.ndarray = field(init=False)
     linear_susceptibility: np.ndarray = field(init=False)
     linear_weights: np.ndarray = field(init=False)
+    channel_max: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        users, apps = np.nonzero(self.labels & self.term_users[:, None])
+        channel_max = np.append(self.potentials.max(axis=(1, 2)), self.popularity.max())
+        object.__setattr__(self, "channel_max", channel_max)  # sets num_networks
+        users, apps = np.nonzero(self.labels)
         features = np.empty((self.num_networks + 1, users.size))  # C-contiguous rows
         features[:-1] = self.potentials[:, users, apps]
         features[-1] = self.popularity[apps]
-        passive = (~self.labels & self.term_users[:, None]).astype(float)
+        passive = (~self.labels).astype(float)
         linear_weights = np.append(
             self.potentials.reshape(self.num_networks, -1) @ passive.ravel(),
             passive.sum(axis=0) @ self.popularity,
@@ -213,11 +215,11 @@ class TrainingTerms:
 
     @property
     def num_networks(self) -> int:
-        return int(self.potentials.shape[0])
+        return int(self.channel_max.size - 1)
 
     @property
     def num_users(self) -> int:
-        return int(self.potentials.shape[1])
+        return int(self.labels.shape[0])
 
 
 def training_terms(
@@ -230,11 +232,12 @@ def training_terms(
     """Build TrainingTerms for ``train_apps``: the one input of every fit.
 
     ``evidence`` defaults to the label matrix itself (standard conditioning)
-    and must cover the same users and apps.  ``term_users`` holds user ids in
-    [0, num_users) and defaults to every user.  Raises ValueError when
-    ``train_apps`` is empty, holds an id outside [0, num_apps) or a
-    duplicate, or when the stack's popularity vector does not have one entry
-    per app.
+    and must cover the same users and apps.  ``term_users`` defaults to every
+    user; otherwise the terms keep only the rows of its sorted, distinct ids.
+    Raises ValueError when ``train_apps`` is empty, holds an id outside
+    [0, num_apps) or a duplicate, when ``term_users`` is empty or holds an id
+    outside [0, num_users), or when the stack's popularity vector does not
+    have one entry per app.
     """
     apps = np.asarray(train_apps, dtype=int)
     if apps.size == 0:
@@ -255,22 +258,16 @@ def training_terms(
         )
     pot = network_potentials(stack, evidence.installed[:, apps])
     pop = stack.popularity[apps] if stack.popularity is not None else np.zeros(apps.size)
-    mask = np.zeros(adoptions.num_users, dtype=bool)
-    if term_users is None:
-        mask[:] = True
-    else:
+    labels = adoptions.installed[:, apps]
+    if term_users is not None:
         users = np.asarray(term_users, dtype=int)
-        if users.size and (users.min() < 0 or users.max() >= adoptions.num_users):
-            raise ValueError(
-                f"term_users contains a user id outside 0..{adoptions.num_users - 1}"
-            )
-        mask[users] = True
-    return TrainingTerms(
-        potentials=pot,
-        popularity=pop,
-        labels=adoptions.installed[:, apps],
-        term_users=mask,
-    )
+        if users.size == 0:
+            raise ValueError("term_users is empty")
+        if users.min() < 0 or users.max() >= adoptions.num_users:
+            raise ValueError(f"term_users contains a user id outside 0..{adoptions.num_users - 1}")
+        rows = np.flatnonzero(np.bincount(users, minlength=adoptions.num_users))
+        pot, labels = pot[:, rows], labels[rows]
+    return TrainingTerms(potentials=pot, popularity=pop, labels=labels)
 
 
 def _adopter_exponents(
@@ -302,8 +299,7 @@ def objective_value(terms: TrainingTerms, s: np.ndarray, w: np.ndarray, w_pop: f
     )
     if min(s.min(), w.min(), w_pop) < 0.0:
         z = s[:, None] + np.tensordot(w, terms.potentials, axes=1) + w_pop * terms.popularity
-        passive = ~terms.labels & terms.term_users[:, None]
-        value += float(np.minimum(z[passive], 0.0).sum())
+        value += float(np.minimum(z[~terms.labels], 0.0).sum())
     if not np.isfinite(value):
         raise FloatingPointError("non-finite training objective")
     return value

@@ -32,7 +32,8 @@ otherwise, or at max_iters.  Projection is componentwise max(., 0) on every
 constrained coordinate, so every evaluated point is feasible, and the
 concave objective rises monotonically up to the rounding allowance of a full
 Newton step.  Each evaluation of a constrained fit costs O(M * adopter
-cells): none passes over the (M, U, T) tensor.
+cells), and its channel scales are the maxima TrainingTerms gathered: no
+constrained fit passes over the (M, U, T) tensor.
 
 Both fits take the TrainingTerms of their split, so a split's per-network
 potentials are built once; the protocol runners call both themselves.  The
@@ -249,7 +250,11 @@ def _newton_direction(
     n = diag_block.size
     curvature = np.concatenate([diag_block, np.diag(dense)])
     curved = curvature > 0.0
-    d = np.where(curved, g / np.where(curved, curvature, 1.0), g)
+    with np.errstate(over="ignore"):
+        quotient = g / np.where(curved, curvature, 1.0)
+    # a curvature too small to divide by (the quotient overflows) counts as none
+    curved &= np.isfinite(quotient)
+    d = np.where(curved, quotient, g)
     # A constrained coordinate without curvature sees a linear objective:
     # falling, it goes straight to its bound; rising, it moves by the knee,
     # which lifts its adopter exponents back to where curvature starts.
@@ -348,19 +353,17 @@ def fit_mle(
 
     ``terms`` comes from training_terms, which also builds the terms of fits
     whose likelihood covers only a user subset, conditioned on a different
-    adoption matrix (teacher recovery).  The solver sees each weight channel
-    (every network, then popularity) in unit-max coordinates: the weight
-    times the channel's largest value on a term user's row, and grad_tol is
-    measured there.  Coordinates that cannot affect the objective (a channel
-    that is zero on every term row, a user outside term_users) are frozen at
-    zero, so the returned parameters are the minimum-norm representative on
-    flat directions.  cfg.variant freezes the network weights (individual_only)
-    or the susceptibilities (both network_only variants), and every variant but
-    full the popularity weight, at zero; network_only_allow_negative signs the weights.
+    adoption matrix (teacher recovery); there is one susceptibility per row.
+    The solver sees each weight channel (every network, then popularity) in
+    unit-max coordinates: the weight times terms.channel_max, and grad_tol is
+    measured there.  The weight of a channel that is zero on every row cannot
+    affect the objective and is frozen at zero, so the returned parameters
+    are the minimum-norm representative on flat directions.  cfg.variant
+    freezes the network weights (individual_only) or the susceptibilities
+    (both network_only variants), and every variant but full the popularity
+    weight, at zero; network_only_allow_negative signs the weights.
     """
     cfg = cfg or FitConfig()
-    if not terms.term_users.any():
-        raise ValueError("term_users excludes every user")
     num_users, num_nets = terms.num_users, terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
 
@@ -368,17 +371,14 @@ def fit_mle(
     # blocks, and a weight's knee step moves no exponent by more than the
     # knee.  The objective is evaluated at w = theta / scale and its
     # derivatives follow by the chain rule.
-    scale = np.append(
-        terms.potentials.max(axis=2)[:, terms.term_users].max(axis=1),
-        terms.popularity.max(),
-    )
+    scale = terms.channel_max.copy()
     flat = scale == 0.0
     scale[flat] = 1.0
 
     # cfg.variant is read here only: the blocks frozen at zero, signed weights
     signed = cfg.variant == "network_only_allow_negative"
     theta0 = np.append(np.full(num_users, cfg.init_susceptibility), init_w * scale)
-    frozen = np.append(~terms.term_users, flat)
+    frozen = np.append(np.zeros(num_users, dtype=bool), flat)
     frozen[:num_users] |= cfg.variant in ("network_only", "network_only_allow_negative")
     frozen[num_users:-1] |= cfg.variant == "individual_only"
     frozen[-1] |= cfg.variant != "full"
@@ -492,13 +492,11 @@ def fit_regression(terms: TrainingTerms) -> RegressionParams:
 
     One row per training (user, app) cell; columns are the per-network
     potentials, the app's popularity, the user's training-app install count,
-    and an intercept.  All coefficients are constrained non-negative.  Every
-    user's cells are rows, so ``terms.term_users`` must hold every user.  The
-    install count is returned as ``activity``, the feature regression_scores
-    reads, so test installs never reach the baseline's scores.
+    and an intercept.  All coefficients are constrained non-negative.  The
+    install count is returned as ``activity``, one entry per row of
+    ``terms``; it is the feature regression_scores reads, so test installs
+    never reach the baseline's scores.
     """
-    if not terms.term_users.all():
-        raise ValueError("fit_regression needs term_users to hold every user")
     num_users, num_train = terms.labels.shape
     activity = terms.labels.sum(axis=1)
     F = np.column_stack(

@@ -141,8 +141,9 @@ def recovery_fit(
 
     Likelihood terms cover target users only; evidence and the popularity
     channel come from context adopters alone.  Context susceptibilities are
-    unidentified and pinned at zero in the result.
+    unidentified and pinned at zero when the result is widened to every user.
     """
+    from .predict import transfer_params  # here, so `adoptnet synth` loads no scorer
     adoptions = teacher.adoptions
     if train_apps is None:
         train_apps = np.arange(adoptions.num_apps)
@@ -160,7 +161,8 @@ def recovery_fit(
     terms = training_terms(
         fit_stack, adoptions, train_apps, evidence=evidence, term_users=teacher.target_users
     )
-    return fit_mle(terms, cfg=cfg)
+    params, result = fit_mle(terms, cfg=cfg)
+    return transfer_params(params, teacher.target_users, adoptions.num_users, "zero"), result
 
 
 @dataclass(frozen=True)

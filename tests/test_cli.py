@@ -504,6 +504,47 @@ class TestExperimentCommand:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path, capsys):
+        """train and a comparison experiment write the same bytes on 1 and 2 threads.
+
+        150 users x 200 apps is about the smallest bundle on which a
+        two-thread product sums in another order than a one-thread one.
+        """
+        synth = write_cfg(
+            tmp_path,
+            "synth.num_users = 150\nsynth.num_context_users = 75\n"
+            "synth.num_apps = 200\nsynth.num_networks = 4\nseed = 5\n"
+            f"outdir = {tmp_path / 'data'}\n",
+            name="synth.cfg",
+        )
+        assert main(["synth", synth]) == EXIT_OK
+        capsys.readouterr()
+        [data] = run_dirs(tmp_path / "data")
+        cfg = write_cfg(
+            tmp_path,
+            "num_users = 150\nnum_apps = 200\n"
+            f"adoptions.path = {data / 'adoptions.csv'}\n"
+            + "".join(f"network.{m}.path = {data / f'network{m}.csv'}\n" for m in range(4))
+            + "protocol = comparison\nexperiment.repeats = 1\nexperiment.min_users = 3\n"
+            f"fit.max_iters = 80\noutdir = {tmp_path / 'runs'}\n",
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            for command in ("train", "experiment"):
+                proc = subprocess.run([sys.executable, "-m", "adoptnet.cli", command, cfg],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr[-2000:]
+            runs = tmp_path / "runs"
+            outputs.append({str(f.relative_to(runs)): f.read_bytes()
+                            for f in sorted(runs.rglob("*")) if f.is_file()})
+            runs.rename(tmp_path / f"runs{threads}")
+        one, two = outputs
+        assert len(one) == 7 and one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+
     def test_manifest_has_no_jobs_field(self, bundle, capsys):
         tmp_path, _, base = bundle
         cfg = write_cfg(

@@ -368,7 +368,31 @@ class TestTrainingTermsChecks:
     def test_term_users_in_range_accepted(self):
         stack, adoptions = self.instance()
         terms = training_terms(stack, adoptions, np.arange(5), term_users=[0, 5])
-        np.testing.assert_array_equal(terms.term_users, [1, 0, 0, 0, 0, 1])
+        np.testing.assert_array_equal(terms.labels, adoptions.installed[[0, 5]])
+
+    def test_empty_term_users_rejected(self):
+        stack, adoptions = self.instance()
+        with pytest.raises(ValueError, match="term_users is empty"):
+            training_terms(stack, adoptions, np.arange(5), term_users=[])
+
+    @pytest.mark.parametrize("users", [[3], [5, 0, 2], [4, 1, 4, 1, 0], np.arange(6)])
+    def test_term_users_keep_their_rows_bit_for_bit(self, users):
+        # the rows of sorted(set(users)) of every user's terms, in that order
+        stack, adoptions = self.instance()
+        evidence = AdoptionMatrix(num_users=6, num_apps=5,
+                                  installed=np.roll(adoptions.installed, 1, axis=0))
+        train = [4, 0, 2]
+        full = training_terms(stack, adoptions, train, evidence=evidence)
+        rows = sorted(set(int(u) for u in users))
+        got = training_terms(stack, adoptions, train, evidence=evidence, term_users=users)
+        want = TrainingTerms(potentials=full.potentials[:, rows], popularity=full.popularity,
+                             labels=full.labels[rows])
+        assert got.num_users == len(rows) and got.num_networks == 2
+        for f in dataclasses.fields(TrainingTerms):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+        np.testing.assert_array_equal(
+            got.channel_max,
+            np.append(full.potentials[:, rows].max(axis=(1, 2)), full.popularity.max()))
 
     @pytest.mark.parametrize("num_apps", [3, 7])
     def test_evidence_app_count_mismatch_rejected(self, num_apps):
@@ -579,6 +603,9 @@ class TestHessian:
             term_users = None if trial % 2 else rng.choice(U, U // 2 + 1, replace=False)
             terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps),
                                    term_users=term_users)
+            if term_users is not None:
+                params = dataclasses.replace(
+                    params, susceptibility=params.susceptibility[np.sort(term_users)])
             analytic = assembled_hessian(terms, params)
             numeric = gradient_difference_hessian(terms, params)
             denom = np.maximum(np.abs(numeric), 1.0)
@@ -657,13 +684,12 @@ class TestKneeCurvature:
         term_users = np.sort(rng.choice(U, 18, replace=False)) if subset else None
         terms = training_terms(stack, adoptions, np.arange(A), term_users=term_users)
         # exponents spread around [0, knee], both ends included
-        s = rng.choice([0.0, 0.5, 1.0, 2.0], size=U) * EXPONENT_KNEE
+        s = rng.choice([0.0, 0.5, 1.0, 2.0], size=terms.num_users) * EXPONENT_KNEE
         w = rng.uniform(0.0, 1e-4, 2)
         w_pop = 1e-5
         z = (s[:, None] + np.tensordot(w, terms.potentials, axes=1)
              + w_pop * terms.popularity)
         band = terms.labels & (z >= 0.0) & (z <= EXPONENT_KNEE)
-        band &= terms.term_users[:, None]
         counts = band.sum(axis=1)
         assert counts.any() and (terms.labels.sum(axis=1) > counts).any()
         knee = knee_curvature(terms, s, w, w_pop)
@@ -724,14 +750,14 @@ class TestObjectiveProperties:
             chord = lam * value(t1) + (1 - lam) * value(t2)
             assert mid >= chord - 1e-9
 
-    def test_term_users_mask_excludes_outcomes(self):
+    def test_term_users_exclude_outcomes(self):
         rng = np.random.default_rng(77)
         stack, adoptions, params = random_instance(rng, num_users=8, num_networks=2,
                                                    num_apps=9)
         train = np.arange(9)
         half = np.arange(4)
-        terms = training_terms(stack, adoptions, train, term_users=half)
-        # flipping a masked user's labels must not change the value
+        params = dataclasses.replace(params, susceptibility=params.susceptibility[half])
+        # flipping the labels of a user outside term_users must not change the value
         flipped = adoptions.installed.copy()
         flipped[6, :] = ~flipped[6, :]
         adoptions2 = AdoptionMatrix(num_users=8, num_apps=9, installed=flipped)
@@ -749,8 +775,8 @@ class TestObjectiveProperties:
         g2 = objective_gradient(terms2, params.susceptibility, params.net_weights,
                                 params.pop_weight)
         np.testing.assert_array_equal(g1[0], g2[0])
-        # masked users carry no susceptibility gradient
-        assert not g1[0][4:].any()
+        # the users outside term_users have no susceptibility to differentiate
+        assert g1[0].shape == (4,)
 
     def test_evidence_differs_from_labels(self):
         # conditioning on a separate evidence matrix: exposure uses evidence,
@@ -782,21 +808,18 @@ def reference_exponents(terms, s, w, w_pop):
 
 def reference_value(terms, s, w, w_pop):
     z = reference_exponents(terms, s, w, w_pop)
-    z_act, labels = z[terms.term_users], terms.labels[terms.term_users]
-    z_adopt = z_act[labels]
+    z_adopt = z[terms.labels]
     z_knee = np.maximum(z_adopt, EXPONENT_KNEE)
     adopter_part = float(log1mexp(z_knee).sum())
     adopter_part += float((z_adopt - z_knee).sum()) / math.expm1(EXPONENT_KNEE)
-    penalty = float(np.maximum(z_act, 0.0).sum()) - float(np.maximum(z_adopt, 0.0).sum())
+    penalty = float(np.maximum(z, 0.0).sum()) - float(np.maximum(z_adopt, 0.0).sum())
     return adopter_part - penalty
 
 
 def reference_gradient(terms, s, w, w_pop):
     z = reference_exponents(terms, s, w, w_pop)
-    labels = terms.labels & terms.term_users[:, None]
-    coef = np.where(labels, 0.0, -1.0)
-    coef[~terms.term_users, :] = 0.0
-    idx = np.nonzero(labels)
+    coef = np.where(terms.labels, 0.0, -1.0)
+    idx = np.nonzero(terms.labels)
     coef[idx] = 1.0 / np.expm1(np.maximum(z[idx], EXPONENT_KNEE))
     return (coef.sum(axis=1),
             np.tensordot(terms.potentials, coef, axes=([1, 2], [0, 1])),
@@ -809,7 +832,7 @@ def reference_hessian(terms, s, w, w_pop):
     diag = np.zeros(U)
     coupling = np.zeros((U, M + 1))
     dense = np.zeros((M + 1, M + 1))
-    for u, t in zip(*np.nonzero(terms.labels & terms.term_users[:, None])):
+    for u, t in zip(*np.nonzero(terms.labels)):
         if z[u, t] <= EXPONENT_KNEE:
             continue
         h = math.exp(z[u, t]) / math.expm1(z[u, t]) ** 2
@@ -848,7 +871,7 @@ def oracle_instance(rng, negative):
         term_users = np.concatenate([[0, 1], rng.choice(np.arange(2, U), U // 2,
                                                         replace=False)])
     terms = training_terms(stack, adoptions, np.arange(A), term_users=term_users)
-    s = rng.uniform(0.0, 1.0, U)
+    s = rng.uniform(0.0, 1.0, terms.num_users)
     s[0] = EXPONENT_KNEE
     s[1] = EXPONENT_KNEE / 2 if rng.random() < 0.5 else 0.0
     w = rng.uniform(0.0, 1.0, M)
@@ -871,9 +894,8 @@ class TestAdopterOnlyOracle:
         for _ in range(150):
             terms, s, w, w_pop = oracle_instance(rng, negative)
             z = reference_exponents(terms, s, w, w_pop)
-            active = terms.labels & terms.term_users[:, None]
-            knee_cells += int(np.count_nonzero(z[active] <= EXPONENT_KNEE))
-            corrected += int(np.count_nonzero(z[~terms.labels & terms.term_users[:, None]] < 0))
+            knee_cells += int(np.count_nonzero(z[terms.labels] <= EXPONENT_KNEE))
+            corrected += int(np.count_nonzero(z[~terms.labels] < 0))
             assert close(objective_value(terms, s, w, w_pop),
                          reference_value(terms, s, w, w_pop))
             for got, want in zip(objective_gradient(terms, s, w, w_pop),
@@ -909,7 +931,7 @@ class TestAdopterOnlyOracle:
     def test_linear_coefficients_sum_the_non_adopter_cells(self):
         rng = np.random.default_rng(96)
         terms, _, _, _ = oracle_instance(rng, negative=False)
-        passive = ~terms.labels & terms.term_users[:, None]
+        passive = ~terms.labels
         np.testing.assert_array_equal(terms.linear_susceptibility, passive.sum(axis=1))
         expected = [terms.potentials[m][passive].sum() for m in range(terms.num_networks)]
         expected.append(np.broadcast_to(terms.popularity, passive.shape)[passive].sum())
@@ -921,18 +943,14 @@ class TestAdopterOnlyOracle:
 def derivative_instance(rng):
     """oracle_instance plus users without adopter cells, relaxed signs half the time.
 
-    Users 2 and 3 adopt nothing; user 4 is outside term_users whenever a
-    subset is drawn, so its cells are not gathered either.
+    Users 2 and 3 (the rows, when a term_users subset is drawn) adopt nothing.
     """
     negative = bool(rng.random() < 0.5)
     terms, s, w, w_pop = oracle_instance(rng, negative)
     labels = terms.labels.copy()
     labels[2:4] = False
-    term_users = terms.term_users.copy()
-    if not term_users.all():
-        term_users[4] = False
     terms = TrainingTerms(potentials=terms.potentials, popularity=terms.popularity,
-                          labels=labels, term_users=term_users)
+                          labels=labels)
     return terms, s, w, w_pop
 
 
@@ -941,7 +959,7 @@ class TestObjectiveDerivatives:
 
     def test_matches_gradient_hessian_and_knee_oracles(self):
         rng = np.random.default_rng(97)
-        knee_cells = below_zero = without_cells = frozen = 0
+        knee_cells = below_zero = without_cells = 0
         for _ in range(200):
             terms, s, w, w_pop = derivative_instance(rng)
             z = s[terms.adopter_users] + np.append(w, w_pop) @ terms.adopter_features
@@ -949,7 +967,6 @@ class TestObjectiveDerivatives:
             below_zero += int(np.count_nonzero(z < 0.0))
             without_cells += int(np.count_nonzero(
                 np.bincount(terms.adopter_users, minlength=terms.num_users) == 0))
-            frozen += int(np.count_nonzero(~terms.term_users))
             gradient, (diag, coupling, dense) = objective_derivatives(terms, s, w, w_pop)
             for got, want in zip(gradient, reference_gradient(terms, s, w, w_pop)):
                 assert close(got, want)
@@ -960,7 +977,7 @@ class TestObjectiveDerivatives:
             assert diag.shape == (terms.num_users,)
             assert coupling.shape == (terms.num_users, terms.num_networks + 1)
             np.testing.assert_array_equal(dense, dense.T)
-        assert min(knee_cells, below_zero, without_cells, frozen) > 0
+        assert min(knee_cells, below_zero, without_cells) > 0
 
     def test_users_without_adopter_cells_get_zero_rows(self):
         # reduceat would hand a user with no run the next run's first cell

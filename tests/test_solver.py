@@ -76,6 +76,16 @@ def variant_blocks(cfg):
 SIGNED = FitConfig(variant="network_only_allow_negative")
 
 
+class Unreadable:
+    """Stands in for an array that must not be read: any use raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name}")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("read as an array")
+
+
 def nnls_oracle(F, y):
     """Exact non-negative least squares by enumerating active sets.
 
@@ -280,19 +290,29 @@ class TestFitMLE:
         assert not params_rel.constrained
         assert res_rel.final_objective >= res_con.final_objective - 1e-9
 
-    def test_term_users_scatter_back(self):
-        stack, adoptions = make_instance(8, num_users=6)
-        params, _ = fit_mle(training_terms(stack, adoptions, np.arange(adoptions.num_apps),
-                                           term_users=[0, 2, 4]))
-        assert params.susceptibility.shape == (6,)
-        assert params.susceptibility[1] == 0.0
-        assert params.susceptibility[3] == 0.0
-        assert params.susceptibility[5] == 0.0
+    @pytest.mark.parametrize("variant", ["full", "individual_only", "network_only"])
+    def test_constrained_fit_never_reads_the_potentials(self, variant):
+        stack, adoptions = make_instance(9)
+        cfg = FitConfig(variant=variant)
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+        want, ref = fit_mle(terms, cfg=cfg)
+        object.__setattr__(terms, "potentials", Unreadable())
+        got, res = fit_mle(terms, cfg=cfg)
+        assert res == ref
+        np.testing.assert_array_equal(flat_params(got), flat_params(want))
 
-    def test_term_users_empty_rejected(self):
-        stack, adoptions = make_instance(9, num_users=4)
-        with pytest.raises(ValueError):
-            fit_mle(training_terms(stack, adoptions, [0, 1], term_users=[]))
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_large_start_converges_without_overflow(self, seed):
+        # A start of 5 per unit-max channel leaves some users' curvature so
+        # small that g / curvature overflows; pytest turns the warning into
+        # an error.
+        spec = SynthSpec(num_users=743, num_context_users=371, num_apps=200, seed=seed)
+        networks, teacher = generate(spec)
+        adoptions = teacher.adoptions
+        stack = NetworkStack(networks.networks, popularity_counts(adoptions))
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+        _, res = fit_mle(terms, cfg=FitConfig(init_net_weight=5.0))
+        assert res.stop_reason == "grad_tol"
 
     def test_max_iters_flags_non_convergence(self):
         stack, adoptions = make_instance(10)
@@ -380,11 +400,12 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
 
     A free coordinate at zero may have a gradient up to grad_tol pushing it
     below zero; a positive one must have |gradient| <= grad_tol.  Frozen
-    coordinates (the variant's frozen blocks, all-zero channels, users
-    without terms) are skipped.
+    coordinates (the variant's frozen blocks, all-zero channels) are
+    skipped.  With ``term_users`` the fit and the check cover those users'
+    rows alone.
     """
     terms = training_terms(stack, adoptions, train, term_users=term_users)
-    pot_scale = terms.potentials.max(axis=2)[:, terms.term_users].max(axis=1)
+    pot_scale = terms.potentials.max(axis=(1, 2))
     pop_scale = float(terms.popularity.max())
     gs, gw, gp = objective_gradient(terms, params.susceptibility,
                                     params.net_weights, params.pop_weight)
@@ -399,8 +420,6 @@ def kkt_violation(stack, adoptions, train, params, cfg, term_users=None):
     fix_s, fix_w, fix_pop, _ = variant_blocks(cfg)
     free = np.ones(theta.size, dtype=bool)
     free[:U] = not fix_s
-    if term_users is not None:
-        free[:U] &= terms.term_users
     free[U:U + M] = (not fix_w) & (pot_scale > 0.0)
     free[U + M] = (not fix_pop) and pop_scale > 0.0
     at_zero = free & (theta <= 0.0)
@@ -441,15 +460,14 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
                       term_users=None):
     """The earlier fit_mle formulation, kept as an oracle for the current one.
 
-    It slices the potentials and labels down to the term users, divides each
-    channel by its maximum, rebuilds TrainingTerms on the scaled copy, fits
-    there and scatters the susceptibilities back to every user.
+    It builds every user's terms, slices the potentials and labels down to
+    the term users itself, divides each channel by its maximum, rebuilds
+    TrainingTerms on the scaled copy and fits there; the susceptibilities
+    follow the ascending term users.
     """
     cfg = cfg or FitConfig()
-    terms = training_terms(stack, adoptions, train_apps, evidence=evidence,
-                           term_users=term_users)
-    full_users = terms.num_users
-    active = np.flatnonzero(terms.term_users)
+    terms = training_terms(stack, adoptions, train_apps, evidence=evidence)
+    active = np.arange(terms.num_users) if term_users is None else np.unique(term_users)
     potentials, labels = terms.potentials[:, active, :], terms.labels[active, :]
     num_users, num_nets = active.size, terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
@@ -460,8 +478,7 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
     has_pop = pop_max > 0.0
     pop_scale = pop_max if has_pop else 1.0
     terms = TrainingTerms(potentials=potentials / pot_scale[:, None, None],
-                          popularity=terms.popularity / pop_scale, labels=labels,
-                          term_users=np.ones(num_users, dtype=bool))
+                          popularity=terms.popularity / pop_scale, labels=labels)
     s_idx = np.arange(num_users)
     w_idx = num_users + np.arange(num_nets)
     pop_idx = num_users + num_nets
@@ -492,11 +509,9 @@ def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
 
     theta, result = _projected_newton(value, lambda t: (gradient(t), hessian(t)),
                                       theta0, nonneg, frozen, cfg)
-    susceptibility = np.zeros(full_users)
-    susceptibility[active] = theta[s_idx]
     params = ModelParams(net_weights=theta[w_idx] / pot_scale,
                          pop_weight=float(theta[pop_idx]) / pop_scale,
-                         susceptibility=susceptibility,
+                         susceptibility=theta[s_idx],
                          constrained=not signed)
     return params, result
 
@@ -963,15 +978,6 @@ class TestRegression:
         stack, adoptions = make_instance(21)
         with pytest.raises(ValueError, match="empty"):
             fit_regression(training_terms(stack, adoptions, []))
-
-    def test_partial_term_users_rejected(self):
-        # recovery-style terms cover a user subset; regressing on them would
-        # silently treat every other user's cells as rows
-        stack, adoptions = make_instance(24)
-        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps),
-                               term_users=[0, 2, 4])
-        with pytest.raises(ValueError, match="term_users"):
-            fit_regression(terms)
 
     @pytest.mark.parametrize("fit", [fit_mle, fit_regression])
     @pytest.mark.parametrize("apps, message", [

@@ -9,7 +9,9 @@ import pytest
 
 from adoptnet.data import popularity_counts
 from adoptnet.model import ModelParams
+from adoptnet import synth
 from adoptnet.predict import score_matrix
+from adoptnet.solver import fit_mle
 from adoptnet.synth import (
     RecoveryError,
     SynthSpec,
@@ -289,6 +291,27 @@ class TestRecoveryFit:
         stack, teacher = generate(SMALL)
         recovered, _ = recovery_fit(stack, teacher)
         assert not recovered.susceptibility[teacher.context_users].any()
+
+    def test_target_susceptibility_scattered_back(self, monkeypatch):
+        # the fit covers the target rows alone; the result has one entry per user
+        fitted = []
+
+        def capture(terms, *, cfg=None):
+            fitted.append(fit_mle(terms, cfg=cfg))
+            return fitted[-1]
+
+        monkeypatch.setattr(synth, "fit_mle", capture)
+        stack, teacher = generate(SMALL)
+        recovered, res = recovery_fit(stack, teacher)
+        (params, result), = fitted
+        assert result is res
+        assert params.susceptibility.shape == (teacher.target_users.size,)
+        assert recovered.susceptibility.shape == (SMALL.num_users,)
+        np.testing.assert_array_equal(
+            recovered.susceptibility[np.sort(teacher.target_users)], params.susceptibility)
+        assert not recovered.susceptibility[teacher.context_users].any()
+        np.testing.assert_array_equal(recovered.net_weights, params.net_weights)
+        assert recovered.pop_weight == params.pop_weight
 
     def test_target_to_target_edges_carry_no_evidence(self):
         # exposure comes from context adopters only, so edges inside the
