@@ -63,16 +63,6 @@ def _fail(problems: list[str], code: int) -> int:
     return code
 
 
-def _build_dataset(cfg: RunConfig) -> Dataset:
-    """Dataset from config; any loading problem is a configuration error."""
-    try:
-        return cfg.build_dataset()
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as e:
-        raise ConfigError([str(e)]) from e
-
-
 def _input_hashes(cfg: RunConfig) -> dict[str, dict[str, str]]:
     out = {}
     for key, path in sorted(cfg.input_paths().items()):
@@ -175,7 +165,7 @@ def cmd_train(cfg: RunConfig) -> int:
     from .solver import fit_mle
 
     fit_cfg = cfg.fit_config()
-    data = _build_dataset(cfg)
+    data = cfg.build_dataset()
     pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
@@ -203,7 +193,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     from .predict import PredictionSheet, score_matrix
 
     cfg.require("predict.params")
-    data = _build_dataset(cfg)
+    data = cfg.build_dataset()
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
     # the fitted pop_weight is the popularity switch: a fit without the
@@ -223,7 +213,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
     from .experiments import LeakError, run_experiment
 
     spec = cfg.experiment_spec()
-    data = _build_dataset(cfg)
+    data = cfg.build_dataset()
     try:
         report = run_experiment(data, spec)
     except LeakError as e:
@@ -262,14 +252,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    try:
-        adoptions = cfg.build_adoptions()
-        stats = dataset_stats(adoptions)
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as e:
-        raise ConfigError([str(e)]) from e
-    text = stats.to_json()
+    text = dataset_stats(cfg.build_adoptions()).to_json()
     run_dir = _emit(cfg, "stats", {"stats.json": (text + "\n").encode()})
     print(text)
     print(f"wrote {run_dir}")

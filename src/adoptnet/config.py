@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -444,13 +444,14 @@ class RunConfig:
         num_users = self.get_int("num_users")
         nets = []
         for i in indices:
-            path = self.resolve_path(f"network.{i}.path")
-            g = load_network_edge_list(
-                path.read_text(),
+            key = f"network.{i}.path"
+            g = self._load(
+                key,
+                load_network_edge_list,
                 num_users,
                 kind=self.get_str(f"network.{i}.kind", "weighted"),
                 symmetrize=self.get_str(f"network.{i}.symmetrize", "sum"),
-                name=self.get_str(f"network.{i}.name", path.stem),
+                name=self.get_str(f"network.{i}.name", self.resolve_path(key).stem),
             )
             mode = self.get_str(f"network.{i}.normalize", "none")
             nets.append(normalize_network(g, mode))
@@ -458,11 +459,16 @@ class RunConfig:
 
     def build_adoptions(self) -> AdoptionMatrix:
         self.require("adoptions.path", "num_users", "num_apps")
-        return load_adoptions(
-            self.resolve_path("adoptions.path").read_text(),
-            self.get_int("num_users"),
-            self.get_int("num_apps"),
+        return self._load(
+            "adoptions.path", load_adoptions, self.get_int("num_users"), self.get_int("num_apps")
         )
+
+    def _load(self, key: str, loader: Callable, *args, **kwargs):
+        """``loader`` on the text of the file at ``key``; a problem names the key."""
+        try:
+            return loader(self.resolve_path(key).read_text(), *args, **kwargs)
+        except (OSError, ValueError) as e:
+            raise ConfigError([f"{key}: {e}"]) from e
 
     def build_dataset(self) -> Dataset:
         return Dataset(
@@ -531,7 +537,7 @@ def load_config(path: Path | str, overrides: Sequence[str] = ()) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeError) as e:
         raise ConfigError([f"cannot read config: {e}"]) from e
     entries = apply_overrides(parse_config_text(text, str(path)), overrides)
     cfg = RunConfig(entries=entries, base_dir=path.parent)

@@ -653,30 +653,3 @@ def dataset_stats(adoptions: AdoptionMatrix) -> DatasetStats:
         mean_apps_per_user=mean,
         exp_rate=1.0 / mean,
     )
-
-
-def restrict_users(g: CandidateNetwork, users: Sequence[int] | np.ndarray) -> CandidateNetwork:
-    """Induced subnetwork on ``users`` (given in the new id order)."""
-    idx = np.asarray(users, dtype=int)
-    return CandidateNetwork(
-        num_users=int(idx.size),
-        weights=g.weights[np.ix_(idx, idx)],
-        name=g.name,
-        kind=g.kind,
-    )
-
-
-def restrict_adoption_users(
-    adoptions: AdoptionMatrix, users: Sequence[int] | np.ndarray
-) -> AdoptionMatrix:
-    """Adoption matrix restricted to ``users`` rows (new ids follow the given order)."""
-    idx = np.asarray(users, dtype=int)
-    times = None
-    if adoptions.install_times is not None:
-        times = adoptions.install_times[idx, :]
-    return AdoptionMatrix(
-        num_users=int(idx.size),
-        num_apps=adoptions.num_apps,
-        installed=adoptions.installed[idx, :],
-        install_times=times,
-    )

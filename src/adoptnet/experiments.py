@@ -38,8 +38,6 @@ from .data import (
     filter_min_users,
     frozen,
     popularity_counts,
-    restrict_adoption_users,
-    restrict_users,
 )
 from .metrics import MetricReport, evaluate_sheets
 from .model import training_terms
@@ -495,11 +493,13 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """Fit on the observable users alone, rank the hidden users.
 
     Per repeat, users split into observable / hidden; the model trains on the
-    observable induced subnetworks and adoption rows only.  Hidden users are
-    scored with susceptibility imputed as zero and as the fitted mean (both
-    reported), against a random baseline.  MP is reported at k equal to the
-    round-half-up mean count of hidden adopters over the scored test apps;
-    test apps without hidden adopters are skipped and counted.
+    observable users' terms, whose exposure counts the observable users'
+    adoptions alone, so no hidden user's edges or installs enter the fit.
+    Hidden users are scored with susceptibility imputed as zero and as the
+    fitted mean (both reported), against a random baseline.  MP is reported
+    at k equal to the round-half-up mean count of hidden adopters over the
+    scored test apps; test apps without hidden adopters are skipped and
+    counted.
     """
     adoptions, kept = _prepare(data, spec)
     num_users = adoptions.num_users
@@ -512,11 +512,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             np.arange(num_users), spec.observable_fraction, seed
         )
         pop_visible = _popularity(adoptions, spec, observable)
-        stack_obs = NetworkStack(
-            networks=tuple(restrict_users(g, observable) for g in data.networks.networks),
-            popularity=pop_visible,
-        )
-        adopt_obs = restrict_adoption_users(adoptions, observable)
+        stack = NetworkStack(networks=data.networks.networks, popularity=pop_visible)
         visible = _user_mask(num_users, observable)
 
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
@@ -524,7 +520,11 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         skipped = 0
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
-            params_obs, _ = fit_mle(training_terms(stack_obs, adopt_obs, train), cfg=spec.fit)
+            terms = training_terms(
+                stack, adoptions, train, term_users=observable, evidence_users=observable
+            )
+            params_obs, _ = fit_mle(terms, cfg=spec.fit)
+            del terms
             n_pos = adoptions.installed[hidden][:, test].sum(axis=0)
             scored = test[n_pos > 0]
             skipped += int(np.sum(n_pos == 0))

@@ -119,27 +119,35 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def network_potentials(stack: NetworkStack, evidence: np.ndarray) -> np.ndarray:
-    """Per-network exposure of every user to every app, shape (M, U, T).
+def network_potentials(
+    stack: NetworkStack, evidence: np.ndarray,
+    term_users: np.ndarray | None = None, evidence_users: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-network exposure of the term users to every app, shape (M, U', T).
 
-    ``evidence`` is a (U, T) adoption matrix with one column per app; entry
-    [m, u, t] is the weighted count of user u's neighbours in network m who
-    adopted app t.  A user's own entry never contributes because the
-    diagonal is zero.
+    ``term_users`` and ``evidence_users`` hold sorted, distinct ids (None is
+    every user); ``evidence`` has one row per evidence user and one column
+    per app.  Entry [m, i, t] is the weighted count of the i-th term user's
+    neighbours in network m who are evidence users and adopted app t; the
+    zero diagonal keeps a user's own adoption out.  Each network multiplies
+    its (term users x evidence users) block, or g.weights itself when both
+    lists are None.
 
     Only training_terms builds this tensor, once per training split; both
     fits read their per-network features from the TrainingTerms it returns.
     Scoring never builds it; it multiplies the evidence by the composite
     network sum_m c_m W_m once (see predict._exposure).
     """
+    everyone = np.arange(stack.num_users)
+    rows = everyone if term_users is None else term_users
+    cols = everyone if evidence_users is None else evidence_users
     ev = np.asarray(evidence, dtype=float)
-    if ev.ndim != 2 or ev.shape[0] != stack.num_users:
-        raise ValueError(
-            f"evidence shape {ev.shape} does not match {stack.num_users} users"
-        )
-    out = np.empty((stack.num_networks, stack.num_users, ev.shape[1]))
+    if ev.ndim != 2 or ev.shape[0] != cols.size:
+        raise ValueError(f"evidence shape {ev.shape} does not match {cols.size} users")
+    whole = term_users is None and evidence_users is None
+    out = np.empty((stack.num_networks, rows.size, ev.shape[1]))
     for g, block in zip(stack.networks, out):
-        np.matmul(g.weights, ev, out=block)
+        np.matmul(g.weights if whole else g.weights[np.ix_(rows, cols)], ev, out=block)
     return out
 
 
@@ -170,9 +178,10 @@ class TrainingTerms:
     """Precomputed pieces of the training objective for a fixed app subset.
 
     potentials[m, u, t] is user u's exposure to the t-th training app through
-    network m, computed from the evidence adoption matrix; labels holds the
+    network m, counted over the evidence users' adoptions; labels holds the
     outcomes being explained, one row per user whose terms enter the objective
-    (every user in ordinary training; the target half in teacher recovery).
+    (every user in ordinary training, the observable users in the transfer
+    protocol, the target half in teacher recovery).
 
     While no parameter is negative every exponent z is >= 0 and each
     non-adopter cell adds exactly -z, so the objective needs only what is
@@ -226,16 +235,19 @@ def training_terms(
     stack: NetworkStack,
     adoptions: AdoptionMatrix,
     train_apps: Sequence[int] | np.ndarray,
-    evidence: AdoptionMatrix | None = None,
+    *,
     term_users: Sequence[int] | np.ndarray | None = None,
+    evidence_users: Sequence[int] | np.ndarray | None = None,
 ) -> TrainingTerms:
     """Build TrainingTerms for ``train_apps``: the one input of every fit.
 
-    ``evidence`` defaults to the label matrix itself (standard conditioning)
-    and must cover the same users and apps.  ``term_users`` defaults to every
-    user; otherwise the terms keep only the rows of its sorted, distinct ids.
+    Each user list stands for its sorted, distinct ids; None (the default)
+    is every user.  The terms keep the rows of ``term_users``, and their
+    exposure counts only the adoptions of ``evidence_users``: the transfer
+    protocol passes its observable users as both, teacher recovery the
+    target and the context users.
     Raises ValueError when ``train_apps`` is empty, holds an id outside
-    [0, num_apps) or a duplicate, when ``term_users`` is empty or holds an id
+    [0, num_apps) or a duplicate, when a user list is empty or holds an id
     outside [0, num_users), or when the stack's popularity vector does not
     have one entry per app.
     """
@@ -248,26 +260,25 @@ def training_terms(
         raise ValueError("train_apps contains duplicates")
     if stack.popularity is not None and stack.popularity.shape != (adoptions.num_apps,):
         raise ValueError("stack popularity length does not match num_apps")
-    if evidence is None:
-        evidence = adoptions
-    if evidence.num_users != adoptions.num_users:
-        raise ValueError("evidence user universe does not match labels")
-    if evidence.num_apps != adoptions.num_apps:
-        raise ValueError(
-            f"evidence has {evidence.num_apps} apps but the labels have {adoptions.num_apps}"
-        )
-    pot = network_potentials(stack, evidence.installed[:, apps])
+    rows = _sorted_users(term_users, adoptions.num_users, "term_users")
+    cols = _sorted_users(evidence_users, adoptions.num_users, "evidence_users")
+    installed = adoptions.installed[:, apps]
+    pot = network_potentials(stack, installed if cols is None else installed[cols], rows, cols)
     pop = stack.popularity[apps] if stack.popularity is not None else np.zeros(apps.size)
-    labels = adoptions.installed[:, apps]
-    if term_users is not None:
-        users = np.asarray(term_users, dtype=int)
-        if users.size == 0:
-            raise ValueError("term_users is empty")
-        if users.min() < 0 or users.max() >= adoptions.num_users:
-            raise ValueError(f"term_users contains a user id outside 0..{adoptions.num_users - 1}")
-        rows = np.flatnonzero(np.bincount(users, minlength=adoptions.num_users))
-        pot, labels = pot[:, rows], labels[rows]
+    labels = installed if rows is None else installed[rows]
     return TrainingTerms(potentials=pot, popularity=pop, labels=labels)
+
+
+def _sorted_users(users: Sequence[int] | None, num_users: int, name: str) -> np.ndarray | None:
+    """The sorted, distinct ids of ``users``; None stays None (every user)."""
+    if users is None:
+        return None
+    ids = np.asarray(users, dtype=int)
+    if ids.size == 0:
+        raise ValueError(f"{name} is empty")
+    if ids.min() < 0 or ids.max() >= num_users:
+        raise ValueError(f"{name} contains a user id outside 0..{num_users - 1}")
+    return np.flatnonzero(np.bincount(ids, minlength=num_users))
 
 
 def _adopter_exponents(

@@ -351,9 +351,8 @@ def fit_mle(
 ) -> tuple[ModelParams, FitResult]:
     """Maximum-likelihood fit of the composite-network model on ``terms``.
 
-    ``terms`` comes from training_terms, which also builds the terms of fits
-    whose likelihood covers only a user subset, conditioned on a different
-    adoption matrix (teacher recovery); there is one susceptibility per row.
+    ``terms`` comes from training_terms, whose rows may be a user subset
+    (transfer, teacher recovery); there is one susceptibility per row.
     The solver sees each weight channel (every network, then popularity) in
     unit-max coordinates: the weight times terms.channel_max, and grad_tol is
     measured there.  The weight of a channel that is zero on every row cannot

@@ -5,7 +5,9 @@ population: context users adopt independently (susceptibility plus a base
 popularity pull), then target users adopt from the model conditional with
 evidence restricted to context adopters.  Fitting the likelihood of the
 target users against context evidence therefore recovers the planted
-parameters, which is the correctness oracle for the whole estimator.
+parameters, which is the correctness oracle for the whole estimator;
+recovery_fit builds those terms with training_terms(term_users=target,
+evidence_users=context), the subset path the transfer protocol also takes.
 """
 from __future__ import annotations
 
@@ -139,27 +141,23 @@ def recovery_fit(
 ) -> tuple[ModelParams, FitResult]:
     """Fit the model the way the teacher data is well-specified.
 
-    Likelihood terms cover target users only; evidence and the popularity
-    channel come from context adopters alone.  Context susceptibilities are
-    unidentified and pinned at zero when the result is widened to every user.
+    The terms keep the target users' rows (``term_users``), their exposure
+    counts the context users' adoptions alone (``evidence_users``), and the
+    popularity channel is the context users' install counts.  Context
+    susceptibilities are unidentified and pinned at zero when the result is
+    widened to every user.
     """
     from .predict import transfer_params  # here, so `adoptnet synth` loads no scorer
     adoptions = teacher.adoptions
     if train_apps is None:
         train_apps = np.arange(adoptions.num_apps)
-    context_mask = np.zeros(adoptions.num_users, dtype=bool)
-    context_mask[teacher.context_users] = True
-    evidence = AdoptionMatrix(
-        num_users=adoptions.num_users,
-        num_apps=adoptions.num_apps,
-        installed=adoptions.installed & context_mask[:, None],
-    )
     fit_stack = NetworkStack(
         networks=stack.networks,
         popularity=popularity_counts(adoptions, teacher.context_users),
     )
     terms = training_terms(
-        fit_stack, adoptions, train_apps, evidence=evidence, term_users=teacher.target_users
+        fit_stack, adoptions, train_apps,
+        term_users=teacher.target_users, evidence_users=teacher.context_users,
     )
     params, result = fit_mle(terms, cfg=cfg)
     return transfer_params(params, teacher.target_users, adoptions.num_users, "zero"), result

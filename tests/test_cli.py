@@ -715,6 +715,37 @@ class TestArgumentHandling:
         assert main(["validate", str(tmp_path / "none.cfg")]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfenum_users = 3\n")
+        assert main(["validate", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+
+
+class TestDataDiagnostics:
+    """A data file that cannot be read or parsed is reported under its config key."""
+
+    @pytest.mark.parametrize("command", ["validate", "train"])
+    def test_network_file_names_its_key(self, bundle, capsys, command):
+        tmp_path, data_dir, base = bundle
+        bad = tmp_path / "loops.csv"
+        bad.write_text("0,1\n2,2\n")
+        cfg = write_cfg(tmp_path, base.replace(str(data_dir / "network1.csv"), str(bad)))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: network.1.path: line 2: self-loop on user 2\n"
+
+    @pytest.mark.parametrize("command", ["validate", "train", "stats"])
+    def test_non_utf8_adoption_log_names_its_key(self, bundle, capsys, command):
+        tmp_path, data_dir, base = bundle
+        bad = tmp_path / "adoptions.csv"
+        bad.write_bytes(b"0,1\n\xff,2\n")
+        cfg = write_cfg(tmp_path, base.replace(str(data_dir / "adoptions.csv"), str(bad)))
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: adoptions.path: 'utf-8' codec can't decode byte 0xff in position 4:"
+            " invalid start byte\n")
+
 
 class TestExitCodes:
     def test_leak_error_exits_runtime(self, bundle, capsys, monkeypatch):

@@ -26,8 +26,6 @@ from adoptnet.data import (
     network_edge_lines,
     normalize_network,
     popularity_counts,
-    restrict_adoption_users,
-    restrict_users,
 )
 
 
@@ -332,24 +330,6 @@ class TestDatasetStats:
         payload = json.loads(dataset_stats(m).to_json())
         assert payload["num_users"] == 2
         assert payload["users_per_app"] == [[2, 2]]
-
-
-class TestRestriction:
-    def test_restrict_users_induced_subgraph(self):
-        w = square([(0, 1, 2.0), (1, 2, 3.0), (0, 2, 5.0)], 3)
-        g = CandidateNetwork(num_users=3, weights=w, name="phone", kind="weighted")
-        sub = restrict_users(g, [2, 0])
-        assert sub.num_users == 2
-        assert sub.weights[0, 1] == 5.0
-        assert sub.name == "phone"
-
-    def test_restrict_adoption_users(self):
-        installed = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
-        times = np.where(installed, 7.0, np.nan)
-        m = AdoptionMatrix(num_users=3, num_apps=2, installed=installed, install_times=times)
-        sub = restrict_adoption_users(m, [2, 1])
-        assert sub.installed.tolist() == [[True, True], [False, True]]
-        assert sub.install_times[0, 0] == 7.0
 
 
 def message_of(call):

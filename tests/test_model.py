@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack
+from adoptnet.config import SynthSpec
+from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
+from adoptnet.experiments import observable_user_split
 from adoptnet.model import (
     EXPONENT_KNEE,
     KNEE_CURVATURE,
@@ -24,6 +26,7 @@ from adoptnet.model import (
     training_terms,
 )
 from adoptnet.predict import score_matrix
+from adoptnet.synth import generate
 
 # hand-computed reference values
 P_OF_0_6 = 0.4511883639059736  # 1 - exp(-0.6)
@@ -359,32 +362,41 @@ class TestTrainingTermsChecks:
                                               num_apps=5)
         return stack, adoptions
 
+    @pytest.mark.parametrize("name", ["term_users", "evidence_users"])
     @pytest.mark.parametrize("users", [[-1], [0, 6], [6]])
-    def test_term_user_out_of_range_rejected(self, users):
+    def test_user_out_of_range_rejected(self, name, users):
         stack, adoptions = self.instance()
-        with pytest.raises(ValueError, match="term_users contains a user id outside 0..5"):
-            training_terms(stack, adoptions, np.arange(5), term_users=users)
+        with pytest.raises(ValueError, match=f"{name} contains a user id outside 0..5"):
+            training_terms(stack, adoptions, np.arange(5), **{name: users})
 
     def test_term_users_in_range_accepted(self):
         stack, adoptions = self.instance()
         terms = training_terms(stack, adoptions, np.arange(5), term_users=[0, 5])
         np.testing.assert_array_equal(terms.labels, adoptions.installed[[0, 5]])
 
-    def test_empty_term_users_rejected(self):
+    @pytest.mark.parametrize("name", ["term_users", "evidence_users"])
+    def test_empty_user_list_rejected(self, name):
         stack, adoptions = self.instance()
-        with pytest.raises(ValueError, match="term_users is empty"):
-            training_terms(stack, adoptions, np.arange(5), term_users=[])
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            training_terms(stack, adoptions, np.arange(5), **{name: []})
+
+    def test_user_lists_checked_before_any_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("network_potentials ran before the user check")
+
+        monkeypatch.setattr("adoptnet.model.network_potentials", refuse)
+        stack, adoptions = self.instance()
+        with pytest.raises(ValueError, match="evidence_users contains a user id"):
+            training_terms(stack, adoptions, [0], term_users=[1], evidence_users=[2, 9])
 
     @pytest.mark.parametrize("users", [[3], [5, 0, 2], [4, 1, 4, 1, 0], np.arange(6)])
     def test_term_users_keep_their_rows_bit_for_bit(self, users):
         # the rows of sorted(set(users)) of every user's terms, in that order
         stack, adoptions = self.instance()
-        evidence = AdoptionMatrix(num_users=6, num_apps=5,
-                                  installed=np.roll(adoptions.installed, 1, axis=0))
-        train = [4, 0, 2]
-        full = training_terms(stack, adoptions, train, evidence=evidence)
+        train, seen = [4, 0, 2], [5, 1, 2, 1]
+        full = training_terms(stack, adoptions, train, evidence_users=seen)
         rows = sorted(set(int(u) for u in users))
-        got = training_terms(stack, adoptions, train, evidence=evidence, term_users=users)
+        got = training_terms(stack, adoptions, train, term_users=users, evidence_users=seen)
         want = TrainingTerms(potentials=full.potentials[:, rows], popularity=full.popularity,
                              labels=full.labels[rows])
         assert got.num_users == len(rows) and got.num_networks == 2
@@ -394,13 +406,101 @@ class TestTrainingTermsChecks:
             got.channel_max,
             np.append(full.potentials[:, rows].max(axis=(1, 2)), full.popularity.max()))
 
-    @pytest.mark.parametrize("num_apps", [3, 7])
-    def test_evidence_app_count_mismatch_rejected(self, num_apps):
-        stack, adoptions = self.instance()
-        evidence = AdoptionMatrix(num_users=6, num_apps=num_apps,
-                                  installed=np.zeros((6, num_apps), dtype=bool))
-        with pytest.raises(ValueError, match=f"evidence has {num_apps} apps but the labels have 5"):
-            training_terms(stack, adoptions, np.arange(5), evidence=evidence)
+    def test_exposure_counts_only_the_evidence_users_adoptions(self):
+        # Edge weights are distinct powers of two, so each exposure names the
+        # neighbours it counted.  Every user adopts app 0; only the
+        # non-evidence user 3 adopts app 1.  Term users 0 and 1 are no
+        # evidence users, so neither one's label reaches the other's exposure.
+        w = np.zeros((4, 4))
+        for (i, j), v in {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 4.0, (1, 2): 8.0,
+                          (1, 3): 16.0, (2, 3): 32.0}.items():
+            w[i, j] = w[j, i] = v
+        stack = NetworkStack(networks=(CandidateNetwork(num_users=4, weights=w),))
+        installed = np.array([[1, 0], [1, 0], [1, 0], [1, 1]], dtype=bool)
+        adoptions = AdoptionMatrix(num_users=4, num_apps=2, installed=installed)
+        terms = training_terms(stack, adoptions, [0, 1], term_users=[0, 1],
+                               evidence_users=[2])
+        np.testing.assert_array_equal(terms.potentials[0], [[2.0, 0.0], [8.0, 0.0]])
+        np.testing.assert_array_equal(terms.labels, [[True, False], [True, False]])
+        everyone = training_terms(stack, adoptions, [0, 1])
+        np.testing.assert_array_equal(everyone.potentials[0, :2], [[7.0, 4.0], [25.0, 16.0]])
+
+
+def induced_terms(stack, adoptions, train, users):
+    """Oracle: the users' induced subnetworks and adoption rows as a dataset of
+    their own, then its every-user terms (the transfer fit's old construction)."""
+    idx = np.asarray(users)
+    nets = tuple(
+        CandidateNetwork(num_users=idx.size, weights=g.weights[np.ix_(idx, idx)],
+                         name=g.name, kind=g.kind)
+        for g in stack.networks
+    )
+    rows = AdoptionMatrix(num_users=idx.size, num_apps=adoptions.num_apps,
+                          installed=adoptions.installed[idx])
+    return training_terms(NetworkStack(networks=nets, popularity=stack.popularity), rows,
+                          train)
+
+
+def masked_terms(stack, adoptions, train, term_users, evidence_users):
+    """Oracle: every user's product against the evidence users' adoptions (all
+    other rows zeroed), sliced to the term rows (the recovery fit's old one)."""
+    seen = np.zeros(adoptions.num_users, dtype=bool)
+    seen[evidence_users] = True
+    potentials = network_potentials(stack, (adoptions.installed & seen[:, None])[:, train])
+    return TrainingTerms(potentials=potentials[:, term_users],
+                         popularity=stack.popularity[train],
+                         labels=adoptions.installed[term_users][:, train])
+
+
+def assert_same_terms(got, want, rtol=0.0):
+    """Every field equal bit for bit; with ``rtol``, the float fields to within it."""
+    for f in dataclasses.fields(TrainingTerms):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        if rtol and a.dtype == float:
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=0.0, err_msg=f.name)
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
+
+
+SUBSET_SPECS = [
+    SynthSpec(num_users=60, num_context_users=30, num_apps=40, seed=1),
+    SynthSpec(num_users=150, num_context_users=75, num_apps=80, num_networks=2,
+              edge_density=0.05, weight_dist="unit", planted_net_weights=(0.3, 0.1), seed=2),
+    SynthSpec(num_users=420, num_context_users=210, num_apps=60, seed=3),
+]
+
+
+@pytest.mark.parametrize("spec", SUBSET_SPECS, ids=lambda s: f"{s.num_users}x{s.num_apps}")
+class TestUserSubsetOracles:
+    """The user-list path equals the constructions it replaced, bit for bit."""
+
+    def test_observable_terms_equal_the_induced_subnetwork_terms(self, spec):
+        stack, teacher = generate(spec)
+        adoptions = teacher.adoptions
+        observable, _ = observable_user_split(np.arange(spec.num_users), 0.7, spec.seed)
+        stack = NetworkStack(networks=stack.networks,
+                             popularity=popularity_counts(adoptions, observable))
+        train = np.sort(np.random.default_rng(spec.seed).permutation(spec.num_apps)[::2])
+        got = training_terms(stack, adoptions, train, term_users=observable,
+                             evidence_users=observable)
+        assert got.num_users == observable.size
+        assert_same_terms(got, induced_terms(stack, adoptions, train, observable))
+
+    def test_recovery_terms_equal_the_masked_product_rows(self, spec):
+        # The oracle also sums the zeros of the non-evidence users, and BLAS
+        # may group a longer sum differently: unit weights sum exactly in any
+        # order, other weights agree to rounding (at 420 users x 20 apps, 3
+        # cells differ by 4.4e-16).
+        stack, teacher = generate(spec)
+        adoptions, target, context = teacher.adoptions, teacher.target_users, teacher.context_users
+        stack = NetworkStack(networks=stack.networks,
+                             popularity=popularity_counts(adoptions, context))
+        train = np.arange(1, spec.num_apps, 3)
+        got = training_terms(stack, adoptions, train, term_users=target,
+                             evidence_users=context)
+        rtol = 0.0 if spec.weight_dist == "unit" else 1e-14
+        assert_same_terms(got, masked_terms(stack, adoptions, train, target, context), rtol)
 
 
 class TestDerivedTerms:
@@ -755,16 +855,17 @@ class TestObjectiveProperties:
         stack, adoptions, params = random_instance(rng, num_users=8, num_networks=2,
                                                    num_apps=9)
         train = np.arange(9)
-        half = np.arange(4)
+        half, seen = np.arange(4), [4, 5, 7]
         params = dataclasses.replace(params, susceptibility=params.susceptibility[half])
-        # flipping the labels of a user outside term_users must not change the value
+        # flipping the labels of a user outside term_users and evidence_users
+        # must not change the value
         flipped = adoptions.installed.copy()
         flipped[6, :] = ~flipped[6, :]
         adoptions2 = AdoptionMatrix(num_users=8, num_apps=9, installed=flipped)
         terms2 = training_terms(stack, adoptions2, train, term_users=half,
-                                evidence=adoptions)
+                                evidence_users=seen)
         terms1 = training_terms(stack, adoptions, train, term_users=half,
-                                evidence=adoptions)
+                                evidence_users=seen)
         v1 = objective_value(terms1, params.susceptibility, params.net_weights,
                              params.pop_weight)
         v2 = objective_value(terms2, params.susceptibility, params.net_weights,
@@ -777,23 +878,6 @@ class TestObjectiveProperties:
         np.testing.assert_array_equal(g1[0], g2[0])
         # the users outside term_users have no susceptibility to differentiate
         assert g1[0].shape == (4,)
-
-    def test_evidence_differs_from_labels(self):
-        # conditioning on a separate evidence matrix: exposure uses evidence,
-        # outcomes use the label matrix
-        w = np.zeros((2, 2))
-        w[0, 1] = w[1, 0] = 1.0
-        g = CandidateNetwork(num_users=2, weights=w)
-        stack = NetworkStack(networks=(g,))
-        labels = AdoptionMatrix(num_users=2, num_apps=1,
-                                installed=np.array([[True], [False]]))
-        evidence = AdoptionMatrix(num_users=2, num_apps=1,
-                                  installed=np.array([[False], [True]]))
-        terms = training_terms(stack, labels, [0], evidence=evidence)
-        # user 0's exposure comes from user 1's evidence bit
-        assert terms.potentials[0, 0, 0] == 1.0
-        assert terms.potentials[0, 1, 0] == 0.0
-        np.testing.assert_array_equal(terms.labels[:, 0], [True, False])
 
 
 # -- full-tensor reference --------------------------------------------------

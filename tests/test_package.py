@@ -149,6 +149,30 @@ def test_readme_quotes_the_unknown_key_hints_the_config_gives():
         assert RunConfig(entries={key: "1"}).problems() == [want]
 
 
+def test_readme_quick_start_runs_and_closes_its_files(tmp_path):
+    # under -X dev -W error an unclosed file is reported on stderr
+    from adoptnet.config import SynthSpec
+    from adoptnet.data import adoption_lines, network_edge_lines
+    from adoptnet.synth import generate
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library quick start")) + 10
+    block = readme[start:readme.index("\n```", start)]
+    users, apps = map(int, re.search(r"users, apps = (\d+), (\d+)", block).groups())
+    stack, teacher = generate(SynthSpec(num_users=users, num_context_users=users // 2,
+                                        num_apps=apps, num_networks=2, edge_density=0.02,
+                                        planted_net_weights=(0.5, 0.2), seed=4))
+    for name, g in zip(("calls.csv", "prox.csv"), stack.networks):
+        (tmp_path / name).write_text("\n".join(network_edge_lines(g)) + "\n")
+    (tmp_path / "installs.csv").write_text("\n".join(adoption_lines(teacher.adoptions)) + "\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", block],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.count("\n") == 2 and "calls" in run.stdout
+
+
 def test_arrays_are_frozen_in_one_place():
     # every holder takes its arrays through data.frozen, the one place that
     # decides between copying an array and keeping it

@@ -456,19 +456,25 @@ class TestKKT:
                              term_users=[0, 2, 4]) <= cfg.grad_tol
 
 
-def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence=None,
+def slice_rescale_fit(stack, adoptions, train_apps, cfg=None, *, evidence_users=None,
                       term_users=None):
     """The earlier fit_mle formulation, kept as an oracle for the current one.
 
-    It builds every user's terms, slices the potentials and labels down to
-    the term users itself, divides each channel by its maximum, rebuilds
-    TrainingTerms on the scaled copy and fits there; the susceptibilities
-    follow the ascending term users.
+    It builds every user's terms (with ``evidence_users``, against a copy
+    of the adoptions holding only their rows), slices the potentials and
+    labels down to the term users itself, divides each channel by its
+    maximum, rebuilds TrainingTerms on the scaled copy and fits there; the
+    susceptibilities follow the ascending term users.
     """
     cfg = cfg or FitConfig()
-    terms = training_terms(stack, adoptions, train_apps, evidence=evidence)
+    terms = training_terms(stack, adoptions, train_apps)
+    potentials = terms.potentials
+    if evidence_users is not None:
+        seen = np.zeros(terms.num_users, dtype=bool)
+        seen[evidence_users] = True
+        potentials = network_potentials(stack, terms.labels & seen[:, None])
     active = np.arange(terms.num_users) if term_users is None else np.unique(term_users)
-    potentials, labels = terms.potentials[:, active, :], terms.labels[active, :]
+    potentials, labels = potentials[:, active, :], terms.labels[active, :]
     num_users, num_nets = active.size, terms.num_networks
     init_w = cfg.init_net_weight if cfg.init_net_weight is not None else 1.0 / num_nets
     pot_max = potentials.max(axis=(1, 2))
@@ -556,9 +562,7 @@ class TestChangeOfVariables:
         elif case == "term_users":
             rng = np.random.default_rng(seed)
             kwargs["term_users"] = np.sort(rng.choice(14, 8, replace=False))
-            kwargs["evidence"] = AdoptionMatrix(
-                num_users=14, num_apps=adoptions.num_apps,
-                installed=rng.random(adoptions.installed.shape) < 0.3)
+            kwargs["evidence_users"] = rng.choice(14, 7, replace=False)
         got, res = fit_mle(training_terms(stack, adoptions, train, **kwargs), cfg=cfg)
         want, ref = slice_rescale_fit(stack, adoptions, train, cfg, **kwargs)
         assert res.stop_reason == ref.stop_reason
