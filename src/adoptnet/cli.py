@@ -166,8 +166,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     fit_cfg = cfg.fit_config()
     data = cfg.build_dataset()
-    pop = popularity_counts(data.adoptions) if cfg.use_popularity else None
-    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
+    stack = NetworkStack(data.networks.networks, popularity_counts(data.adoptions))
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
     params, result = fit_mle(training_terms(stack, data.adoptions, apps), cfg=fit_cfg)
     run_dir = _emit(
@@ -196,8 +195,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     data = cfg.build_dataset()
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
-    # the fitted pop_weight is the popularity switch: a fit without the
-    # channel has pop_weight 0.0, and the counts then add nothing
+    # pop_weight is the channel's switch: every variant but full fits it as 0.0
     popularity = popularity_counts(data.adoptions)[apps]
     evidence = data.adoptions.installed[:, apps]
     scores = frozen(score_matrix(params, data.networks, evidence, popularity), float, in_place=True)

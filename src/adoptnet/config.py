@@ -39,7 +39,8 @@ from .data import (
 PROTOCOLS = ("ablation", "comparison", "future", "transfer")
 USER_SUBSETS = ("all", "low_activity")
 WEIGHT_DISTS = ("unit", "uniform")
-FIT_VARIANTS = ("full", "individual_only", "network_only", "network_only_allow_negative")
+FIT_VARIANTS = ("full", "no_exogenous", "individual_only", "network_only",  # ablation order
+                "network_only_allow_negative")
 
 
 class ConfigError(ValueError):
@@ -62,7 +63,7 @@ class FitConfig:
     Newton nor its projected-gradient arc search finds an increase, or at
     max_iters.  grad_tol and the starting values must be finite: a NaN
     tolerance is never met and an infinite one is met at the start.
-    variant is one of the ablation's four fits, FIT_VARIANTS; fit_mle says
+    variant is one of the ablation's five fits, FIT_VARIANTS; fit_mle says
     which blocks each one freezes at zero (every variant but full freezes the
     popularity weight) and which one signs the weights.
     """
@@ -104,7 +105,6 @@ class ExperimentSpec:
     user_subset: str = "all"
     observable_fraction: float = 0.5
     mp_k: int = 5
-    use_popularity: bool = True
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self) -> None:
@@ -202,7 +202,7 @@ class SynthSpec:
 
 
 # a spec field's annotation, less any ` | None` -> the type tag of its key
-_FIELD_TAGS = {"int": "int", "float": "float", "bool": "bool",
+_FIELD_TAGS = {"int": "int", "float": "float",
                "tuple[float, ...]": "floats", "tuple[float, ...] | float": "floats"}
 
 
@@ -228,7 +228,7 @@ def _section_keys() -> dict[str, str]:
     return keys
 
 
-# key -> type tag (int, float, bool, str, path, apps, floats, choice:a|b|c)
+# key -> type tag (int, float, str, path, apps, floats, choice:a|b|c)
 SCALAR_KEYS: dict[str, str] = {
     "num_users": "int",
     "num_apps": "int",
@@ -243,7 +243,8 @@ SCALAR_KEYS: dict[str, str] = {
 }
 # removed key -> the key that replaced it, which the unknown-key hint names
 REPLACED_KEYS = dict.fromkeys(("fit.allow_negative_net_weights", "fit.fix_susceptibility_at_zero",
-                               "fit.fix_net_weights_at_zero"), "fit.variant")
+                               "fit.fix_net_weights_at_zero", "experiment.use_popularity"),
+                              "fit.variant")
 
 NETWORK_KEY_RE = re.compile(r"^network\.(0|[1-9]\d*)\.(path|name|kind|symmetrize|normalize)$")
 NETWORK_FIELD_TYPES = {
@@ -253,9 +254,6 @@ NETWORK_FIELD_TYPES = {
     "symmetrize": "choice:" + "|".join(SYMMETRIZE_MODES),
     "normalize": "choice:" + "|".join(NORMALIZE_MODES),
 }
-
-TRUE_WORDS = ("true", "1", "yes", "on")
-FALSE_WORDS = ("false", "0", "no", "off")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -300,20 +298,11 @@ def _known_keys(indices: list[int]) -> list[str]:
 
 
 def _parse(type_tag: str, value: str) -> object:
-    """The typed value of a config string; ValueError when it does not parse.
-
-    floats become a tuple, bools must be one of the true/false words, and
-    str, path, apps and choice values stay strings.
-    """
+    """The typed value of a config string (floats: a tuple); ValueError if it does not parse."""
     if type_tag == "int":
         return int(value)
     if type_tag == "float":
         return float(value)
-    if type_tag == "bool":
-        word = value.lower()
-        if word not in TRUE_WORDS + FALSE_WORDS:
-            raise ValueError
-        return word in TRUE_WORDS
     if type_tag == "floats":
         return tuple(float(v) for v in value.split(","))
     if type_tag == "apps" and value != "all":
@@ -367,6 +356,8 @@ class RunConfig:
             problem = _check_value(key, tag, value)
             if problem:
                 out.append(problem)
+            elif key in ("num_users", "num_apps") and int(value) < 1:
+                out.append(f"{key}: must be at least 1")
         out += self._network_index_problems()
         for key in self._path_keys():
             path = self.resolve_path(key)
@@ -442,16 +433,22 @@ class RunConfig:
         if not indices:
             raise ConfigError(["network.0.path: at least one network is required"])
         num_users = self.get_int("num_users")
-        nets = []
+        nets, names = [], {}
         for i in indices:
             key = f"network.{i}.path"
+            # a name labels report series and CSV cells: unique and comma-free
+            name = self.get_str(f"network.{i}.name", self.resolve_path(key).stem)
+            first = names.setdefault(name, i)
+            if "," in name or first != i:
+                why = "contains ','" if "," in name else f"is already the name of network.{first}"
+                raise ConfigError([f"network.{i}.name: {name!r} {why}"])
             g = self._load(
                 key,
                 load_network_edge_list,
                 num_users,
                 kind=self.get_str(f"network.{i}.kind", "weighted"),
                 symmetrize=self.get_str(f"network.{i}.symmetrize", "sum"),
-                name=self.get_str(f"network.{i}.name", self.resolve_path(key).stem),
+                name=name,
             )
             mode = self.get_str(f"network.{i}.normalize", "none")
             nets.append(normalize_network(g, mode))
@@ -483,13 +480,6 @@ class RunConfig:
             for key, value in self.entries.items()
             if key.startswith(prefix + ".") and key in SCALAR_KEYS
         }
-
-    @property
-    def use_popularity(self) -> bool:
-        """experiment.use_popularity, which train reads without a protocol."""
-        return self._section("experiment").get(
-            "use_popularity", ExperimentSpec.use_popularity
-        )
 
     def fit_config(self) -> FitConfig:
         try:

@@ -10,16 +10,14 @@ always see identical splits.
 The exogenous popularity channel is always derived from the adoption matrix
 at the protocol's visibility: every user in the standard protocols, early
 adopters in the future protocol, observable users in the transfer protocol.
-When spec.use_popularity is off, the channel is a zero vector.  Scoring
-always reads the channel: a fit on zero popularity returns a popularity
-weight of exactly 0.0, and that weight is the channel's one switch.
+Every fit and the regression baseline read it.  fit.variant decides whether
+the model uses it: every variant but full freezes the popularity weight at
+exactly 0.0, and scoring with that weight adds nothing.
 
 Each train/test split builds its TrainingTerms once, every fit of that
 split reads them, and they are released before the next split builds its
-own.  A variant fit derives its terms with dataclasses.replace: popularity
-zeroed for the variants without the exogenous channel, one network's slice
-of the potentials for each single-network fit.  The runners call fit_mle
-and fit_regression themselves, and _sheet scores either fitted model.
+own; a single-network fit derives its terms with dataclasses.replace.  The
+runners call fit_mle and fit_regression, and _sheet scores either model.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import PROTOCOLS, USER_SUBSETS, ExperimentSpec  # noqa: F401  (re-exported)
+from .config import FIT_VARIANTS, PROTOCOLS, USER_SUBSETS, ExperimentSpec  # noqa: F401
 from .data import (
     AdoptionMatrix,
     Dataset,
@@ -45,14 +43,11 @@ from .predict import PredictionSheet, regression_scores, score_matrix, transfer_
 from .seeds import derive_seed
 from .solver import fit_mle, fit_regression, random_baseline
 
-# The ablation's series: name -> (popularity channel on, FitConfig overrides).
-# Each names its fit variant, so fit.variant does not change the five fits.
-ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = (
-    ("full", True, {"variant": "full"}),
-    ("no_exogenous", False, {"variant": "full"}),
-    ("individual_only", False, {"variant": "individual_only"}),
-    ("network_only", False, {"variant": "network_only"}),
-    ("network_only_allow_negative", False, {"variant": "network_only_allow_negative"}),
+# The ablation's series, one per fit variant, so fit.variant does not change
+# them: (name, popularity weight fitted, FitConfig overrides).  Callers unpack
+# three fields, `name, _, _`, so the informative middle one stays.
+ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = tuple(
+    (v, v == "full", {"variant": v}) for v in FIT_VARIANTS
 )
 
 COMPARISON_FRACTIONS = (0.2, 0.5)
@@ -278,13 +273,6 @@ def _cv_splits(
     return kfold_apps(apps, spec.folds, seed)
 
 
-def _popularity(adoptions: AdoptionMatrix, spec: ExperimentSpec, users=None) -> np.ndarray:
-    """Install counts over ``users`` (every user by default); zeros with popularity off."""
-    if not spec.use_popularity:
-        return np.zeros(adoptions.num_apps)
-    return popularity_counts(adoptions, users)
-
-
 def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
     in_train = np.zeros(max(train.max(initial=-1), test.max(initial=-1)) + 1, dtype=bool)
     in_train[train] = True
@@ -364,12 +352,12 @@ def _report(
 def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """The five ABLATION_CONFIGS fits under one CV scheme, identical splits.
 
-    The five fits of a fold share its terms, so the loop runs over folds
-    first and holds one fold's terms at a time.
+    The five fits of a fold read its one TrainingTerms, so the loop runs
+    over folds first and holds one fold's terms at a time.
     """
     adoptions, kept = _prepare(data, spec)
     subset = _subset_users(adoptions, spec)
-    pop = _popularity(adoptions, spec)
+    pop = popularity_counts(adoptions)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     per_series: dict[str, list[MetricReport]] = {n: [] for n, _, _ in ABLATION_CONFIGS}
     for r in range(spec.repeats):
@@ -377,12 +365,11 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
             terms = training_terms(stack, adoptions, train)
-            bare = replace(terms, popularity=np.zeros(train.size))
             view = (test, adoptions.installed[:, test], pop[test], subset[:, None])
-            for name, use_pop, overrides in ABLATION_CONFIGS:
-                params, _ = fit_mle(terms if use_pop else bare, cfg=replace(spec.fit, **overrides))
+            for name, _, overrides in ABLATION_CONFIGS:
+                params, _ = fit_mle(terms, cfg=replace(spec.fit, **overrides))
                 sheets[name].append(_sheet(score_matrix, params, stack, *view))
-            del terms, bare
+            del terms
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
     series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
@@ -397,9 +384,12 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     fitted models; single-network runs reuse the 50% split.  spec's own
     train_fraction / folds are ignored here, the grid is fixed.
     """
+    names = [g.name for g in data.networks.networks]
+    if len(set(names)) < len(names):
+        raise ValueError(f"network names repeat in {names}: each labels a single-network series")
     adoptions, kept = _prepare(data, spec)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
-    pop = _popularity(adoptions, spec)
+    pop = popularity_counts(adoptions)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     per_series: dict[str, list[MetricReport]] = {}
 
@@ -448,7 +438,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     halves = future_split(adoptions)
-    pop = _popularity(adoptions, spec)
+    pop = popularity_counts(adoptions)
     stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     subset = _subset_users(adoptions, spec)
 
@@ -511,7 +501,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         observable, hidden = observable_user_split(
             np.arange(num_users), spec.observable_fraction, seed
         )
-        pop_visible = _popularity(adoptions, spec, observable)
+        pop_visible = popularity_counts(adoptions, observable)
         stack = NetworkStack(networks=data.networks.networks, popularity=pop_visible)
         visible = _user_mask(num_users, observable)
 

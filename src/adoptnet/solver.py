@@ -358,9 +358,9 @@ def fit_mle(
     measured there.  The weight of a channel that is zero on every row cannot
     affect the objective and is frozen at zero, so the returned parameters
     are the minimum-norm representative on flat directions.  cfg.variant
-    freezes the network weights (individual_only) or the susceptibilities
-    (both network_only variants), and every variant but full the popularity
-    weight, at zero; network_only_allow_negative signs the weights.
+    freezes at zero the popularity weight (all but full; no_exogenous alone),
+    the network weights (individual_only) or the susceptibilities (both
+    network_only variants); network_only_allow_negative signs the weights.
     """
     cfg = cfg or FitConfig()
     num_users, num_nets = terms.num_users, terms.num_networks

@@ -17,8 +17,9 @@ from adoptnet import __version__
 from adoptnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from adoptnet.config import load_config
 from adoptnet.data import NetworkStack, dataset_stats, popularity_counts
-from adoptnet.model import ModelParams
+from adoptnet.model import ModelParams, training_terms
 from adoptnet.predict import PredictionSheet, score_matrix
+from adoptnet.solver import fit_mle
 from test_predict import oracle_csv_rows
 
 SYNTH_CFG = """
@@ -270,19 +271,27 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "unknown key 'fit.obj_tol'" in err and "unknown key 'fit.seed'" in err
 
-    def test_signed_variant_fits_as_with_popularity_off(self, bundle):
-        # an ablation variant freezes the popularity weight, so the popularity
-        # switch changes the run id and nothing else
+    def test_no_exogenous_fits_full_without_the_popularity_channel(self, bundle, capsys):
         tmp_path, _, base = bundle
-        cfg = write_cfg(tmp_path, base + "fit.variant = network_only_allow_negative\n")
-        assert main(["validate", cfg]) == EXIT_OK
-        assert main(["train", cfg]) == EXIT_OK
-        assert main(["train", cfg, "--set", "experiment.use_popularity=off"]) == EXIT_OK
-        on, off = run_dirs(tmp_path / "runs")
-        for name in ("params.json", "convergence.json"):
-            assert (on / name).read_bytes() == (off / name).read_bytes()
+        cfg = write_cfg(tmp_path, base)
+        assert main(["train", cfg, "--set", "fit.variant=no_exogenous"]) == EXIT_OK
+        [run_dir] = run_dirs(tmp_path / "runs")
+        run = load_config(cfg)
+        assert run.fit_config().variant == "full"
+        data = run.build_dataset()
+        terms = training_terms(NetworkStack(networks=data.networks.networks), data.adoptions,
+                               np.arange(data.adoptions.num_apps))
+        assert not terms.popularity.any()
+        params, result = fit_mle(terms, cfg=run.fit_config())
+        assert (run_dir / "params.json").read_bytes() == (params.to_json() + "\n").encode()
+        assert (run_dir / "convergence.json").read_bytes() == (result.to_json() + "\n").encode()
+        # the popularity switch that no_exogenous replaced names its successor
+        capsys.readouterr()
+        assert main(["train", cfg, "--set", "experiment.use_popularity=off"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unknown key 'experiment.use_popularity' (did you mean 'fit.variant'?)\n")
 
-    @pytest.mark.parametrize("variant", ["individual_only", "network_only"])
+    @pytest.mark.parametrize("variant", ["no_exogenous", "individual_only", "network_only"])
     def test_ablation_variant_writes_a_zero_popularity_weight(self, bundle, variant):
         tmp_path, _, base = bundle
         cfg = write_cfg(tmp_path, base)
@@ -298,7 +307,9 @@ class TestSettingsCheckedFirst:
         ("train", ["--set", "fit.grad_tol=nan"], "fit.*:"),
         ("predict", [], "predict.params: required for this command"),
         ("experiment", [], "protocol: required for this command"),
-    ], ids=["train", "predict", "experiment"])
+        ("train", ["--set", "num_users=-3"], "num_users: must be at least 1"),
+        ("train", ["--set", "num_apps=0"], "num_apps: must be at least 1"),
+    ], ids=["train", "predict", "experiment", "num_users", "num_apps"])
     def test_before_a_malformed_adoption_log(self, bundle, capsys, command, overrides,
                                              message):
         tmp_path, data_dir, base = bundle
@@ -363,15 +374,14 @@ class TestPredictCommand:
         assert (run_dir / "sheets.csv").read_bytes() == sheets
 
     def test_scores_with_the_popularity_its_params_were_fitted_for(self, bundle, capsys):
-        # the fitted pop_weight switches the channel, not experiment.use_popularity
+        # the fitted pop_weight switches the channel: predict always reads popularity
         tmp_path, data_dir, base = bundle
         planted = json.loads((data_dir / "planted.json").read_text())["params"]
         params = tmp_path / "planted.json"
         params.write_text(json.dumps(planted))
         model = ModelParams.from_json(params.read_text())
         assert model.pop_weight > 0
-        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n"
-                        "experiment.use_popularity = false\n")
+        cfg = write_cfg(tmp_path, base + f"predict.params = {params}\n")
         assert main(["predict", cfg]) == EXIT_OK
         capsys.readouterr()
         [run_dir] = run_dirs(tmp_path / "runs")
@@ -724,7 +734,8 @@ class TestArgumentHandling:
 
 
 class TestDataDiagnostics:
-    """A data file that cannot be read or parsed is reported under its config key."""
+    """A data file that cannot be read or parsed, or a network name that cannot
+    label its series, is reported under its config key."""
 
     @pytest.mark.parametrize("command", ["validate", "train"])
     def test_network_file_names_its_key(self, bundle, capsys, command):
@@ -745,6 +756,34 @@ class TestDataDiagnostics:
         assert capsys.readouterr().err == (
             "error: adoptions.path: 'utf-8' codec can't decode byte 0xff in position 4:"
             " invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["validate", "train", "experiment"])
+    @pytest.mark.parametrize("names, message", [
+        pytest.param(("calls", "calls"), "'calls' is already the name of network.0", id="named"),
+        pytest.param(("calls", "a,b"), "'a,b' contains ','", id="comma"),
+    ])
+    def test_network_names_must_label_one_series_each(self, bundle, capsys, command, names,
+                                                      message):
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = comparison\n"
+                        f"network.0.name = {names[0]}\nnetwork.1.name = {names[1]}\n")
+        assert main([command, cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: network.1.name: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_two_files_with_one_stem_collide(self, bundle, capsys):
+        # an unset name is the file stem, so a/calls.csv and b/calls.csv repeat it
+        tmp_path, data_dir, base = bundle
+        for i, sub in enumerate("ab"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "calls.csv").write_bytes((data_dir / f"network{i}.csv").read_bytes())
+            base = base.replace(str(data_dir / f"network{i}.csv"), str(tmp_path / sub / "calls.csv"))
+        cfg = write_cfg(tmp_path, base)
+        assert main(["validate", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: network.1.name: 'calls' is already the name of network.0\n")
+        cfg = write_cfg(tmp_path, base + "network.1.name = proximity\n")
+        assert main(["validate", cfg]) == EXIT_OK
 
 
 class TestExitCodes:

@@ -10,10 +10,10 @@ import pytest
 
 from adoptnet import config
 from adoptnet.config import (
+    FIT_VARIANTS,
     SCALAR_KEYS,
     ConfigError,
     RunConfig,
-    _parse,
     apply_overrides,
     load_config,
     parse_config_text,
@@ -37,7 +37,6 @@ SECTION_VALUES = {
     "experiment.user_subset": ("low_activity", "low_activity"),
     "experiment.observable_fraction": ("0.3", 0.3),
     "experiment.mp_k": ("7", 7),
-    "experiment.use_popularity": ("off", False),
     "synth.num_users": ("30", 30),
     "synth.num_context_users": ("10", 10),
     "synth.num_apps": ("12", 12),
@@ -62,12 +61,12 @@ REFERENCE_SECTION_KEYS = {
     "experiment.user_subset": "choice:all|low_activity",
     "experiment.observable_fraction": "float",
     "experiment.mp_k": "int",
-    "experiment.use_popularity": "bool",
     "fit.max_iters": "int",
     "fit.grad_tol": "float",
     "fit.init_net_weight": "float",
     "fit.init_susceptibility": "float",
-    "fit.variant": "choice:full|individual_only|network_only|network_only_allow_negative",
+    "fit.variant": "choice:full|no_exogenous|individual_only|network_only"
+                   "|network_only_allow_negative",
     "synth.num_users": "int",
     "synth.num_context_users": "int",
     "synth.num_apps": "int",
@@ -152,9 +151,11 @@ class TestSchemaDiagnostics:
 
     @pytest.mark.parametrize("key", ["fit.allow_negative_net_weights",
                                      "fit.fix_susceptibility_at_zero",
-                                     "fit.fix_net_weights_at_zero"])
+                                     "fit.fix_net_weights_at_zero",
+                                     "experiment.use_popularity"])
     def test_removed_block_flags_fail_to_load(self, tmp_path, key):
-        # fit.variant replaced the three block flags, and the hint names it
+        # fit.variant replaced the three block flags and the popularity
+        # switch, and the hint names it
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = true\n")
         with pytest.raises(ConfigError) as exc:
@@ -162,14 +163,14 @@ class TestSchemaDiagnostics:
         [problem] = exc.value.problems
         assert problem == f"unknown key {key!r} (did you mean 'fit.variant'?)"
 
-    def test_unknown_fit_variant_lists_the_four(self, tmp_path):
+    def test_unknown_fit_variant_lists_the_five(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("fit.variant = bogus\n")
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert exc.value.problems == [
-            "fit.variant: expected one of full, individual_only, network_only,"
-            " network_only_allow_negative, got 'bogus'"]
+            "fit.variant: expected one of full, no_exogenous, individual_only,"
+            " network_only, network_only_allow_negative, got 'bogus'"]
 
     def test_zero_padded_network_index_is_unknown(self, tmp_path):
         (tmp_path / "calls.csv").write_text("0,1,1.0\n")
@@ -195,10 +196,10 @@ class TestSchemaDiagnostics:
         [problem] = cfg.problems()
         assert "ablation" in problem and "transfer" in problem
 
-    def test_bool_words(self):
-        assert RunConfig(entries={"experiment.use_popularity": "yes"}).problems() == []
-        cfg = RunConfig(entries={"experiment.use_popularity": "maybe"})
-        assert len(cfg.problems()) == 1
+    @pytest.mark.parametrize("key, value", [("num_users", "-3"), ("num_apps", "0")])
+    def test_size_below_one_rejected(self, key, value):
+        assert RunConfig(entries={key: value}).problems() == [f"{key}: must be at least 1"]
+        assert RunConfig(entries={key: "1"}).problems() == []
 
     def test_network_indices_contiguous(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -251,7 +252,12 @@ class TestSchemaIsTheSpecs:
         first_cells = [line.split("|")[1] for line in README.read_text().splitlines()
                        if line.startswith("| `experiment.")]
         listed = set(re.findall(r"`(experiment\.\w+)`", "".join(first_cells)))
-        assert {k for k in SCALAR_KEYS if k.startswith("experiment.")} <= listed
+        assert {k for k in SCALAR_KEYS if k.startswith("experiment.")} == listed
+
+    def test_readme_lists_every_fit_variant(self):
+        # the bullet list after the paragraph that introduces fit.variant
+        listing = README.read_text().split("`fit.variant` picks", 1)[1].split("\n\n")[1]
+        assert re.findall(r"^- `(\w+)`", listing, flags=re.M) == list(FIT_VARIANTS)
 
 
 class TestGetters:
@@ -260,14 +266,6 @@ class TestGetters:
         assert cfg.get_int("seed") == 4
         assert cfg.get_int("missing", 7) == 7
         assert cfg.seed == 4
-
-    def test_bool_true_words(self):
-        for word in ("true", "1", "yes", "on", "TRUE"):
-            assert _parse("bool", word) is True
-        for word in ("false", "0", "no", "off"):
-            assert _parse("bool", word) is False
-        with pytest.raises(ValueError):
-            _parse("bool", "maybe")
 
     def test_resolve_path_relative_and_absolute(self, tmp_path):
         cfg = RunConfig(entries={"adoptions.path": "d/a.csv",
@@ -424,7 +422,6 @@ class TestBuilders:
         cfg = RunConfig(entries={})
         assert cfg.fit_config() == FitConfig()
         assert cfg.synth_spec() == SynthSpec()
-        assert cfg.use_popularity is ExperimentSpec.use_popularity
         for protocol in PROTOCOLS:
             spec = RunConfig(entries={"protocol": protocol}).experiment_spec()
             assert spec == ExperimentSpec(protocol=protocol)
@@ -444,7 +441,6 @@ class TestBuilders:
         for key in keys:
             section, name = key.split(".", 1)
             assert getattr(built[section], name) == SECTION_VALUES[key][1], key
-        assert cfg.use_popularity is False
 
     def test_app_list(self):
         cfg = RunConfig(entries={"train.apps": "3,1,3,2"})

@@ -359,7 +359,7 @@ class TestSplitStateReleased:
 
 
 class TestZeroPopularityFits:
-    """A fit on zeroed popularity ignores the popularity it is scored with."""
+    """A fit without the popularity weight ignores the popularity it is scored with."""
 
     def test_pop_weight_is_exactly_zero_and_scores_are_unchanged(self):
         data = tiny_dataset()
@@ -369,14 +369,16 @@ class TestZeroPopularityFits:
         stack = NetworkStack(networks=data.networks.networks, popularity=pop)
         train, test = fraction_split(np.arange(adoptions.num_apps), 0.5, seed=0)
         terms = training_terms(stack, adoptions, train)
-        bare = dataclasses.replace(terms, popularity=np.zeros(train.size))
+        # the ablation's variants but full fit live popularity, as run_ablation does
         fits = [
-            (bare, stack, dataclasses.replace(FAST_FIT, **overrides))
-            for _, use_pop, overrides in ABLATION_CONFIGS
-            if not use_pop
+            (terms, stack, dataclasses.replace(FAST_FIT, **overrides))
+            for name, _, overrides in ABLATION_CONFIGS
+            if name != "full"
         ]
+        # a single-network fit zeroes the channel, as run_comparison does
         for m, g in enumerate(stack.networks):
-            single = dataclasses.replace(bare, potentials=terms.potentials[m : m + 1])
+            single = dataclasses.replace(terms, potentials=terms.potentials[m : m + 1],
+                                         popularity=np.zeros(train.size))
             fits.append((single, NetworkStack(networks=(g,)), FAST_FIT))
         assert len(fits) == 4 + stack.num_networks
         evidence = adoptions.installed[:, test]
@@ -517,6 +519,20 @@ class TestComparisonProtocol:
             "regression_f50_low", "random_f50_all", "random_f50_low",
             "single_net0_f50_all", "single_net1_f50_all",
         } == names
+
+    def test_repeated_network_names_fail_before_any_fit(self, monkeypatch):
+        # two networks of one name would average into one single-network series
+        data = tiny_dataset(num_apps=25)
+        twins = tuple(dataclasses.replace(g, name="calls") for g in data.networks.networks)
+        data = Dataset(networks=NetworkStack(networks=twins), adoptions=data.adoptions)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the name check")
+
+        monkeypatch.setattr(exp_mod, "fit_mle", no_fit)
+        spec = ExperimentSpec(protocol="comparison", repeats=1, seed=6, fit=FAST_FIT)
+        with pytest.raises(ValueError, match=r"network names repeat in \['calls', 'calls'\]"):
+            run_comparison(data, spec)
 
 
 class TestDispatchAndProvenance:
