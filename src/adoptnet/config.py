@@ -65,7 +65,8 @@ class FitConfig:
     tolerance is never met and an infinite one is met at the start.
     variant is one of the ablation's five fits, FIT_VARIANTS; fit_mle says
     which blocks each one freezes at zero (every variant but full freezes the
-    popularity weight) and which one signs the weights.
+    popularity weight) and which one signs the weights.  It is a setting of
+    a single fit: a protocol picks the variant of each of its series.
     """
 
     max_iters: int = 10_000
@@ -93,7 +94,8 @@ class ExperimentSpec:
 
     Exactly one of train_fraction / folds may be given; with neither, 5-fold
     cross-validation is assumed.  min_users drops rarely-installed apps
-    before anything else happens.
+    before anything else happens.  fit.variant must stay full: each
+    protocol fits the variants its series name.
     """
 
     protocol: str
@@ -128,6 +130,9 @@ class ExperimentSpec:
             raise ValueError("observable_fraction must lie in (0, 1)")
         if self.mp_k < 1:
             raise ValueError("mp_k must be positive")
+        if self.fit.variant != "full":
+            raise ValueError(f"fit.variant {self.fit.variant!r} is a train setting:"
+                             " each protocol fits the variants its series name")
 
 
 @dataclass(frozen=True)

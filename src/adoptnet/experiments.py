@@ -10,14 +10,16 @@ always see identical splits.
 The exogenous popularity channel is always derived from the adoption matrix
 at the protocol's visibility: every user in the standard protocols, early
 adopters in the future protocol, observable users in the transfer protocol.
-Every fit and the regression baseline read it.  fit.variant decides whether
-the model uses it: every variant but full freezes the popularity weight at
-exactly 0.0, and scoring with that weight adds nothing.
+Every fit and the regression baseline read it.  Each fit is the FIT_VARIANTS
+value its series names (spec.fit.variant is always full): every variant but
+full freezes the popularity weight at exactly 0.0, and scoring with that
+weight adds nothing.
 
 Each train/test split builds its TrainingTerms once, every fit of that
 split reads them, and they are released before the next split builds its
 own; a single-network fit derives its terms with dataclasses.replace.  The
 runners call fit_mle and fit_regression, and _sheet scores either model.
+Every sheet gets its ranked users from the PredictionSheet constructor.
 """
 from __future__ import annotations
 
@@ -43,9 +45,9 @@ from .predict import PredictionSheet, regression_scores, score_matrix, transfer_
 from .seeds import derive_seed
 from .solver import fit_mle, fit_regression, random_baseline
 
-# The ablation's series, one per fit variant, so fit.variant does not change
-# them: (name, popularity weight fitted, FitConfig overrides).  Callers unpack
-# three fields, `name, _, _`, so the informative middle one stays.
+# The ablation's series, one per fit variant: (name, popularity weight
+# fitted, FitConfig overrides).  Callers unpack three fields, `name, _, _`,
+# so the informative middle one stays.
 ABLATION_CONFIGS: tuple[tuple[str, bool, dict], ...] = tuple(
     (v, v == "full", {"variant": v}) for v in FIT_VARIANTS
 )
@@ -329,11 +331,11 @@ def _report(
     spec: ExperimentSpec,
     adoptions: AdoptionMatrix,
     kept: np.ndarray,
-    series: Sequence[RunSeries],
+    per_series: dict[str, list[MetricReport]],
 ) -> ExperimentReport:
     return ExperimentReport(
         protocol=spec.protocol,
-        series=tuple(series),
+        series=tuple(RunSeries(n, tuple(reps)) for n, reps in per_series.items()),
         spec_echo=asdict(spec),
         provenance={
             "data_sha256": data.fingerprint(),
@@ -372,21 +374,23 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             del terms
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
-    series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
-    return _report(data, spec, adoptions, kept, series)
+    return _report(data, spec, adoptions, kept, per_series)
 
 
 def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """Model vs regression vs random over the three-cell grid, plus each network alone.
 
     Cells: 20% training on all users, 50% training on all users, 50% training
-    evaluated on the low-activity half.  The two 50% cells share splits and
-    fitted models; single-network runs reuse the 50% split.  spec's own
-    train_fraction / folds are ignored here, the grid is fixed.
+    evaluated on the (U, 1) column of the low-activity half.  The two 50%
+    cells share splits and fitted models.  The model is the full variant;
+    single_<name>_f50_all is no_exogenous on that network's slice of the 50%
+    split's terms.  spec's own train_fraction / folds are ignored: the grid is fixed.
     """
     names = [g.name for g in data.networks.networks]
     if len(set(names)) < len(names):
         raise ValueError(f"network names repeat in {names}: each labels a single-network series")
+    if any("," in n for n in names):
+        raise ValueError(f"a network name in {names} contains ',', which splits its CSV cells")
     adoptions, kept = _prepare(data, spec)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
     pop = popularity_counts(adoptions)
@@ -414,19 +418,17 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             for method, sheet in by_method.items():
                 add(f"{method}_f{int(frac * 100)}_all", sheet)
                 if frac == 0.5:
-                    add(f"{method}_f50_low", sheet.restrict(low))
+                    add(f"{method}_f50_low",
+                        PredictionSheet(sheet.app_ids, sheet.scores, low[:, None]))
             if frac == 0.5:
                 for m, g in enumerate(stack.networks):
-                    single = replace(terms, potentials=terms.potentials[m : m + 1],
-                                     popularity=np.zeros(train.size))
-                    params, _ = fit_mle(single, cfg=spec.fit)
+                    single = replace(terms, potentials=terms.potentials[m : m + 1])
+                    params, _ = fit_mle(single, cfg=replace(spec.fit, variant="no_exogenous"))
                     del single  # before the next variant gathers its terms
                     one = NetworkStack(networks=(g,))
-                    sheet = _sheet(score_matrix, params, one, *view)
-                    add(f"single_{g.name}_f50_all", sheet)
+                    add(f"single_{g.name}_f50_all", _sheet(score_matrix, params, one, *view))
             del terms
-    series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
-    return _report(data, spec, adoptions, kept, series)
+    return _report(data, spec, adoptions, kept, per_series)
 
 
 def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
@@ -475,8 +477,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             per_series[name].append(
                 evaluate_sheets(sh, adoptions, ks=FUTURE_KS, skipped_apps=skipped)
             )
-    series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
-    return _report(data, spec, adoptions, kept, series)
+    return _report(data, spec, adoptions, kept, per_series)
 
 
 def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
@@ -542,8 +543,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                 "mp_at_k_rule": rep.mp_at_k[k_rule],
             }
             per_series[name].append(replace(rep, extras=extras))
-    series = [RunSeries(n, tuple(reps)) for n, reps in per_series.items()]
-    return _report(data, spec, adoptions, kept, series)
+    return _report(data, spec, adoptions, kept, per_series)
 
 
 def run_experiment(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:

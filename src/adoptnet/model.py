@@ -191,9 +191,8 @@ class TrainingTerms:
     count of non-adopted apps; linear_weights (M+1,), each channel summed
     over the non-adopter cells itself, not as a total minus the adopters'
     share; and channel_max (M+1,), each channel's largest value, fit_mle's
-    scale.  dataclasses.replace derives a variant on the same split
-    (popularity zeroed, a single network's potentials) and gathers those
-    fields afresh.
+    scale.  dataclasses.replace derives a variant on the same split (a
+    single network's potentials) and gathers those fields afresh.
     """
 
     potentials: np.ndarray  # (M, U, T)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .data import NetworkStack, frozen, hold
+from .data import NetworkStack, hold
 from .model import ModelParams, adoption_probability
 
 if TYPE_CHECKING:  # an annotation only: predict loads no solver
@@ -44,7 +44,8 @@ class PredictionSheet:
     ``scores`` has shape (U, T) for T = len(app_ids).  ``evaluated`` marks
     the ranked users; anything that broadcasts to (U, T) is accepted, so
     True (every user), a (U, 1) per-user column or a per-cell mask.  Each
-    is taken through data.frozen, so restrict shares the read-only scores.
+    is taken through data.frozen, so a sheet built from another sheet's
+    app_ids and scores with a new mask shares those read-only arrays.
     """
 
     app_ids: np.ndarray
@@ -59,21 +60,6 @@ class PredictionSheet:
         if np.any(~np.isfinite(scores)) or np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("scores must be finite and in [0, 1]")
         object.__setattr__(self, "evaluated", np.broadcast_to(self.evaluated, scores.shape))
-
-    def restrict(self, users: np.ndarray) -> PredictionSheet:
-        """The block with only the users set in the (U,) bool mask ``users`` left evaluated.
-
-        Anything else, such as a list of user ids or a mask of another length,
-        raises ValueError.  The new mask is handed over without a copy.
-        """
-        users = np.asarray(users)
-        if users.dtype != bool or users.shape != self.scores.shape[:1]:
-            raise ValueError(
-                f"restrict needs a ({self.scores.shape[0]},) bool mask of users,"
-                f" got {users.dtype} of shape {users.shape}"
-            )
-        evaluated = frozen(self.evaluated & users[:, None], bool, in_place=True)
-        return replace(self, evaluated=evaluated)
 
     def csv_rows(self) -> list[bytes]:
         """The `app_id,user_id,score,evaluated` rows as ASCII byte blocks, no header.

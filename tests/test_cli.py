@@ -312,17 +312,33 @@ class TestSettingsCheckedFirst:
     ], ids=["train", "predict", "experiment", "num_users", "num_apps"])
     def test_before_a_malformed_adoption_log(self, bundle, capsys, command, overrides,
                                              message):
-        tmp_path, data_dir, base = bundle
-        lines = (data_dir / "adoptions.csv").read_text().splitlines()
-        bad = tmp_path / "adoptions.csv"
-        bad.write_text("\n".join([lines[0], "0,x", *lines[1:]]) + "\n")
-        text = base.replace(str(data_dir / "adoptions.csv"), str(bad))
-        cfg = write_cfg(tmp_path, text)
+        cfg = self.malformed_log_cfg(bundle)
         assert main(["validate", cfg]) == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
         assert main([command, cfg, *overrides]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "line 2" not in err
+
+    @pytest.mark.parametrize("command", ["experiment", "validate"])
+    def test_fit_variant_beside_a_protocol(self, bundle, capsys, command):
+        # each protocol fits the variants its series name; fit.variant is train's
+        cfg = self.malformed_log_cfg(bundle, "protocol = comparison\n")
+        assert main([command, cfg, "--set", "fit.variant=individual_only"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fit.variant 'individual_only' is a train setting" in err
+        assert "line 2" not in err
+        tmp_path, _, base = bundle
+        cfg = write_cfg(tmp_path, base + "protocol = comparison\n", name="good.cfg")
+        assert main(["train", cfg, "--set", "fit.variant=individual_only"]) == EXIT_OK
+
+    @staticmethod
+    def malformed_log_cfg(bundle, extra=""):
+        """The bundle's config with line 2 of its adoption log made malformed."""
+        tmp_path, data_dir, base = bundle
+        lines = (data_dir / "adoptions.csv").read_text().splitlines()
+        bad = tmp_path / "adoptions.csv"
+        bad.write_text("\n".join([lines[0], "0,x", *lines[1:]]) + "\n")
+        return write_cfg(tmp_path, base.replace(str(data_dir / "adoptions.csv"), str(bad)) + extra)
 
 
 class TestPredictCommand:

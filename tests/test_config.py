@@ -432,12 +432,14 @@ class TestBuilders:
         assert set(SECTION_VALUES) == {k for k in SCALAR_KEYS if k.startswith(sections)}
         # folds and train_fraction exclude each other, so each run drops one
         keys = [k for k in SECTION_VALUES if k != split]
-        cfg = RunConfig(entries={"protocol": "ablation",
-                                 **{k: SECTION_VALUES[k][0] for k in keys}})
-        assert cfg.problems() == []
-        built = {"fit": cfg.fit_config(), "experiment": cfg.experiment_spec(),
+        entries = {k: SECTION_VALUES[k][0] for k in keys}
+        # fit.variant is a train setting, so it is built without a protocol
+        trained = RunConfig(entries=entries)
+        cfg = RunConfig(entries={**entries, "protocol": "ablation", "fit.variant": "full"})
+        assert trained.problems() == [] and cfg.problems() == []
+        built = {"fit": trained.fit_config(), "experiment": cfg.experiment_spec(),
                  "synth": cfg.synth_spec()}
-        assert built["experiment"].fit == built["fit"]
+        assert built["experiment"].fit == dataclasses.replace(built["fit"], variant="full")
         for key in keys:
             section, name = key.split(".", 1)
             assert getattr(built[section], name) == SECTION_VALUES[key][1], key

@@ -10,6 +10,7 @@ import pytest
 from adoptnet import experiments as exp_mod
 from adoptnet import model as model_mod
 from adoptnet import solver as solver_mod
+from adoptnet.config import FIT_VARIANTS, PROTOCOLS
 from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
 from adoptnet.experiments import (
     ABLATION_CONFIGS,
@@ -35,6 +36,7 @@ from adoptnet.model import TrainingTerms, training_terms
 from adoptnet.predict import score_matrix
 from adoptnet.solver import FitConfig, fit_mle
 from adoptnet.synth import SynthSpec, generate
+from test_solver import make_instance
 
 
 def tiny_dataset(seed=5, num_apps=30):
@@ -217,6 +219,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(protocol="ablation", mp_k=0)
 
+    @pytest.mark.parametrize("variant", FIT_VARIANTS[1:])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fit_variant_is_not_a_protocol_setting(self, protocol, variant):
+        # a series named full, or single_*, must be the fit its name says
+        with pytest.raises(ValueError, match=rf"fit\.variant '{variant}' is a train setting:"
+                                             " each protocol fits the variants its series name"):
+            ExperimentSpec(protocol=protocol, fit=FitConfig(variant=variant))
+
 
 class TestDataset:
     def test_user_count_mismatch(self):
@@ -375,11 +385,11 @@ class TestZeroPopularityFits:
             for name, _, overrides in ABLATION_CONFIGS
             if name != "full"
         ]
-        # a single-network fit zeroes the channel, as run_comparison does
+        # a single-network fit is no_exogenous on one network, as run_comparison does
         for m, g in enumerate(stack.networks):
-            single = dataclasses.replace(terms, potentials=terms.potentials[m : m + 1],
-                                         popularity=np.zeros(train.size))
-            fits.append((single, NetworkStack(networks=(g,)), FAST_FIT))
+            single = dataclasses.replace(terms, potentials=terms.potentials[m : m + 1])
+            fits.append((single, NetworkStack(networks=(g,)),
+                         dataclasses.replace(FAST_FIT, variant="no_exogenous")))
         assert len(fits) == 4 + stack.num_networks
         evidence = adoptions.installed[:, test]
         for fit_terms, fit_stack, cfg in fits:
@@ -388,6 +398,23 @@ class TestZeroPopularityFits:
             with_pop = score_matrix(params, fit_stack, evidence, pop[test])
             without = score_matrix(params, fit_stack, evidence, np.zeros(test.size))
             assert with_pop.tobytes() == without.tobytes()
+
+    @pytest.mark.parametrize("max_iters", [3, 10_000])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_single_network_no_exogenous_is_the_zero_popularity_fit(self, seed, max_iters):
+        # freezing the popularity weight fits what zeroing the counts did, bit for bit
+        stack, adoptions = make_instance(seed)
+        terms = training_terms(stack, adoptions, np.arange(adoptions.num_apps))
+        cfg = FitConfig(max_iters=max_iters)
+        for m in range(stack.num_networks):
+            single = dataclasses.replace(terms, potentials=terms.potentials[m : m + 1])
+            zeroed = dataclasses.replace(single, popularity=np.zeros(adoptions.num_apps))
+            got = fit_mle(single, cfg=dataclasses.replace(cfg, variant="no_exogenous"))
+            want = fit_mle(zeroed, cfg=cfg)
+            assert got[1] == want[1]
+            assert got[0].to_json() == want[0].to_json()
+            for name in ("net_weights", "susceptibility"):
+                assert getattr(got[0], name).tobytes() == getattr(want[0], name).tobytes()
 
 
 class TestAblationProtocol:
@@ -532,6 +559,21 @@ class TestComparisonProtocol:
         monkeypatch.setattr(exp_mod, "fit_mle", no_fit)
         spec = ExperimentSpec(protocol="comparison", repeats=1, seed=6, fit=FAST_FIT)
         with pytest.raises(ValueError, match=r"network names repeat in \['calls', 'calls'\]"):
+            run_comparison(data, spec)
+
+    def test_network_name_with_a_comma_fails_before_any_fit(self, monkeypatch):
+        # the name is a cell of report.csv and summary.csv: a comma adds a field
+        data = tiny_dataset(num_apps=25)
+        nets = data.networks.networks
+        named = (dataclasses.replace(nets[0], name="a,b"), *nets[1:])
+        data = Dataset(networks=NetworkStack(networks=named), adoptions=data.adoptions)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the name check")
+
+        monkeypatch.setattr(exp_mod, "fit_mle", no_fit)
+        spec = ExperimentSpec(protocol="comparison", repeats=1, seed=6, fit=FAST_FIT)
+        with pytest.raises(ValueError, match=r"a network name in \['a,b', 'net1'\] contains ','"):
             run_comparison(data, spec)
 
 

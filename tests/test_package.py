@@ -149,6 +149,33 @@ def test_readme_quotes_the_unknown_key_hints_the_config_gives():
         assert RunConfig(entries={key: "1"}).problems() == [want]
 
 
+# calls in the README's prose that name Python or numpy, not the package
+README_FOREIGN_CALLS = {"float", "w.copy"}
+
+
+def test_readme_calls_name_what_the_package_defines():
+    # an inline code span that is a call, `name(` or `obj.name(`, names an
+    # attribute of an adoptnet module or of a class one of them defines
+    import inspect
+    import pkgutil
+
+    defined: set[str] = set()
+    for info in pkgutil.iter_modules(adoptnet.__path__):
+        module = importlib.import_module(f"adoptnet.{info.name}")
+        defined |= set(vars(module))
+        defined |= {attr for obj in vars(module).values()
+                    if inspect.isclass(obj) and obj.__module__ == module.__name__
+                    for attr in dir(obj)}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+    calls = [m.group(1) for span in re.findall(r"`([^`]+)`", prose)
+             if (m := re.match(r"((?:\w+\.)?\w+)\(", span))]
+    assert {"CandidateNetwork", "fit_mle", "training_terms"} <= set(calls)
+    unknown = [c for c in calls
+               if c not in README_FOREIGN_CALLS and c.rpartition(".")[2] not in defined]
+    assert unknown == []
+
+
 def test_readme_quick_start_runs_and_closes_its_files(tmp_path):
     # under -X dev -W error an unclosed file is reported on stderr
     from adoptnet.config import SynthSpec

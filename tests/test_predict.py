@@ -166,26 +166,6 @@ class TestPredictionSheet:
         assert len(blocks) == 4  # two per app
         assert b"".join(blocks) == oracle_csv_rows(sheet)
 
-    def test_restrict_evaluated_intersects(self):
-        sheet = PredictionSheet([0], np.zeros((5, 1)),
-                                evaluated=column([True, False, True, True, False]))
-        out = sheet.restrict(np.array([False, False, True, True, True]))
-        assert ranked(out) == [2, 3]
-        assert out.scores is sheet.scores
-
-    @pytest.mark.parametrize("users", [
-        pytest.param(np.array([1, 0, 2]), id="user_ids"),
-        pytest.param([True], id="one_true"),
-        pytest.param([False], id="one_false"),
-        pytest.param(np.array([True, False]), id="short_mask"),
-        pytest.param(column([True, False, True]), id="column"),
-    ])
-    def test_restrict_needs_a_bool_mask_of_every_user(self, users):
-        # a list of ids would be cast to a mask and a length-1 mask broadcast
-        sheet = PredictionSheet([0, 1], np.zeros((3, 2)))
-        with pytest.raises(ValueError, match=r"restrict needs a \(3,\) bool mask of users"):
-            sheet.restrict(users)
-
     def test_block_defaults_to_every_user_evaluated(self):
         scores = np.arange(12.0).reshape(4, 3) / 12.0
         apps = np.array([7, 2, 9])
@@ -205,8 +185,10 @@ class TestPredictionSheet:
         assert [ranked(per_app, j) for j in range(2)] == [[1, 2], [0, 2]]
         shared = PredictionSheet([0, 1], scores, column([True, False, True]))
         assert [ranked(shared, j) for j in range(2)] == [[0, 2], [0, 2]]
-        shared = shared.restrict(np.array([False, True, True]))
-        assert [ranked(shared, j) for j in range(2)] == [[2], [2]]
+        # a narrower user column over the same scores shares the read-only arrays
+        narrowed = PredictionSheet(shared.app_ids, shared.scores, column([False, False, True]))
+        assert [ranked(narrowed, j) for j in range(2)] == [[2], [2]]
+        assert narrowed.scores is shared.scores and narrowed.app_ids is shared.app_ids
 
 
 class TestScoreApp:
