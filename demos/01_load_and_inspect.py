@@ -81,13 +81,11 @@ print(f"adopter-count histogram (count: apps): {stats.users_per_app}")
 print(f"activity histogram (count: users): {stats.apps_per_user}")
 
 # --- the stack -----------------------------------------------------------
-# The model consumes one NetworkStack: the candidate networks plus a single
-# exogenous popularity scalar per app.  Adopter counts are the usual choice
-# for that channel when nothing better is measured.
-stack = NetworkStack(
-    networks=(calls_n, proximity),
-    popularity=popularity_counts(adoptions),
-)
+# The model consumes one NetworkStack of candidate networks.  Its exogenous
+# channel, one popularity value per app, is counted from the adoptions a fit
+# or a score sees: each app's adopters among the evidence users.  Over every
+# user, that is popularity_counts.
+stack = NetworkStack(networks=(calls_n, proximity))
 print("\n== stack ==")
 print(f"{stack.num_networks} candidate networks over {stack.num_users} users")
-print(f"popularity channel: {stack.popularity}")
+print(f"popularity channel (adopters per app): {popularity_counts(adoptions)}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from adoptnet.data import NetworkStack, popularity_counts
 from adoptnet.experiments import future_split
 from adoptnet.metrics import evaluate_sheets
 from adoptnet.model import training_terms
@@ -33,8 +32,6 @@ spec = SynthSpec(
 )
 networks, teacher = generate(spec)
 adoptions = teacher.adoptions
-stack = NetworkStack(networks=networks.networks,
-                     popularity=popularity_counts(adoptions))
 
 rng = np.random.default_rng(0)
 order = rng.permutation(adoptions.num_apps)
@@ -43,24 +40,24 @@ train, test = order[:60], order[60:]
 
 def random_like(sheet):
     """Seeded random scores ranking the same users as the sheet, app by app."""
-    columns = [random_baseline(stack.num_users, seed=int(a)) for a in sheet.app_ids]
+    columns = [random_baseline(networks.num_users, seed=int(a)) for a in sheet.app_ids]
     return PredictionSheet(sheet.app_ids, np.column_stack(columns), sheet.evaluated)
 
 
 # The fit reads the training split's features, built once by training_terms:
 # each network's exposure of every user to every training app, the apps'
-# popularity and who adopted them.
-params, fit = fit_mle(training_terms(stack, adoptions, train))
+# popularity (their adopter counts) and who adopted them.
+params, fit = fit_mle(training_terms(networks, adoptions, train))
 print(f"fit: {fit.iterations} iterations, objective {fit.final_objective:.2f}")
 print(f"network weights {np.round(params.net_weights, 3)}, "
       f"popularity weight {params.pop_weight:.4f}")
 
 # --- standard mode -------------------------------------------------------
 # One scoring call covers every test app: column t of the evidence matrix is
-# app t's adoption vector, and the score matrix is one sheet whose column t
-# ranks the users for app test[t].
+# app t's adoption vector, its adopter count the app's popularity, and the
+# score matrix is one sheet whose column t ranks the users for app test[t].
 evidence = adoptions.installed[:, test]
-scores = score_matrix(params, stack, evidence, stack.popularity[test])
+scores = score_matrix(params, networks, evidence)
 model_sheet = PredictionSheet(test, scores)
 
 print("\n== standard mode, 60 held-out apps ==")
@@ -75,10 +72,10 @@ for name, sheet in (("model", model_sheet), ("random", random_like(model_sheet))
 halves = future_split(adoptions)
 scored = [int(a) for a in test if halves[int(a)][1].size]
 skipped = len(test) - len(scored)
-early = np.zeros((stack.num_users, len(scored)), dtype=bool)
+early = np.zeros((networks.num_users, len(scored)), dtype=bool)
 for j, a in enumerate(scored):
     early[halves[a][0], j] = True
-scores = score_matrix(params, stack, early, early.sum(axis=0).astype(float))
+scores = score_matrix(params, networks, early)
 model_sheet = PredictionSheet(scored, scores, ~early)
 
 print(f"\n== future mode, {len(scored)} apps ({skipped} without late adopters) ==")

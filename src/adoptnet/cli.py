@@ -48,7 +48,6 @@ from .data import (
     dataset_stats,
     frozen,
     network_edge_lines,
-    popularity_counts,
 )
 from .model import ModelParams, SolverError, training_terms
 
@@ -166,9 +165,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     fit_cfg = cfg.fit_config()
     data = cfg.build_dataset()
-    stack = NetworkStack(data.networks.networks, popularity_counts(data.adoptions))
     apps = cfg.app_list("train.apps", data.adoptions.num_apps)
-    params, result = fit_mle(training_terms(stack, data.adoptions, apps), cfg=fit_cfg)
+    params, result = fit_mle(training_terms(data.networks, data.adoptions, apps), cfg=fit_cfg)
     run_dir = _emit(
         cfg,
         "train",
@@ -196,9 +194,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     params = _load_params(cfg, data.adoptions.num_users, data.networks.num_networks)
     apps = cfg.app_list("predict.apps", data.adoptions.num_apps)
     # pop_weight is the channel's switch: every variant but full fits it as 0.0
-    popularity = popularity_counts(data.adoptions)[apps]
     evidence = data.adoptions.installed[:, apps]
-    scores = frozen(score_matrix(params, data.networks, evidence, popularity), float, in_place=True)
+    scores = frozen(score_matrix(params, data.networks, evidence), float, in_place=True)
     sheet = PredictionSheet(apps, scores)
     sheets = (b"app_id,user_id,score,evaluated\n", *sheet.csv_rows())
     run_dir = _emit(cfg, "predict", {"sheets.csv": sheets})

@@ -148,10 +148,12 @@ class AdoptionMatrix:
 
 @dataclass(frozen=True)
 class NetworkStack:
-    """The candidate networks fed to the model, plus the optional popularity channel.
+    """The candidate networks fed to the model, plus an optional popularity override.
 
-    popularity, when present, is a per-app non-negative vector (typically the
-    install counts visible to the training run).
+    Without ``popularity``, training_terms counts each app's popularity as
+    its adopters among the evidence users, the rule the scorers apply too.
+    A per-app non-negative ``popularity`` vector replaces that count in
+    training_terms alone; a Dataset never carries one.
     """
 
     networks: tuple[CandidateNetwork, ...]
@@ -184,7 +186,11 @@ class NetworkStack:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Candidate networks plus the adoption matrix they explain."""
+    """Candidate networks plus the adoption matrix they explain.
+
+    The stack carries no popularity vector: every protocol counts an app's
+    popularity from the adoptions it lets its fits and scores see.
+    """
 
     networks: NetworkStack
     adoptions: AdoptionMatrix
@@ -192,6 +198,8 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.networks.num_users != self.adoptions.num_users:
             raise ValueError("networks and adoptions disagree on the user count")
+        if self.networks.popularity is not None:
+            raise ValueError("a dataset's popularity is counted from its adoptions, not given")
 
     def fingerprint(self) -> str:
         """sha256 over all weights, adoption bits and timestamps."""
@@ -199,8 +207,6 @@ class Dataset:
         for g in self.networks.networks:
             h.update(g.name.encode())
             h.update(g.weights.tobytes())
-        if self.networks.popularity is not None:
-            h.update(self.networks.popularity.tobytes())
         h.update(self.adoptions.installed.tobytes())
         if self.adoptions.install_times is not None:
             h.update(self.adoptions.install_times.tobytes())

@@ -7,10 +7,10 @@ spec.seed with a protocol-specific path, so paired configurations inside one
 protocol (the five ablation variants, the methods within a comparison cell)
 always see identical splits.
 
-The exogenous popularity channel is always derived from the adoption matrix
-at the protocol's visibility: every user in the standard protocols, early
-adopters in the future protocol, observable users in the transfer protocol.
-Every fit and the regression baseline read it.  Each fit is the FIT_VARIANTS
+The exogenous popularity of an app is its adopter count in the evidence a
+fit or a score sees (training_terms and the scorers count it): every user
+in the standard protocols, early adopters in the future protocol,
+observable users in the transfer protocol.  Each fit is the FIT_VARIANTS
 value its series names (spec.fit.variant is always full): every variant but
 full freezes the popularity weight at exactly 0.0, and scoring with that
 weight adds nothing.
@@ -37,7 +37,6 @@ from .data import (
     artifact_json,
     filter_min_users,
     frozen,
-    popularity_counts,
 )
 from .metrics import MetricReport, evaluate_sheets
 from .model import training_terms
@@ -283,14 +282,14 @@ def _check_disjoint(train: np.ndarray, test: np.ndarray) -> None:
 
 
 def _sheet(score: Callable, params: object, stack: NetworkStack, *view) -> PredictionSheet:
-    """Score view = (apps, evidence, popularity, evaluated) with fitted ``params``.
+    """Score view = (apps, evidence, evaluated) with fitted ``params``.
 
     ``score`` is score_matrix or regression_scores, which share their arguments.
     A runner builds one view per split and scores every sheet of that split
     from it.
     """
-    apps, evidence, popularity, evaluated = view
-    scores = frozen(score(params, stack, evidence, popularity), float, in_place=True)
+    apps, evidence, evaluated = view
+    scores = frozen(score(params, stack, evidence), float, in_place=True)
     return PredictionSheet(apps, scores, evaluated)
 
 
@@ -359,18 +358,16 @@ def run_ablation(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     subset = _subset_users(adoptions, spec)
-    pop = popularity_counts(adoptions)
-    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     per_series: dict[str, list[MetricReport]] = {n: [] for n, _, _ in ABLATION_CONFIGS}
     for r in range(spec.repeats):
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
-            terms = training_terms(stack, adoptions, train)
-            view = (test, adoptions.installed[:, test], pop[test], subset[:, None])
+            terms = training_terms(data.networks, adoptions, train)
+            view = (test, adoptions.installed[:, test], subset[:, None])
             for name, _, overrides in ABLATION_CONFIGS:
                 params, _ = fit_mle(terms, cfg=replace(spec.fit, **overrides))
-                sheets[name].append(_sheet(score_matrix, params, stack, *view))
+                sheets[name].append(_sheet(score_matrix, params, data.networks, *view))
             del terms
         for name, sh in sheets.items():
             per_series[name].append(evaluate_sheets(sh, adoptions, ks=(spec.mp_k,)))
@@ -393,8 +390,6 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         raise ValueError(f"a network name in {names} contains ',', which splits its CSV cells")
     adoptions, kept = _prepare(data, spec)
     low = _user_mask(adoptions.num_users, low_activity_subset(adoptions))
-    pop = popularity_counts(adoptions)
-    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     per_series: dict[str, list[MetricReport]] = {}
 
     def add(name: str, sheet: PredictionSheet) -> None:
@@ -406,13 +401,13 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             seed = derive_seed(spec.seed, spec.protocol, "split", frac, r)
             train, test = fraction_split(np.arange(adoptions.num_apps), frac, seed)
             _check_disjoint(train, test)
-            terms = training_terms(stack, adoptions, train)
-            view = (test, adoptions.installed[:, test], pop[test], True)
+            terms = training_terms(data.networks, adoptions, train)
+            view = (test, adoptions.installed[:, test], True)
             params, _ = fit_mle(terms, cfg=spec.fit)
             reg = fit_regression(terms)
             by_method = {
-                "full": _sheet(score_matrix, params, stack, *view),
-                "regression": _sheet(regression_scores, reg, stack, *view),
+                "full": _sheet(score_matrix, params, data.networks, *view),
+                "regression": _sheet(regression_scores, reg, data.networks, *view),
                 "random": _random_sheet(adoptions.num_users, test, spec, r, tag=frac),
             }
             for method, sheet in by_method.items():
@@ -421,7 +416,7 @@ def run_comparison(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
                     add(f"{method}_f50_low",
                         PredictionSheet(sheet.app_ids, sheet.scores, low[:, None]))
             if frac == 0.5:
-                for m, g in enumerate(stack.networks):
+                for m, g in enumerate(data.networks.networks):
                     single = replace(terms, potentials=terms.potentials[m : m + 1])
                     params, _ = fit_mle(single, cfg=replace(spec.fit, variant="no_exogenous"))
                     del single  # before the next variant gathers its terms
@@ -440,8 +435,6 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
     """
     adoptions, kept = _prepare(data, spec)
     halves = future_split(adoptions)
-    pop = popularity_counts(adoptions)
-    stack = NetworkStack(networks=data.networks.networks, popularity=pop)
     subset = _subset_users(adoptions, spec)
 
     per_series: dict[str, list[MetricReport]] = {
@@ -452,7 +445,7 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         skipped = 0
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
-            terms = training_terms(stack, adoptions, train)
+            terms = training_terms(data.networks, adoptions, train)
             scored = np.array([a for a in test if halves[int(a)][1].size], dtype=int)
             skipped += test.size - scored.size
             early = np.zeros((adoptions.num_users, scored.size), dtype=bool)
@@ -464,12 +457,12 @@ def run_future(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             if np.any(early & late):
                 raise LeakError("late adopter marked as visible evidence")
             ranked = frozen(~early & subset[:, None], bool, in_place=True)
-            view = (scored, early, early.sum(axis=0).astype(float), ranked)
+            view = (scored, early, ranked)
             params, _ = fit_mle(terms, cfg=spec.fit)
             reg = fit_regression(terms)
             del terms
-            sheets["full"].append(_sheet(score_matrix, params, stack, *view))
-            sheets["regression"].append(_sheet(regression_scores, reg, stack, *view))
+            sheets["full"].append(_sheet(score_matrix, params, data.networks, *view))
+            sheets["regression"].append(_sheet(regression_scores, reg, data.networks, *view))
             sheets["random"].append(
                 _random_sheet(adoptions.num_users, scored, spec, r, evaluated=ranked)
             )
@@ -502,8 +495,6 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         observable, hidden = observable_user_split(
             np.arange(num_users), spec.observable_fraction, seed
         )
-        pop_visible = popularity_counts(adoptions, observable)
-        stack = NetworkStack(networks=data.networks.networks, popularity=pop_visible)
         visible = _user_mask(num_users, observable)
 
         sheets: dict[str, list[PredictionSheet]] = {n: [] for n in per_series}
@@ -512,7 +503,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
         for train, test in _cv_splits(adoptions.num_apps, spec, r):
             _check_disjoint(train, test)
             terms = training_terms(
-                stack, adoptions, train, term_users=observable, evidence_users=observable
+                data.networks, adoptions, train, term_users=observable, evidence_users=observable
             )
             params_obs, _ = fit_mle(terms, cfg=spec.fit)
             del terms
@@ -523,7 +514,7 @@ def run_transfer(data: Dataset, spec: ExperimentSpec) -> ExperimentReport:
             evidence = adoptions.installed[:, scored] & visible[:, None]
             if np.any(evidence[hidden]):
                 raise LeakError("hidden adopter leaked into transfer evidence")
-            view = (scored, evidence, pop_visible[scored], ~visible[:, None])
+            view = (scored, evidence, ~visible[:, None])
             for mode in ("mean", "zero"):
                 params = transfer_params(params_obs, observable, num_users, mode)
                 sheets[f"transfer_{mode}"].append(

@@ -244,7 +244,9 @@ def training_terms(
     is every user.  The terms keep the rows of ``term_users``, and their
     exposure counts only the adoptions of ``evidence_users``: the transfer
     protocol passes its observable users as both, teacher recovery the
-    target and the context users.
+    target and the context users.  An app's popularity is its count of
+    evidence users who adopted it, as in the scorers, unless the stack
+    carries its own popularity vector.
     Raises ValueError when ``train_apps`` is empty, holds an id outside
     [0, num_apps) or a duplicate, when a user list is empty or holds an id
     outside [0, num_users), or when the stack's popularity vector does not
@@ -262,8 +264,10 @@ def training_terms(
     rows = _sorted_users(term_users, adoptions.num_users, "term_users")
     cols = _sorted_users(evidence_users, adoptions.num_users, "evidence_users")
     installed = adoptions.installed[:, apps]
-    pot = network_potentials(stack, installed if cols is None else installed[cols], rows, cols)
-    pop = stack.popularity[apps] if stack.popularity is not None else np.zeros(apps.size)
+    evidence = installed if cols is None else installed[cols]
+    pot = network_potentials(stack, evidence, rows, cols)
+    pop = stack.popularity
+    pop = evidence.sum(axis=0).astype(float) if pop is None else pop[apps]
     labels = installed if rows is None else installed[rows]
     return TrainingTerms(potentials=pot, popularity=pop, labels=labels)
 

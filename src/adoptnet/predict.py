@@ -1,18 +1,18 @@
 """Adoption scores for a batch of apps, as one users × apps block.
 
 score_matrix scores every (user, app) pair from an evidence matrix, one
-column per app, and a popularity value per app.  Scoring runs on the
-paper's composite network: the weighted sum C = sum_m c_m W_m of the
-candidate networks is built once per call, so every app's exposure is
-one product C @ evidence, and the per-network (M, U, T) potentials are
-never formed.  The three observation regimes differ only in the inputs
-the caller builds:
+column per app.  An app's exogenous popularity is its evidence column's
+adopter count, the rule training_terms applies to the training apps.
+Scoring runs on the paper's composite network: the weighted sum
+C = sum_m c_m W_m of the candidate networks is built once per call, so
+every app's exposure is one product C @ evidence, and the per-network
+(M, U, T) potentials are never formed.  The three observation regimes
+differ only in the evidence the caller builds:
 
 - standard mode conditions on every other user's true adoption,
   ``installed[:, apps]`` (a user's own bit never feeds their own potential
   because the diagonal is zero), and ranks every user;
-- future mode sees only the early adopters, with their count as the
-  popularity, and ranks everyone else;
+- future mode sees only the early adopters and ranks everyone else;
 - transfer mode sees only the observable users' adoptions and scores the
   remaining users with transfer_params, which imputes the susceptibilities
   the fit on the observable group could not estimate.
@@ -261,12 +261,12 @@ def _exposure(
     pop_coef: float,
     stack: NetworkStack,
     evidence: np.ndarray,
-    popularity: np.ndarray,
 ) -> np.ndarray:
     """C @ evidence + pop_coef * popularity for C = sum_m net_coefs[m] W_m, shape (U, T).
 
-    The composite network C is accumulated in network order in one (U, U)
-    array, then multiplies the evidence once for every app.
+    An app's popularity is its count of evidence adopters.  The composite
+    network C is accumulated in network order in one (U, U) array, then
+    multiplies the evidence once for every app.
     """
     if net_coefs.size != stack.num_networks:
         raise ValueError("coefficient / stack network count mismatch")
@@ -275,33 +275,27 @@ def _exposure(
         raise ValueError(
             f"evidence shape {ev.shape} does not match {stack.num_users} users"
         )
-    pop = np.asarray(popularity, dtype=float)
-    if pop.shape != ev.shape[1:]:
-        raise ValueError(f"popularity shape {pop.shape} does not match {ev.shape[1]} apps")
     first, *rest = stack.networks
     composite = net_coefs[0] * first.weights
     for coef, g in zip(net_coefs[1:], rest):
         composite += coef * g.weights
-    return composite @ ev + pop_coef * pop
+    return composite @ ev + pop_coef * ev.sum(axis=0)
 
 
 def score_matrix(
     params: ModelParams,
     stack: NetworkStack,
     evidence: np.ndarray,
-    popularity: np.ndarray,
 ) -> np.ndarray:
     """Adoption probability of every (user, app) pair, shape (U, T).
 
-    Column t conditions on the adopters marked in ``evidence[:, t]`` and on
-    the app's popularity value ``popularity[t]``; ``stack`` contributes its
-    networks only.
+    Column t conditions on the adopters marked in ``evidence[:, t]``, and
+    their count is the app's popularity; ``stack`` contributes its networks
+    only.
     """
     if params.num_users != stack.num_users:
         raise ValueError("parameter / stack user count mismatch")
-    exposure = _exposure(
-        params.net_weights, params.pop_weight, stack, evidence, popularity
-    )
+    exposure = _exposure(params.net_weights, params.pop_weight, stack, evidence)
     return adoption_probability(params.susceptibility[:, None], exposure)
 
 
@@ -334,7 +328,6 @@ def regression_scores(
     reg: RegressionParams,
     stack: NetworkStack,
     evidence: np.ndarray,
-    popularity: np.ndarray,
 ) -> np.ndarray:
     """Baseline linear scores clipped to [0, 1], shape (U, T).
 
@@ -347,7 +340,7 @@ def regression_scores(
             f"activity shape {reg.activity.shape} does not match {stack.num_users} users"
         )
     linear = (
-        _exposure(reg.net_coefs, reg.pop_coef, stack, evidence, popularity)
+        _exposure(reg.net_coefs, reg.pop_coef, stack, evidence)
         + reg.activity_coef * reg.activity[:, None]
         + reg.intercept
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import WEIGHT_DISTS, FitConfig, SynthSpec  # noqa: F401  (WEIGHT_DISTS re-exported)
-from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, hold, popularity_counts
+from .data import AdoptionMatrix, CandidateNetwork, NetworkStack, hold
 from .model import ModelParams, training_terms
 from .seeds import derive_seed
 from .solver import FitResult, fit_mle
@@ -142,21 +142,17 @@ def recovery_fit(
     """Fit the model the way the teacher data is well-specified.
 
     The terms keep the target users' rows (``term_users``), their exposure
-    counts the context users' adoptions alone (``evidence_users``), and the
-    popularity channel is the context users' install counts.  Context
-    susceptibilities are unidentified and pinned at zero when the result is
-    widened to every user.
+    counts the context users' adoptions alone (``evidence_users``), and so
+    does each app's popularity, whatever popularity vector ``stack``
+    carries.  Context susceptibilities are unidentified and pinned at zero
+    when the result is widened to every user.
     """
     from .predict import transfer_params  # here, so `adoptnet synth` loads no scorer
     adoptions = teacher.adoptions
     if train_apps is None:
         train_apps = np.arange(adoptions.num_apps)
-    fit_stack = NetworkStack(
-        networks=stack.networks,
-        popularity=popularity_counts(adoptions, teacher.context_users),
-    )
     terms = training_terms(
-        fit_stack, adoptions, train_apps,
+        NetworkStack(stack.networks), adoptions, train_apps,
         term_users=teacher.target_users, evidence_users=teacher.context_users,
     )
     params, result = fit_mle(terms, cfg=cfg)

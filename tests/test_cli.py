@@ -15,9 +15,9 @@ import pytest
 
 from adoptnet import __version__
 from adoptnet.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from adoptnet.config import load_config
+from adoptnet.config import RunConfig, load_config
 from adoptnet.data import NetworkStack, dataset_stats, popularity_counts
-from adoptnet.model import ModelParams, training_terms
+from adoptnet.model import ModelParams, adoption_probability, training_terms
 from adoptnet.predict import PredictionSheet, score_matrix
 from adoptnet.solver import fit_mle
 from test_predict import oracle_csv_rows
@@ -126,6 +126,37 @@ class TestValidateCommand:
         assert main(["validate", cfg]) == EXIT_OK
         out = capsys.readouterr().out
         assert "config ok: 2 network(s)" in out
+
+    def test_without_an_adoption_file(self, bundle, capsys):
+        tmp_path, _, base = bundle
+        networks_only = "".join(line + "\n" for line in base.splitlines()
+                                if not line.startswith("adoptions."))
+        assert main(["validate", write_cfg(tmp_path, networks_only)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "config ok: 2 network(s)\nno adoption file referenced\n")
+
+    def test_adoption_log_without_installs(self, bundle, capsys):
+        tmp_path, data_dir, base = bundle
+        empty = tmp_path / "no_installs.csv"
+        empty.write_text("")
+        cfg = write_cfg(tmp_path, base.replace(str(data_dir / "adoptions.csv"), str(empty)))
+        assert main(["validate", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "config ok: 2 network(s)\nadoptions: no installs recorded\n")
+
+    @pytest.mark.parametrize("error", [PermissionError("disk detached"),
+                                       ValueError("networks and adoptions disagree")])
+    def test_other_data_errors_exit_config(self, bundle, capsys, monkeypatch, error):
+        # the loaders name their key through ConfigError; any other OSError
+        # or ValueError raised while checking the data still exits 2
+        def fail(self):
+            raise error
+
+        tmp_path, _, base = bundle
+        monkeypatch.setattr(RunConfig, "build_adoptions", fail)
+        assert main(["validate", write_cfg(tmp_path, base)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n" and captured.out == ""
 
     def test_typo_exits_config(self, bundle, capsys):
         tmp_path, _, base = bundle
@@ -279,8 +310,9 @@ class TestTrainCommand:
         run = load_config(cfg)
         assert run.fit_config().variant == "full"
         data = run.build_dataset()
-        terms = training_terms(NetworkStack(networks=data.networks.networks), data.adoptions,
-                               np.arange(data.adoptions.num_apps))
+        zero_pop = NetworkStack(networks=data.networks.networks,
+                                popularity=np.zeros(data.adoptions.num_apps))
+        terms = training_terms(zero_pop, data.adoptions, np.arange(data.adoptions.num_apps))
         assert not terms.popularity.any()
         params, result = fit_mle(terms, cfg=run.fit_config())
         assert (run_dir / "params.json").read_bytes() == (params.to_json() + "\n").encode()
@@ -383,7 +415,7 @@ class TestPredictCommand:
         installed = data.adoptions.installed
         assert installed.shape == (24, 16)
         scores = score_matrix(ModelParams.from_json(params.read_text()), data.networks,
-                              installed, popularity_counts(data.adoptions))
+                              installed)
         want = oracle_csv_rows(PredictionSheet(np.arange(16), scores))
         assert sheets == b"app_id,user_id,score,evaluated\n" + want
         assert main(["predict", cfg]) == EXIT_OK
@@ -402,8 +434,14 @@ class TestPredictCommand:
         capsys.readouterr()
         [run_dir] = run_dirs(tmp_path / "runs")
         data = load_config(cfg).build_dataset()
-        scores = score_matrix(model, data.networks, data.adoptions.installed,
-                              popularity_counts(data.adoptions))
+        # the composite summed in network order, as the scorer sums it
+        first, *rest = data.networks.networks
+        composite = model.net_weights[0] * first.weights
+        for coef, g in zip(model.net_weights[1:], rest):
+            composite += coef * g.weights
+        exposure = (composite @ data.adoptions.installed.astype(float)
+                    + model.pop_weight * popularity_counts(data.adoptions))
+        scores = adoption_probability(model.susceptibility[:, None], exposure)
         want = oracle_csv_rows(PredictionSheet(np.arange(16), scores))
         assert (run_dir / "sheets.csv").read_bytes() == (
             b"app_id,user_id,score,evaluated\n" + want)
@@ -676,10 +714,8 @@ class TestJsonArtifacts:
         [run_dir] = run_dirs(tmp_path / "runs")
         run = load_config(cfg)
         data = run.build_dataset()
-        stack = NetworkStack(networks=data.networks.networks,
-                             popularity=popularity_counts(data.adoptions))
         apps = run.app_list("train.apps", data.adoptions.num_apps)
-        params, result = fit_mle(training_terms(stack, data.adoptions, apps),
+        params, result = fit_mle(training_terms(data.networks, data.adoptions, apps),
                                  cfg=run.fit_config())
         assert same_json(self.read(run_dir, "params.json"), params.to_dict())
         assert same_json(self.read(run_dir, "convergence.json"), asdict(result))

@@ -11,7 +11,7 @@ from adoptnet import experiments as exp_mod
 from adoptnet import model as model_mod
 from adoptnet import solver as solver_mod
 from adoptnet.config import FIT_VARIANTS, PROTOCOLS
-from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack, popularity_counts
+from adoptnet.data import AdoptionMatrix, CandidateNetwork, NetworkStack, filter_min_users
 from adoptnet.experiments import (
     ABLATION_CONFIGS,
     Dataset,
@@ -32,7 +32,7 @@ from adoptnet.experiments import (
     run_future,
     run_transfer,
 )
-from adoptnet.model import TrainingTerms, training_terms
+from adoptnet.model import TrainingTerms, adoption_probability, training_terms
 from adoptnet.predict import score_matrix
 from adoptnet.solver import FitConfig, fit_mle
 from adoptnet.synth import SynthSpec, generate
@@ -236,6 +236,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="user count"):
             Dataset(networks=NetworkStack(networks=(g,)), adoptions=adoptions)
 
+    def test_rejects_a_stack_that_carries_popularity(self):
+        # every protocol counts popularity from the adoptions it lets a fit
+        # see; a given vector would count the transfer protocol's hidden users
+        data = tiny_dataset()
+        counts = np.ones(data.adoptions.num_apps)
+        with pytest.raises(ValueError, match="popularity is counted from its adoptions"):
+            Dataset(networks=NetworkStack(networks=data.networks.networks, popularity=counts),
+                    adoptions=data.adoptions)
+
     def test_fingerprint_tracks_content(self):
         data = tiny_dataset()
         assert data.fingerprint() == tiny_dataset().fingerprint()
@@ -368,17 +377,47 @@ class TestSplitStateReleased:
         assert len(made) >= 4
 
 
+class TestLowActivitySubset:
+    """experiment.user_subset = low_activity ranks the low-activity half alone."""
+
+    @pytest.mark.parametrize("protocol", ["ablation", "future"])
+    def test_every_sheet_ranks_the_low_activity_column(self, monkeypatch, protocol):
+        data = tiny_dataset()
+        spec = ExperimentSpec(protocol=protocol, folds=3, repeats=1, seed=2, fit=FAST_FIT,
+                              user_subset="low_activity")
+        adoptions, _ = filter_min_users(data.adoptions, spec.min_users)
+        low = np.zeros(adoptions.num_users, dtype=bool)
+        low[low_activity_subset(adoptions)] = True
+        assert low.sum() == adoptions.num_users // 2
+        halves = future_split(adoptions)
+        sheets = []
+        real_evaluate = exp_mod.evaluate_sheets
+
+        def capture(sh, *args, **kwargs):
+            sheets.extend(sh)
+            return real_evaluate(sh, *args, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "evaluate_sheets", capture)
+        run_experiment(data, spec)
+        assert len(sheets) == 3 * (len(ABLATION_CONFIGS) if protocol == "ablation" else 3)
+        for sheet in sheets:
+            want = np.repeat(low[:, None], sheet.app_ids.size, axis=1)
+            if protocol == "future":
+                for j, app in enumerate(sheet.app_ids):
+                    want[halves[int(app)][0], j] = False  # early adopters are evidence
+            np.testing.assert_array_equal(sheet.evaluated, want)
+
+
 class TestZeroPopularityFits:
-    """A fit without the popularity weight ignores the popularity it is scored with."""
+    """A fit without the popularity weight scores as if the channel were absent."""
 
     def test_pop_weight_is_exactly_zero_and_scores_are_unchanged(self):
         data = tiny_dataset()
         adoptions = data.adoptions
-        pop = popularity_counts(adoptions)
-        assert pop.min() > 0
-        stack = NetworkStack(networks=data.networks.networks, popularity=pop)
+        stack = data.networks
         train, test = fraction_split(np.arange(adoptions.num_apps), 0.5, seed=0)
         terms = training_terms(stack, adoptions, train)
+        assert terms.popularity.min() > 0
         # the ablation's variants but full fit live popularity, as run_ablation does
         fits = [
             (terms, stack, dataclasses.replace(FAST_FIT, **overrides))
@@ -392,12 +431,18 @@ class TestZeroPopularityFits:
                          dataclasses.replace(FAST_FIT, variant="no_exogenous")))
         assert len(fits) == 4 + stack.num_networks
         evidence = adoptions.installed[:, test]
+        assert evidence.sum(axis=0).min() > 0
         for fit_terms, fit_stack, cfg in fits:
             params, _ = fit_mle(fit_terms, cfg=cfg)
             assert params.pop_weight == 0.0 and not np.signbit(params.pop_weight)
-            with_pop = score_matrix(params, fit_stack, evidence, pop[test])
-            without = score_matrix(params, fit_stack, evidence, np.zeros(test.size))
-            assert with_pop.tobytes() == without.tobytes()
+            # the composite summed in network order, as the scorer sums it
+            first, *rest = fit_stack.networks
+            composite = params.net_weights[0] * first.weights
+            for coef, g in zip(params.net_weights[1:], rest):
+                composite += coef * g.weights
+            want = adoption_probability(params.susceptibility[:, None],
+                                        composite @ evidence.astype(float))
+            assert score_matrix(params, fit_stack, evidence).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("max_iters", [3, 10_000])
     @pytest.mark.parametrize("seed", range(12))

@@ -135,14 +135,19 @@ def one_app_potentials(g: CandidateNetwork, x) -> np.ndarray:
     return network_potentials(NetworkStack(networks=(g,)), np.asarray(x)[:, None])[0, :, 0]
 
 
-def two_network_stack(exposure_0: float, exposure_1: float, popularity=None) -> NetworkStack:
-    """Two users; with user 1 adopting, user 0's exposures are the two edge weights."""
+def two_network_stack(exposure_0: float, exposure_1: float, isolated=0) -> NetworkStack:
+    """Two users; with user 1 adopting, user 0's exposures are the two edge weights.
+
+    ``isolated`` more users without an edge follow: their adoptions count
+    toward an app's popularity alone.
+    """
+    n = 2 + isolated
     nets = []
     for weight in (exposure_0, exposure_1):
-        w = np.zeros((2, 2))
+        w = np.zeros((n, n))
         w[0, 1] = w[1, 0] = weight
-        nets.append(CandidateNetwork(num_users=2, weights=w))
-    return NetworkStack(networks=tuple(nets), popularity=popularity)
+        nets.append(CandidateNetwork(num_users=n, weights=w))
+    return NetworkStack(networks=tuple(nets))
 
 
 class TestNetworkPotentials:
@@ -198,20 +203,22 @@ class TestNetworkPotentials:
 
 class TestCompositePotential:
     """The composite exposure net_weights . potentials + pop_weight * popularity,
-    read back through score_matrix with zero susceptibility."""
+    read back through score_matrix with zero susceptibility; the popularity is
+    the evidence adopter count."""
 
     def test_selector_weights(self):
         stack = two_network_stack(4.0, 9.0)
         p = ModelParams(net_weights=np.array([1.0, 0.0]), pop_weight=0.0,
                         susceptibility=np.zeros(2))
-        scores = score_matrix(p, stack, np.array([[0], [1]]), np.zeros(1))
+        scores = score_matrix(p, stack, np.array([[0], [1]]))
         assert scores[0, 0] == adoption_probability(0.0, 4.0)
 
     def test_hand_evaluation_with_popularity(self):
-        stack = two_network_stack(2.0, 4.0)
+        # user 1 and nine users without edges adopt: popularity 10
+        stack = two_network_stack(2.0, 4.0, isolated=9)
         p = ModelParams(net_weights=np.array([0.5, 0.5]), pop_weight=0.1,
-                        susceptibility=np.zeros(2))
-        scores = score_matrix(p, stack, np.array([[0], [1]]), np.array([10.0]))
+                        susceptibility=np.zeros(11))
+        scores = score_matrix(p, stack, np.array([0] + [1] * 10)[:, None])
         assert scores[0, 0] == pytest.approx(float(adoption_probability(0.0, 4.0)), abs=1e-12)
 
     def test_all_zero_weights(self):
@@ -222,14 +229,13 @@ class TestCompositePotential:
             nets.append(CandidateNetwork(num_users=3, weights=w + w.T))
         p = ModelParams(net_weights=np.zeros(2), pop_weight=0.0,
                         susceptibility=np.zeros(3))
-        scores = score_matrix(p, NetworkStack(networks=tuple(nets)), np.ones((3, 1)),
-                              np.array([5.0]))
+        scores = score_matrix(p, NetworkStack(networks=tuple(nets)), np.ones((3, 1)))
         assert scores[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_network_count_mismatch(self):
         p = ModelParams(net_weights=np.zeros(3), pop_weight=0.0, susceptibility=np.zeros(2))
         with pytest.raises(ValueError, match="mismatch"):
-            score_matrix(p, two_network_stack(1.0, 1.0), np.zeros((2, 1)), np.zeros(1))
+            score_matrix(p, two_network_stack(1.0, 1.0), np.zeros((2, 1)))
 
     def test_decomposition_matches_presummed_matrix(self):
         # scoring runs on the pre-combined weight matrix, summed in network
@@ -251,7 +257,7 @@ class TestCompositePotential:
             params = ModelParams(net_weights=alpha, pop_weight=0.0,
                                  susceptibility=np.zeros(n))
             np.testing.assert_array_equal(
-                score_matrix(params, stack, x, np.zeros(2)),
+                score_matrix(params, stack, x),
                 adoption_probability(0.0, network_potentials(combined, x)[0]),
             )
 
@@ -422,8 +428,11 @@ class TestTrainingTermsChecks:
                                evidence_users=[2])
         np.testing.assert_array_equal(terms.potentials[0], [[2.0, 0.0], [8.0, 0.0]])
         np.testing.assert_array_equal(terms.labels, [[True, False], [True, False]])
+        # the popularity counts the evidence user's adoptions alone
+        np.testing.assert_array_equal(terms.popularity, [1.0, 0.0])
         everyone = training_terms(stack, adoptions, [0, 1])
         np.testing.assert_array_equal(everyone.potentials[0, :2], [[7.0, 4.0], [25.0, 16.0]])
+        np.testing.assert_array_equal(everyone.popularity, [4.0, 1.0])
 
 
 def induced_terms(stack, adoptions, train, users):
@@ -511,22 +520,29 @@ class TestDerivedTerms:
         for f in dataclasses.fields(TrainingTerms):
             assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
+    @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_no_popularity_and_single_network_terms(self, seed):
+    def test_bare_stack_counts_the_evidence_users_and_single_network_terms(self, seed, subset):
+        # a stack without popularity counts each app's evidence adopters
         rng = np.random.default_rng(seed)
         stack, adoptions, _ = random_instance(rng, num_networks=3)
         train = np.sort(rng.permutation(adoptions.num_apps)[: adoptions.num_apps // 2 + 1])
-        terms = training_terms(stack, adoptions, train)
-        no_pop = np.zeros(train.size)
+        users = {}
+        if subset:
+            for name in ("term_users", "evidence_users"):
+                users[name] = rng.permutation(adoptions.num_users)[: adoptions.num_users // 2]
+        terms = training_terms(stack, adoptions, train, **users)
+        counts = popularity_counts(adoptions, users.get("evidence_users"))[train]
+        assert counts.any()
         self.assert_terms_equal(
-            dataclasses.replace(terms, popularity=no_pop),
-            training_terms(NetworkStack(networks=stack.networks), adoptions, train),
+            dataclasses.replace(terms, popularity=counts),
+            training_terms(NetworkStack(networks=stack.networks), adoptions, train, **users),
         )
         for m, g in enumerate(stack.networks):
             single = dataclasses.replace(terms, potentials=terms.potentials[m:m + 1],
-                                         popularity=no_pop)
+                                         popularity=counts)
             self.assert_terms_equal(
-                single, training_terms(NetworkStack(networks=(g,)), adoptions, train)
+                single, training_terms(NetworkStack(networks=(g,)), adoptions, train, **users)
             )
 
 

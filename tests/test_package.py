@@ -200,6 +200,22 @@ def test_readme_quick_start_runs_and_closes_its_files(tmp_path):
     assert run.stdout.count("\n") == 2 and "calls" in run.stdout
 
 
+def _builds_popularity(node: ast.AST) -> bool:
+    """A popularity_counts call, or a NetworkStack call that passes a popularity vector."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+        return False
+    if node.func.id == "popularity_counts":
+        return True
+    return node.func.id == "NetworkStack" and (
+        len(node.args) > 1 or any(k.arg == "popularity" for k in node.keywords))
+
+
+def test_popularity_is_counted_from_the_evidence_in_one_place():
+    # training_terms and the scorers count each app's popularity from the
+    # evidence they condition on; no runner, command or recovery fit builds one
+    assert _sites(_builds_popularity) == set()
+
+
 def test_arrays_are_frozen_in_one_place():
     # every holder takes its arrays through data.frozen, the one place that
     # decides between copying an array and keeping it

@@ -14,13 +14,18 @@ from adoptnet.predict import PredictionSheet, regression_scores, score_matrix, t
 from adoptnet.solver import RegressionParams, fit_regression
 
 
-def path_stack(num_users=4, weight=1.0, popularity=None):
-    """Chain graph 0-1-2-...; handy because exposure equals adopted-neighbour count."""
-    w = np.zeros((num_users, num_users))
+def path_stack(num_users=4, weight=1.0, isolated=0):
+    """Chain graph 0-1-2-...; handy because exposure equals adopted-neighbour count.
+
+    ``isolated`` more users follow the chain without an edge: their
+    adoptions raise an app's popularity and no one's network exposure.
+    """
+    n = num_users + isolated
+    w = np.zeros((n, n))
     for i in range(num_users - 1):
         w[i, i + 1] = w[i + 1, i] = weight
-    g = CandidateNetwork(num_users=num_users, weights=w, name="path")
-    return NetworkStack(networks=(g,), popularity=popularity)
+    g = CandidateNetwork(num_users=n, weights=w, name="path")
+    return NetworkStack(networks=(g,))
 
 
 def uniform_params(num_users, s=0.2, alpha=0.5, pop=0.0):
@@ -33,23 +38,22 @@ def column(x):
     return np.asarray(x)[:, None]
 
 
-def score_one(params, stack, adopted, popularity=0.0):
+def score_one(params, stack, adopted):
     """Scores of every user for a single app."""
-    return score_matrix(params, stack, column(adopted), np.array([popularity]))[:, 0]
+    return score_matrix(params, stack, column(adopted))[:, 0]
 
 
-def future_sheet(params, stack, early, popularity_visible=0.0, app_id=-1):
+def future_sheet(params, stack, early, app_id=-1):
     early = column(np.asarray(early, dtype=bool))
-    scores = score_matrix(params, stack, early, np.array([popularity_visible]))
-    return PredictionSheet([app_id], scores, ~early)
+    return PredictionSheet([app_id], score_matrix(params, stack, early), ~early)
 
 
-def transfer_sheet(fitted, stack, adopted, observable, impute="mean", popularity=0.0):
+def transfer_sheet(fitted, stack, adopted, observable, impute="mean"):
     visible = np.zeros(stack.num_users, dtype=bool)
     visible[np.asarray(observable, dtype=int)] = True
     evidence = column(np.asarray(adopted, dtype=bool)) & visible[:, None]
     params = transfer_params(fitted, observable, stack.num_users, impute)
-    scores = score_matrix(params, stack, evidence, np.array([popularity]))
+    scores = score_matrix(params, stack, evidence)
     return PredictionSheet([-1], scores, ~visible[:, None])
 
 
@@ -199,7 +203,7 @@ class TestScoreApp:
         stack = path_stack(3)
         params = uniform_params(3, s=0.1, alpha=0.5)
         adopted = column(np.array([1, 0, 0]))
-        scores = score_matrix(params, stack, adopted, np.zeros(1))
+        scores = score_matrix(params, stack, adopted)
         assert scores.shape == (3, 1)
         assert scores[1, 0] == pytest.approx(1 - math.exp(-0.6), abs=1e-12)
         # user 2 has no adopted neighbour
@@ -214,19 +218,22 @@ class TestScoreApp:
         assert a == b
 
     def test_popularity_raises_all_scores(self):
-        stack = path_stack(4)
-        params = uniform_params(4, pop=0.3)
-        lo = score_one(params, stack, np.zeros(4), popularity=0.0)
-        hi = score_one(params, stack, np.zeros(4), popularity=2.0)
+        # two adopters without edges: popularity 2, no network exposure
+        stack = path_stack(4, isolated=2)
+        params = uniform_params(6, pop=0.3)
+        lo = score_one(params, stack, np.zeros(6))
+        hi = score_one(params, stack, np.array([0, 0, 0, 0, 1, 1]))
         assert np.all(hi > lo)
+        np.testing.assert_allclose(hi[:4], adoption_probability(0.2, 0.3 * 2.0),
+                                   rtol=0.0, atol=1e-15)
 
     def test_matches_direct_probability(self):
         rng = np.random.default_rng(5)
         stack = path_stack(6, weight=0.7)
         params = ModelParams(net_weights=np.array([0.4]), pop_weight=0.2,
                              susceptibility=rng.random(6))
-        adopted = np.array([1, 0, 1, 0, 0, 1])
-        scores = score_one(params, stack, adopted, popularity=3.0)
+        adopted = np.array([1, 0, 1, 0, 0, 1])  # popularity 3
+        scores = score_one(params, stack, adopted)
         g = stack.networks[0].weights
         for u in range(6):
             z = 0.4 * float(g[u] @ adopted) + 0.2 * 3.0
@@ -237,21 +244,17 @@ class TestScoreApp:
         stack = path_stack(5)
         params = uniform_params(5, pop=0.1)
         evidence = np.array([[1, 0], [0, 0], [1, 1], [0, 0], [0, 1]], dtype=bool)
-        popularity = np.array([2.0, 7.0])
-        scores = score_matrix(params, stack, evidence, popularity)
+        scores = score_matrix(params, stack, evidence)
         assert scores.shape == (5, 2)
         for t in range(2):
-            np.testing.assert_array_equal(
-                scores[:, t], score_one(params, stack, evidence[:, t], popularity[t]))
+            np.testing.assert_array_equal(scores[:, t], score_one(params, stack, evidence[:, t]))
 
     def test_shape_mismatches(self):
         stack = path_stack(3)
         with pytest.raises(ValueError, match="user count"):
-            score_matrix(uniform_params(4), stack, np.zeros((3, 1)), np.zeros(1))
+            score_matrix(uniform_params(4), stack, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="shape"):
-            score_matrix(uniform_params(3), stack, np.zeros((4, 1)), np.zeros(1))
-        with pytest.raises(ValueError, match="popularity"):
-            score_matrix(uniform_params(3), stack, np.zeros((3, 2)), np.zeros(3))
+            score_matrix(uniform_params(3), stack, np.zeros((4, 1)))
 
 
 class TestScoreFuture:
@@ -275,11 +278,13 @@ class TestScoreFuture:
         assert s1[3] != standard[3]
 
     def test_visible_popularity_only(self):
-        stack = path_stack(3)
-        params = uniform_params(3, pop=0.5)
-        a = future_sheet(params, stack, np.array([1, 0, 0]), popularity_visible=1.0).scores
-        b = future_sheet(params, stack, np.array([1, 0, 0]), popularity_visible=4.0).scores
+        # three more early adopters without edges: visible popularity 1 -> 4
+        stack = path_stack(3, isolated=3)
+        params = uniform_params(6, pop=0.5)
+        a = future_sheet(params, stack, np.array([1, 0, 0, 0, 0, 0])).scores
+        b = future_sheet(params, stack, np.array([1, 0, 0, 1, 1, 1])).scores
         assert np.all(b > a)
+        assert b[1, 0] == adoption_probability(0.2, 0.5 + 0.5 * 4.0)
 
 
 class TestScoreTransfer:
@@ -294,6 +299,15 @@ class TestScoreTransfer:
         with_leak = transfer_sheet(fitted, stack, np.array([1, 0, 1, 0]), observable)
         without = transfer_sheet(fitted, stack, np.array([1, 0, 0, 0]), observable)
         np.testing.assert_array_equal(with_leak.scores, without.scores)
+
+    def test_popularity_counts_the_observable_adopters(self):
+        # users 2 and 3 are isolated; of the three adopters, 0 and 2 are observable
+        stack = path_stack(2, isolated=2)
+        fitted = ModelParams(net_weights=np.array([0.0]), pop_weight=0.5,
+                             susceptibility=np.array([0.1, 0.3]))
+        sheet = transfer_sheet(fitted, stack, np.array([1, 0, 1, 1]), [0, 2], impute="zero")
+        assert sheet.scores[1, 0] == adoption_probability(0.0, 0.5 * 2.0)
+        assert sheet.scores[3, 0] == adoption_probability(0.0, 0.5 * 2.0)
 
     def test_mean_imputation(self):
         stack = path_stack(4)
@@ -358,7 +372,7 @@ class TestRegressionScores:
         reg = RegressionParams(net_coefs=np.array([0.5]), pop_coef=0.1,
                                activity_coef=0.2, intercept=0.05, activity=activity)
         adopted = column(np.array([1, 0, 0]))
-        scores = regression_scores(reg, stack, adopted, np.array([1.0]))[:, 0]
+        scores = regression_scores(reg, stack, adopted)[:, 0]
         # user 1: 0.5*1 + 0.1*1 + 0.2*2 + 0.05 = 1.05 -> clipped
         assert scores[1] == 1.0
         # user 0: no adopted neighbour, activity 0
@@ -369,14 +383,14 @@ class TestRegressionScores:
         stack = path_stack(3)
         reg = RegressionParams(net_coefs=np.array([0.0]), pop_coef=0.0,
                                activity_coef=0.0, intercept=0.0, activity=np.full(3, 9.0))
-        scores = regression_scores(reg, stack, np.ones((3, 2)), np.array([5.0, 1.0]))
+        scores = regression_scores(reg, stack, np.ones((3, 2)))
         assert scores.tolist() == [[0.0, 0.0]] * 3
 
     def test_network_count_mismatch(self):
         reg = RegressionParams(net_coefs=np.array([0.1, 0.2]), pop_coef=0.0,
                                activity_coef=0.0, intercept=0.0, activity=np.zeros(3))
         with pytest.raises(ValueError, match="mismatch"):
-            regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1))
+            regression_scores(reg, path_stack(3), np.zeros((3, 1)))
 
     def test_fitted_regression_scores_from_its_own_activity(self):
         # the scorer reads the training-app install counts the fit stored
@@ -387,7 +401,7 @@ class TestRegressionScores:
         reg = fit_regression(training_terms(stack, adoptions, np.arange(0, 10, 2)))
         evidence = installed[:, 1::2]
         popularity = evidence.sum(axis=0).astype(float)
-        got = regression_scores(reg, stack, evidence, popularity)
+        got = regression_scores(reg, stack, evidence)
         activity = installed[:, ::2].sum(axis=1)
         for t in range(evidence.shape[1]):
             want = ref_regression_scores(reg, stack, evidence[:, t], popularity[t], activity)
@@ -398,7 +412,7 @@ class TestRegressionScores:
             reg = RegressionParams(net_coefs=np.array([0.1]), pop_coef=0.0,
                                    activity_coef=0.2, intercept=0.0, activity=activity)
             with pytest.raises(ValueError, match="activity shape"):
-                regression_scores(reg, path_stack(3), np.zeros((3, 1)), np.zeros(1))
+                regression_scores(reg, path_stack(3), np.zeros((3, 1)))
 
 
 def test_scoring_never_builds_per_network_potentials(monkeypatch):
@@ -411,18 +425,18 @@ def test_scoring_never_builds_per_network_potentials(monkeypatch):
     rng = np.random.default_rng(8)
     stack = random_stack(rng, 6, 3)
     evidence = rng.random((6, 4)) < 0.4
-    popularity = rng.random(4) * 3.0
     params = random_params(rng, 6, 3)
     reg = RegressionParams(net_coefs=rng.random(3), pop_coef=0.1, activity_coef=0.05,
                            intercept=0.01, activity=np.ones(6))
-    assert score_matrix(params, stack, evidence, popularity).shape == (6, 4)
-    assert regression_scores(reg, stack, evidence, popularity).shape == (6, 4)
+    assert score_matrix(params, stack, evidence).shape == (6, 4)
+    assert regression_scores(reg, stack, evidence).shape == (6, 4)
 
 
 # ---------------------------------------------------------------------------
 # Reference: the per-app scorers the batched path replaced, kept verbatim in
 # substance as an oracle.  One app per call, one matrix-vector product per
-# network, one RefSheet per app.
+# network, one RefSheet per app; the caller passes each app's popularity,
+# its count of evidence adopters.
 
 
 class RefSheet(NamedTuple):
@@ -549,48 +563,47 @@ class TestBatchedOracle:
             stack = random_stack(rng, num_users, num_networks)
             apps = np.sort(rng.choice(50, size=num_apps, replace=False))
             evidence = rng.random((num_users, num_apps)) < rng.uniform(0.1, 0.7)
-            popularity = rng.integers(0, 20, size=num_apps).astype(float)
-            yield rng, stack, apps, evidence, popularity
+            yield rng, stack, apps, evidence
 
     def test_standard_mode(self):
-        for rng, stack, apps, evidence, popularity in self.instances():
+        for rng, stack, apps, evidence in self.instances():
             params = random_params(rng, stack.num_users, stack.num_networks)
-            want = [ref_score_app(params, stack, evidence[:, t], popularity[t], app_id=int(a))
+            want = [ref_score_app(params, stack, evidence[:, t], evidence[:, t].sum(),
+                                  app_id=int(a))
                     for t, a in enumerate(apps)]
-            got = PredictionSheet(apps, score_matrix(params, stack, evidence, popularity))
+            got = PredictionSheet(apps, score_matrix(params, stack, evidence))
             assert_same_sheets(got, evidence, want)
 
     def test_future_mode(self):
-        for rng, stack, apps, evidence, _ in self.instances():
+        for rng, stack, apps, evidence in self.instances():
             params = random_params(rng, stack.num_users, stack.num_networks)
             early = evidence & (rng.random(evidence.shape) < 0.5)
-            visible = early.sum(axis=0).astype(float)
             want = [ref_score_future(params, stack, early[:, t], float(early[:, t].sum()),
                                      app_id=int(a))
                     for t, a in enumerate(apps)]
-            scores = score_matrix(params, stack, early, visible)
+            scores = score_matrix(params, stack, early)
             assert_same_sheets(PredictionSheet(apps, scores, ~early), early, want)
 
     @pytest.mark.parametrize("impute", ["mean", "zero"])
     def test_transfer_mode(self, impute):
-        for rng, stack, apps, evidence, popularity in self.instances():
+        for rng, stack, apps, evidence in self.instances():
             num_users = stack.num_users
             n_obs = int(rng.integers(1, num_users))
             observable = rng.permutation(num_users)[:n_obs]
             fitted = random_params(rng, n_obs, stack.num_networks)
-            want = [ref_score_transfer(fitted, stack, evidence[:, t], observable,
-                                       popularity[t], impute, app_id=int(a))
-                    for t, a in enumerate(apps)]
             visible = np.zeros(num_users, dtype=bool)
             visible[observable] = True
             masked = evidence & visible[:, None]
+            want = [ref_score_transfer(fitted, stack, evidence[:, t], observable,
+                                       masked[:, t].sum(), impute, app_id=int(a))
+                    for t, a in enumerate(apps)]
             params = transfer_params(fitted, observable, num_users, impute)
-            scores = score_matrix(params, stack, masked, popularity)
+            scores = score_matrix(params, stack, masked)
             got = PredictionSheet(apps, scores, ~visible[:, None])
             assert_same_sheets(got, masked, want)
 
     def test_regression_head(self):
-        for rng, stack, apps, evidence, popularity in self.instances():
+        for rng, stack, apps, evidence in self.instances():
             reg = RegressionParams(
                 net_coefs=rng.random(stack.num_networks) * 0.3,
                 pop_coef=float(rng.random() * 0.05),
@@ -599,9 +612,9 @@ class TestBatchedOracle:
                 activity=rng.integers(0, 15, size=stack.num_users).astype(float),
             )
             activity = reg.activity
-            got = regression_scores(reg, stack, evidence, popularity)
+            got = regression_scores(reg, stack, evidence)
             assert got.shape == evidence.shape
             for t in range(apps.size):
-                want = ref_regression_scores(reg, stack, evidence[:, t], popularity[t],
+                want = ref_regression_scores(reg, stack, evidence[:, t], evidence[:, t].sum(),
                                              activity)
                 np.testing.assert_allclose(got[:, t], want, rtol=0.0, atol=1e-12)

@@ -61,8 +61,8 @@ def make_instance(seed, num_users=12, num_networks=2, num_apps=15, density=0.3):
 
 
 def without_popularity(stack):
-    """The stack's networks alone, as the ablation's network_only series fit them."""
-    return NetworkStack(networks=stack.networks)
+    """The stack's networks with popularity counts of zero: no exogenous channel."""
+    return NetworkStack(networks=stack.networks, popularity=np.zeros_like(stack.popularity))
 
 
 def variant_blocks(cfg):
@@ -659,7 +659,7 @@ class TestKneeCurvature:
         # in 15 iterations, most of them halving Newton steps.
         stack, adoptions = make_instance(8, num_users=40, num_networks=1,
                                          num_apps=20, density=0.05)
-        stack = NetworkStack(stack.networks)
+        stack = without_popularity(stack)
         train = np.arange(adoptions.num_apps)
         params, res = fit_mle(training_terms(stack, adoptions, train))
         assert res.stop_reason == "grad_tol"
@@ -892,6 +892,61 @@ class TestStalledSteps:
         assert x.tolist() == [2.0]
         newton = [0.5 + 2.0 ** -k * 3.0 * 2.0 ** 20 for k in range(10)]
         assert evaluated == [0.5, *newton, 3.5, 2.0]
+
+
+class TestArcSearchEnds:
+    """The Newton arc's roundoff allowance, and the stop when both arcs fail."""
+
+    @staticmethod
+    def one_coordinate_model(curvature):
+        return np.array([curvature]), np.zeros((1, 0)), np.zeros((0, 0))
+
+    def test_newton_step_within_roundoff_is_accepted(self):
+        # At 0.5 the gradient says 1e-4 but the objective falls along it by
+        # 1e-7 per unit, far below the roundoff allowance 1e-12 * 1e6.  The
+        # first Newton trial predicts a gain of 1e-8, within that allowance,
+        # and loses 1e-11 < 1e-6: it is accepted though Armijo rejects it.
+        evaluated = []
+
+        def value(t):
+            evaluated.append(float(t[0]))
+            return 1e6 - 1e-3 * (float(t[0]) - 0.5)
+
+        def derivatives(t):
+            slope = 1e-4 if t[0] == 0.5 else 0.0
+            return np.array([slope]), self.one_coordinate_model(1.0)
+
+        x, res = _projected_newton(value, derivatives, np.array([0.5]),
+                                   np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                   FitConfig())
+        assert evaluated == [0.5, 0.5 + 1e-4]
+        assert x.tolist() == [0.5 + 1e-4]
+        assert res.stop_reason == "grad_tol" and res.iterations == 1
+        assert res.final_objective < 1e6 and res.objective_evals == 2
+
+    def test_both_arcs_failing_ends_the_fit(self):
+        # The gradient points up from the bound 0, the objective falls
+        # everywhere above it, and no trial rounds back to 0: ten Newton
+        # trials (steps 1 .. 2**-9), then 67 gradient trials (steps 1 ..
+        # 2**-66, the last above MIN_STEP), all rejected.
+        evaluated = []
+
+        def value(t):
+            evaluated.append(float(t[0]))
+            return -float(t[0])
+
+        def derivatives(t):
+            return np.array([1.0]), self.one_coordinate_model(1.0)
+
+        x, res = _projected_newton(value, derivatives, np.array([0.0]),
+                                   np.ones(1, dtype=bool), np.zeros(1, dtype=bool),
+                                   FitConfig())
+        assert res.stop_reason == "line_search_exhausted"
+        assert res.iterations == 0 and not res.converged
+        assert x.tolist() == [0.0] and res.grad_norm == 1.0
+        assert evaluated == ([0.0] + [2.0 ** -k for k in range(10)]
+                             + [2.0 ** -k for k in range(67)])
+        assert res.objective_evals == 78 and res.gradient_evals == 1
 
 
 class TestProjectedAscent:

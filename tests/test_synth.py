@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from adoptnet.data import popularity_counts
 from adoptnet.model import ModelParams
 from adoptnet import synth
 from adoptnet.predict import score_matrix
@@ -194,8 +193,7 @@ class TestTeacherSampling:
         context = np.zeros(spec.num_users, dtype=bool)
         context[teacher.context_users] = True
         evidence = teacher.adoptions.installed & context[:, None]
-        popularity = popularity_counts(teacher.adoptions, teacher.context_users)
-        probs = score_matrix(params, stack, evidence, popularity)[teacher.target_users]
+        probs = score_matrix(params, stack, evidence)[teacher.target_users]
         observed = float(teacher.adoptions.installed[teacher.target_users, :].sum())
         expected = float(probs.sum())
         std = math.sqrt(float((probs * (1 - probs)).sum()))
